@@ -8,6 +8,7 @@ integration of the Eckart-Morse(-Morse) Hamiltonian.
 
 from .errors import (
     BelowSaddleError,
+    ConvergenceError,
     DefinitenessError,
     DimensionError,
     DivergenceError,
@@ -42,6 +43,7 @@ from .models import (
     eckart_potential,
     effective_lyapunov,
     eval_cnf,
+    eval_dk_di,
     full_hamiltonian,
     grad_potential,
     kinetic_energy,

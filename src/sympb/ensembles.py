@@ -11,13 +11,13 @@ by t_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bottleneck import j_max_cnf
-from .errors import BelowSaddleError, SamplingError
-from .models import CnfModel, effective_lyapunov, eval_cnf
+from .errors import BelowSaddleError, ConvergenceError, SamplingError
+from .models import CnfModel, effective_lyapunov, eval_cnf, eval_dk_di
 from .tables import ExperimentReport
 
 __all__ = [
@@ -40,6 +40,8 @@ Q1_DELTA = 1e-9
 I_CLAMP_RTOL = 1e-12
 # Per-point cap on bath-action redraws; the documented rejection-rate limit.
 MAX_REDRAWS = 100
+# Newton steps allowed when K has I powers above one.
+NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,7 @@ class InitialCondition:
     energy: float
 
     def __post_init__(self):
-        if not (self.q1 < 0.0 < self.p1):
-            raise ValueError(
-                f"initial conditions live in the forward-reactive half-space "
-                f"Q1 < 0 < P1, got Q1 = {self.q1}, P1 = {self.p1}"
-            )
+        _check_half_space(self.q1, self.p1)
 
 
 @dataclass(frozen=True)
@@ -102,39 +100,152 @@ def default_delta_e(model: CnfModel, e_center: float) -> float:
     return 0.01 * (e_center - model.e0)
 
 
-def _solve_reactive_integral(model: CnfModel, e_target: float, j: np.ndarray) -> float:
-    """Solve K(I, J) = e_target for I at fixed bath actions.
+def _solve_reactive_integral(model: CnfModel, e_target, j):
+    """Solve K(I, J) = e_target for I at fixed bath actions, pointwise.
 
-    The linear-in-I estimate is exact for the built-in truncations; a short
-    Newton polish handles coefficient tables with higher I powers.
+    ``j`` holds one point (shape ``(n_bath,)``) or a batch (``(..., n_bath)``)
+    and ``e_target`` broadcasts against ``j.shape[:-1]``.  The linear-in-I
+    estimate is exact for the built-in truncations; a short Newton polish
+    handles coefficient tables with higher I powers.
     """
     lam_j = effective_lyapunov(model, j)
     i_val = (e_target - eval_cnf(model, 0.0, j)) / lam_j
     if any(ip > 1 for ip, _, _ in model.terms):
-        for _ in range(50):
-            f = eval_cnf(model, i_val, j) - e_target
-            if abs(f) <= 1e-14 * max(abs(e_target), 1.0):
-                break
-            df = _dk_di(model, i_val, j)
-            if df == 0.0:
-                break
-            i_val -= f / df
+        i_val = _newton_polish(model, e_target, j, i_val)
     return i_val
 
 
-def _dk_di(model: CnfModel, i: float, j: np.ndarray) -> float:
-    total = 0.0
-    for i_pow, j_pows, coeff in model.terms:
-        if i_pow < 1:
-            continue
-        v = coeff * i_pow
-        for _ in range(i_pow - 1):
-            v *= i
-        for k, p in enumerate(j_pows):
-            for _ in range(p):
-                v *= j[k]
-        total += v
-    return total
+def _newton_polish(model: CnfModel, e_target, j, i_val):
+    """Newton steps on K(I, J) = e_target, each point stopping at its own first
+    iterate with |K - e_target| <= 1e-14 max(|e_target|, 1).
+
+    Raises
+    ------
+    ConvergenceError
+        If a point meets dK/dI = 0, or is not converged after NEWTON_STEPS
+        steps.
+    """
+    shape = np.shape(i_val)
+    nb = model.n_bath
+    e_all = np.broadcast_to(e_target, shape).ravel()
+    j_all = np.broadcast_to(j, shape + (nb,)).reshape(-1, nb)
+    i_all = np.array(i_val, dtype=float).ravel()
+    idx = np.arange(i_all.size)
+    for step in range(NEWTON_STEPS + 1):
+        e_idx = e_all[idx]
+        f = eval_cnf(model, i_all[idx], j_all[idx]) - e_idx
+        live = ~(np.abs(f) <= 1e-14 * np.maximum(np.abs(e_idx), 1.0))
+        idx, f = idx[live], f[live]
+        if idx.size == 0:
+            return i_all.reshape(shape)[()]
+        if step == NEWTON_STEPS:
+            reason = f"not converged after {NEWTON_STEPS} Newton steps"
+            break
+        df = eval_dk_di(model, i_all[idx], j_all[idx])
+        flat = df == 0.0
+        if flat.any():
+            idx = idx[flat]
+            reason = "dK/dI = 0 at a Newton iterate"
+            break
+        i_all[idx] -= f / df
+    k = idx[0]
+    raise ConvergenceError(
+        f"reaction integral: {reason} solving K(I, J) = E' at "
+        f"E' = {float(e_all[k])!r}, J = {j_all[k].tolist()}"
+    )
+
+
+def _uniform(lo, hi, u):
+    """Map raw uniforms ``u`` in [0, 1) to [lo, hi) exactly as
+    ``Generator.uniform(lo, hi)`` does: ``lo + (hi - lo) * u``."""
+    return lo + (hi - lo) * u
+
+
+def _clamp_reactive(i_val, e_point):
+    """Snap |I'| <= I_CLAMP_RTOL * max(|E'|, 1) to zero."""
+    small = np.abs(i_val) <= I_CLAMP_RTOL * np.maximum(np.abs(e_point), 1.0)
+    return np.where(small, 0.0, i_val)
+
+
+def _check_half_space(q1, p1) -> None:
+    """Raise ValueError unless every (Q1, P1) pair has Q1 < 0 < P1."""
+    q1, p1 = np.ravel(q1), np.ravel(p1)
+    bad = np.flatnonzero(~((q1 < 0.0) & (0.0 < p1)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"initial conditions live in the forward-reactive half-space "
+            f"Q1 < 0 < P1, got Q1 = {float(q1[k])}, P1 = {float(p1[k])}"
+        )
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Ensembles sampled from shared per-point draws: axis 0 runs over the
+    ensembles, axis 1 over the points."""
+
+    q1: np.ndarray  # (m, n)
+    p1: np.ndarray  # (m, n)
+    j: np.ndarray  # (m, n, n_bath)
+    phases: np.ndarray  # (m, n, n_bath)
+    energy: np.ndarray  # (n,)
+
+
+def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> _Batch:
+    """Sample one ensemble per entry of ``lows`` from the same per-point draws.
+
+    Ensemble k draws J_2 from [lows[k] * J2max(E'), J2max(E')]; kind A is
+    ``lows[k] = 0``.  Every point draws its first ``3 + n_bath`` uniforms
+    from its own substream, in the order of :func:`sample_ensemble`, and
+    J2max(E') is solved once per point.  A (point, ensemble) pair whose first
+    J_2 draw gives I' < 0 replays that point's substream in
+    :func:`_redraw_point`.
+    """
+    e_lo = spec.e_center - spec.delta_e
+    e_hi = spec.e_center + spec.delta_e
+    if e_lo <= model.e0:
+        raise BelowSaddleError(
+            f"energy window [{e_lo}, {e_hi}] reaches the saddle energy e0 = {model.e0}"
+        )
+    nb = model.n_bath
+    children = np.random.SeedSequence(spec.seed).spawn(spec.n_traj)
+    u = np.array([np.random.default_rng(child).random(3 + nb) for child in children])
+    energy = _uniform(e_lo, e_hi, u[:, 0])
+    j2max = np.array([j_max_cnf(model, e_point, 2) for e_point in energy.tolist()])
+    lo = np.asarray(lows, dtype=float)[:, None] * j2max
+    m, n = lo.shape
+    j = np.zeros((m, n, nb))
+    j[..., 0] = _uniform(lo, j2max, u[:, 1])
+    i_val = _clamp_reactive(_solve_reactive_integral(model, energy, j), energy)
+    phases = np.repeat(_uniform(0.0, 2.0 * math.pi, u[None, :, 2:2 + nb]), m, axis=0)
+    q1 = np.repeat(_uniform(-spec.q1_range, -Q1_DELTA, u[None, :, 2 + nb]), m, axis=0)
+    for k, p in zip(*np.nonzero(~(i_val >= 0.0))):
+        j[k, p, 0], i_val[k, p], phases[k, p], q1[k, p] = _redraw_point(
+            model, children[p], energy[p], j2max[p], lo[k, p], spec.q1_range)
+    p1 = np.sqrt(q1 * q1 + 2.0 * i_val)
+    _check_half_space(q1, p1)
+    return _Batch(q1=q1, p1=p1, j=j, phases=phases, energy=energy)
+
+
+def _redraw_point(model: CnfModel, child, e_point, j2max, lo, q1_range):
+    """Scalar path for one point: replay its substream past E' and redraw
+    J_2 until I' >= 0.  Returns ``(J_2, I', phases, Q_1)``."""
+    rng = np.random.default_rng(child)
+    rng.random()  # E', already drawn
+    j = np.zeros(model.n_bath)
+    for _ in range(MAX_REDRAWS + 1):
+        j[0] = rng.uniform(lo, j2max)
+        i_val = float(_clamp_reactive(_solve_reactive_integral(model, e_point, j), e_point))
+        if i_val >= 0.0:
+            break
+    else:
+        raise SamplingError(
+            f"rejection rate above 99%: I' < 0 for {MAX_REDRAWS + 1} "
+            f"consecutive bath-action draws at E' = {e_point}"
+        )
+    phases = rng.uniform(0.0, 2.0 * math.pi, model.n_bath)
+    q1 = rng.uniform(-q1_range, -Q1_DELTA)
+    return j[0], i_val, phases, q1
 
 
 def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> list:
@@ -150,50 +261,44 @@ def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> list:
     """
     if kind not in ("A", "B"):
         raise ValueError(f"ensemble kind must be 'A' or 'B', got {kind!r}")
-    e_lo = spec.e_center - spec.delta_e
-    e_hi = spec.e_center + spec.delta_e
-    if e_lo <= model.e0:
-        raise BelowSaddleError(
-            f"energy window [{e_lo}, {e_hi}] reaches the saddle energy e0 = {model.e0}"
-        )
-    nb = model.n_bath
-    out = []
-    children = np.random.SeedSequence(spec.seed).spawn(spec.n_traj)
-    for child in children:
-        rng = np.random.default_rng(child)
-        e_point = rng.uniform(e_lo, e_hi)
-        j2max = j_max_cnf(model, e_point, 2)
-        lo = spec.xi * j2max if kind == "B" else 0.0
-        j = np.zeros(nb)
-        for _ in range(MAX_REDRAWS + 1):
-            j[0] = rng.uniform(lo, j2max)
-            i_val = _solve_reactive_integral(model, e_point, j)
-            if abs(i_val) <= I_CLAMP_RTOL * max(abs(e_point), 1.0):
-                i_val = 0.0
-            if i_val >= 0.0:
-                break
-        else:
-            raise SamplingError(
-                f"rejection rate above 99%: I' < 0 for {MAX_REDRAWS + 1} "
-                f"consecutive bath-action draws at E' = {e_point}"
-            )
-        phases = tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(nb))
-        q1 = rng.uniform(-spec.q1_range, -Q1_DELTA)
-        p1 = math.sqrt(q1 * q1 + 2.0 * i_val)
-        out.append(
-            InitialCondition(q1=q1, p1=p1, j=tuple(j), phases=phases, energy=e_point)
-        )
-    return out
+    batch = _sample_batch(model, spec, [spec.xi if kind == "B" else 0.0])
+    return [
+        InitialCondition(q1=q1, p1=p1, j=tuple(j), phases=tuple(phases), energy=energy)
+        for q1, p1, j, phases, energy in zip(
+            batch.q1[0].tolist(), batch.p1[0].tolist(), batch.j[0].tolist(),
+            batch.phases[0].tolist(), batch.energy.tolist())
+    ]
+
+
+def _transmitted(model: CnfModel, j, q1, p1, t_max) -> np.ndarray:
+    """Elementwise ``Q_1 cosh(L t_max) + P_1 sinh(L t_max) > 0``, L = Lambda(J).
+
+    cosh and sinh come from :mod:`math` point by point: numpy's differ from
+    them in the last ulp on some arguments, which would move knife-edge
+    points.
+    """
+    lt = np.asarray(effective_lyapunov(model, j) * t_max)
+    # Beyond 350 cosh/sinh overflow; there coth(lt) is 1 to machine precision.
+    far = lt > 350.0
+    near = [x for x in lt.ravel().tolist() if not x > 350.0]
+    cosh = np.zeros(lt.shape)
+    sinh = np.zeros(lt.shape)
+    cosh[~far] = [math.cosh(x) for x in near]
+    sinh[~far] = [math.sinh(x) for x in near]
+    return np.where(far, p1 + q1 > 0.0, q1 * cosh + p1 * sinh > 0.0)
 
 
 def transmit(model: CnfModel, ic: InitialCondition, t_max: float) -> bool:
     """True iff ``Q_1 cosh(L t_max) + P_1 sinh(L t_max) > 0`` with L = Lambda(J)."""
-    lam_j = effective_lyapunov(model, np.asarray(ic.j))
-    lt = lam_j * t_max
-    if lt > 350.0:
-        # cosh/sinh overflow; in this regime coth(lt) is 1 to machine precision.
-        return ic.p1 + ic.q1 > 0.0
-    return ic.q1 * math.cosh(lt) + ic.p1 * math.sinh(lt) > 0.0
+    return bool(_transmitted(model, ic.j, ic.q1, ic.p1, t_max))
+
+
+def _result(n_trans, n: int, t_max, xi: float, kind: str) -> TransmissionResult:
+    n_trans = int(n_trans)
+    return TransmissionResult(
+        xi=xi, fraction=n_trans / n, n_transmitted=n_trans, n_total=n,
+        t_max=float(t_max), kind=kind,
+    )
 
 
 def transmission_fraction(model: CnfModel, ics, t_max: float, xi: float = float("nan"),
@@ -202,11 +307,14 @@ def transmission_fraction(model: CnfModel, ics, t_max: float, xi: float = float(
     n = len(ics)
     if n == 0:
         raise ValueError("ensemble is empty")
-    n_trans = sum(1 for ic in ics if transmit(model, ic, t_max))
-    return TransmissionResult(
-        xi=xi, fraction=n_trans / n, n_transmitted=n_trans, n_total=n,
-        t_max=float(t_max), kind=kind,
+    hits = _transmitted(
+        model,
+        np.array([ic.j for ic in ics], dtype=float),
+        np.array([ic.q1 for ic in ics]),
+        np.array([ic.p1 for ic in ics]),
+        t_max,
     )
+    return _result(np.count_nonzero(hits), n, t_max, xi, kind)
 
 
 def transmission_scan(model: CnfModel, spec_base: EnsembleSpec, xis,
@@ -214,20 +322,21 @@ def transmission_scan(model: CnfModel, spec_base: EnsembleSpec, xis,
     """Ensemble A baseline plus an Ensemble B sweep over xi values.
 
     Every ensemble reuses ``spec_base.seed``, so the B results share their
-    random draws across xi (common random numbers).  Returns the baseline
-    first (kind "A", xi = nan), then one result per xi in the given order.
+    random draws across xi (common random numbers): each point is drawn once
+    and mapped into every ensemble.  Returns the baseline first (kind "A",
+    xi = nan), then one result per xi in the given order.
     """
     xis = [float(x) for x in xis]
     if any(not 0.0 <= x <= 1.0 for x in xis):
         raise ValueError(f"xi values must lie in [0, 1], got {xis}")
     if t_max is None:
         t_max = default_t_max(model)
-    ics_a = sample_ensemble(model, replace(spec_base, xi=0.0), "A")
-    results = [transmission_fraction(model, ics_a, t_max, kind="A")]
-    for xi in xis:
-        ics_b = sample_ensemble(model, replace(spec_base, xi=xi), "B")
-        results.append(transmission_fraction(model, ics_b, t_max, xi=xi, kind="B"))
-    return results
+    batch = _sample_batch(model, spec_base, [0.0] + xis)
+    counts = np.count_nonzero(_transmitted(model, batch.j, batch.q1, batch.p1, t_max), axis=1)
+    n = spec_base.n_traj
+    return [_result(counts[0], n, t_max, float("nan"), "A")] + [
+        _result(c, n, t_max, xi, "B") for c, xi in zip(counts[1:], xis)
+    ]
 
 
 def scan_report(model: CnfModel, spec_base: EnsembleSpec, xis,

@@ -45,6 +45,10 @@ class SamplingError(SympbError):
     """Rejection sampling failed to produce admissible initial conditions."""
 
 
+class ConvergenceError(SympbError):
+    """An iterative solve stopped without meeting its tolerance."""
+
+
 class PreconditionError(SympbError):
     """An input violates a documented numerical precondition (for example a
     mixing matrix that is not symplectic at tolerance)."""

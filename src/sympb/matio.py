@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-FLOAT_FMT = "%.17g"
+from .tables import FLOAT_FMT
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -28,6 +28,7 @@ __all__ = [
     "QuadraticSaddleModel",
     "CnfModel",
     "eval_cnf",
+    "eval_dk_di",
     "effective_lyapunov",
     "builtin_cnf",
     "builtin_eckart_morse_2dof",
@@ -162,62 +163,91 @@ class CnfModel:
         return total
 
 
-def eval_cnf(model: CnfModel, i: float, j) -> float:
+def _bath_columns(model: CnfModel, j):
+    """Bath actions as one column per mode, plus the zero a term sum starts from.
+
+    One point (shape ``(n_bath,)``) gives Python floats and ``0.0``; a batch
+    (shape ``(..., n_bath)``) gives arrays of shape ``j.shape[:-1]``.
+    """
+    j = np.asarray(j, dtype=float)
+    if j.ndim == 0 or j.shape[-1] != model.n_bath:
+        raise DimensionError(
+            f"expected {model.n_bath} bath actions, got shape {j.shape}"
+        )
+    if j.ndim == 1:
+        return j, j.tolist(), 0.0
+    return j, [j[..., k] for k in range(model.n_bath)], np.zeros(j.shape[:-1])
+
+
+def _term_sum(model: CnfModel, i, cols, total, order: int):
+    """Sum of the ``order``-th I-derivative (0 or 1) of every term, in term order.
+
+    Each term is built by repeated multiplication, so a batch gives the same
+    values, bit for bit, as its points evaluated one at a time.  ``i = None``
+    evaluates at I = 0 by keeping only the terms whose I-power equals
+    ``order``.
+    """
+    for i_pow, j_pows, coeff in model.terms:
+        if i_pow < order or (i is None and i_pow != order):
+            continue
+        v = coeff * i_pow if order else coeff
+        for _ in range(i_pow - order):
+            v = v * i
+        for col, p in zip(cols, j_pows):
+            for _ in range(p):
+                v = v * col
+        total = total + v
+    return total
+
+
+def _reactive_values(i):
+    return np.asarray(i, dtype=float) if isinstance(i, np.ndarray) else float(i)
+
+
+def eval_cnf(model: CnfModel, i, j):
     """Evaluate ``K(I, J)`` for a CnfModel.
 
     Parameters
     ----------
     model : CnfModel
-    i : float
-        Reactive integral value.
+    i : float or array_like
+        Reactive integral value(s), broadcastable against ``j.shape[:-1]``.
     j : array_like
-        Bath actions, length ``model.n_bath``.
+        Bath actions, shape ``(n_bath,)`` for one point or ``(..., n_bath)``
+        for a batch.
     """
-    j = np.asarray(j, dtype=float)
-    if j.shape != (model.n_bath,):
-        raise DimensionError(
-            f"expected {model.n_bath} bath actions, got shape {j.shape}"
-        )
-    i = float(i)
-    total = 0.0
-    for i_pow, j_pows, coeff in model.terms:
-        v = coeff
-        for _ in range(i_pow):
-            v *= i
-        for k, p in enumerate(j_pows):
-            for _ in range(p):
-                v *= j[k]
-        total += v
-    return total
+    _, cols, total = _bath_columns(model, j)
+    return _term_sum(model, _reactive_values(i), cols, total, 0)
 
 
-def effective_lyapunov(model: CnfModel, j) -> float:
+def eval_dk_di(model: CnfModel, i, j):
+    """Evaluate ``dK/dI`` at ``(I, J)``; shapes as in :func:`eval_cnf`."""
+    _, cols, total = _bath_columns(model, j)
+    return _term_sum(model, _reactive_values(i), cols, total, 1)
+
+
+def effective_lyapunov(model: CnfModel, j):
     """Action-dependent unstable rate ``Lambda(J) = dK/dI at I = 0``.
+
+    ``j`` has shape ``(n_bath,)`` or ``(..., n_bath)``; the result is a float
+    or an array of shape ``j.shape[:-1]``.
 
     Raises
     ------
     LyapunovSignError
-        If the rate is not positive at the given bath actions.
+        If the rate is not positive at any of the given bath actions.
     """
-    j = np.asarray(j, dtype=float)
-    if j.shape != (model.n_bath,):
-        raise DimensionError(
-            f"expected {model.n_bath} bath actions, got shape {j.shape}"
-        )
-    total = 0.0
-    for i_pow, j_pows, coeff in model.terms:
-        if i_pow != 1:
-            continue
-        v = coeff
-        for k, p in enumerate(j_pows):
-            for _ in range(p):
-                v *= j[k]
-        total += v
-    if total <= 0.0:
+    j, cols, total = _bath_columns(model, j)
+    rate = _term_sum(model, None, cols, total, 1)
+    flat = np.ravel(rate)
+    bad = np.flatnonzero(flat <= 0.0)
+    if bad.size:
+        k = bad[0]
         raise LyapunovSignError(
-            f"effective rate Lambda(J) = {total:.6e} is not positive at J = {j.tolist()}"
+            f"effective rate Lambda(J) = {flat[k]:.6e} is not positive "
+            f"at J = {j.reshape(-1, model.n_bath)[k].tolist()}"
         )
-    return total
+    return rate
 
 
 def builtin_cnf(n_dof: int = 2) -> CnfModel:
@@ -263,27 +293,42 @@ def builtin_quadratic(n_dof: int = 2) -> QuadraticSaddleModel:
     raise DimensionError(f"built-in models exist for 2 or 3 dof, got {n_dof}")
 
 
+def _entry(obj, key: str, what: str):
+    """``obj[key]``, or a ValueError naming the key when it is absent."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{what} is missing the {key!r} key")
+    return obj[key]
+
+
 def cnf_from_obj(obj) -> CnfModel:
     """Build a CnfModel from parsed JSON.
 
     Accepts either ``{"e0": x, "terms": [{"i": .., "j": [..], "c": ..}, ...]}``
     or a flat list of term objects with one ``{"e0": x}`` entry.  A missing
-    constant term is filled in from ``e0``.
+    constant term is filled in from ``e0``.  A missing key raises ValueError.
     """
     if isinstance(obj, dict):
-        e0 = obj["e0"]
-        raw_terms = obj["terms"]
-    else:
+        e0 = _entry(obj, "e0", "model")
+        raw_terms = _entry(obj, "terms", "model")
+    elif isinstance(obj, list):
         e0 = None
         raw_terms = []
         for entry in obj:
-            if "e0" in entry and "c" not in entry:
+            if isinstance(entry, dict) and "e0" in entry and "c" not in entry:
                 e0 = entry["e0"]
             else:
                 raw_terms.append(entry)
         if e0 is None:
             raise ValueError("model list is missing an {'e0': ...} entry")
-    terms = [(int(t["i"]), tuple(int(p) for p in t["j"]), float(t["c"])) for t in raw_terms]
+    else:
+        raise ValueError(f"model must be a JSON object or list, got {type(obj).__name__}")
+    terms = [
+        (int(_entry(t, "i", "model term")), tuple(int(p) for p in _entry(t, "j", "model term")),
+         float(_entry(t, "c", "model term")))
+        for t in raw_terms
+    ]
     if terms:
         nb = len(terms[0][1])
         zero = (0,) * nb
@@ -348,8 +393,18 @@ def default_params() -> EckartMorseParams:
 
 
 def load_params(path: str) -> EckartMorseParams:
+    """Read EckartMorseParams from a JSON object; omitted fields keep their
+    defaults, and an unknown key raises ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: parameters must be a JSON object")
+    known = {f.name for f in fields(EckartMorseParams)}
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown parameter key {unknown[0]!r}; expected keys are {sorted(known)}"
+        )
     return EckartMorseParams(**obj)
 
 

@@ -158,6 +158,14 @@ def test_widths_unknown_config_key_exit_two(tmp_path, capsys):
     assert code == 2 and "bogus" in err
 
 
+def test_widths_model_missing_e0_exit_two(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"terms": []}))
+    code, _, err = run_cli(capsys, "widths", "--model", str(model),
+                           "--e-min", "0", "--e-max", "1")
+    assert code == 2 and "error:" in err and "'e0'" in err
+
+
 def test_widths_seed_env_default(monkeypatch, capsys):
     monkeypatch.setenv("SYMPB_SEED", "77")
     code, out, _ = run_cli(
@@ -348,6 +356,13 @@ def test_integrate_missing_params_file(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_integrate_unknown_params_key_exit_two(capsys, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"bogus": 1}))
+    code, _, err = run_cli(capsys, "integrate", "--state0", "0,0,0,0", "--params", str(params))
+    assert code == 2 and "error:" in err and "'bogus'" in err
+
+
 def test_integrate_bad_step_exit_two(capsys):
     code, _, err = run_cli(
         capsys, "integrate", "--state0=-1e6,1500,0,0", "--h=-0.1",
@@ -388,6 +403,15 @@ def declared_launcher():
     )
 
 
+def source_env():
+    # PYTHONPATH led by the directory holding the sympb under test, so a
+    # fresh interpreter imports it wherever pytest was started.
+    src = str(Path(sympb.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def assert_capacity_pi(out):
     assert out.returncode == 0, out.stderr
     assert abs(json.loads(out.stdout)["capacity"] - math.pi) <= 1e-12, out.stderr
@@ -397,12 +421,18 @@ def test_console_script_smoke(tmp_path):
     # Runs the declared entry point the way its installed launcher does, in a
     # fresh interpreter that imports the sympb under test.
     path = write_matrix(tmp_path, "m.csv", np.eye(4))
-    src = str(Path(sympb.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", declared_launcher(), "capacity", path],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
+        capture_output=True, text=True, env=source_env(), cwd=tmp_path,
+    )
+    assert_capacity_pi(out)
+
+
+def test_python_m_sympb(tmp_path):
+    path = write_matrix(tmp_path, "m.csv", np.eye(4))
+    out = subprocess.run(
+        [sys.executable, "-m", "sympb", "capacity", path],
+        capture_output=True, text=True, env=source_env(), cwd=tmp_path,
     )
     assert_capacity_pi(out)
 

@@ -1,0 +1,280 @@
+"""The array sampler and transmit criterion against a point-by-point oracle.
+
+The oracle below is the documented per-point procedure written with scalar
+Python arithmetic: its own polynomial loops, its own Newton polish and its
+own redraw loop.  The library samples whole ensembles as arrays and must
+reproduce it bit for bit.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sympb.ensembles
+from sympb import (
+    CnfModel,
+    ConvergenceError,
+    EnsembleSpec,
+    InitialCondition,
+    LyapunovSignError,
+    SamplingError,
+    builtin_cnf,
+    effective_lyapunov,
+    eval_cnf,
+    eval_dk_di,
+    j_max_cnf,
+    sample_ensemble,
+    transmission_fraction,
+    transmission_scan,
+)
+from sympb.ensembles import _solve_reactive_integral
+
+# Models with an I**2 term take the Newton path.  Its coefficient is small
+# and negative, so K(I, J) = E' has a real root for every draw, including
+# the rejected ones.
+NEWTON2 = CnfModel(e0=-1.0, terms=(
+    (0, (0,), -1.0), (1, (0,), 1.0), (0, (1,), 1.5), (1, (1,), -0.02), (2, (0,), -0.05),
+))
+NEWTON3 = CnfModel(e0=-1.0, terms=(
+    (0, (0, 0), -1.0), (1, (0, 0), 0.9), (0, (1, 0), 1.5), (0, (0, 1), 1.1),
+    (1, (1, 0), -0.02), (2, (1, 0), 0.01), (2, (0, 0), -0.05),
+))
+MODELS = (builtin_cnf(2), builtin_cnf(3), NEWTON2, NEWTON3)
+
+# K = I - 0.5 I^2 + J2: dK/dI vanishes at I = 1, and K never exceeds 0.5 at J2 = 0.
+FOLD = CnfModel(e0=0.0, terms=((0, (0,), 0.0), (1, (0,), 1.0), (0, (1,), 1.0), (2, (0,), -0.5)))
+
+
+# ---------------------------------------------------------------------------
+# scalar oracle
+# ---------------------------------------------------------------------------
+
+
+def k_scalar(model, i, j, order=0):
+    """order-th I-derivative (0 or 1) of K at (I, J), one term at a time."""
+    total = 0.0
+    for i_pow, j_pows, coeff in model.terms:
+        if i_pow < order:
+            continue
+        v = coeff * i_pow if order else coeff
+        for _ in range(i_pow - order):
+            v *= i
+        for k, p in enumerate(j_pows):
+            for _ in range(p):
+                v *= j[k]
+        total += v
+    return total
+
+
+def lam_scalar(model, j):
+    total = 0.0
+    for i_pow, j_pows, coeff in model.terms:
+        if i_pow != 1:
+            continue
+        v = coeff
+        for k, p in enumerate(j_pows):
+            for _ in range(p):
+                v *= j[k]
+        total += v
+    assert total > 0.0
+    return total
+
+
+def solve_scalar(model, e, j):
+    i = (e - k_scalar(model, 0.0, j)) / lam_scalar(model, j)
+    if any(ip > 1 for ip, _, _ in model.terms):
+        for _ in range(50):
+            f = k_scalar(model, i, j) - e
+            if abs(f) <= 1e-14 * max(abs(e), 1.0):
+                break
+            df = k_scalar(model, i, j, order=1)
+            if df == 0.0:
+                break
+            i -= f / df
+    return i
+
+
+def oracle_sample(model, spec, kind, j_max):
+    """Per point, from its own substream: E', J2max(E'), J_2 redrawn until
+    I' >= 0, the bath phases, then Q_1."""
+    e_lo, e_hi = spec.e_center - spec.delta_e, spec.e_center + spec.delta_e
+    nb = model.n_bath
+    out = []
+    for child in np.random.SeedSequence(spec.seed).spawn(spec.n_traj):
+        rng = np.random.default_rng(child)
+        e = rng.uniform(e_lo, e_hi)
+        j2max = j_max(model, e, 2)
+        lo = spec.xi * j2max if kind == "B" else 0.0
+        j = [0.0] * nb
+        for _ in range(sympb.ensembles.MAX_REDRAWS + 1):
+            j[0] = rng.uniform(lo, j2max)
+            i = solve_scalar(model, e, j)
+            if abs(i) <= sympb.ensembles.I_CLAMP_RTOL * max(abs(e), 1.0):
+                i = 0.0
+            if i >= 0.0:
+                break
+        else:
+            raise SamplingError("all draws rejected")
+        phases = tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(nb))
+        q1 = rng.uniform(-spec.q1_range, -sympb.ensembles.Q1_DELTA)
+        p1 = math.sqrt(q1 * q1 + 2.0 * i)
+        out.append(InitialCondition(q1=q1, p1=p1, j=tuple(j), phases=phases, energy=e))
+    return out
+
+
+def oracle_transmit(model, ic, t_max):
+    lt = lam_scalar(model, ic.j) * t_max
+    if lt > 350.0:
+        return ic.p1 + ic.q1 > 0.0
+    return ic.q1 * math.cosh(lt) + ic.p1 * math.sinh(lt) > 0.0
+
+
+def bits(ics):
+    return np.array(
+        [[ic.q1, ic.p1, *ic.j, *ic.phases, ic.energy] for ic in ics], dtype=float
+    ).tobytes()
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except SamplingError:
+        return "SamplingError", None
+
+
+# ---------------------------------------------------------------------------
+# sampler and criterion
+# ---------------------------------------------------------------------------
+
+
+specs = st.builds(
+    EnsembleSpec,
+    n_traj=st.integers(1, 25),
+    e_center=st.just(0.0),
+    delta_e=st.one_of(st.just(0.0), st.floats(1e-6, 0.5)),
+    seed=st.integers(0, 2**32 - 1),
+    xi=st.floats(0.0, 1.0),
+    q1_range=st.floats(1e-3, 10.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(MODELS), spec=specs, kind=st.sampled_from("AB"),
+       inflate=st.sampled_from([1.0, 1.5]))
+def test_array_sampler_matches_scalar_oracle(model, spec, kind, inflate):
+    # inflate > 1 widens the J_2 interval past the admissible region, so some
+    # first draws give I' < 0 and take the scalar redraw path (or all do, and
+    # both sides raise SamplingError).
+    def j_max(m, e, k):
+        return inflate * j_max_cnf(m, e, k)
+
+    want = outcome(lambda: oracle_sample(model, spec, kind, j_max))
+    with mock.patch.object(sympb.ensembles, "j_max_cnf", j_max):
+        got = outcome(lambda: sample_ensemble(model, spec, kind))
+    assert got[0] == want[0]
+    if want[0] != "ok":
+        return
+    assert bits(got[1]) == bits(want[1])
+    t_max = 5.0 / model.lam
+    res = transmission_fraction(model, got[1], t_max)
+    assert res.n_transmitted == sum(oracle_transmit(model, ic, t_max) for ic in want[1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=st.sampled_from(MODELS), spec=specs,
+       xis=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=4))
+def test_scan_equals_per_ensemble_sampling(model, spec, xis):
+    t_max = 5.0 / model.lam
+    results = transmission_scan(model, spec, xis, t_max)
+    expected = [transmission_fraction(model, sample_ensemble(model, spec, "A"), t_max, kind="A")]
+    for xi in xis:
+        spec_b = EnsembleSpec(spec.n_traj, spec.e_center, spec.delta_e, spec.seed, xi, spec.q1_range)
+        expected.append(transmission_fraction(
+            model, sample_ensemble(model, spec_b, "B"), t_max, xi=float(xi), kind="B"))
+    assert repr(results) == repr(expected)
+
+
+@pytest.mark.parametrize("t_max, q1, crosses", [
+    (0.6484263535370605, -0.22175560530863486, True),
+    (18.978123998031155, -0.4999999999992341, False),
+])
+def test_criterion_on_knife_edge_uses_math_cosh_sinh(t_max, q1, crosses):
+    # numpy's cosh/sinh differ from math's in the last ulp at these
+    # L t_max, enough to flip the sign of Q1 cosh + P1 sinh
+    model = builtin_cnf(2)
+    ic = InitialCondition(q1=q1, p1=0.5, j=(0.0,), phases=(0.0,), energy=0.0)
+    assert oracle_transmit(model, ic, t_max) is crosses
+    assert transmission_fraction(model, [ic], t_max).n_transmitted == int(crosses)
+
+
+def test_scan_solves_j_max_once_per_point(monkeypatch):
+    calls = []
+
+    def counting(model, e, k):
+        calls.append(e)
+        return j_max_cnf(model, e, k)
+
+    monkeypatch.setattr(sympb.ensembles, "j_max_cnf", counting)
+    spec = EnsembleSpec(n_traj=40, e_center=0.0, delta_e=0.01, seed=9)
+    transmission_scan(builtin_cnf(3), spec, [round(0.1 * i, 1) for i in range(11)])
+    assert len(calls) == spec.n_traj
+
+
+# ---------------------------------------------------------------------------
+# batched polynomial
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.sampled_from(MODELS), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(1,), (7,), (3, 5)]))
+def test_batched_polynomial_matches_points(model, seed, shape):
+    rng = np.random.default_rng(seed)
+    nb = model.n_bath
+    j = rng.uniform(0.0, 2.0, size=shape + (nb,))
+    i = rng.uniform(-1.0, 1.0, size=shape)
+    pts = [(float(i[idx]), j[idx].tolist()) for idx in np.ndindex(shape)]
+    for got, order in ((eval_cnf(model, i, j), 0), (eval_dk_di(model, i, j), 1)):
+        want = [k_scalar(model, ii, jj, order) for ii, jj in pts]
+        assert got.shape == shape
+        assert got.ravel().tobytes() == np.array(want).tobytes()
+    lam = effective_lyapunov(model, j)
+    assert lam.ravel().tobytes() == np.array([lam_scalar(model, jj) for _, jj in pts]).tobytes()
+
+
+def test_batched_lyapunov_sign_guard():
+    model = builtin_cnf(2)
+    with pytest.raises(LyapunovSignError, match="100.0"):
+        effective_lyapunov(model, [[1.0], [100.0], [2.0]])
+
+
+# ---------------------------------------------------------------------------
+# Newton polish of the reaction integral
+# ---------------------------------------------------------------------------
+
+
+def test_newton_polish_converges_to_scalar_values():
+    e = np.array([0.3, 0.1, -0.2, 0.45])
+    j = np.array([[0.0], [0.05], [0.1], [0.0]])
+    got = _solve_reactive_integral(FOLD, e, j)
+    want = [solve_scalar(FOLD, float(ee), jj.tolist()) for ee, jj in zip(e, j)]
+    assert got.tobytes() == np.array(want).tobytes()
+    for ee, jj, ii in zip(e, j, got):
+        assert abs(eval_cnf(FOLD, ii, jj) - ee) <= 1e-14
+    assert _solve_reactive_integral(FOLD, 0.3, [0.0]) == want[0]
+
+
+def test_newton_polish_flat_derivative_raises():
+    # the linear estimate lands on I = 1, where dK/dI = 1 - I = 0
+    with pytest.raises(ConvergenceError, match=r"dK/dI = 0.*E' = 1\.0, J = \[0\.0\]"):
+        _solve_reactive_integral(FOLD, np.array([0.3, 1.0]), np.array([[0.0], [0.0]]))
+
+
+def test_newton_polish_without_root_raises():
+    # K <= 0.5 at J2 = 0: the iterates cycle 2, 0, 2, ... and never converge
+    with pytest.raises(ConvergenceError, match=r"50 Newton steps.*E' = 2\.0, J = \[0\.0\]"):
+        _solve_reactive_integral(FOLD, 2.0, [0.0])
