@@ -35,8 +35,6 @@ from .models import (
     QuadraticSaddleModel,
     barrier_x,
     builtin_cnf,
-    builtin_eckart_morse_2dof,
-    builtin_eckart_morse_morse_3dof,
     builtin_quadratic,
     cnf_from_obj,
     default_params,

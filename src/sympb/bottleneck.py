@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import kernels
-from .errors import BelowSaddleError, DimensionError, RootBracketError
+from .errors import BelowSaddleError, DimensionError, PreconditionError, RootBracketError
 from .models import CnfModel, QuadraticSaddleModel, eval_cnf
 from .tables import ExperimentReport
 
@@ -138,12 +138,27 @@ def candidate_width(model, e: float) -> WidthReport:
     )
 
 
-def _zero_i_terms(model: CnfModel):
-    """Coefficient table of K(0, J): terms whose I-power is zero."""
-    keep = [(jp, c) for ip, jp, c in model.terms if ip == 0]
-    j_pows = np.array([jp for jp, _ in keep], dtype=np.int64).reshape(len(keep), model.n_bath)
-    coeffs = np.array([c for _, c in keep], dtype=np.float64)
-    return j_pows, coeffs
+def _check_monotone(model: CnfModel) -> None:
+    """Raise PreconditionError when an I-free J term has a negative coefficient.
+
+    The axis-root box ``prod_k [0, J_k_max]`` holds the whole admissible
+    region when ``K(0, J)`` is nondecreasing in every J_k, which nonnegative
+    I-free coefficients guarantee.
+    """
+    for i_pow, j_pows, _ in model.terms:
+        if i_pow or not any(j_pows):
+            continue
+        coeff = model.coefficient(0, j_pows)
+        if coeff < 0.0:
+            monomial = "*".join(
+                f"J_{k + 2}" + (f"^{p}" if p > 1 else "")
+                for k, p in enumerate(j_pows) if p
+            )
+            raise PreconditionError(
+                f"term {coeff!r}*{monomial} makes K(0, J) decrease in a bath "
+                "action, so the admissible region can leave the axis-root "
+                "sampling box"
+            )
 
 
 def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> FluxReport:
@@ -153,6 +168,9 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     counts points with ``K(0, J) <= e``.  ``std_error`` is the binomial
     standard error of the volume estimate, ``box_volume *
     sqrt(p(1-p)/samples)``.  Deterministic per seed, independent of chunking.
+
+    Raises PreconditionError when an I-free term of ``K(0, J)`` has a negative
+    coefficient: the box may then cut off part of the admissible region.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -160,13 +178,13 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
         raise DimensionError("need at least one bath mode")
     if e < model.e0:
         raise BelowSaddleError(f"E = {e} is below the saddle energy e0 = {model.e0}")
+    _check_monotone(model)
     if e == model.e0:
         return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=int(samples),
                           std_error=0.0, seed=int(seed))
     nb = model.n_bath
     box = np.array([j_max_cnf(model, e, k) for k in range(2, nb + 2)])
     box_volume = float(np.prod(box))
-    j_pows, coeffs = _zero_i_terms(model)
 
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -176,7 +194,7 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
         m = min(MC_CHUNK, remaining)
         rng = np.random.default_rng(child)
         js = rng.uniform(0.0, box, size=(m, nb))
-        hits += kernels.count_box_hits(js, j_pows, coeffs, e)
+        hits += kernels.count_box_hits(model, js, e)
         remaining -= m
     p_hat = hits / samples
     volume = box_volume * p_hat

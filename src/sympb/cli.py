@@ -22,8 +22,7 @@ from .errors import SympbError
 from .linalg import ellipsoid_capacity, random_symplectic, symplectic_spectrum
 from .matio import load_matrix
 from .models import (
-    builtin_eckart_morse_2dof,
-    builtin_eckart_morse_morse_3dof,
+    builtin_cnf,
     builtin_quadratic,
     default_params,
     load_cnf_model,
@@ -31,9 +30,10 @@ from .models import (
 )
 from .tables import ExperimentReport
 
+# built-in normal forms by name: degrees of freedom for builtin_cnf
 BUILTIN_CNF = {
-    "eckart-morse-2dof": builtin_eckart_morse_2dof,
-    "eckart-morse-morse-3dof": builtin_eckart_morse_morse_3dof,
+    "eckart-morse-2dof": 2,
+    "eckart-morse-morse-3dof": 3,
 }
 
 DEFAULT_RADII = "0.05,0.1,0.2,0.4"
@@ -81,7 +81,7 @@ def _load_cnf(cfg):
         raise ValueError(
             f"unknown builtin {name!r}; choose from {sorted(BUILTIN_CNF)}"
         )
-    return BUILTIN_CNF[name]()
+    return builtin_cnf(BUILTIN_CNF[name])
 
 
 def _emit(report: ExperimentReport, cfg) -> None:

@@ -1,230 +1,59 @@
 """Hot numeric kernels.
 
 Two loops dominate runtime: Monte-Carlo membership counting for action-space
-volumes and the Stormer-Verlet integration loop.  Both come in a
-numba-compiled and a pure numpy variant; dispatchers pick one according to
-``sympb._accel.USE_NUMBA`` (numba when importable, unless ``SYMPB_NUMBA=0``).
-
-The Monte-Carlo pair is written so both backends do the per-sample arithmetic
-in exactly the same order (term order, then repeated multiplication per
-power), which makes hit counts bit-identical across backends.
+volumes and the Stormer-Verlet integration loop.  The Verlet loop steps a
+batch of trajectories together; each row gives the same values, bit for bit,
+as a batch of one.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ._accel import USE_NUMBA, njit
+from .models import CnfModel, EckartMorseParams, eval_cnf, grad_potential, velocities
 
-__all__ = [
-    "count_box_hits",
-    "count_box_hits_numpy",
-    "count_box_hits_numba",
-    "verlet_run",
-    "verlet_run_numpy",
-    "verlet_run_numba",
-]
+__all__ = ["count_box_hits", "verlet_run"]
 
 
-# ---------------------------------------------------------------------------
-# Monte-Carlo membership counting: how many rows J of j_samples satisfy
-# sum_t coeffs[t] * prod_k J[k]**j_pows[t, k] <= e
-# ---------------------------------------------------------------------------
+def count_box_hits(model: CnfModel, j_samples, e: float) -> int:
+    """Number of rows ``J`` of ``j_samples`` (shape ``(m, n_bath)``) with
+    ``K(0, J) <= e``.
+
+    At I = 0 the terms that carry I add only +/-0.0, so the count equals that
+    of the I-free part of the polynomial.
+    """
+    return int(np.count_nonzero(eval_cnf(model, 0.0, j_samples) <= e))
 
 
-@njit(cache=True)
-def _count_hits_loop(j_samples, j_pows, coeffs, e):
-    m, nb = j_samples.shape
-    nt = coeffs.shape[0]
-    hits = 0
-    for s in range(m):
-        acc = 0.0
-        for t in range(nt):
-            v = coeffs[t]
-            for k in range(nb):
-                for _ in range(j_pows[t, k]):
-                    v *= j_samples[s, k]
-            acc += v
-        if acc <= e:
-            hits += 1
-    return hits
+def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride: int):
+    """Kick-drift-kick Stormer-Verlet for a batch of trajectories.
 
+    ``q0`` and ``p0`` hold ``k`` start states, shape ``(k, d)``.  States are
+    recorded at step 0, every ``stride`` steps and at step ``nsteps``.
 
-def count_box_hits_numba(j_samples, j_pows, coeffs, e):
-    return int(
-        _count_hits_loop(
-            np.ascontiguousarray(j_samples, dtype=np.float64),
-            np.ascontiguousarray(j_pows, dtype=np.int64),
-            np.ascontiguousarray(coeffs, dtype=np.float64),
-            float(e),
-        )
-    )
-
-
-def count_box_hits_numpy(j_samples, j_pows, coeffs, e):
-    j_samples = np.asarray(j_samples, dtype=np.float64)
-    m = j_samples.shape[0]
-    acc = np.zeros(m)
-    for t in range(len(coeffs)):
-        v = np.full(m, float(coeffs[t]))
-        for k in range(j_pows.shape[1]):
-            for _ in range(int(j_pows[t, k])):
-                v = v * j_samples[:, k]
-        acc = acc + v
-    return int(np.count_nonzero(acc <= float(e)))
-
-
-def count_box_hits(j_samples, j_pows, coeffs, e):
-    if USE_NUMBA:
-        return count_box_hits_numba(j_samples, j_pows, coeffs, e)
-    return count_box_hits_numpy(j_samples, j_pows, coeffs, e)
-
-
-# ---------------------------------------------------------------------------
-# Stormer-Verlet (kick-drift-kick) for the Eckart-Morse(-Morse) Hamiltonian.
-# Parameters arrive as scalars so the jitted loop stays object-free.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _logistic_scalar(s):
-    if s >= 0.0:
-        return 1.0 / (1.0 + math.exp(-s))
-    es = math.exp(s)
-    return es / (1.0 + es)
-
-
-@njit(cache=True)
-def _grad_inplace(q, g, big_a, big_b, a, x0, de, am):
-    u = _logistic_scalar((q[0] + x0) / a)
-    g[0] = u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a
-    for i in range(1, q.shape[0]):
-        e = math.exp(-am * q[i])
-        g[i] = 2.0 * de * am * (e - e * e)
-
-
-@njit(cache=True)
-def _verlet_loop(q, p, h, nsteps, stride, m, eps, big_a, big_b, a, x0, de, am):
-    d = q.shape[0]
-    extra = 1 if nsteps % stride != 0 else 0
-    nrec = nsteps // stride + 1 + extra
-    qs = np.empty((nrec, d))
-    ps = np.empty((nrec, d))
-    g = np.empty(d)
-    for i in range(d):
-        qs[0, i] = q[i]
-        ps[0, i] = p[i]
-    rec = 1
-    bad = -1
-    for step in range(1, nsteps + 1):
-        _grad_inplace(q, g, big_a, big_b, a, x0, de, am)
-        for i in range(d):
-            p[i] -= 0.5 * h * g[i]
-        s = 0.0
-        for i in range(d):
-            s += p[i]
-        for i in range(d):
-            q[i] += h * (p[i] / m + eps * (s - p[i]))
-        _grad_inplace(q, g, big_a, big_b, a, x0, de, am)
-        for i in range(d):
-            p[i] -= 0.5 * h * g[i]
-        if step % stride == 0 or step == nsteps:
-            ok = True
-            for i in range(d):
-                qs[rec, i] = q[i]
-                ps[rec, i] = p[i]
-                if not (np.isfinite(q[i]) and np.isfinite(p[i])):
-                    ok = False
-            rec += 1
-            if not ok:
-                bad = rec - 1
-                break
-    return qs[:rec], ps[:rec], bad
-
-
-def verlet_run_numba(q0, p0, h, nsteps, stride, m, eps, big_a, big_b, a, x0, de, am):
-    return _verlet_loop(
-        np.array(q0, dtype=np.float64),
-        np.array(p0, dtype=np.float64),
-        float(h),
-        int(nsteps),
-        int(stride),
-        float(m),
-        float(eps),
-        float(big_a),
-        float(big_b),
-        float(a),
-        float(x0),
-        float(de),
-        float(am),
-    )
-
-
-def _logistic_py(s):
-    if s >= 0.0:
-        return 1.0 / (1.0 + math.exp(-s))
-    es = math.exp(s)
-    return es / (1.0 + es)
-
-
-def verlet_run_numpy(q0, p0, h, nsteps, stride, m, eps, big_a, big_b, a, x0, de, am):
+    Returns ``(qs, ps, bad)``: records of shape ``(nrec, k, d)`` and the index
+    of the first record at which any row is non-finite (the records stop
+    there), or -1.
+    """
     q = np.array(q0, dtype=np.float64)
     p = np.array(p0, dtype=np.float64)
-    d = q.shape[0]
-    extra = 1 if nsteps % stride != 0 else 0
-    nrec = nsteps // stride + 1 + extra
-    qs = np.empty((nrec, d))
-    ps = np.empty((nrec, d))
-    g = np.empty(d)
-    half_h = 0.5 * h
-
-    def grad():
-        u = _logistic_py((q[0] + x0) / a)
-        g[0] = u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a
-        e = np.exp(-am * q[1:])
-        g[1:] = 2.0 * de * am * (e - e * e)
-
+    nrec = nsteps // stride + 1 + (1 if nsteps % stride else 0)
+    qs = np.empty((nrec,) + q.shape)
+    ps = np.empty((nrec,) + p.shape)
     qs[0] = q
     ps[0] = p
+    half_h = 0.5 * h
     rec = 1
-    bad = -1
-    # overflow to inf/nan is detected at record points, not treated as an
-    # arithmetic error, matching the silent numba backend
+    # overflow to inf/nan is detected at record points, not raised
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, nsteps + 1):
-            grad()
-            p -= half_h * g
-            s = p.sum()
-            q += h * (p / m + eps * (s - p))
-            grad()
-            p -= half_h * g
+            p -= half_h * grad_potential(params, q)
+            q += h * velocities(params, p)
+            p -= half_h * grad_potential(params, q)
             if step % stride == 0 or step == nsteps:
                 qs[rec] = q
                 ps[rec] = p
                 rec += 1
-                if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-                    bad = rec - 1
-                    break
-    return qs[:rec], ps[:rec], bad
-
-
-def verlet_run(q0, p0, h, nsteps, stride, m, eps, big_a, big_b, a, x0, de, am):
-    args = (q0, p0, h, nsteps, stride, m, eps, big_a, big_b, a, x0, de, am)
-    if USE_NUMBA:
-        return verlet_run_numba(*args)
-    return verlet_run_numpy(*args)
-
-
-def warm_up():
-    """Trigger jit compilation of both kernels (no-op on the numpy backend)."""
-    if not USE_NUMBA:
-        return
-    js = np.array([[0.5, 0.5]])
-    jp = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    count_box_hits_numba(js, jp, np.array([1.0, 1.0]), 10.0)
-    verlet_run_numba(
-        np.array([0.0, 0.1]), np.array([0.1, 0.0]), 1e-3, 2, 1,
-        1.0, 0.0, -0.5, 2.0, 1.0, 0.0, 1.0, 1.0,
-    )
+                if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                    return qs[:rec], ps[:rec], rec - 1
+    return qs, ps, -1

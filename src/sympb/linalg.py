@@ -49,16 +49,15 @@ def _check_symmetric(m, name="matrix", rtol=1e-12):
         )
 
 
-def _eigvalsh_pd(m, name="matrix"):
-    """Eigenvalues of a symmetric matrix, verified positive definite."""
-    w = np.linalg.eigvalsh(m)
+def _check_pd(w, name: str) -> None:
+    """Raise DefinitenessError unless the ascending eigenvalues ``w`` of the
+    matrix ``name`` are positive at relative tolerance PD_RTOL."""
     wmax = w[-1]
     if wmax <= 0.0 or w[0] <= PD_RTOL * wmax:
         raise DefinitenessError(
             f"{name} is not positive definite at relative tolerance "
             f"{PD_RTOL:.1e}: eigenvalue range [{w[0]:.6e}, {wmax:.6e}]"
         )
-    return w
 
 
 def standard_j(n: int) -> np.ndarray:
@@ -123,12 +122,7 @@ def symmetric_sqrt(m) -> np.ndarray:
     m = _as_square(m, "M")
     _check_symmetric(m, "M")
     w, v = np.linalg.eigh(m)
-    wmax = w[-1]
-    if wmax <= 0.0 or w[0] <= PD_RTOL * wmax:
-        raise DefinitenessError(
-            f"M is not positive definite at relative tolerance {PD_RTOL:.1e}: "
-            f"eigenvalue range [{w[0]:.6e}, {wmax:.6e}]"
-        )
+    _check_pd(w, "M")
     r = (v * np.sqrt(w)) @ v.T
     return 0.5 * (r + r.T)
 
@@ -223,8 +217,8 @@ def symplectic_spectrum_blockdiag(a, b) -> np.ndarray:
         raise DimensionError(f"blocks must have equal shape, got {a.shape} and {b.shape}")
     _check_symmetric(a, "A")
     _check_symmetric(b, "B")
-    _eigvalsh_pd(a, "A")
-    _eigvalsh_pd(b, "B")
+    _check_pd(np.linalg.eigvalsh(a), "A")
+    _check_pd(np.linalg.eigvalsh(b), "B")
     eigs = np.linalg.eigvals(a @ b)
     scale = float(np.max(np.abs(eigs)))
     if np.max(np.abs(eigs.imag)) > REAL_PART_RTOL * scale:

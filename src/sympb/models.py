@@ -31,8 +31,6 @@ __all__ = [
     "eval_dk_di",
     "effective_lyapunov",
     "builtin_cnf",
-    "builtin_eckart_morse_2dof",
-    "builtin_eckart_morse_morse_3dof",
     "builtin_quadratic",
     "load_cnf_model",
     "cnf_from_obj",
@@ -163,11 +161,12 @@ class CnfModel:
         return total
 
 
-def _bath_columns(model: CnfModel, j):
+def _bath_columns(model: CnfModel, j, i=0.0):
     """Bath actions as one column per mode, plus the zero a term sum starts from.
 
     One point (shape ``(n_bath,)``) gives Python floats and ``0.0``; a batch
-    (shape ``(..., n_bath)``) gives arrays of shape ``j.shape[:-1]``.
+    (shape ``(..., n_bath)``) gives arrays of shape ``j.shape[:-1]`` and zeros
+    of that shape broadcast against the reactive values ``i``.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim == 0 or j.shape[-1] != model.n_bath:
@@ -176,7 +175,8 @@ def _bath_columns(model: CnfModel, j):
         )
     if j.ndim == 1:
         return j, j.tolist(), 0.0
-    return j, [j[..., k] for k in range(model.n_bath)], np.zeros(j.shape[:-1])
+    total = np.zeros(np.broadcast_shapes(np.shape(i), j.shape[:-1]))
+    return j, [j[..., k] for k in range(model.n_bath)], total
 
 
 def _term_sum(model: CnfModel, i, cols, total, order: int):
@@ -185,7 +185,8 @@ def _term_sum(model: CnfModel, i, cols, total, order: int):
     Each term is built by repeated multiplication, so a batch gives the same
     values, bit for bit, as its points evaluated one at a time.  ``i = None``
     evaluates at I = 0 by keeping only the terms whose I-power equals
-    ``order``.
+    ``order``.  A batch accumulates in place into ``total``: a fresh array
+    per term made the Monte-Carlo counter page-fault anew on every chunk.
     """
     for i_pow, j_pows, coeff in model.terms:
         if i_pow < order or (i is None and i_pow != order):
@@ -196,7 +197,7 @@ def _term_sum(model: CnfModel, i, cols, total, order: int):
         for col, p in zip(cols, j_pows):
             for _ in range(p):
                 v = v * col
-        total = total + v
+        total += v
     return total
 
 
@@ -216,14 +217,16 @@ def eval_cnf(model: CnfModel, i, j):
         Bath actions, shape ``(n_bath,)`` for one point or ``(..., n_bath)``
         for a batch.
     """
-    _, cols, total = _bath_columns(model, j)
-    return _term_sum(model, _reactive_values(i), cols, total, 0)
+    i = _reactive_values(i)
+    _, cols, total = _bath_columns(model, j, i)
+    return _term_sum(model, i, cols, total, 0)
 
 
 def eval_dk_di(model: CnfModel, i, j):
     """Evaluate ``dK/dI`` at ``(I, J)``; shapes as in :func:`eval_cnf`."""
-    _, cols, total = _bath_columns(model, j)
-    return _term_sum(model, _reactive_values(i), cols, total, 1)
+    i = _reactive_values(i)
+    _, cols, total = _bath_columns(model, j, i)
+    return _term_sum(model, i, cols, total, 1)
 
 
 def effective_lyapunov(model: CnfModel, j):
@@ -270,16 +273,6 @@ def builtin_cnf(n_dof: int = 2) -> CnfModel:
         )
         return CnfModel(e0=E0_BUILTIN, terms=terms)
     raise DimensionError(f"built-in models exist for 2 or 3 dof, got {n_dof}")
-
-
-def builtin_eckart_morse_2dof() -> CnfModel:
-    """Truncated normal form of the 2-DoF Eckart-Morse system."""
-    return builtin_cnf(2)
-
-
-def builtin_eckart_morse_morse_3dof() -> CnfModel:
-    """Truncated normal form of the 3-DoF Eckart-Morse-Morse system."""
-    return builtin_cnf(3)
 
 
 def builtin_quadratic(n_dof: int = 2) -> QuadraticSaddleModel:
@@ -433,14 +426,31 @@ def potential(p: EckartMorseParams, q) -> float:
     return v
 
 
+def _logistic(s):
+    """Stable logistic ``1 / (1 + exp(-s))``, elementwise.
+
+    Uses ``math.exp`` one element at a time: ``np.exp`` differs from it in
+    the last bit for some arguments, which would change trajectory bytes.
+    """
+    out = []
+    for x in np.ravel(s).tolist():
+        if x >= 0.0:
+            out.append(1.0 / (1.0 + math.exp(-x)))
+        else:
+            ex = math.exp(x)
+            out.append(ex / (1.0 + ex))
+    return np.reshape(out, np.shape(s))
+
+
 def grad_potential(p: EckartMorseParams, q) -> np.ndarray:
-    """Analytic gradient of :func:`potential`."""
+    """Analytic gradient of :func:`potential` for configurations of shape
+    ``(..., d)``; each row gives the same values as on its own."""
     q = np.asarray(q, dtype=float)
     g = np.empty_like(q)
-    u = float(expit((q[0] + p.x0) / p.a))
-    g[0] = u * (1.0 - u) * (p.A + p.B * (1.0 - 2.0 * u)) / p.a
-    e = np.exp(-p.aM * q[1:])
-    g[1:] = 2.0 * p.De * p.aM * (e - e * e)
+    u = _logistic((q[..., 0] + p.x0) / p.a)
+    g[..., 0] = u * (1.0 - u) * (p.A + p.B * (1.0 - 2.0 * u)) / p.a
+    e = np.exp(-p.aM * q[..., 1:])
+    g[..., 1:] = 2.0 * p.De * p.aM * (e - e * e)
     return g
 
 
@@ -454,9 +464,10 @@ def kinetic_energy(p: EckartMorseParams, mom) -> float:
 
 
 def velocities(p: EckartMorseParams, mom) -> np.ndarray:
-    """dq/dt = dH/dp, with the momentum coupling included."""
+    """dq/dt = dH/dp for momenta of shape ``(..., d)``, with the momentum
+    coupling included."""
     mom = np.asarray(mom, dtype=float)
-    s = np.sum(mom)
+    s = np.sum(mom, axis=-1, keepdims=True)
     return mom / p.m + p.eps * (s - mom)
 
 

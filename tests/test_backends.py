@@ -1,108 +1,182 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
-import pytest
 
-from sympb import action_volume_mc, builtin_cnf, kernels
-from sympb._accel import HAVE_NUMBA, USE_NUMBA
+import sympb
+from sympb import (
+    CnfModel,
+    IntegratorConfig,
+    action_volume_mc,
+    builtin_cnf,
+    default_params,
+    finite_difference_jacobian,
+    integrate,
+    kernels,
+)
 
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-
-def random_table(rng, nb, nt):
-    j_pows = rng.integers(0, 4, size=(nt, nb)).astype(np.int64)
-    coeffs = rng.uniform(-1.0, 1.0, size=nt)
-    j_samples = rng.uniform(0.0, 2.0, size=(4096, nb))
-    return j_samples, j_pows, coeffs
+PARAMS = default_params()
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo membership kernel
+# Reference oracles: the term-table counter and the one-trajectory Verlet
+# loop the kernels replaced, kept verbatim.
 # ---------------------------------------------------------------------------
 
 
-@needs_numba
-def test_count_box_hits_backends_bit_identical():
+def count_box_hits_oracle(j_samples, j_pows, coeffs, e):
+    j_samples = np.asarray(j_samples, dtype=np.float64)
+    m = j_samples.shape[0]
+    acc = np.zeros(m)
+    for t in range(len(coeffs)):
+        v = np.full(m, float(coeffs[t]))
+        for k in range(j_pows.shape[1]):
+            for _ in range(int(j_pows[t, k])):
+                v = v * j_samples[:, k]
+        acc = acc + v
+    return int(np.count_nonzero(acc <= float(e)))
+
+
+def zero_i_table(model):
+    keep = [(jp, c) for ip, jp, c in model.terms if ip == 0]
+    j_pows = np.array([jp for jp, _ in keep], dtype=np.int64).reshape(len(keep), model.n_bath)
+    coeffs = np.array([c for _, c in keep], dtype=np.float64)
+    return j_pows, coeffs
+
+
+def _logistic_py(s):
+    if s >= 0.0:
+        return 1.0 / (1.0 + math.exp(-s))
+    es = math.exp(s)
+    return es / (1.0 + es)
+
+
+def verlet_run_oracle(q0, p0, h, nsteps, stride, m, eps, big_a, big_b, a, x0, de, am):
+    q = np.array(q0, dtype=np.float64)
+    p = np.array(p0, dtype=np.float64)
+    d = q.shape[0]
+    extra = 1 if nsteps % stride != 0 else 0
+    nrec = nsteps // stride + 1 + extra
+    qs = np.empty((nrec, d))
+    ps = np.empty((nrec, d))
+    g = np.empty(d)
+    half_h = 0.5 * h
+
+    def grad():
+        u = _logistic_py((q[0] + x0) / a)
+        g[0] = u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a
+        e = np.exp(-am * q[1:])
+        g[1:] = 2.0 * de * am * (e - e * e)
+
+    qs[0] = q
+    ps[0] = p
+    rec = 1
+    bad = -1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, nsteps + 1):
+            grad()
+            p -= half_h * g
+            s = p.sum()
+            q += h * (p / m + eps * (s - p))
+            grad()
+            p -= half_h * g
+            if step % stride == 0 or step == nsteps:
+                qs[rec] = q
+                ps[rec] = p
+                rec += 1
+                if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+                    bad = rec - 1
+                    break
+    return qs[:rec], ps[:rec], bad
+
+
+def oracle_run(params, q0, p0, h, nsteps, stride):
+    return verlet_run_oracle(q0, p0, h, nsteps, stride, params.m, params.eps, params.A,
+                             params.B, params.a, params.x0, params.De, params.aM)
+
+
+def oracle_jacobian(params, state0, cfg):
+    state0 = np.asarray(state0, dtype=float)
+    dim = state0.size
+    nsteps = max(1, int(round(cfg.t_final / cfg.h)))
+
+    def final_state(z):
+        qs, ps, bad = oracle_run(params, z[: dim // 2], z[dim // 2:], cfg.h, nsteps, nsteps)
+        assert bad == -1
+        return np.concatenate([qs[-1], ps[-1]])
+
+    jac = np.empty((dim, dim))
+    for col in range(dim):
+        zp = state0.copy()
+        zm = state0.copy()
+        zp[col] += cfg.fd_epsilon
+        zm[col] -= cfg.fd_epsilon
+        jac[:, col] = (final_state(zp) - final_state(zm)) / (2.0 * cfg.fd_epsilon)
+    return jac
+
+
+def random_states(rng, k, d):
+    q = rng.uniform(-1.5, 1.5, size=(k, d))
+    p = rng.uniform(-1.0, 1.0, size=(k, d))
+    return q, p
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo membership counting
+# ---------------------------------------------------------------------------
+
+
+def random_model(rng, nb):
+    """A valid CnfModel with random extra terms: negative coefficients and
+    I-powers up to 2 included."""
+    zero = (0,) * nb
+    terms = [(0, zero, -0.5), (1, zero, float(rng.uniform(0.1, 1.0)))]
+    for k in range(nb):
+        unit = tuple(1 if i == k else 0 for i in range(nb))
+        terms.append((0, unit, float(rng.uniform(0.1, 2.0))))
+    terms.append((0, (2,) * nb, float(rng.uniform(-1.0, -0.1))))
+    terms.append((1, (1,) * nb, float(rng.uniform(-1.0, 1.0))))
+    while len(terms) < nb + 8:
+        i_pow = int(rng.integers(0, 3))
+        j_pows = tuple(int(p) for p in rng.integers(0, 4, size=nb))
+        if i_pow + sum(j_pows) >= 2:
+            terms.append((i_pow, j_pows, float(rng.uniform(-1.0, 1.0))))
+    return CnfModel(e0=-0.5, terms=tuple(terms))
+
+
+def test_count_box_hits_matches_term_table_oracle():
     rng = np.random.default_rng(100)
     for nb in (1, 2, 3):
         for _ in range(5):
-            j_samples, j_pows, coeffs, = random_table(rng, nb, nt=4)
-            e = float(rng.uniform(-0.5, 1.5))
-            a = kernels.count_box_hits_numba(j_samples, j_pows, coeffs, e)
-            b = kernels.count_box_hits_numpy(j_samples, j_pows, coeffs, e)
-            assert a == b
-
-
-def test_count_box_hits_dispatcher_matches_selected_backend():
-    rng = np.random.default_rng(7)
-    j_samples, j_pows, coeffs = random_table(rng, 2, nt=3)
-    e = 0.3
-    got = kernels.count_box_hits(j_samples, j_pows, coeffs, e)
-    if USE_NUMBA:
-        assert got == kernels.count_box_hits_numba(j_samples, j_pows, coeffs, e)
-    else:
-        assert got == kernels.count_box_hits_numpy(j_samples, j_pows, coeffs, e)
+            model = random_model(rng, nb)
+            assert any(c < 0 for ip, jp, c in model.terms if ip == 0 and any(jp))
+            assert any(ip > 0 and any(jp) for ip, jp, _ in model.terms)
+            j_samples = rng.uniform(0.0, 2.0, size=(4096, nb))
+            j_pows, coeffs = zero_i_table(model)
+            for e in rng.uniform(-0.5, 1.5, size=3):
+                got = kernels.count_box_hits(model, j_samples, float(e))
+                assert got == count_box_hits_oracle(j_samples, j_pows, coeffs, float(e))
 
 
 def test_count_box_hits_trivial_cases():
+    # K(0, J) = J: the I term vanishes on the dividing surface
+    model = CnfModel(e0=0.0, terms=((0, (0,), 0.0), (1, (0,), 1.0), (0, (1,), 1.0)))
     j_samples = np.array([[0.5], [1.5]])
-    j_pows = np.array([[1]], dtype=np.int64)
-    coeffs = np.array([1.0])
     # J <= 1.0 admits only the first row
-    assert kernels.count_box_hits_numpy(j_samples, j_pows, coeffs, 1.0) == 1
-    assert kernels.count_box_hits(j_samples, j_pows, coeffs, 2.0) == 2
-    assert kernels.count_box_hits(j_samples, j_pows, coeffs, 0.1) == 0
-
-
-# ---------------------------------------------------------------------------
-# Verlet kernel
-# ---------------------------------------------------------------------------
-
-
-@needs_numba
-def test_verlet_backends_agree():
-    args = dict(h=1e-3, nsteps=2000, stride=50, m=1.0, eps=0.3,
-                big_a=-0.5, big_b=2.0, a=1.0, x0=-0.51, de=1.0, am=1.0)
-    q0, p0 = [-2.0, 0.3, -0.1], [0.9, -0.2, 0.1]
-    qa, pa, bada = kernels.verlet_run_numba(q0, p0, **args)
-    qb, pb, badb = kernels.verlet_run_numpy(q0, p0, **args)
-    assert bada == badb == -1
-    assert qa.shape == qb.shape
-    assert np.max(np.abs(qa - qb)) <= 1e-12
-    assert np.max(np.abs(pa - pb)) <= 1e-12
-
-
-@needs_numba
-def test_verlet_backends_agree_on_divergence_flag():
-    args = dict(h=0.01, nsteps=100, stride=10, m=1.0, eps=0.3,
-                big_a=-0.5, big_b=2.0, a=1.0, x0=-0.51, de=1.0, am=1.0)
-    q0, p0 = [-50.0, -400.0], [0.0, 0.0]
-    qa, pa, bada = kernels.verlet_run_numba(q0, p0, **args)
-    qb, pb, badb = kernels.verlet_run_numpy(q0, p0, **args)
-    assert bada == badb
-    assert bada >= 0
-
-
-def test_warm_up_idempotent():
-    kernels.warm_up()
-    kernels.warm_up()
-
-
-# ---------------------------------------------------------------------------
-# env-flag selection in a subprocess
-# ---------------------------------------------------------------------------
+    assert kernels.count_box_hits(model, j_samples, 1.0) == 1
+    assert kernels.count_box_hits(model, j_samples, 2.0) == 2
+    assert kernels.count_box_hits(model, j_samples, 0.1) == 0
 
 
 SNIPPET = """
 import json
 from sympb import action_volume_mc, builtin_cnf
-from sympb._accel import USE_NUMBA
 rep = action_volume_mc(builtin_cnf(3), 0.5, samples=40000, seed=17)
 print(json.dumps({
-    "use_numba": USE_NUMBA,
     "volume": rep.volume.hex(),
     "std": rep.std_error.hex(),
     "flux": rep.flux.hex(),
@@ -110,25 +184,83 @@ print(json.dumps({
 """
 
 
-def run_snippet(numba_flag):
-    env = dict(os.environ)
-    env["SYMPB_NUMBA"] = numba_flag
-    out = subprocess.run(
-        [sys.executable, "-c", SNIPPET], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
-
-
-def test_env_flag_disables_numba_and_preserves_results():
-    off = run_snippet("0")
-    assert off["use_numba"] is False
+def test_action_volume_mc_bits_frozen_across_processes():
+    # recorded with the former term-table kernel
+    frozen = {
+        "volume": "0x1.e85b62aab1d1ap-2",
+        "std": "0x1.39fd506ddd7f4p-9",
+        "flux": "0x1.2d3e3e06488b6p+4",
+    }
     rep = action_volume_mc(builtin_cnf(3), 0.5, samples=40000, seed=17)
-    assert off["volume"] == rep.volume.hex()
-    assert off["std"] == rep.std_error.hex()
-    assert off["flux"] == rep.flux.hex()
-    if HAVE_NUMBA:
-        on = run_snippet("1")
-        assert on["use_numba"] is True
-        assert on["volume"] == off["volume"]
-        assert on["std"] == off["std"]
+    assert {"volume": rep.volume.hex(), "std": rep.std_error.hex(),
+            "flux": rep.flux.hex()} == frozen
+    # a fresh interpreter that imports the sympb under test
+    env = dict(os.environ)
+    src = str(Path(sympb.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SNIPPET], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == frozen
+
+
+# ---------------------------------------------------------------------------
+# Batched Verlet loop
+# ---------------------------------------------------------------------------
+
+
+def assert_rows_match_oracle(params, q0, p0, h, nsteps, stride):
+    qs, ps, bad = kernels.verlet_run(params, q0, p0, h, nsteps, stride)
+    assert bad == -1
+    assert qs.shape == ps.shape == (len(range(0, nsteps, stride)) + 1, len(q0), q0.shape[1])
+    for row in range(len(q0)):
+        qo, po, bado = oracle_run(params, q0[row], p0[row], h, nsteps, stride)
+        assert bado == -1
+        assert qs[:, row].tobytes() == qo.tobytes()
+        assert ps[:, row].tobytes() == po.tobytes()
+
+
+def test_verlet_batch_matches_oracle_2dof_and_3dof():
+    rng = np.random.default_rng(5)
+    for d in (2, 3):
+        q0, p0 = random_states(rng, 6, d)
+        # stride 7 does not divide 400: the last step is recorded on its own
+        assert_rows_match_oracle(PARAMS, q0, p0, 1e-2, 400, 7)
+        assert_rows_match_oracle(PARAMS, q0, p0, 1e-2, 400, 400)
+
+
+def test_verlet_batch_matches_oracle_negative_step():
+    rng = np.random.default_rng(6)
+    q0, p0 = random_states(rng, 4, 3)
+    assert_rows_match_oracle(PARAMS, q0, p0, -5e-3, 300, 11)
+
+
+def test_verlet_batch_reports_oracle_divergence_index():
+    q0 = np.array([[-2.0, 0.3], [-50.0, -400.0], [0.5, -0.2]])
+    p0 = np.array([[0.9, -0.2], [0.0, 0.0], [0.1, 0.3]])
+    _, _, bad_oracle = oracle_run(PARAMS, q0[1], p0[1], 0.01, 100, 10)
+    assert bad_oracle >= 0
+    qs, ps, bad = kernels.verlet_run(PARAMS, q0, p0, 0.01, 100, 10)
+    assert bad == bad_oracle
+    assert qs.shape[0] == ps.shape[0] == bad + 1
+    for row in (0, 2):
+        qo, po, _ = oracle_run(PARAMS, q0[row], p0[row], 0.01, 100, 10)
+        assert qs[:, row].tobytes() == qo[: bad + 1].tobytes()
+        assert ps[:, row].tobytes() == po[: bad + 1].tobytes()
+
+
+def test_integrate_states_match_oracle():
+    state0 = np.array([-2.0, 0.3, 0.1, 0.9, -0.2, 0.05])
+    rec = integrate(PARAMS, state0, IntegratorConfig(h=1e-3, t_final=0.5, monitor_stride=30,
+                                                     compute_jacobian=False))
+    qo, po, _ = oracle_run(PARAMS, state0[:3], state0[3:], 1e-3, 500, 30)
+    assert rec.states.tobytes() == np.hstack([qo, po]).tobytes()
+
+
+def test_finite_difference_jacobian_matches_per_column_oracle():
+    for state0 in (np.array([-2.0, 0.3, 0.9, -0.2]),
+                   np.array([-0.5, 0.25, -0.2, 0.4, -0.3, 0.2])):
+        cfg = IntegratorConfig(h=1e-3, t_final=0.3)
+        jac = finite_difference_jacobian(PARAMS, state0, cfg)
+        assert jac.flags.c_contiguous
+        assert jac.tobytes() == oracle_jacobian(PARAMS, state0, cfg).tobytes()

@@ -7,6 +7,7 @@ from sympb import (
     BelowSaddleError,
     CnfModel,
     DimensionError,
+    PreconditionError,
     QuadraticSaddleModel,
     RootBracketError,
     action_volume_mc,
@@ -229,6 +230,18 @@ def test_mc_at_saddle_energy_is_zero():
 def test_mc_below_saddle_raises():
     with pytest.raises(BelowSaddleError):
         action_volume_mc(builtin_cnf(2), E0 - 0.1, samples=10, seed=0)
+
+
+def test_mc_rejects_non_monotone_model():
+    # J2 + J3 - 0.5 J2 J3 <= 1 admits J2 = 4, J3 >= 3, far outside the
+    # axis-root box [0, 1]^2
+    model = CnfModel(e0=0.0, terms=((0, (0, 0), 0.0), (1, (0, 0), 1.0), (0, (1, 0), 1.0),
+                                    (0, (0, 1), 1.0), (0, (1, 1), -0.5)))
+    assert candidate_width(model, 1.0).j_max == (1.0, 1.0)
+    with pytest.raises(PreconditionError, match=r"-0\.5\*J_2\*J_3"):
+        action_volume_mc(model, 1.0, samples=100, seed=0)
+    # a negative term that carries I leaves K(0, J) unchanged
+    action_volume_mc(builtin_cnf(3), 0.5, samples=100, seed=0)
 
 
 def test_mc_rejects_bad_sample_count():

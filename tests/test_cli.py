@@ -166,6 +166,19 @@ def test_widths_model_missing_e0_exit_two(tmp_path, capsys):
     assert code == 2 and "error:" in err and "'e0'" in err
 
 
+def test_widths_non_monotone_model_exit_one(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"e0": 0.0, "terms": [
+        {"i": 1, "j": [0, 0], "c": 1.0}, {"i": 0, "j": [1, 0], "c": 1.0},
+        {"i": 0, "j": [0, 1], "c": 1.0}, {"i": 0, "j": [1, 1], "c": -0.5},
+    ]}))
+    code, out, err = run_cli(capsys, "widths", "--model", str(model),
+                             "--e-min", "0.5", "--e-max", "1", "--steps", "2",
+                             "--samples", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "J_2*J_3" in err
+
+
 def test_widths_seed_env_default(monkeypatch, capsys):
     monkeypatch.setenv("SYMPB_SEED", "77")
     code, out, _ = run_cli(

@@ -13,8 +13,6 @@ from sympb import (
     QuadraticSaddleModel,
     barrier_x,
     builtin_cnf,
-    builtin_eckart_morse_2dof,
-    builtin_eckart_morse_morse_3dof,
     builtin_quadratic,
     cnf_from_obj,
     default_params,
@@ -38,14 +36,14 @@ from sympb import (
 
 
 def test_builtin_2dof_values():
-    model = builtin_eckart_morse_2dof()
+    model = builtin_cnf(2)
     assert eval_cnf(model, 0.0, [0.0]) == -0.9875
     assert abs(eval_cnf(model, 1.0, [0.0]) - (-0.2525)) <= 1e-12
     assert abs(eval_cnf(model, 0.0, [1.0]) - 0.8350) <= 1e-12
 
 
 def test_builtin_3dof_values():
-    model = builtin_eckart_morse_morse_3dof()
+    model = builtin_cnf(3)
     assert eval_cnf(model, 0.0, [0.0, 0.0]) == -0.9875
     assert abs(eval_cnf(model, 0.0, [0.0, 1.0]) - 0.2795) <= 1e-12
     assert abs(eval_cnf(model, 0.0, [1.0, 1.0]) - 2.1020) <= 1e-12

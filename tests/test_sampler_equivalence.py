@@ -246,6 +246,22 @@ def test_batched_polynomial_matches_points(model, seed, shape):
     assert lam.ravel().tobytes() == np.array([lam_scalar(model, jj) for _, jj in pts]).tobytes()
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_batched_polynomial_broadcasts_reactive_values(model):
+    # a batch sums its terms in place, into zeros shaped by both i and j
+    rng = np.random.default_rng(23)
+    j = rng.uniform(0.0, 2.0, size=(5, model.n_bath))
+    i = rng.uniform(-1.0, 1.0, size=(3, 1))
+    for order, fn in ((0, eval_cnf), (1, eval_dk_di)):
+        got = fn(model, i, j)
+        assert got.shape == (3, 5)
+        want = [k_scalar(model, float(ii), jj.tolist(), order) for ii in i[:, 0] for jj in j]
+        assert got.ravel().tobytes() == np.array(want).tobytes()
+        got = fn(model, 0.0, j)
+        assert got.tobytes() == np.array([k_scalar(model, 0.0, jj.tolist(), order)
+                                          for jj in j]).tobytes()
+
+
 def test_batched_lyapunov_sign_guard():
     model = builtin_cnf(2)
     with pytest.raises(LyapunovSignError, match="100.0"):
