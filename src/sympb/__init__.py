@@ -70,6 +70,7 @@ from .evolution import (
     min_projection_area,
     projection_area,
     radius_scan,
+    radius_scan_curves,
     stm,
 )
 from .ensembles import (

@@ -19,7 +19,7 @@ import numpy as np
 from . import ensembles, evolution, integrators
 from .bottleneck import energy_scan
 from .errors import SympbError
-from .linalg import ellipsoid_capacity, random_symplectic, symplectic_spectrum
+from .linalg import ellipsoid_capacity, symplectic_spectrum
 from .matio import load_matrix
 from .models import (
     builtin_cnf,
@@ -174,7 +174,7 @@ def cmd_exp1(args) -> int:
     tau_grid = np.linspace(0.0, float(tau_max), int(cfg["tau_points"]))
     meta = {"command": "exp1", **{k: v for k, v in cfg.items() if k != "output"},
             "radii": radii, "tau_max": float(tau_max)}
-    report = evolution.radius_scan(
+    report, curves = evolution.radius_scan_curves(
         model,
         radii,
         int(cfg["seed"]),
@@ -185,11 +185,8 @@ def cmd_exp1(args) -> int:
     )
     _emit(report, cfg)
     if cfg["curves_out"]:
-        s_mix = random_symplectic(model.n_dof, float(cfg["sigma"]), int(cfg["seed"]))
-        for i, r in enumerate(radii):
-            curve = evolution.area_curve(model, r, s_mix, tau_grid,
-                                         extra_meta={**meta, "radius_index": i})
-            curve.to_csv(f"{cfg['curves_out']}_r{i}.csv")
+        for i, curve in enumerate(curves):
+            curve.to_report({**meta, "radius_index": i}).to_csv(f"{cfg['curves_out']}_r{i}.csv")
     return 0
 
 
@@ -273,12 +270,18 @@ def cmd_integrate(args) -> int:
         "monitor_stride": 10,
         "fd_epsilon": 1e-6,
         "no_jacobian": None,
+        "max_drift": None,
         "output": None,
     }
     cfg = _merge_config(args, defaults)
     if cfg["state0"] is None:
         print("error: --state0 is required (comma-separated q..., p...)", file=sys.stderr)
         return 2
+    max_drift = cfg["max_drift"]
+    if max_drift is not None:
+        max_drift = float(max_drift)
+        if not max_drift >= 0:
+            raise ValueError(f"--max-drift must be >= 0, got {max_drift}")
     params = load_params(cfg["params"]) if cfg["params"] else default_params()
     state0 = _parse_floats(cfg["state0"], "state0")
     icfg = integrators.IntegratorConfig(
@@ -297,7 +300,9 @@ def cmd_integrate(args) -> int:
         "h": icfg.h,
         "records": int(record.times.size),
     }
-    meta = {"command": "integrate", **{k: v for k, v in cfg.items() if k != "output"}}
+    # max_drift stays out of the metadata: the gate never changes the output bytes
+    meta = {"command": "integrate",
+            **{k: v for k, v in cfg.items() if k not in ("output", "max_drift")}}
     if cfg["output"]:
         columns = ["t"] + [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)] + ["H"]
         rows = [
@@ -308,6 +313,10 @@ def cmd_integrate(args) -> int:
         _write_text(json.dumps(summary) + "\n", cfg["output"] + ".json")
     else:
         _write_text(json.dumps(summary) + "\n", None)
+    if max_drift is not None and not record.energy_drift <= max_drift:
+        print(f"error: energy drift {record.energy_drift!r} exceeds --max-drift {max_drift!r}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -400,6 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fd-epsilon", type=float)
     p.add_argument("--no-jacobian", action="store_true", default=None,
                    help="skip the finite-difference symplecticity check")
+    p.add_argument("--max-drift", type=float,
+                   help="exit 1 after writing the outputs if the energy drift exceeds this")
     _add_common(p)
     p.set_defaults(handler=cmd_integrate)
 

@@ -5,6 +5,14 @@ block on the reactive pair ``(Q_1, P_1)`` and a rotation per bath mode.  A
 round ball of radius r, skewed by a symplectic mixer and evolved backward in
 time, casts a shadow on the saddle plane whose area ``A(tau)`` can touch but
 never cross the ball capacity ``pi r^2``.
+
+Only the saddle block of the state-transition matrix touches the rows
+``0`` and ``n`` that the saddle-plane projection P keeps, so
+``P Phi(-tau) S = B(-tau) P S`` with ``B`` the 2x2 hyperbolic block.  The
+shadow area is therefore ``A(tau) = pi r^2 g(tau)`` with
+``g = sqrt(det(B P S S^T P^T B^T))``: one factor curve per mixer serves every
+radius, and it is computed for the whole tau grid at once from stacked 2x2
+blocks, with the mixer checked once per curve.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ __all__ = [
     "default_tau_grid",
     "area_curve",
     "radius_scan",
+    "radius_scan_curves",
     "capacity_after_evolution",
 ]
 
@@ -47,6 +56,14 @@ class ProjectionAreaCurve:
     areas: np.ndarray
     min_area: float
     gromov_scale: float
+
+    def to_report(self, extra_meta: dict | None = None) -> ExperimentReport:
+        """The curve as a (tau, area) table."""
+        meta = {"r": self.r, "min_area": self.min_area, "gromov_scale": self.gromov_scale}
+        if extra_meta:
+            meta.update(extra_meta)
+        rows = [(float(t), float(a)) for t, a in zip(self.taus, self.areas)]
+        return ExperimentReport(columns=("tau", "area"), rows=rows, meta=meta)
 
 
 def stm(model: QuadraticSaddleModel, t: float) -> np.ndarray:
@@ -87,36 +104,53 @@ def _check_mixer(model: QuadraticSaddleModel, s_mix) -> np.ndarray:
     return s_mix
 
 
-def projection_area(model: QuadraticSaddleModel, r: float, s_mix, tau: float) -> float:
-    """Saddle-plane shadow area of the mixed ball evolved backward to time tau.
-
-    ``A(tau) = pi r^2 sqrt(det(P Phi(-tau) S S^T Phi(-tau)^T P^T))`` where P
-    selects the (Q_1, P_1) rows.  The 2x2 determinant is clipped at zero;
-    values below -1e-12 raise, since the Gram matrix cannot be that negative.
-    """
-    if r <= 0:
-        raise ValueError(f"radius must be > 0, got {r}")
-    s_mix = _check_mixer(model, s_mix)
-    n = model.n_dof
-    phi = stm(model, -tau)
-    g = (phi @ s_mix)[[0, n], :]
-    c = g @ g.T
-    det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
-    if det < DET_FLOOR:
-        raise PreconditionError(
-            f"projected Gram determinant {det:.3e} is negative beyond {DET_FLOOR:.0e}"
-        )
-    return math.pi * r * r * math.sqrt(max(det, 0.0))
-
-
-def min_projection_area(model: QuadraticSaddleModel, r: float, s_mix, tau_grid) -> ProjectionAreaCurve:
-    """Evaluate A(tau) on a sorted grid and record the full curve and its minimum."""
+def _check_grid(tau_grid) -> np.ndarray:
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
     if np.any(np.diff(taus) < 0):
         raise ValueError("tau grid must be sorted ascending")
-    areas = np.array([projection_area(model, r, s_mix, t) for t in taus])
+    return taus
+
+
+def _shadow_factors(model: QuadraticSaddleModel, s_mix, taus: np.ndarray) -> np.ndarray:
+    """Area factors ``g(tau) = A(tau) / (pi r^2)`` over a whole tau grid.
+
+    The mixer is checked once.  ``B(-tau)`` is built per point with
+    ``math.cosh``/``math.sinh`` as in ``stm``, and ``g = B P S`` and its Gram
+    matrices are stacked ``(T, 2, 2n)`` and ``(T, 2, 2)`` products, so every
+    factor equals the per-point ``P Phi(-tau) S`` evaluation bit for bit.
+    The 2x2 determinant is clipped at zero; the first one in grid order below
+    ``DET_FLOOR`` raises, since the Gram matrix cannot be that negative.  A
+    ``cosh`` that overflows raises only once the points before it have passed
+    that check, which is the order of a point-by-point evaluation.
+    """
+    s_mix = _check_mixer(model, s_mix)
+    n = model.n_dof
+    blocks = []
+    overflow = None
+    for lt in model.lam * -taus:
+        try:
+            c, s = math.cosh(lt), math.sinh(lt)
+        except OverflowError as exc:
+            overflow = exc
+            break
+        blocks.append(((c, s), (s, c)))
+    g = np.array(blocks, dtype=float).reshape(-1, 2, 2) @ s_mix[[0, n], :]
+    gram = g @ g.transpose(0, 2, 1)
+    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    bad = np.flatnonzero(det < DET_FLOOR)
+    if bad.size:
+        raise PreconditionError(
+            f"projected Gram determinant {det[bad[0]]:.3e} is negative beyond {DET_FLOOR:.0e}"
+        )
+    if overflow is not None:
+        raise overflow
+    return np.sqrt(np.maximum(det, 0.0))
+
+
+def _curve(r: float, taus: np.ndarray, factors: np.ndarray) -> ProjectionAreaCurve:
+    areas = math.pi * r * r * factors
     return ProjectionAreaCurve(
         r=float(r),
         taus=taus,
@@ -124,6 +158,25 @@ def min_projection_area(model: QuadraticSaddleModel, r: float, s_mix, tau_grid) 
         min_area=float(areas.min()),
         gromov_scale=math.pi * r * r,
     )
+
+
+def projection_area(model: QuadraticSaddleModel, r: float, s_mix, tau: float) -> float:
+    """Saddle-plane shadow area of the mixed ball evolved backward to time tau.
+
+    ``A(tau) = pi r^2 sqrt(det(P Phi(-tau) S S^T Phi(-tau)^T P^T))`` where P
+    selects the (Q_1, P_1) rows: a grid of one point.
+    """
+    if r <= 0:
+        raise ValueError(f"radius must be > 0, got {r}")
+    return math.pi * r * r * float(_shadow_factors(model, s_mix, np.array([tau], dtype=float))[0])
+
+
+def min_projection_area(model: QuadraticSaddleModel, r: float, s_mix, tau_grid) -> ProjectionAreaCurve:
+    """Evaluate A(tau) on a sorted grid and record the full curve and its minimum."""
+    taus = _check_grid(tau_grid)
+    if r <= 0:
+        raise ValueError(f"radius must be > 0, got {r}")
+    return _curve(r, taus, _shadow_factors(model, s_mix, taus))
 
 
 def evolved_shape_matrix(model: QuadraticSaddleModel, r: float, s_mix, tau: float) -> np.ndarray:
@@ -150,22 +203,21 @@ def default_tau_grid(model: QuadraticSaddleModel, points: int = DEFAULT_TAU_POIN
 def area_curve(model: QuadraticSaddleModel, r: float, s_mix, tau_grid,
                extra_meta: dict | None = None) -> ExperimentReport:
     """A(tau) curve as a (tau, area) table."""
-    curve = min_projection_area(model, r, s_mix, tau_grid)
-    meta = {"r": float(r), "min_area": curve.min_area, "gromov_scale": curve.gromov_scale}
-    if extra_meta:
-        meta.update(extra_meta)
-    rows = [(float(t), float(a)) for t, a in zip(curve.taus, curve.areas)]
-    return ExperimentReport(columns=("tau", "area"), rows=rows, meta=meta)
+    return min_projection_area(model, r, s_mix, tau_grid).to_report(extra_meta)
 
 
-def radius_scan(model: QuadraticSaddleModel, radii, s_mix_seed: int, tau_grid=None,
-                sigma: float = DEFAULT_SIGMA, e_ref: float = 0.0,
-                extra_meta: dict | None = None) -> ExperimentReport:
-    """Minimum shadow area against the ball capacity for a range of radii.
+def radius_scan_curves(model: QuadraticSaddleModel, radii, s_mix_seed: int, tau_grid=None,
+                       sigma: float = DEFAULT_SIGMA, e_ref: float = 0.0,
+                       extra_meta: dict | None = None,
+                       ) -> tuple[ExperimentReport, list[ProjectionAreaCurve]]:
+    """The radius-scan table and the A(tau) curve of every radius.
 
-    One random mixer is drawn from ``s_mix_seed`` and shared by all radii.
-    The reference column is the candidate width at the central energy
-    ``e_ref``, the dashed comparison level of the infimum-scaling figure.
+    One random mixer is drawn from ``s_mix_seed`` and its area factors are
+    evaluated once over the grid; every radius scales the same factors.
+    Returns ``(report, curves)`` with one ``ProjectionAreaCurve`` per radius.
+    The report's reference column is the candidate width at the central
+    energy ``e_ref``, the dashed comparison level of the infimum-scaling
+    figure.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -176,25 +228,36 @@ def radius_scan(model: QuadraticSaddleModel, radii, s_mix_seed: int, tau_grid=No
         tau_grid = default_tau_grid(model)
     s_mix = random_symplectic(model.n_dof, sigma, s_mix_seed)
     c_ref = candidate_width(model, e_ref).c_cand
-    rows = []
-    for r in radii:
-        curve = min_projection_area(model, r, s_mix, tau_grid)
-        rows.append((r, curve.min_area, curve.gromov_scale, c_ref))
+    taus = _check_grid(tau_grid)
+    factors = _shadow_factors(model, s_mix, taus)
+    curves = [_curve(r, taus, factors) for r in radii]
+    rows = [(c.r, c.min_area, c.gromov_scale, c_ref) for c in curves]
     meta = {
         "s_mix_seed": int(s_mix_seed),
         "sigma": float(sigma),
         "e_ref": float(e_ref),
-        "tau_points": int(len(np.asarray(tau_grid))),
-        "tau_max": float(np.asarray(tau_grid)[-1]),
+        "tau_points": int(len(taus)),
+        "tau_max": float(taus[-1]),
         "lam": model.lam,
         "omegas": list(model.omegas),
         "e0": model.e0,
     }
     if extra_meta:
         meta.update(extra_meta)
-    return ExperimentReport(
+    report = ExperimentReport(
         columns=("r", "min_area", "pi_r2", "c_cand_ref"), rows=rows, meta=meta
     )
+    return report, curves
+
+
+def radius_scan(model: QuadraticSaddleModel, radii, s_mix_seed: int, tau_grid=None,
+                sigma: float = DEFAULT_SIGMA, e_ref: float = 0.0,
+                extra_meta: dict | None = None) -> ExperimentReport:
+    """Minimum shadow area against the ball capacity for a range of radii.
+
+    The table of ``radius_scan_curves``: one mixer shared by all radii.
+    """
+    return radius_scan_curves(model, radii, s_mix_seed, tau_grid, sigma, e_ref, extra_meta)[0]
 
 
 def capacity_after_evolution(model: QuadraticSaddleModel, r: float, s_mix, tau: float) -> float:

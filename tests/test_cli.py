@@ -396,6 +396,46 @@ def test_integrate_config_with_dashed_keys(tmp_path, capsys):
     assert doc["records"] == 3
 
 
+LARGE_STEP = ("--state0=-2,0.3,0.9,-0.2", "--h", "5", "--t-final", "1000", "--no-jacobian")
+
+
+def test_integrate_max_drift_gate_exit_one(tmp_path, capsys):
+    base = str(tmp_path / "traj")
+    code, out, err = run_cli(capsys, "integrate", *LARGE_STEP, "--max-drift", "1e-3", "-o", base)
+    assert code == 1
+    drift = json.loads(open(base + ".json").read())["drift"]
+    assert drift > 1e9
+    assert err == f"error: energy drift {drift!r} exceeds --max-drift 0.001\n"
+    assert os.path.exists(base + ".csv") and out == ""
+    # without the gate the same run reports the drift and succeeds
+    code, out, _ = run_cli(capsys, "integrate", *LARGE_STEP)
+    assert code == 0 and json.loads(out)["drift"] == drift
+
+
+def test_integrate_max_drift_config_key(tmp_path, capsys):
+    cfg = tmp_path / "i.json"
+    cfg.write_text(json.dumps({"max-drift": 1e-3}))
+    code, out, err = run_cli(capsys, "integrate", *LARGE_STEP, "--config", str(cfg))
+    assert code == 1 and "error: energy drift" in err
+    assert json.loads(out)["drift"] > 1e9
+
+
+def test_integrate_negative_max_drift_exit_two(capsys):
+    code, _, err = run_cli(capsys, "integrate", *LARGE_STEP, "--max-drift=-1")
+    assert code == 2 and "--max-drift" in err
+
+
+def test_integrate_max_drift_pass_keeps_output_bytes(tmp_path, capsys):
+    argv = ("integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "1e-3", "--t-final", "10")
+    outputs = []
+    for extra in ((), ("--max-drift", "1")):
+        base = str(tmp_path / f"traj{len(outputs)}")
+        code, _, err = run_cli(capsys, *argv, *extra, "-o", base)
+        assert code == 0 and err == ""
+        outputs.append([open(base + ext, "rb").read() for ext in (".csv", ".json")])
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # console script
 # ---------------------------------------------------------------------------

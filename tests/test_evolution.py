@@ -1,25 +1,34 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympb import (
     DimensionError,
     standard_j,
     PreconditionError,
     QuadraticSaddleModel,
+    SympbError,
     area_curve,
+    builtin_quadratic,
     capacity_after_evolution,
     default_tau_grid,
+    ellipsoid_capacity,
     evolved_shape_matrix,
     is_symplectic,
     min_projection_area,
     projection_area,
     radius_scan,
+    radius_scan_curves,
     random_symplectic,
     symplectic_spectrum,
     stm,
 )
+from sympb import evolution
+from sympb.cli import main as cli_main
 
 MODEL = QuadraticSaddleModel(lam=0.7350, omegas=(1.8225, 1.267), e0=-0.9875)
 
@@ -230,3 +239,192 @@ def test_radius_scan_validation():
         radius_scan(MODEL, [], s_mix_seed=0)
     with pytest.raises(ValueError):
         radius_scan(MODEL, [0.1, -0.2], s_mix_seed=0)
+
+
+# ---------------------------------------------------------------------------
+# batched shadow areas against the per-tau oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_projection_area(model, r, s_mix, tau):
+    """The shadow area one tau at a time, as first written: the full STM,
+    the mixer checked at every point, one Gram determinant per call."""
+    if r <= 0:
+        raise ValueError(f"radius must be > 0, got {r}")
+    s_mix = np.asarray(s_mix, dtype=float)
+    n = model.n_dof
+    if s_mix.shape != (2 * n, 2 * n):
+        raise DimensionError(
+            f"mixer shape {s_mix.shape} does not match the model dimension {2 * n}"
+        )
+    if not is_symplectic(s_mix, evolution.MIXER_TOL):
+        raise PreconditionError(
+            f"mixing matrix is not symplectic at tolerance {evolution.MIXER_TOL:.0e}"
+        )
+    phi = stm(model, -tau)
+    g = (phi @ s_mix)[[0, n], :]
+    c = g @ g.T
+    det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
+    if det < evolution.DET_FLOOR:
+        raise PreconditionError(
+            f"projected Gram determinant {det:.3e} is negative beyond {evolution.DET_FLOOR:.0e}"
+        )
+    return math.pi * r * r * math.sqrt(max(det, 0.0))
+
+
+def oracle_min_projection_area(model, r, s_mix, tau_grid):
+    taus = np.asarray(tau_grid, dtype=float)
+    if taus.size == 0:
+        raise ValueError("tau grid must be nonempty")
+    if np.any(np.diff(taus) < 0):
+        raise ValueError("tau grid must be sorted ascending")
+    return np.array([oracle_projection_area(model, r, s_mix, t) for t in taus])
+
+
+def outcome(fn, *args):
+    """Bits of the result, or the type and message of the error raised."""
+    try:
+        value = fn(*args)
+    except (ValueError, SympbError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return np.asarray(value, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def tau_grids(draw, lam):
+    points = draw(st.integers(1, 700))
+    tau_max = draw(st.floats(0.0, 12.0)) / lam
+    if draw(st.booleans()):
+        return np.linspace(0.0, tau_max, points)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.sort(rng.uniform(0.0, tau_max, points))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dof=st.sampled_from([2, 3]), sigma=st.floats(0.0, 1.5),
+       seed=st.integers(0, 2**31 - 1), r=st.floats(1e-3, 3.0))
+def test_min_projection_area_matches_per_tau_oracle(data, dof, sigma, seed, r):
+    model = builtin_quadratic(dof)
+    grid = data.draw(tau_grids(model.lam))
+    s = random_symplectic(dof, sigma, seed)
+    want = outcome(oracle_min_projection_area, model, r, s, grid)
+    got = outcome(lambda: min_projection_area(model, r, s, grid).areas)
+    assert got == want
+    if isinstance(want, list):
+        assert outcome(lambda: [projection_area(model, r, s, float(grid[-1]))]) == want[-1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dof=st.sampled_from([2, 3]), sigma=st.floats(0.0, 1.5),
+       seed=st.integers(0, 2**31 - 1),
+       radii=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=4))
+def test_radius_scan_min_area_matches_per_tau_oracle(data, dof, sigma, seed, radii):
+    model = builtin_quadratic(dof)
+    grid = data.draw(tau_grids(model.lam))
+    s = random_symplectic(dof, sigma, seed)
+
+    def oracle_column():
+        return [oracle_min_projection_area(model, r, s, grid).min() for r in radii]
+
+    def scan_column():
+        rep = radius_scan(model, radii, s_mix_seed=seed, tau_grid=grid, sigma=sigma)
+        return [row[1] for row in rep.rows]
+
+    assert outcome(scan_column) == outcome(oracle_column)
+
+
+def test_radius_scan_curves_share_one_factor_curve():
+    model = builtin_quadratic(3)
+    grid = np.linspace(0.0, 3.0 / model.lam, 90)
+    rep, curves = radius_scan_curves(model, [0.1, 0.3], s_mix_seed=6, tau_grid=grid)
+    assert rep.rows == radius_scan(model, [0.1, 0.3], s_mix_seed=6, tau_grid=grid).rows
+    s = random_symplectic(3, 0.5, 6)
+    for row, curve in zip(rep.rows, curves):
+        assert curve.r == row[0] and curve.min_area == row[1]
+        want = area_curve(model, row[0], s, grid, extra_meta={"k": 1})
+        got = curve.to_report({"k": 1})
+        assert (got.columns, got.rows, got.meta) == (want.columns, want.rows, want.meta)
+
+
+def test_error_order_matches_per_tau_evaluation():
+    s = random_symplectic(3, 0.5, 1)
+    # the grid is checked before the radius, the radius before the mixer
+    with pytest.raises(ValueError, match="nonempty"):
+        min_projection_area(MODEL, -1.0, 2.0 * np.eye(6), np.array([]))
+    with pytest.raises(ValueError, match="sorted"):
+        min_projection_area(MODEL, 0.0, np.eye(4), np.array([1.0, 0.5]))
+    for r in (0.0, -0.5):
+        with pytest.raises(ValueError, match="radius"):
+            min_projection_area(MODEL, r, 2.0 * np.eye(6), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="radius"):
+            projection_area(MODEL, r, np.eye(4), 0.0)
+    with pytest.raises(PreconditionError):
+        min_projection_area(MODEL, 1.0, 2.0 * np.eye(6), np.array([0.0, 1.0]))
+    with pytest.raises(DimensionError):
+        min_projection_area(MODEL, 1.0, s[:4, :4], np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="nonempty"):
+        radius_scan(MODEL, [0.1], s_mix_seed=1, tau_grid=[])
+
+
+def test_determinant_floor_raises_before_a_later_overflow():
+    # far out on the grid cosh^4 swamps the unit determinant; a point-by-point
+    # evaluation meets that negative determinant before cosh overflows
+    s = random_symplectic(3, 0.5, 9)
+    grid = np.linspace(0.0, 40.0, 700)
+    assert outcome(oracle_min_projection_area, MODEL, 1.0, s, grid)[0] is PreconditionError
+    with pytest.raises(PreconditionError, match="negative beyond"):
+        min_projection_area(MODEL, 1.0, s, np.append(grid, 2000.0))
+    with pytest.raises(OverflowError):
+        min_projection_area(MODEL, 1.0, np.eye(6), np.array([0.0, 2000.0]))
+
+
+def test_exp1_checks_and_draws_the_mixer_once(tmp_path, monkeypatch, capsys):
+    calls = {"is_symplectic": 0, "random_symplectic": 0, "stm": 0}
+
+    def counting(name):
+        fn = getattr(evolution, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evolution, name, counting(name))
+    prefix = tmp_path / "curve"
+    code = cli_main(["exp1", "--dof", "3", "--radii", "0.1,0.2,0.3", "--tau-points", "50",
+                     "-o", str(tmp_path / "exp1.csv"), "--curves-out", str(prefix)])
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["curve_r0.csv", "curve_r1.csv", "curve_r2.csv", "exp1.csv"]
+    assert calls == {"is_symplectic": 1, "random_symplectic": 1, "stm": 0}
+
+
+# ---------------------------------------------------------------------------
+# properties: capacity invariance and the pi r^2 floor
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(dof=st.sampled_from([1, 2, 3]), sigma=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**31 - 1), shift=st.floats(0.05, 2.0))
+def test_capacity_invariant_under_symplectic_conjugation(dof, sigma, seed, shift):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2 * dof, 2 * dof))
+    m = a @ a.T + shift * np.eye(2 * dof)
+    s = random_symplectic(dof, sigma, seed)
+    conj = s.T @ m @ s
+    conj = 0.5 * (conj + conj.T)
+    cap = ellipsoid_capacity(m)
+    assert abs(ellipsoid_capacity(conj) - cap) <= 1e-9 * cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(dof=st.sampled_from([2, 3]), sigma=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**31 - 1), r=st.floats(1e-3, 2.0),
+       points=st.integers(1, 400), tau_max=st.floats(0.0, 4.0))
+def test_min_area_never_below_ball_capacity(dof, sigma, seed, r, points, tau_max):
+    model = builtin_quadratic(dof)
+    grid = np.linspace(0.0, tau_max / model.lam, points)
+    curve = min_projection_area(model, r, random_symplectic(dof, sigma, seed), grid)
+    assert curve.min_area >= math.pi * r * r - 1e-9
