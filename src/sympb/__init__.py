@@ -74,8 +74,8 @@ from .evolution import (
     stm,
 )
 from .ensembles import (
+    Ensemble,
     EnsembleSpec,
-    InitialCondition,
     TransmissionResult,
     default_delta_e,
     default_t_max,

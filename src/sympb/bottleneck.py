@@ -90,10 +90,10 @@ def j_max_cnf(model: CnfModel, e: float, k: int) -> float:
     idx = _check_mode(model, k)
     if e <= model.e0:
         raise BelowSaddleError(f"E = {e} is not above the saddle energy e0 = {model.e0}")
-    nb = model.n_bath
+    # One probe for every evaluation: the point path of eval_cnf copies it.
+    j = np.zeros(model.n_bath)
 
     def f(jk: float) -> float:
-        j = np.zeros(nb)
         j[idx] = jk
         return eval_cnf(model, 0.0, j) - e
 

@@ -245,7 +245,7 @@ def cmd_sample(args) -> int:
         xi=float(cfg["xi"]),
         q1_range=float(cfg["q1_range"]),
     )
-    ics = ensembles.sample_ensemble(model, spec, kind)
+    ens = ensembles.sample_ensemble(model, spec, kind)
     nb = model.n_bath
     columns = (
         ["q1", "p1"]
@@ -253,7 +253,7 @@ def cmd_sample(args) -> int:
         + [f"phase_{k}" for k in range(2, nb + 2)]
         + ["energy"]
     )
-    rows = [(ic.q1, ic.p1, *ic.j, *ic.phases, ic.energy) for ic in ics]
+    rows = np.column_stack([ens.q1, ens.p1, ens.j, ens.phases, ens.energy]).tolist()
     meta = {"command": "sample", **{k: v for k, v in cfg.items() if k != "output"},
             "delta_e": delta_e}
     report = ExperimentReport(columns=tuple(columns), rows=rows, meta=meta)

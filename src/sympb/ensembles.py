@@ -11,7 +11,7 @@ by t_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .tables import ExperimentReport
 
 __all__ = [
     "EnsembleSpec",
-    "InitialCondition",
+    "Ensemble",
     "TransmissionResult",
     "sample_ensemble",
     "transmit",
@@ -66,17 +66,25 @@ class EnsembleSpec:
             raise ValueError(f"q1_range must be > 0, got {self.q1_range}")
 
 
-@dataclass(frozen=True)
-class InitialCondition:
-    """Phase-space point in rotated normal-form coordinates."""
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Phase-space points in rotated normal-form coordinates, as arrays.
 
-    q1: float
-    p1: float
-    j: tuple
-    phases: tuple
-    energy: float
+    ``q1`` and ``p1`` have shape ``(..., n)``, ``j`` and ``phases`` shape
+    ``(..., n, n_bath)`` and ``energy`` shape ``(n,)``: the leading axes run
+    over ensembles that share their per-point draws.  Every point lies in the
+    forward-reactive half-space Q1 < 0 < P1.
+    """
+
+    q1: np.ndarray
+    p1: np.ndarray
+    j: np.ndarray
+    phases: np.ndarray
+    energy: np.ndarray
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
         _check_half_space(self.q1, self.p1)
 
 
@@ -179,19 +187,7 @@ def _check_half_space(q1, p1) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """Ensembles sampled from shared per-point draws: axis 0 runs over the
-    ensembles, axis 1 over the points."""
-
-    q1: np.ndarray  # (m, n)
-    p1: np.ndarray  # (m, n)
-    j: np.ndarray  # (m, n, n_bath)
-    phases: np.ndarray  # (m, n, n_bath)
-    energy: np.ndarray  # (n,)
-
-
-def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> _Batch:
+def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
     """Sample one ensemble per entry of ``lows`` from the same per-point draws.
 
     Ensemble k draws J_2 from [lows[k] * J2max(E'), J2max(E')]; kind A is
@@ -223,8 +219,7 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> _Batch:
         j[k, p, 0], i_val[k, p], phases[k, p], q1[k, p] = _redraw_point(
             model, children[p], energy[p], j2max[p], lo[k, p], spec.q1_range)
     p1 = np.sqrt(q1 * q1 + 2.0 * i_val)
-    _check_half_space(q1, p1)
-    return _Batch(q1=q1, p1=p1, j=j, phases=phases, energy=energy)
+    return Ensemble(q1=q1, p1=p1, j=j, phases=phases, energy=energy)
 
 
 def _redraw_point(model: CnfModel, child, e_point, j2max, lo, q1_range):
@@ -248,7 +243,7 @@ def _redraw_point(model: CnfModel, child, e_point, j2max, lo, q1_range):
     return j[0], i_val, phases, q1
 
 
-def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> list:
+def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> Ensemble:
     """Draw ``spec.n_traj`` initial conditions of the given kind ("A" or "B").
 
     Per point, in order: energy E' uniform in the window; J_2 uniform in
@@ -257,27 +252,25 @@ def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> list:
     reaction integral I' solved from K(I', J) = E'; Q_1 uniform in
     [-q1_range, -1e-9] and P_1 = +sqrt(Q_1^2 + 2 I').  Draws with I' < 0
     redraw J_2.  Each point has its own seed substream, so results do not
-    depend on evaluation order.
+    depend on evaluation order.  Returns an ensemble of shape ``(n_traj,)``.
     """
     if kind not in ("A", "B"):
         raise ValueError(f"ensemble kind must be 'A' or 'B', got {kind!r}")
     batch = _sample_batch(model, spec, [spec.xi if kind == "B" else 0.0])
-    return [
-        InitialCondition(q1=q1, p1=p1, j=tuple(j), phases=tuple(phases), energy=energy)
-        for q1, p1, j, phases, energy in zip(
-            batch.q1[0].tolist(), batch.p1[0].tolist(), batch.j[0].tolist(),
-            batch.phases[0].tolist(), batch.energy.tolist())
-    ]
+    return Ensemble(q1=batch.q1[0], p1=batch.p1[0], j=batch.j[0], phases=batch.phases[0],
+                    energy=batch.energy)
 
 
-def _transmitted(model: CnfModel, j, q1, p1, t_max) -> np.ndarray:
-    """Elementwise ``Q_1 cosh(L t_max) + P_1 sinh(L t_max) > 0``, L = Lambda(J).
+def transmit(model: CnfModel, ens: Ensemble, t_max: float) -> np.ndarray:
+    """One bool per point: ``Q_1 cosh(L t_max) + P_1 sinh(L t_max) > 0`` with
+    L = Lambda(J).
 
     cosh and sinh come from :mod:`math` point by point: numpy's differ from
     them in the last ulp on some arguments, which would move knife-edge
     points.
     """
-    lt = np.asarray(effective_lyapunov(model, j) * t_max)
+    q1, p1 = ens.q1, ens.p1
+    lt = np.asarray(effective_lyapunov(model, ens.j) * t_max)
     # Beyond 350 cosh/sinh overflow; there coth(lt) is 1 to machine precision.
     far = lt > 350.0
     near = [x for x in lt.ravel().tolist() if not x > 350.0]
@@ -288,11 +281,6 @@ def _transmitted(model: CnfModel, j, q1, p1, t_max) -> np.ndarray:
     return np.where(far, p1 + q1 > 0.0, q1 * cosh + p1 * sinh > 0.0)
 
 
-def transmit(model: CnfModel, ic: InitialCondition, t_max: float) -> bool:
-    """True iff ``Q_1 cosh(L t_max) + P_1 sinh(L t_max) > 0`` with L = Lambda(J)."""
-    return bool(_transmitted(model, ic.j, ic.q1, ic.p1, t_max))
-
-
 def _result(n_trans, n: int, t_max, xi: float, kind: str) -> TransmissionResult:
     n_trans = int(n_trans)
     return TransmissionResult(
@@ -301,20 +289,13 @@ def _result(n_trans, n: int, t_max, xi: float, kind: str) -> TransmissionResult:
     )
 
 
-def transmission_fraction(model: CnfModel, ics, t_max: float, xi: float = float("nan"),
-                          kind: str = "B") -> TransmissionResult:
+def transmission_fraction(model: CnfModel, ens: Ensemble, t_max: float,
+                          xi: float = float("nan"), kind: str = "B") -> TransmissionResult:
     """Count transmitted points of a sampled ensemble."""
-    n = len(ics)
+    n = ens.q1.size
     if n == 0:
         raise ValueError("ensemble is empty")
-    hits = _transmitted(
-        model,
-        np.array([ic.j for ic in ics], dtype=float),
-        np.array([ic.q1 for ic in ics]),
-        np.array([ic.p1 for ic in ics]),
-        t_max,
-    )
-    return _result(np.count_nonzero(hits), n, t_max, xi, kind)
+    return _result(np.count_nonzero(transmit(model, ens, t_max)), n, t_max, xi, kind)
 
 
 def transmission_scan(model: CnfModel, spec_base: EnsembleSpec, xis,
@@ -332,7 +313,7 @@ def transmission_scan(model: CnfModel, spec_base: EnsembleSpec, xis,
     if t_max is None:
         t_max = default_t_max(model)
     batch = _sample_batch(model, spec_base, [0.0] + xis)
-    counts = np.count_nonzero(_transmitted(model, batch.j, batch.q1, batch.p1, t_max), axis=1)
+    counts = np.count_nonzero(transmit(model, batch, t_max), axis=1)
     n = spec_base.n_traj
     return [_result(counts[0], n, t_max, float("nan"), "A")] + [
         _result(c, n, t_max, xi, "B") for c, xi in zip(counts[1:], xis)

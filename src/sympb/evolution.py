@@ -122,18 +122,19 @@ def _shadow_factors(model: QuadraticSaddleModel, s_mix, taus: np.ndarray) -> np.
     factor equals the per-point ``P Phi(-tau) S`` evaluation bit for bit.
     The 2x2 determinant is clipped at zero; the first one in grid order below
     ``DET_FLOOR`` raises, since the Gram matrix cannot be that negative.  A
-    ``cosh`` that overflows raises only once the points before it have passed
-    that check, which is the order of a point-by-point evaluation.
+    ``cosh`` that overflows raises PreconditionError only once the points
+    before it have passed that check, which is the order of a point-by-point
+    evaluation.
     """
     s_mix = _check_mixer(model, s_mix)
     n = model.n_dof
     blocks = []
     overflow = None
-    for lt in model.lam * -taus:
+    for tau, lt in zip(taus.tolist(), (model.lam * -taus).tolist()):
         try:
             c, s = math.cosh(lt), math.sinh(lt)
         except OverflowError as exc:
-            overflow = exc
+            overflow = tau, exc
             break
         blocks.append(((c, s), (s, c)))
     g = np.array(blocks, dtype=float).reshape(-1, 2, 2) @ s_mix[[0, n], :]
@@ -145,7 +146,10 @@ def _shadow_factors(model: QuadraticSaddleModel, s_mix, taus: np.ndarray) -> np.
             f"projected Gram determinant {det[bad[0]]:.3e} is negative beyond {DET_FLOOR:.0e}"
         )
     if overflow is not None:
-        raise overflow
+        tau, exc = overflow
+        raise PreconditionError(
+            f"cosh(lambda * tau) overflows at tau = {tau!r}; shorten the tau grid"
+        ) from exc
     return np.sqrt(np.maximum(det, 0.0))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionError, DivergenceError
 from .linalg import standard_j
-from .models import EckartMorseParams, eckart_potential, morse_potential
+from .models import EckartMorseParams, full_hamiltonian
 
 __all__ = [
     "IntegratorConfig",
@@ -26,7 +26,6 @@ __all__ = [
     "finite_difference_jacobian",
     "symplecticity_defect",
     "ds_crossing_times",
-    "hamiltonian_many",
 ]
 
 
@@ -84,21 +83,6 @@ def _record_times(h: float, nsteps: int, stride: int) -> np.ndarray:
     return idx * h
 
 
-def hamiltonian_many(p: EckartMorseParams, states: np.ndarray) -> np.ndarray:
-    """Energies of an (m, 2d) array of states, vectorized over rows."""
-    states = np.asarray(states, dtype=float)
-    d = states.shape[1] // 2
-    q = states[:, :d]
-    mom = states[:, d:]
-    s = mom.sum(axis=1)
-    pp = np.einsum("ij,ij->i", mom, mom)
-    kin = pp / (2.0 * p.m) + 0.5 * p.eps * (s * s - pp)
-    pot = eckart_potential(p, q[:, 0])
-    for i in range(1, d):
-        pot = pot + morse_potential(p, q[:, i])
-    return kin + pot
-
-
 def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> TrajectoryRecord:
     """Fixed-step integration to t_final with monitored records.
 
@@ -117,7 +101,7 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
             f"state became non-finite at t = {times[bad]:.6g}", time=times[bad]
         )
     states = np.hstack([qs[:, 0], ps[:, 0]])
-    energies = hamiltonian_many(p, states)
+    energies = full_hamiltonian(p, states)
     drift = float(np.max(np.abs(energies - energies[0])))
     sympl_err = None
     jac = None

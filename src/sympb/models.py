@@ -8,13 +8,16 @@ Two families describe dynamics near an index-1 saddle:
 * the Eckart-Morse(-Morse) Hamiltonian in physical coordinates, used for
   direct trajectory integration.
 
-The built-in polynomial coefficients are the truncated normal form of the
-2 and 3 degree-of-freedom Eckart-Morse(-Morse) systems at the default
-parameters below.
+The built-in polynomial coefficients are a fixed table (saddle rate 0.735,
+bath frequencies 1.8225 and 1.267, e0 = -0.9875).  They are not derived from
+the Eckart-Morse(-Morse) Hamiltonian: at the default parameters below its
+saddle has rate 0.4492, frequency 1.4078 and energy -0.71875 (2 dof), or
+rate 0.4375, frequencies 1.6036 and 1.1832 and energy -1.71875 (3 dof).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -115,17 +118,15 @@ class CnfModel:
                 )
             if i_pow < 0 or any(p < 0 for p in j_pows):
                 raise ValueError("powers must be nonnegative")
-        zero = (0,) * nb
-        const = self.coefficient(0, zero)
+        const = self.coefficient(0, (0,) * nb)
         if const != self.e0:
             raise ValueError(
                 f"constant term {const!r} must equal e0 = {self.e0!r}"
             )
-        if self.coefficient(1, zero) <= 0:
+        if self.lam <= 0:
             raise ValueError("linear I coefficient (saddle rate) must be > 0")
-        for k in range(nb):
-            unit = tuple(1 if i == k else 0 for i in range(nb))
-            if self.coefficient(0, unit) <= 0:
+        for k, w in enumerate(self.omegas):
+            if w <= 0:
                 raise ValueError(f"linear coefficient of J_{k + 2} must be > 0")
 
     @property
@@ -136,12 +137,14 @@ class CnfModel:
     def n_dof(self) -> int:
         return 1 + self.n_bath
 
-    @property
+    # Cached in the instance dict, which a frozen dataclass still allows: the
+    # terms never change, and the root solvers read these once per point.
+    @functools.cached_property
     def lam(self) -> float:
         """Saddle rate: coefficient of the pure linear I term."""
         return self.coefficient(1, (0,) * self.n_bath)
 
-    @property
+    @functools.cached_property
     def omegas(self) -> tuple:
         """Bath frequencies: coefficients of the pure linear J_k terms."""
         nb = self.n_bath
@@ -417,13 +420,19 @@ def morse_potential(p: EckartMorseParams, q):
     return p.De * (e * e - 2.0 * e)
 
 
-def potential(p: EckartMorseParams, q) -> float:
-    """Total potential at configuration ``q = (x, y[, z])``."""
+def _value(x):
+    """A float for one point, the array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def potential(p: EckartMorseParams, q):
+    """Total potential at configurations ``q = (x, y[, z])`` of shape ``(..., d)``:
+    the Eckart term, then each Morse term added in order."""
     q = np.asarray(q, dtype=float)
-    v = float(eckart_potential(p, q[0]))
-    for qi in q[1:]:
-        v += float(morse_potential(p, qi))
-    return v
+    v = eckart_potential(p, q[..., 0])
+    for i in range(1, q.shape[-1]):
+        v = v + morse_potential(p, q[..., i])
+    return _value(v)
 
 
 def _logistic(s):
@@ -454,13 +463,13 @@ def grad_potential(p: EckartMorseParams, q) -> np.ndarray:
     return g
 
 
-def kinetic_energy(p: EckartMorseParams, mom) -> float:
-    """Kinetic energy ``|p|^2 / (2m) + eps * sum_{i<j} p_i p_j``."""
+def kinetic_energy(p: EckartMorseParams, mom):
+    """Kinetic energy ``|p|^2 / (2m) + eps * sum_{i<j} p_i p_j`` for momenta
+    of shape ``(..., d)``."""
     mom = np.asarray(mom, dtype=float)
-    s = float(np.sum(mom))
-    return float(np.dot(mom, mom)) / (2.0 * p.m) + 0.5 * p.eps * (
-        s * s - float(np.dot(mom, mom))
-    )
+    s = mom.sum(axis=-1)
+    pp = np.einsum("...i,...i->...", mom, mom)
+    return _value(pp / (2.0 * p.m) + 0.5 * p.eps * (s * s - pp))
 
 
 def velocities(p: EckartMorseParams, mom) -> np.ndarray:
@@ -471,12 +480,13 @@ def velocities(p: EckartMorseParams, mom) -> np.ndarray:
     return mom / p.m + p.eps * (s - mom)
 
 
-def full_hamiltonian(p: EckartMorseParams, state) -> float:
-    """Energy of a phase-space point ``(q_1..q_d, p_1..p_d)`` with d = 2 or 3."""
+def full_hamiltonian(p: EckartMorseParams, state):
+    """Energy of phase-space points ``(q_1..q_d, p_1..p_d)`` of shape
+    ``(..., 2d)`` with d = 2 or 3; a float for one point."""
     state = np.asarray(state, dtype=float)
-    if state.ndim != 1 or state.size % 2 != 0:
-        raise DimensionError(f"state must be a flat (2d,) array, got shape {state.shape}")
-    d = state.size // 2
+    if state.ndim == 0 or state.shape[-1] % 2 != 0:
+        raise DimensionError(f"states must have shape (..., 2d), got shape {state.shape}")
+    d = state.shape[-1] // 2
     if d not in (2, 3):
         raise DimensionError(f"supported systems have 2 or 3 degrees of freedom, got {d}")
-    return kinetic_energy(p, state[d:]) + potential(p, state[:d])
+    return kinetic_energy(p, state[..., d:]) + potential(p, state[..., :d])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -221,6 +222,18 @@ def test_exp1_scan_row_properties(capsys):
         assert min_area >= pi_r2 - 1e-9
 
 
+def test_exp1_cosh_overflow_exit_one(tmp_path):
+    # run as a process, so that an uncaught exception would show its traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympb", "exp1", "--dof", "2", "--seed", "9",
+         "--tau-max", "2000", "--tau-points", "70"],
+        capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "error: cosh(lambda * tau) overflows at tau = " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exp1_empty_radii_exit_two(capsys):
     code, _, err = run_cli(capsys, "exp1", "--radii", ",")
     assert code == 2 and "error:" in err
@@ -313,6 +326,30 @@ def test_sample_columns_3dof(capsys):
     assert len(rows) == 5
 
 
+# sha256 of seeded `sample` output, frozen so that a refactor of the
+# ensemble code cannot move a byte.
+SAMPLE_DIGESTS = [
+    (("--kind", "A", "--n", "200", "--seed", "4"),
+     "299ebc9b60b2a7db44d7f90ab1d68fc2fd4b2476f7fb67fa78c64c9820a42f65"),
+    (("--kind", "B", "--xi", "0.5", "--n", "200", "--seed", "4",
+      "--builtin", "eckart-morse-morse-3dof"),
+     "815548a5ab11ac3e8b4c2d64d01f0a321c1ec260d988f7475c5f3a558c8567ee"),
+    (("--kind", "B", "--xi", "0.5", "--n", "200", "--seed", "17", "--format", "json"),
+     "e567337dce0f182a2feb7a49cc5220efb9d82b66134212fb13ae82970f20a40e"),
+    (("--kind", "A", "--n", "150", "--seed", "2", "--builtin", "eckart-morse-morse-3dof",
+      "--format", "json"),
+     "5d5ccf2c728421c7ce3fdf1fe02347e04af9a2ec1f5fbb5368a4d2bbba81f884"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SAMPLE_DIGESTS,
+                         ids=["A-2dof-csv", "B-3dof-csv", "B-2dof-json", "A-3dof-json"])
+def test_sample_bytes_frozen(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "sample", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
@@ -351,6 +388,17 @@ def test_integrate_output_files(tmp_path, capsys):
     assert summary["symplecticity_error"] <= 1e-6
     energies = [float(r[-1]) for r in rows]
     assert max(energies) - min(energies) <= 1e-5
+
+
+def test_integrate_readme_example_bytes_frozen(tmp_path, capsys):
+    base = str(tmp_path / "traj")
+    code, _, _ = run_cli(
+        capsys, "integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "1e-3", "--t-final", "10",
+        "-o", base,
+    )
+    assert code == 0
+    digest = hashlib.sha256(open(base + ".csv", "rb").read()).hexdigest()
+    assert digest == "8dcf513335942cd90a1b76ca4bc8e314b506c3ca9c35d5be9862777c0f846d03"
 
 
 def test_integrate_divergence_exit_one(capsys):

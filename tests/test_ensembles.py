@@ -6,8 +6,8 @@ import pytest
 from sympb import (
     BelowSaddleError,
     CnfModel,
+    Ensemble,
     EnsembleSpec,
-    InitialCondition,
     SamplingError,
     builtin_cnf,
     default_delta_e,
@@ -33,6 +33,16 @@ def make_spec(**kw):
     return EnsembleSpec(**base)
 
 
+def points(q1, p1, j):
+    """An ensemble of the given points, with zero phases and energies."""
+    j = np.array(j, dtype=float)
+    return Ensemble(q1=q1, p1=p1, j=j, phases=np.zeros(j.shape), energy=np.zeros(len(j)))
+
+
+def bits(ens):
+    return np.column_stack([ens.q1, ens.p1, ens.j, ens.phases, ens.energy]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # spec and initial-condition validation
 # ---------------------------------------------------------------------------
@@ -53,11 +63,17 @@ def test_spec_validation():
 
 def test_initial_condition_half_space():
     with pytest.raises(ValueError):
-        InitialCondition(q1=0.1, p1=0.5, j=(0.1,), phases=(0.0,), energy=0.0)
+        points([0.1], [0.5], [(0.1,)])
     with pytest.raises(ValueError):
-        InitialCondition(q1=-0.1, p1=-0.5, j=(0.1,), phases=(0.0,), energy=0.0)
-    ic = InitialCondition(q1=-0.1, p1=0.5, j=(0.1,), phases=(0.0,), energy=0.0)
-    assert ic.q1 < 0.0 < ic.p1
+        points([-0.1], [-0.5], [(0.1,)])
+    ens = points([-0.1], [0.5], [(0.1,)])
+    assert ens.q1[0] < 0.0 < ens.p1[0]
+    # one point outside the half-space refuses the whole batch, and is named
+    with pytest.raises(ValueError, match=r"Q1 = -0\.2, P1 = -0\.5"):
+        points([-0.1, -0.2, -0.3], [0.5, -0.5, 0.5], [(0.1,)] * 3)
+    with pytest.raises(ValueError, match=r"Q1 = 0\.0, P1 = 0\.5"):
+        Ensemble(q1=[[-0.1], [0.0]], p1=[[0.5], [0.5]], j=[[[0.1]], [[0.1]]],
+                 phases=[[[0.0]], [[0.0]]], energy=[0.0])
 
 
 def test_sample_ensemble_kind_validation():
@@ -80,51 +96,58 @@ def test_sample_ensemble_deterministic():
     spec = make_spec()
     a = sample_ensemble(MODEL3, spec, kind="B")
     b = sample_ensemble(MODEL3, spec, kind="B")
-    assert a == b
+    assert a.q1.shape == a.p1.shape == a.energy.shape == (200,)
+    assert a.j.shape == a.phases.shape == (200, 2)
+    assert bits(a) == bits(b)
     c = sample_ensemble(MODEL3, make_spec(seed=12), kind="B")
-    assert c != a
+    assert bits(c) != bits(a)
 
 
 def test_sampled_energies_in_window():
     spec = make_spec(n_traj=500)
     for kind in ("A", "B"):
-        for ic in sample_ensemble(MODEL3, spec, kind=kind):
-            assert spec.e_center - spec.delta_e <= ic.energy <= spec.e_center + spec.delta_e
+        for e in sample_ensemble(MODEL3, spec, kind=kind).energy:
+            assert spec.e_center - spec.delta_e <= e <= spec.e_center + spec.delta_e
 
 
 def test_sampled_ics_satisfy_energy_constraint():
     # reconstruct I from (q1, p1) and re-evaluate the normal form
     spec = make_spec(n_traj=300)
     for kind in ("A", "B"):
-        for ic in sample_ensemble(MODEL3, spec, kind=kind):
-            i_val = (ic.p1**2 - ic.q1**2) / 2.0
-            assert abs(eval_cnf(MODEL3, i_val, ic.j) - ic.energy) <= 1e-10
+        ens = sample_ensemble(MODEL3, spec, kind=kind)
+        for q1, p1, j, e in zip(ens.q1, ens.p1, ens.j, ens.energy):
+            i_val = (p1**2 - q1**2) / 2.0
+            assert abs(eval_cnf(MODEL3, i_val, j) - e) <= 1e-10
             assert i_val >= 0.0
 
 
 def test_sampled_geometry_ranges():
     spec = make_spec(n_traj=400, q1_range=0.7)
-    for ic in sample_ensemble(MODEL3, spec, kind="B"):
-        assert -0.7 <= ic.q1 <= -1e-9
-        assert ic.p1 >= abs(ic.q1)
-        assert len(ic.j) == len(ic.phases) == 2
-        for ph in ic.phases:
+    ens = sample_ensemble(MODEL3, spec, kind="B")
+    assert ens.j.shape == ens.phases.shape == (400, 2)
+    for q1, p1, j, phases in zip(ens.q1, ens.p1, ens.j, ens.phases):
+        assert -0.7 <= q1 <= -1e-9
+        assert p1 >= abs(q1)
+        for ph in phases:
             assert 0.0 <= ph < 2.0 * math.pi
-        for jk in ic.j:
+        for jk in j:
             assert jk >= 0.0
 
 
 def test_kind_b_localizes_j2():
     spec = make_spec(n_traj=300, delta_e=0.0, xi=0.8)
     j2max = j_max_cnf(MODEL3, spec.e_center, 2)
-    ics = sample_ensemble(MODEL3, spec, kind="B")
-    for ic in ics:
-        assert 0.8 * j2max <= ic.j[0] <= j2max
+    for j2 in sample_ensemble(MODEL3, spec, kind="B").j[:, 0]:
+        assert 0.8 * j2max <= j2 <= j2max
 
 
 def test_kind_b_xi_zero_equals_kind_a():
     spec = make_spec(xi=0.0)
-    assert sample_ensemble(MODEL3, spec, kind="B") == sample_ensemble(MODEL3, spec, kind="A")
+    b = sample_ensemble(MODEL3, spec, kind="B")
+    a = sample_ensemble(MODEL3, spec, kind="A")
+    for name in ("q1", "p1", "j", "phases", "energy"):
+        assert np.array_equal(getattr(b, name), getattr(a, name))
+    assert bits(b) == bits(a)
 
 
 def test_degenerate_window_pins_j2_and_p1():
@@ -132,9 +155,10 @@ def test_degenerate_window_pins_j2_and_p1():
     # P1 collapses onto |Q1|.
     spec = make_spec(n_traj=100, delta_e=0.0, xi=1.0)
     j2max = j_max_cnf(MODEL2, spec.e_center, 2)
-    for ic in sample_ensemble(MODEL2, spec, kind="B"):
-        assert abs(ic.j[0] - j2max) <= 1e-15 * j2max
-        assert abs(ic.p1 - abs(ic.q1)) <= 1e-15 * ic.p1
+    ens = sample_ensemble(MODEL2, spec, kind="B")
+    for q1, p1, j in zip(ens.q1, ens.p1, ens.j):
+        assert abs(j[0] - j2max) <= 1e-15 * j2max
+        assert abs(p1 - abs(q1)) <= 1e-15 * p1
 
 
 def test_sampling_error_when_all_draws_rejected(monkeypatch):
@@ -157,12 +181,16 @@ def test_sampling_error_when_all_draws_rejected(monkeypatch):
 def test_transmit_closed_form_examples():
     lam = MODEL2.lam
     # Q1(t) = Q1 cosh(lt) + P1 sinh(lt): crosses when P1 clearly beats Q1
-    ic_go = InitialCondition(q1=-0.1, p1=0.5, j=(0.5,), phases=(0.0,), energy=0.0)
-    assert transmit(MODEL2, ic_go, t_max=5.0 / lam)
+    go = points([-0.1], [0.5], [(0.5,)])
+    assert transmit(MODEL2, go, t_max=5.0 / lam).tolist() == [True]
     # nearly balanced: tanh(lam*t_max) < 0.9/0.90001 never catches up in time
-    ic_slow = InitialCondition(q1=-0.9, p1=0.90001, j=(0.5,), phases=(0.0,), energy=0.0)
-    assert transmit(MODEL2, ic_slow, t_max=20.0)
-    assert not transmit(MODEL2, ic_slow, t_max=1.0)
+    slow = points([-0.9], [0.90001], [(0.5,)])
+    assert transmit(MODEL2, slow, t_max=20.0).tolist() == [True]
+    assert transmit(MODEL2, slow, t_max=1.0).tolist() == [False]
+    # one bool per point, in point order
+    both = points([-0.9, -0.1], [0.90001, 0.5], [(0.5,), (0.5,)])
+    hits = transmit(MODEL2, both, t_max=1.0)
+    assert hits.dtype == bool and hits.tolist() == [False, True]
 
 
 def test_transmit_uses_lyapunov_of_j():
@@ -171,35 +199,39 @@ def test_transmit_uses_lyapunov_of_j():
     lam_small = effective_lyapunov(MODEL3, (1e-6, 0.0))
     lam_big = effective_lyapunov(MODEL3, (j2max, 0.0))
     assert lam_big < lam_small
-    ic = InitialCondition(q1=-0.9, p1=0.9000001, j=(j2max, 0.0), phases=(0.0, 0.0), energy=0.0)
+    ens = points([-0.9], [0.9000001], [(j2max, 0.0)])
     # crossing time t* = atanh(-q1/p1)/Lambda
     t_star = math.atanh(0.9 / 0.9000001) / lam_big
-    assert transmit(MODEL3, ic, t_max=t_star * 1.01)
-    assert not transmit(MODEL3, ic, t_max=t_star * 0.99)
+    assert transmit(MODEL3, ens, t_max=t_star * 1.01).tolist() == [True]
+    assert transmit(MODEL3, ens, t_max=t_star * 0.99).tolist() == [False]
 
 
 def test_transmit_overflow_guard():
     # Lambda * t_max far beyond exp overflow: decided by p1 + q1 sign
-    ic_pos = InitialCondition(q1=-0.5, p1=0.6, j=(0.1,), phases=(0.0,), energy=0.0)
-    ic_neg = InitialCondition(q1=-0.6, p1=0.5, j=(0.1,), phases=(0.0,), energy=0.0)
-    assert transmit(MODEL2, ic_pos, t_max=1000.0)
-    assert not transmit(MODEL2, ic_neg, t_max=1000.0)
+    pos = points([-0.5], [0.6], [(0.1,)])
+    neg = points([-0.6], [0.5], [(0.1,)])
+    assert transmit(MODEL2, pos, t_max=1000.0).tolist() == [True]
+    assert transmit(MODEL2, neg, t_max=1000.0).tolist() == [False]
+    # a batch may mix guarded and closed-form points: J2 = 35 pulls Lambda
+    # down to 0.3045, so L t_max = 304.5 stays below the guard
+    mixed = points([-0.5, -0.6, -0.5], [0.6, 0.5, 0.6], [(0.1,), (0.1,), (35.0,)])
+    assert transmit(MODEL2, mixed, t_max=1000.0).tolist() == [True, False, True]
 
 
 def test_transmission_fraction_empty():
     with pytest.raises(ValueError):
-        transmission_fraction(MODEL2, [], t_max=1.0)
+        transmission_fraction(MODEL2, points([], [], np.zeros((0, 1))), t_max=1.0)
 
 
 def test_transmission_fraction_oracle():
     # fraction must equal the count of tanh(Lambda*t) > -q1/p1 directly
     spec = make_spec(n_traj=2000, seed=3, xi=0.0)
-    ics = sample_ensemble(MODEL3, spec, kind="A")
+    ens = sample_ensemble(MODEL3, spec, kind="A")
     t_max = default_t_max(MODEL3)
     expected = 0
-    for ic in ics:
-        lam_eff = effective_lyapunov(MODEL3, ic.j)
-        ratio = -ic.q1 / ic.p1
+    for q1, p1, j in zip(ens.q1, ens.p1, ens.j):
+        lam_eff = effective_lyapunov(MODEL3, j)
+        ratio = -q1 / p1
         if ratio >= 1.0:
             continue
         t_star = math.atanh(ratio) / lam_eff
@@ -208,10 +240,10 @@ def test_transmission_fraction_oracle():
             continue
         if t_star < t_max:
             expected += 1
-    res = transmission_fraction(MODEL3, ics, t_max)
+    res = transmission_fraction(MODEL3, ens, t_max)
     assert res.n_transmitted == expected
-    assert res.fraction == expected / len(ics)
-    assert res.n_total == len(ics)
+    assert res.fraction == expected / len(ens.q1)
+    assert res.n_total == len(ens.q1)
 
 
 # ---------------------------------------------------------------------------

@@ -374,8 +374,9 @@ def test_determinant_floor_raises_before_a_later_overflow():
     assert outcome(oracle_min_projection_area, MODEL, 1.0, s, grid)[0] is PreconditionError
     with pytest.raises(PreconditionError, match="negative beyond"):
         min_projection_area(MODEL, 1.0, s, np.append(grid, 2000.0))
-    with pytest.raises(OverflowError):
+    with pytest.raises(PreconditionError, match=r"overflows at tau = 2000\.0") as info:
         min_projection_area(MODEL, 1.0, np.eye(6), np.array([0.0, 2000.0]))
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_exp1_checks_and_draws_the_mixer_once(tmp_path, monkeypatch, capsys):

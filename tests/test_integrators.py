@@ -15,7 +15,8 @@ from sympb import (
     symplecticity_defect,
     verlet_step,
 )
-from sympb.integrators import TrajectoryRecord, ds_crossing_times, hamiltonian_many
+from sympb.integrators import TrajectoryRecord, ds_crossing_times
+from sympb.models import eckart_potential, morse_potential
 
 PARAMS = default_params()
 
@@ -250,16 +251,49 @@ def test_real_trajectory_crosses_or_reflects():
 
 
 # ---------------------------------------------------------------------------
-# hamiltonian_many
+# batched energy
 # ---------------------------------------------------------------------------
 
 
-def test_hamiltonian_many_matches_scalar():
-    states = np.array([
-        [-50.0, 0.3, 0.4, -0.2],
-        [-5.0, 0.1, 0.9, 0.0],
-        [0.5, -0.2, 0.1, 0.3],
-    ])
-    hm = hamiltonian_many(PARAMS, states)
-    for row, h in zip(states, hm):
-        assert h == full_hamiltonian(PARAMS, row)
+def oracle_energies(p, states):
+    """Energies of an (m, 2d) array of states, row-vectorized: a separate copy
+    of the formula that full_hamiltonian must match bit for bit."""
+    states = np.asarray(states, dtype=float)
+    d = states.shape[1] // 2
+    q = states[:, :d]
+    mom = states[:, d:]
+    s = mom.sum(axis=1)
+    pp = np.einsum("ij,ij->i", mom, mom)
+    kin = pp / (2.0 * p.m) + 0.5 * p.eps * (s * s - pp)
+    pot = eckart_potential(p, q[:, 0])
+    for i in range(1, d):
+        pot = pot + morse_potential(p, q[:, i])
+    return kin + pot
+
+
+FIXED_STATES = {
+    2: [[-50.0, 0.3, 0.4, -0.2], [-5.0, 0.1, 0.9, 0.0], [0.5, -0.2, 0.1, 0.3]],
+    3: [[-50.0, 0.3, 0.1, 0.4, -0.2, 0.0], [-5.0, 0.1, -0.4, 0.9, 0.0, 0.2]],
+}
+
+
+def test_full_hamiltonian_batch_matches_oracle():
+    for d in (2, 3):
+        rng = np.random.default_rng(40 + d)
+        states = np.concatenate([FIXED_STATES[d], rng.uniform(-3.0, 3.0, size=(2000, 2 * d))])
+        want = oracle_energies(PARAMS, states).view(np.int64)
+        got = full_hamiltonian(PARAMS, states)
+        assert got.shape == (len(states),)
+        assert np.array_equal(got.view(np.int64), want)
+        rows = np.array([full_hamiltonian(PARAMS, row) for row in states])
+        assert np.array_equal(rows.view(np.int64), want)
+        assert isinstance(full_hamiltonian(PARAMS, states[0]), float)
+        # any leading shape, each row as on its own
+        got = full_hamiltonian(PARAMS, states[:2000].reshape(40, 50, 2 * d))
+        assert np.array_equal(got.ravel().view(np.int64), want[:2000])
+
+
+def test_integrate_energies_match_oracle():
+    rec = integrate(PARAMS, np.array([-2.0, 0.3, 0.9, -0.2]), IntegratorConfig(h=1e-2, t_final=2.0))
+    assert np.array_equal(rec.energies.view(np.int64),
+                          oracle_energies(PARAMS, rec.states).view(np.int64))

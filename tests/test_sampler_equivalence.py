@@ -18,8 +18,8 @@ import sympb.ensembles
 from sympb import (
     CnfModel,
     ConvergenceError,
+    Ensemble,
     EnsembleSpec,
-    InitialCondition,
     LyapunovSignError,
     SamplingError,
     builtin_cnf,
@@ -30,6 +30,7 @@ from sympb import (
     sample_ensemble,
     transmission_fraction,
     transmission_scan,
+    transmit,
 )
 from sympb.ensembles import _solve_reactive_integral
 
@@ -122,21 +123,20 @@ def oracle_sample(model, spec, kind, j_max):
         phases = tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(nb))
         q1 = rng.uniform(-spec.q1_range, -sympb.ensembles.Q1_DELTA)
         p1 = math.sqrt(q1 * q1 + 2.0 * i)
-        out.append(InitialCondition(q1=q1, p1=p1, j=tuple(j), phases=phases, energy=e))
-    return out
+        out.append((q1, p1, tuple(j), phases, e))
+    q1, p1, j, phases, e = zip(*out)
+    return Ensemble(q1=q1, p1=p1, j=j, phases=phases, energy=e)
 
 
-def oracle_transmit(model, ic, t_max):
-    lt = lam_scalar(model, ic.j) * t_max
+def oracle_transmit(model, q1, p1, j, t_max):
+    lt = lam_scalar(model, j) * t_max
     if lt > 350.0:
-        return ic.p1 + ic.q1 > 0.0
-    return ic.q1 * math.cosh(lt) + ic.p1 * math.sinh(lt) > 0.0
+        return p1 + q1 > 0.0
+    return q1 * math.cosh(lt) + p1 * math.sinh(lt) > 0.0
 
 
-def bits(ics):
-    return np.array(
-        [[ic.q1, ic.p1, *ic.j, *ic.phases, ic.energy] for ic in ics], dtype=float
-    ).tobytes()
+def bits(ens):
+    return np.column_stack([ens.q1, ens.p1, ens.j, ens.phases, ens.energy]).tobytes()
 
 
 def outcome(fn):
@@ -178,10 +178,13 @@ def test_array_sampler_matches_scalar_oracle(model, spec, kind, inflate):
     assert got[0] == want[0]
     if want[0] != "ok":
         return
+    assert got[1].q1.shape == (spec.n_traj,)
     assert bits(got[1]) == bits(want[1])
     t_max = 5.0 / model.lam
-    res = transmission_fraction(model, got[1], t_max)
-    assert res.n_transmitted == sum(oracle_transmit(model, ic, t_max) for ic in want[1])
+    crosses = [oracle_transmit(model, q1, p1, j, t_max)
+               for q1, p1, j in zip(want[1].q1.tolist(), want[1].p1.tolist(), want[1].j.tolist())]
+    assert transmit(model, got[1], t_max).tolist() == crosses
+    assert transmission_fraction(model, got[1], t_max).n_transmitted == sum(crosses)
 
 
 @settings(max_examples=15, deadline=None)
@@ -206,9 +209,10 @@ def test_criterion_on_knife_edge_uses_math_cosh_sinh(t_max, q1, crosses):
     # numpy's cosh/sinh differ from math's in the last ulp at these
     # L t_max, enough to flip the sign of Q1 cosh + P1 sinh
     model = builtin_cnf(2)
-    ic = InitialCondition(q1=q1, p1=0.5, j=(0.0,), phases=(0.0,), energy=0.0)
-    assert oracle_transmit(model, ic, t_max) is crosses
-    assert transmission_fraction(model, [ic], t_max).n_transmitted == int(crosses)
+    ens = Ensemble(q1=[q1], p1=[0.5], j=[[0.0]], phases=[[0.0]], energy=[0.0])
+    assert oracle_transmit(model, q1, 0.5, [0.0], t_max) is crosses
+    assert transmit(model, ens, t_max).tolist() == [crosses]
+    assert transmission_fraction(model, ens, t_max).n_transmitted == int(crosses)
 
 
 def test_scan_solves_j_max_once_per_point(monkeypatch):
