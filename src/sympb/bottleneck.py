@@ -13,10 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernels
-from .errors import BelowSaddleError, DimensionError, PreconditionError, RootBracketError
+from .errors import (
+    BelowSaddleError,
+    ConvergenceError,
+    DimensionError,
+    PreconditionError,
+    RootBracketError,
+)
 from .models import CnfModel, QuadraticSaddleModel, eval_cnf
 from .tables import ExperimentReport
 
@@ -31,9 +36,11 @@ __all__ = [
     "energy_scan",
 ]
 
-# Root bracketing for j_max_cnf.
+# Root bracketing and refinement for j_max_cnf.
 BRACKET_CAP = 1e12
+ROOT_XTOL = 1e-15
 ROOT_RTOL = 1e-12
+BRENT_MAXITER = 100
 
 # Monte-Carlo chunk size; chunk i draws from substream i of the seed, so the
 # totals do not depend on how chunks would be scheduled across workers.
@@ -85,7 +92,11 @@ def j_max_cnf(model: CnfModel, e: float, k: int) -> float:
 
     Bracketing starts from the linear estimate ``(e - e0) / omega_k`` and
     doubles the upper bound until the sign changes (cap 1e12), then the root
-    is refined by Brent's method to relative tolerance 1e-12.
+    is refined by Brent's method to relative tolerance 1e-12: ``_brentq``, a
+    port of scipy's brentq.c that reuses the bracket values ``f(lo)`` and
+    ``f(hi)`` instead of evaluating the endpoints again.  Raises
+    ConvergenceError, naming E, k and the last iterate, when K is NaN or the
+    refinement does not converge in 100 iterations.
     """
     idx = _check_mode(model, k)
     if e <= model.e0:
@@ -113,7 +124,86 @@ def j_max_cnf(model: CnfModel, e: float, k: int) -> float:
         return hi
     if flo == 0.0:
         return lo
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=ROOT_RTOL))
+    try:
+        return _brentq(f, lo, hi, flo, fhi)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"j_max at E = {e!r}, mode k = {k}: {exc}") from None
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method, given ``fa = f(xa)``
+    and ``fb = f(xb)`` of opposite signs.
+
+    A step-for-step port of scipy's ``brentq.c`` (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4), so for the same ``f`` it
+    returns the same bits as ``scipy.optimize.brentq(f, xa, xb,
+    xtol=ROOT_XTOL, rtol=ROOT_RTOL)``; only the two endpoint evaluations are
+    taken from the caller.  Raises ConvergenceError when ``f`` is NaN or
+    BRENT_MAXITER iterations pass without convergence, and RootBracketError
+    when ``fa`` and ``fb`` have the same sign.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if math.isnan(fx):
+            raise ConvergenceError(f"f is NaN at x = {x!r}")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise RootBracketError(f"f({xa!r}) and f({xb!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C gets +-inf or nan here, which fails the step test below
+                stry = math.inf
+            a, b = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (a if a < b else b):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ConvergenceError(f"f is NaN at x = {xcur!r}")
+    raise ConvergenceError(
+        f"Brent's method did not converge in {BRENT_MAXITER} iterations; "
+        f"last iterate x = {xcur!r}"
+    )
 
 
 def candidate_width(model, e: float) -> WidthReport:

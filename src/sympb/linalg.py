@@ -10,7 +10,6 @@ are the basic invariants everything else builds on.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DefinitenessError, DimensionError, SpectrumError, SymmetryError
 
@@ -247,6 +246,8 @@ def random_symplectic(n: int, sigma: float, seed: int) -> np.ndarray:
     symplectic.  The exponential is scipy's scaling-and-squaring Pade
     implementation, accurate well beyond the 1e-10 symplecticity tolerance
     for the moderate norms used here.  Deterministic in ``(n, sigma, seed)``.
+    ``scipy.linalg`` is imported here, on the first call, so that importing
+    sympb loads no scipy module.
 
     Parameters
     ----------
@@ -268,4 +269,6 @@ def random_symplectic(n: int, sigma: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.uniform(-sigma, sigma, size=(2 * n, 2 * n))
     a = np.triu(g) + np.triu(g, 1).T
+    import scipy.linalg
+
     return scipy.linalg.expm(standard_j(n) @ a)

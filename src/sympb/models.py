@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError, LyapunovSignError
 
@@ -407,11 +406,30 @@ def load_params(path: str) -> EckartMorseParams:
 def eckart_potential(p: EckartMorseParams, x):
     """Eckart barrier ``A*u + B*u*(1-u)`` with ``u = logistic((x + x0)/a)``.
 
-    Evaluated through a numerically stable logistic, so it is exact at
-    arguments as far out as ``x = +/- 500 a`` (no overflow).
+    The logistic is ``1 / (1 + math.exp(-s))`` per element; where ``math.exp``
+    overflows (``s`` below about -709.78) it takes ``exp(-s) = inf``, so
+    ``u = 0``.  That is scipy's ``expit`` bit for bit, with no overflow at
+    arguments as far out as ``x = +/- 500 a``.
     """
-    u = expit((np.asarray(x, dtype=float) + p.x0) / p.a)
+    u = _expit((np.asarray(x, dtype=float) + p.x0) / p.a)
     return p.A * u + p.B * u * (1.0 - u)
+
+
+def _expit(s):
+    """Logistic ``1 / (1 + exp(-s))``, elementwise, with ``exp`` overflow
+    read as ``inf``.
+
+    Kept apart from :func:`_logistic`: its ``ex / (1 + ex)`` branch for
+    ``s < 0`` differs in the last bit, which would change trajectory bytes.
+    """
+    out = []
+    for x in np.ravel(s).tolist():
+        try:
+            ex = math.exp(-x)
+        except OverflowError:
+            ex = math.inf
+        out.append(1.0 / (1.0 + ex))
+    return np.reshape(out, np.shape(s))
 
 
 def morse_potential(p: EckartMorseParams, q):

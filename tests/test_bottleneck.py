@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from sympb import (
     BelowSaddleError,
     CnfModel,
+    ConvergenceError,
     DimensionError,
     PreconditionError,
     QuadraticSaddleModel,
@@ -18,6 +21,8 @@ from sympb import (
     j_max_cnf,
     j_max_quadratic,
 )
+from sympb import bottleneck
+from sympb.bottleneck import BRENT_MAXITER, ROOT_RTOL, ROOT_XTOL, _brentq
 
 E0 = -0.9875
 
@@ -129,6 +134,132 @@ def test_j_max_cnf_no_root_raises():
     model = alpha_model(omega2=1.0, alpha=-0.01)
     with pytest.raises(RootBracketError):
         j_max_cnf(model, 30.0, 2)
+
+
+def scipy_brentq(f, lo, hi):
+    """scipy's brentq with j_max_cnf's tolerances: (root, function calls), or
+    (None, None) when it fails to converge."""
+    from scipy.optimize import brentq
+
+    try:
+        root, info = brentq(f, lo, hi, xtol=ROOT_XTOL, rtol=ROOT_RTOL, full_output=True)
+    except RuntimeError:
+        return None, None
+    return root, info.function_calls
+
+
+def port_brentq(f, lo, hi):
+    try:
+        return _brentq(f, lo, hi, f(lo), f(hi))
+    except ConvergenceError:
+        return None
+
+
+def horner(coeffs, x):
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=400, deadline=None)
+@given(coeffs=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=6),
+       lo=st.floats(-20.0, 20.0), width=st.floats(1e-6, 40.0), u=st.floats(0.0, 1.0))
+def test_brentq_port_matches_scipy_on_polynomials(coeffs, lo, width, u):
+    # shift the constant term so that p(lo) and p(hi) straddle zero
+    hi = lo + width
+    p_lo, p_hi = horner(coeffs, lo), horner(coeffs, hi)
+    level = p_lo + u * (p_hi - p_lo)
+
+    def f(x):
+        return horner(coeffs, x) - level
+
+    flo, fhi = f(lo), f(hi)
+    assume(flo != 0.0 and fhi != 0.0 and (flo < 0.0) != (fhi < 0.0))
+    expected, _ = scipy_brentq(f, lo, hi)
+    got = port_brentq(f, lo, hi)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert got.hex() == expected.hex()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(dof=st.sampled_from([2, 3]), mode=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_j_max_cnf_brent_matches_scipy(dof, mode, seed):
+    # The built-ins are linear in J on the dividing surface, so a bracket
+    # often ends exactly on the root; the others reach Brent's method, where
+    # the port must return scipy's bits after two fewer K evaluations.
+    model = builtin_cnf(dof)
+    k = 2 + mode % model.n_bath
+    e = model.e0 + float(np.random.default_rng(seed).uniform(1e-9, 20.0))
+    calls = []
+
+    def spy(f, lo, hi, flo, fhi):
+        count = [0]
+
+        def counted(x):
+            count[0] += 1
+            return f(x)
+
+        root = _brentq(counted, lo, hi, flo, fhi)
+        calls.append((f, lo, hi, count[0]))
+        return root
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bottleneck, "_brentq", spy)
+        got = j_max_cnf(model, e, k)
+    assume(calls)
+    f, lo, hi, evals = calls[0]
+    expected, scipy_evals = scipy_brentq(f, lo, hi)
+    assert got.hex() == expected.hex()
+    assert evals == scipy_evals - 2
+
+
+def test_brentq_nan_raises_convergence_error():
+    def f(x):
+        return math.nan if 0.2 < x < 0.9 else x - 0.3
+
+    # the first interpolation step lands at x = 0.3, inside the NaN gap
+    with pytest.raises(ConvergenceError, match=r"NaN at x = 0\.3"):
+        _brentq(f, 0.0, 1.0, f(0.0), f(1.0))
+    # a NaN bracket end
+    with pytest.raises(ConvergenceError, match="NaN at x = 0.5"):
+        _brentq(f, 0.0, 0.5, f(0.0), f(0.5))
+
+
+def test_brentq_no_convergence_raises_convergence_error():
+    # A unit step at x = 1 on [0, 1e300]: every step bisects, and closing
+    # 300 decades to the tolerance takes about 1 000 halvings.
+    def f(x):
+        return -1.0 if x < 1.0 else 1.0
+
+    with pytest.raises(ConvergenceError, match=f"{BRENT_MAXITER} iterations; last iterate"):
+        _brentq(f, 0.0, 1e300, f(0.0), f(1e300))
+    assert scipy_brentq(f, 0.0, 1e300) == (None, None)
+
+
+def test_brentq_same_sign_raises():
+    with pytest.raises(RootBracketError):
+        _brentq(lambda x: x, 1.0, 2.0, 1.0, 2.0)
+
+
+def test_j_max_cnf_nan_names_energy_mode_and_iterate(monkeypatch):
+    model = builtin_cnf(3)
+    e = model.e0 + 0.5
+    hi = (e - model.e0) / model.omegas[1]
+    real = bottleneck.eval_cnf
+
+    def nan_inside(model, i, j):
+        # below e at J_3 = 0, above it at the first bracket end, NaN between
+        if j[1] == 0.0:
+            return real(model, i, j)
+        return math.nan if j[1] < hi else real(model, i, j) + 1.0
+
+    monkeypatch.setattr(bottleneck, "eval_cnf", nan_inside)
+    with pytest.raises(ConvergenceError) as info:
+        j_max_cnf(model, e, 3)
+    msg = str(info.value)
+    assert f"E = {e!r}" in msg and "mode k = 3" in msg and "NaN at x = " in msg
 
 
 # ---------------------------------------------------------------------------

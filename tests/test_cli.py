@@ -180,6 +180,26 @@ def test_widths_non_monotone_model_exit_one(tmp_path, capsys):
     assert err.startswith("error:") and "J_2*J_3" in err
 
 
+
+def test_widths_nan_root_exit_one(monkeypatch, capsys):
+    from sympb import bottleneck, builtin_cnf
+
+    model = builtin_cnf(2)
+    hi = (0.5 - model.e0) / model.omegas[0]
+    real = bottleneck.eval_cnf
+
+    def nan_inside(model, i, j):
+        # K below E at J_2 = 0, above it at the bracket end, NaN between
+        if j[0] == 0.0:
+            return real(model, i, j)
+        return math.nan if j[0] < hi else real(model, i, j) + 1.0
+
+    monkeypatch.setattr(bottleneck, "eval_cnf", nan_inside)
+    code, out, err = run_cli(capsys, "widths", "--e-min", "0.5", "--e-max", "0.5",
+                             "--steps", "1", "--samples", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("error: j_max at E = 0.5, mode k = 2: f is NaN at x = ")
+
 def test_widths_seed_env_default(monkeypatch, capsys):
     monkeypatch.setenv("SYMPB_SEED", "77")
     code, out, _ = run_cli(
@@ -517,6 +537,47 @@ def assert_capacity_pi(out):
     assert out.returncode == 0, out.stderr
     assert abs(json.loads(out.stdout)["capacity"] - math.pi) <= 1e-12, out.stderr
 
+
+
+# Runs in a fresh interpreter: import sympb and its CLI, make calls, then
+# print the scipy modules loaded so far.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import sympb, sympb.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = sympb.cli.main(argv)
+    assert code == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def scipy_modules_after(tmp_path, calls):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)],
+        capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_and_diagnostics_load_no_scipy(tmp_path):
+    path = write_matrix(tmp_path, "m.csv", np.eye(4))
+    calls = [
+        ["capacity", path],
+        ["widths", "--builtin", "eckart-morse-morse-3dof", "--e-min", "0", "--e-max", "1",
+         "--steps", "3", "--samples", "500"],
+        ["exp2", "--n", "50", "--xis", "0,0.5"],
+        ["sample", "--n", "20", "--kind", "B", "--xi", "0.5"],
+        ["integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "0.01", "--t-final", "0.5"],
+    ]
+    assert scipy_modules_after(tmp_path, []) == []
+    assert scipy_modules_after(tmp_path, calls) == []
+
+
+def test_exp1_loads_scipy_linalg(tmp_path):
+    calls = [["exp1", "--radii", "0.1", "--tau-points", "10"]]
+    assert "scipy.linalg" in scipy_modules_after(tmp_path, calls)
 
 def test_console_script_smoke(tmp_path):
     # Runs the declared entry point the way its installed launcher does, in a

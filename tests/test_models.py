@@ -245,6 +245,28 @@ def test_eckart_no_overflow_far_out():
         assert np.all(np.isfinite(g))
 
 
+
+def test_eckart_logistic_equals_scipy_expit_bits():
+    from scipy.special import expit
+
+    from sympb.models import _expit
+
+    # dense over both overflow edges (math.exp overflows below s = -709.78)
+    edge = 709.782712893384
+    s = np.concatenate([
+        np.linspace(-712.0, 712.0, 400_001),
+        np.linspace(-edge - 1e-9, -edge + 1e-9, 2001),
+        np.linspace(edge - 1e-9, edge + 1e-9, 2001),
+        [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324],
+    ])
+    assert np.array_equal(_expit(s).view(np.int64), expit(s).view(np.int64))
+    p = default_params()
+    x = np.linspace(-600.0 * p.a, 600.0 * p.a, 20_001)
+    u = expit((x + p.x0) / p.a)
+    oracle = p.A * u + p.B * u * (1.0 - u)
+    assert np.array_equal(eckart_potential(p, x).view(np.int64), oracle.view(np.int64))
+    assert float(eckart_potential(p, x[7])) == float(oracle[7])
+
 def test_symmetric_eckart_peak():
     p = EckartMorseParams(A=0.0, x0=0.0)
     assert eckart_potential(p, 0.0) == p.B / 4.0
