@@ -262,6 +262,14 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     Raises PreconditionError when an I-free term of ``K(0, J)`` has a negative
     coefficient: the box may then cut off part of the admissible region.
     """
+    return _action_volume_mc(model, e, samples, seed, None)
+
+
+def _action_volume_mc(model: CnfModel, e: float, samples: int, seed: int,
+                      j_max) -> FluxReport:
+    """``action_volume_mc`` with the box edges ``j_max`` already solved at
+    ``e`` (one per bath mode, as in ``WidthReport.j_max``), or None to solve
+    them here.  The checks run first either way, in the same order."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if model.n_bath < 1:
@@ -273,7 +281,9 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
         return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=int(samples),
                           std_error=0.0, seed=int(seed))
     nb = model.n_bath
-    box = np.array([j_max_cnf(model, e, k) for k in range(2, nb + 2)])
+    if j_max is None:
+        j_max = [j_max_cnf(model, e, k) for k in range(2, nb + 2)]
+    box = np.array(j_max)
     box_volume = float(np.prod(box))
 
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
@@ -316,7 +326,8 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     """Width and flux table over a uniform energy grid.
 
     Row i uses seed ``seed + i`` for its Monte-Carlo volume, recorded in the
-    seed column, so any row can be reproduced in isolation.
+    seed column, so any row can be reproduced in isolation.  Each root
+    ``J_k_max(E)`` is solved once: the width's roots are the volume's box.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -333,7 +344,7 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     for i, e in enumerate(energies):
         width = candidate_width(model, float(e))
         row_seed = seed + i
-        flux = action_volume_mc(model, float(e), samples, row_seed)
+        flux = _action_volume_mc(model, float(e), samples, row_seed, width.j_max)
         rows.append(
             (width.e, *width.j_max, width.c_cand, width.limiting_mode,
              flux.volume, flux.flux, flux.std_error, row_seed)

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Subcommands: capacity, widths, exp1, exp2, integrate, sample.  Parameters
-come from flags or a JSON config file (flags win); the env var SYMPB_SEED
-supplies the default seed.  Exit codes: 0 success, 1 numerical-domain error,
+Subcommands: capacity, widths, exp1, exp2, integrate, sample.  One table of
+``Opt`` entries per subcommand gives its flags and its JSON config keys, with
+the flag's type and choices for both (flags win); SYMPB_SEED supplies the
+seed when neither gives one.  Exit codes: 0 success, 1 numerical-domain error,
 2 I/O or usage error.  Every CSV starts with a comment line carrying the
 resolved configuration, so outputs are reproducible byte for byte.
 """
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,56 +42,176 @@ DEFAULT_RADII = "0.05,0.1,0.2,0.4"
 DEFAULT_XIS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
 
 
-def _default_seed() -> int:
+class Opt(NamedTuple):
+    """One option: the flag ``--key`` (or ``flags``) and, when ``keyed``, the
+    config key ``key``.  ``type`` is None for text and bool for a switch; a
+    callable ``default`` is called only when neither source gives a value.
+    ``exclusive`` options form the command's mutually exclusive group."""
+
+    key: str
+    type: Callable | None = None
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+    flags: tuple = ()
+    keyed: bool = True
+    exclusive: bool = False
+
+
+def _env_seed() -> int:
     raw = os.environ.get("SYMPB_SEED", "")
-    return int(raw) if raw else 0
+    try:
+        return int(raw) if raw else 0
+    except ValueError:
+        raise ValueError(f"SYMPB_SEED must be an integer, got {raw!r}") from None
 
 
-def _merge_config(args, defaults: dict) -> dict:
-    """Layer resolution: built-in defaults, then config file, then flags."""
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+SEED = Opt("seed", int, _env_seed)
+MODEL = (
+    Opt("builtin", choices=tuple(sorted(BUILTIN_CNF)), exclusive=True,
+        help="built-in coefficient set (default: eckart-morse-2dof)"),
+    Opt("model", exclusive=True, help="JSON coefficient file for the normal form"),
+)
+ENSEMBLE = (
+    Opt("n", int, 5000, help="trajectories per ensemble (default 5000)"),
+    Opt("e_center", float, 0.0),
+    Opt("delta_e", float, help="energy half-width (default 1%% of excess)"),
+    Opt("q1_range", float, 1.0),
+)
+OUTPUT = (
+    Opt("config", keyed=False, help="JSON config file; flags override its entries"),
+    Opt("output", flags=("-o", "--output"), help="output path (default: stdout)"),
+)
+TABLE_OUTPUT = (Opt("format", choices=("csv", "json")), *OUTPUT)
+
+OPTIONS = {
+    "capacity": (
+        Opt("matrix_file", flags=("matrix_file",), keyed=False, help="CSV or JSON matrix file"),
+        *OUTPUT,
+    ),
+    "widths": (
+        *MODEL,
+        Opt("e_min", float),
+        Opt("e_max", float),
+        Opt("steps", int, 11),
+        Opt("samples", int, 100000, help="Monte-Carlo samples per energy"),
+        SEED,
+        *TABLE_OUTPUT,
+    ),
+    "exp1": (
+        Opt("radii", default=DEFAULT_RADII, help=f"comma-separated radii (default {DEFAULT_RADII})"),
+        SEED._replace(help="mixer seed"),
+        Opt("sigma", float, evolution.DEFAULT_SIGMA, help="mixer strength"),
+        Opt("tau_points", int, evolution.DEFAULT_TAU_POINTS),
+        Opt("tau_max", float, help="default 3/lambda"),
+        Opt("e_ref", float, 0.0, help="energy of the reference width level"),
+        Opt("dof", int, 2, choices=(2, 3)),
+        Opt("curves_out", help="prefix for per-radius A(tau) curve files"),
+        *TABLE_OUTPUT,
+    ),
+    "exp2": (
+        *MODEL,
+        Opt("xis", default=DEFAULT_XIS, help=f"comma-separated xi values (default {DEFAULT_XIS})"),
+        *ENSEMBLE,
+        Opt("t_max", float, help="default 5/lambda"),
+        SEED,
+        *TABLE_OUTPUT,
+    ),
+    "sample": (
+        *MODEL,
+        Opt("kind", default="A", choices=("A", "B")),
+        Opt("xi", float, 0.0),
+        # sample's --help lists these flags without help text
+        *(opt._replace(help=None) for opt in ENSEMBLE),
+        SEED,
+        *TABLE_OUTPUT,
+    ),
+    "integrate": (
+        Opt("params", help="JSON parameter file (default: built-in parameters)"),
+        Opt("state0", help="comma-separated initial state q..., p..."),
+        Opt("h", float, 1e-3),
+        Opt("t_final", float, 10.0),
+        Opt("monitor_stride", int, 10),
+        Opt("fd_epsilon", float, 1e-6),
+        Opt("no_jacobian", bool, help="skip the finite-difference symplecticity check"),
+        Opt("max_drift", float,
+            help="exit 1 after writing the outputs if the energy drift exceeds this"),
+        *OUTPUT,
+    ),
+}
+
+_KINDS = {None: "text", bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _convert(opt: Opt, key: str, value):
+    """A config value as its flag gives it: converted with the flag's type
+    and checked against its choices.  Raises ValueError naming ``key``."""
+    if value is None and opt.default is None:
+        return None
+    got = json.dumps(value)
+    if opt.type is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+        if ok and opt.type is int and isinstance(value, float):
+            ok = value.is_integer()
+        if ok:
+            try:
+                value = (opt.type or str)(value)
+            except (ValueError, OverflowError):
+                ok = False
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {_KINDS[opt.type]}, got {got}")
+    if opt.choices is not None and value not in opt.choices:
+        choices = ", ".join(json.dumps(c) for c in opt.choices)
+        raise ValueError(f"config key {key!r} must be one of {choices}, got {got}")
+    return value
+
+
+def _merge_config(args, options) -> dict:
+    """Layer resolution: defaults, then the config file, then flags."""
+    table = {opt.key: opt for opt in options if opt.keyed}
+    loaded = {}
+    if args.config:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
             raise ValueError("config file must contain a JSON object")
-        for key, value in loaded.items():
-            norm = key.replace("-", "_")
-            if norm not in cfg:
+        for key, value in doc.items():
+            opt = table.get(key.replace("-", "_"))
+            if opt is None:
                 raise ValueError(f"unknown config key {key!r}")
-            cfg[norm] = value
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+            loaded[opt.key] = _convert(opt, key, value)
+    cfg = {}
+    for key, opt in table.items():
+        value = getattr(args, key)
+        if value is None:
+            value = loaded[key] if key in loaded else opt.default
+        cfg[key] = value() if callable(value) else value
     return cfg
 
 
+def _meta(command: str, cfg: dict, **extra) -> dict:
+    """The metadata line: the resolved configuration without the output path."""
+    return {"command": command, **{k: v for k, v in cfg.items() if k != "output"}, **extra}
+
+
 def _parse_floats(text: str, what: str) -> list:
-    items = [s for s in str(text).split(",") if s.strip() != ""]
+    items = [s for s in text.split(",") if s.strip() != ""]
     if not items:
         raise ValueError(f"{what} list is empty")
     return [float(s) for s in items]
 
 
 def _load_cnf(cfg):
-    if cfg.get("model"):
+    if cfg["model"]:
         return load_cnf_model(cfg["model"])
-    name = cfg.get("builtin") or "eckart-morse-2dof"
-    if name not in BUILTIN_CNF:
-        raise ValueError(
-            f"unknown builtin {name!r}; choose from {sorted(BUILTIN_CNF)}"
-        )
-    return builtin_cnf(BUILTIN_CNF[name])
+    return builtin_cnf(BUILTIN_CNF[cfg["builtin"] or "eckart-morse-2dof"])
 
 
 def _emit(report: ExperimentReport, cfg) -> None:
-    fmt = cfg.get("format") or "csv"
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown output format {fmt!r}")
-    target = cfg.get("output") or sys.stdout
-    if fmt == "json":
+    target = cfg["output"] or sys.stdout
+    if cfg["format"] == "json":
         report.to_json(target)
     else:
         report.to_csv(target)
@@ -104,12 +226,11 @@ def _write_text(text: str, output) -> None:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each takes the parsed flags and the resolved configuration
 # ---------------------------------------------------------------------------
 
 
-def cmd_capacity(args) -> int:
-    cfg = _merge_config(args, {"output": None})
+def cmd_capacity(args, cfg) -> int:
     m = load_matrix(args.matrix_file)
     spectrum = symplectic_spectrum(m)
     doc = {
@@ -121,67 +242,27 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def cmd_widths(args) -> int:
-    defaults = {
-        "builtin": None,
-        "model": None,
-        "e_min": None,
-        "e_max": None,
-        "steps": 11,
-        "samples": 100000,
-        "seed": _default_seed(),
-        "output": None,
-        "format": None,
-    }
-    cfg = _merge_config(args, defaults)
+def cmd_widths(args, cfg) -> int:
     if cfg["e_min"] is None or cfg["e_max"] is None:
         print("error: --e-min and --e-max are required", file=sys.stderr)
         return 2
-    model = _load_cnf(cfg)
-    meta = {"command": "widths", **{k: v for k, v in cfg.items() if k != "output"}}
-    report = energy_scan(
-        model,
-        float(cfg["e_min"]),
-        float(cfg["e_max"]),
-        int(cfg["steps"]),
-        int(cfg["samples"]),
-        int(cfg["seed"]),
-        extra_meta=meta,
-    )
+    report = energy_scan(_load_cnf(cfg), cfg["e_min"], cfg["e_max"], cfg["steps"],
+                         cfg["samples"], cfg["seed"], extra_meta=_meta("widths", cfg))
     _emit(report, cfg)
     return 0
 
 
-def cmd_exp1(args) -> int:
-    defaults = {
-        "radii": DEFAULT_RADII,
-        "seed": _default_seed(),
-        "sigma": evolution.DEFAULT_SIGMA,
-        "tau_points": evolution.DEFAULT_TAU_POINTS,
-        "tau_max": None,
-        "e_ref": 0.0,
-        "dof": 2,
-        "output": None,
-        "curves_out": None,
-        "format": None,
-    }
-    cfg = _merge_config(args, defaults)
-    model = builtin_quadratic(int(cfg["dof"]))
+def cmd_exp1(args, cfg) -> int:
+    model = builtin_quadratic(cfg["dof"])
     radii = _parse_floats(cfg["radii"], "radii")
     tau_max = cfg["tau_max"]
     if tau_max is None:
         tau_max = 3.0 / model.lam
-    tau_grid = np.linspace(0.0, float(tau_max), int(cfg["tau_points"]))
-    meta = {"command": "exp1", **{k: v for k, v in cfg.items() if k != "output"},
-            "radii": radii, "tau_max": float(tau_max)}
+    tau_grid = np.linspace(0.0, float(tau_max), cfg["tau_points"])
+    meta = _meta("exp1", cfg, radii=radii, tau_max=float(tau_max))
     report, curves = evolution.radius_scan_curves(
-        model,
-        radii,
-        int(cfg["seed"]),
-        tau_grid=tau_grid,
-        sigma=float(cfg["sigma"]),
-        e_ref=float(cfg["e_ref"]),
-        extra_meta=meta,
+        model, radii, cfg["seed"], tau_grid=tau_grid, sigma=cfg["sigma"],
+        e_ref=cfg["e_ref"], extra_meta=meta,
     )
     _emit(report, cfg)
     if cfg["curves_out"]:
@@ -190,62 +271,33 @@ def cmd_exp1(args) -> int:
     return 0
 
 
-def _ensemble_cfg(args, with_kind: bool):
-    defaults = {
-        "builtin": None,
-        "model": None,
-        "n": 5000,
-        "e_center": 0.0,
-        "delta_e": None,
-        "q1_range": 1.0,
-        "seed": _default_seed(),
-        "output": None,
-        "format": None,
-    }
-    if with_kind:
-        defaults.update({"kind": "A", "xi": 0.0})
-    else:
-        defaults.update({"xis": DEFAULT_XIS, "t_max": None})
-    cfg = _merge_config(args, defaults)
+def _ensemble(cfg, **spec_fields):
+    """The model and ensemble spec shared by exp2 and sample."""
     model = _load_cnf(cfg)
     delta_e = cfg["delta_e"]
     if delta_e is None:
-        delta_e = ensembles.default_delta_e(model, float(cfg["e_center"]))
-    return cfg, model, float(delta_e)
+        delta_e = ensembles.default_delta_e(model, cfg["e_center"])
+    spec = ensembles.EnsembleSpec(n_traj=cfg["n"], e_center=cfg["e_center"],
+                                  delta_e=float(delta_e), seed=cfg["seed"],
+                                  q1_range=cfg["q1_range"], **spec_fields)
+    return model, spec
 
 
-def cmd_exp2(args) -> int:
-    cfg, model, delta_e = _ensemble_cfg(args, with_kind=False)
+def cmd_exp2(args, cfg) -> int:
+    model, spec = _ensemble(cfg)
     xis = _parse_floats(cfg["xis"], "xi")
     t_max = cfg["t_max"]
     if t_max is None:
         t_max = ensembles.default_t_max(model)
-    spec = ensembles.EnsembleSpec(
-        n_traj=int(cfg["n"]),
-        e_center=float(cfg["e_center"]),
-        delta_e=delta_e,
-        seed=int(cfg["seed"]),
-        q1_range=float(cfg["q1_range"]),
-    )
-    meta = {"command": "exp2", **{k: v for k, v in cfg.items() if k != "output"},
-            "delta_e": delta_e, "t_max": float(t_max), "xis": xis}
+    meta = _meta("exp2", cfg, delta_e=spec.delta_e, t_max=float(t_max), xis=xis)
     report = ensembles.scan_report(model, spec, xis, float(t_max), extra_meta=meta)
     _emit(report, cfg)
     return 0
 
 
-def cmd_sample(args) -> int:
-    cfg, model, delta_e = _ensemble_cfg(args, with_kind=True)
-    kind = str(cfg["kind"])
-    spec = ensembles.EnsembleSpec(
-        n_traj=int(cfg["n"]),
-        e_center=float(cfg["e_center"]),
-        delta_e=delta_e,
-        seed=int(cfg["seed"]),
-        xi=float(cfg["xi"]),
-        q1_range=float(cfg["q1_range"]),
-    )
-    ens = ensembles.sample_ensemble(model, spec, kind)
+def cmd_sample(args, cfg) -> int:
+    model, spec = _ensemble(cfg, xi=cfg["xi"])
+    ens = ensembles.sample_ensemble(model, spec, cfg["kind"])
     nb = model.n_bath
     columns = (
         ["q1", "p1"]
@@ -254,42 +306,23 @@ def cmd_sample(args) -> int:
         + ["energy"]
     )
     rows = np.column_stack([ens.q1, ens.p1, ens.j, ens.phases, ens.energy]).tolist()
-    meta = {"command": "sample", **{k: v for k, v in cfg.items() if k != "output"},
-            "delta_e": delta_e}
-    report = ExperimentReport(columns=tuple(columns), rows=rows, meta=meta)
+    report = ExperimentReport(tuple(columns), rows, _meta("sample", cfg, delta_e=spec.delta_e))
     _emit(report, cfg)
     return 0
 
 
-def cmd_integrate(args) -> int:
-    defaults = {
-        "params": None,
-        "state0": None,
-        "h": 1e-3,
-        "t_final": 10.0,
-        "monitor_stride": 10,
-        "fd_epsilon": 1e-6,
-        "no_jacobian": None,
-        "max_drift": None,
-        "output": None,
-    }
-    cfg = _merge_config(args, defaults)
+def cmd_integrate(args, cfg) -> int:
     if cfg["state0"] is None:
         print("error: --state0 is required (comma-separated q..., p...)", file=sys.stderr)
         return 2
     max_drift = cfg["max_drift"]
-    if max_drift is not None:
-        max_drift = float(max_drift)
-        if not max_drift >= 0:
-            raise ValueError(f"--max-drift must be >= 0, got {max_drift}")
+    if max_drift is not None and not max_drift >= 0:
+        raise ValueError(f"--max-drift must be >= 0, got {max_drift}")
     params = load_params(cfg["params"]) if cfg["params"] else default_params()
     state0 = _parse_floats(cfg["state0"], "state0")
     icfg = integrators.IntegratorConfig(
-        h=float(cfg["h"]),
-        t_final=float(cfg["t_final"]),
-        monitor_stride=int(cfg["monitor_stride"]),
-        fd_epsilon=float(cfg["fd_epsilon"]),
-        compute_jacobian=not bool(cfg["no_jacobian"]),
+        h=cfg["h"], t_final=cfg["t_final"], monitor_stride=cfg["monitor_stride"],
+        fd_epsilon=cfg["fd_epsilon"], compute_jacobian=not cfg["no_jacobian"],
     )
     record = integrators.integrate(params, np.asarray(state0), icfg)
     d = record.states.shape[1] // 2
@@ -301,8 +334,8 @@ def cmd_integrate(args) -> int:
         "records": int(record.times.size),
     }
     # max_drift stays out of the metadata: the gate never changes the output bytes
-    meta = {"command": "integrate",
-            **{k: v for k, v in cfg.items() if k not in ("output", "max_drift")}}
+    meta = _meta("integrate", cfg)
+    del meta["max_drift"]
     if cfg["output"]:
         columns = ["t"] + [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)] + ["H"]
         rows = [
@@ -325,16 +358,19 @@ def cmd_integrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its entries")
-    sub.add_argument("-o", "--output", help="output path (default: stdout)")
-
-
-def _add_model_flags(sub):
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--builtin", choices=sorted(BUILTIN_CNF),
-                       help="built-in coefficient set (default: eckart-morse-2dof)")
-    group.add_argument("--model", help="JSON coefficient file for the normal form")
+def _add_options(parser, options) -> None:
+    group = None
+    for opt in options:
+        target = parser
+        if opt.exclusive:
+            group = group or parser.add_mutually_exclusive_group()
+            target = group
+        flags = opt.flags or ("--" + opt.key.replace("_", "-"),)
+        if opt.type is bool:
+            kwargs = {"action": "store_true", "default": None}
+        else:
+            kwargs = {"type": opt.type, "choices": opt.choices}
+        target.add_argument(*flags, help=opt.help, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,88 +380,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "and finite-time transmission experiments.",
     )
     sub = parser.add_subparsers(dest="cmd")
-
-    p = sub.add_parser("capacity", help="symplectic spectrum and capacity of an ellipsoid matrix")
-    p.add_argument("matrix_file", help="CSV or JSON matrix file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_capacity)
-
-    p = sub.add_parser("widths", help="energy scan of maximal actions, candidate width, and flux")
-    _add_model_flags(p)
-    p.add_argument("--e-min", type=float)
-    p.add_argument("--e-max", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--samples", type=int, help="Monte-Carlo samples per energy")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    _add_common(p)
-    p.set_defaults(handler=cmd_widths)
-
-    p = sub.add_parser("exp1", help="projection-area curves and the radius scan")
-    p.add_argument("--radii", help=f"comma-separated radii (default {DEFAULT_RADII})")
-    p.add_argument("--seed", type=int, help="mixer seed")
-    p.add_argument("--sigma", type=float, help="mixer strength")
-    p.add_argument("--tau-points", type=int)
-    p.add_argument("--tau-max", type=float, help="default 3/lambda")
-    p.add_argument("--e-ref", type=float, help="energy of the reference width level")
-    p.add_argument("--dof", type=int, choices=(2, 3))
-    p.add_argument("--curves-out", help="prefix for per-radius A(tau) curve files")
-    p.add_argument("--format", choices=("csv", "json"))
-    _add_common(p)
-    p.set_defaults(handler=cmd_exp1)
-
-    p = sub.add_parser("exp2", help="transmission-vs-localization scan with baseline")
-    _add_model_flags(p)
-    p.add_argument("--xis", help=f"comma-separated xi values (default {DEFAULT_XIS})")
-    p.add_argument("--n", type=int, help="trajectories per ensemble (default 5000)")
-    p.add_argument("--e-center", type=float)
-    p.add_argument("--delta-e", type=float, help="energy half-width (default 1%% of excess)")
-    p.add_argument("--q1-range", type=float)
-    p.add_argument("--t-max", type=float, help="default 5/lambda")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    _add_common(p)
-    p.set_defaults(handler=cmd_exp2)
-
-    p = sub.add_parser("sample", help="dump one sampled ensemble as a table")
-    _add_model_flags(p)
-    p.add_argument("--kind", choices=("A", "B"))
-    p.add_argument("--xi", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--e-center", type=float)
-    p.add_argument("--delta-e", type=float)
-    p.add_argument("--q1-range", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    _add_common(p)
-    p.set_defaults(handler=cmd_sample)
-
-    p = sub.add_parser("integrate", help="integrate the physical Hamiltonian with monitors")
-    p.add_argument("--params", help="JSON parameter file (default: built-in parameters)")
-    p.add_argument("--state0", help="comma-separated initial state q..., p...")
-    p.add_argument("--h", type=float)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--monitor-stride", type=int)
-    p.add_argument("--fd-epsilon", type=float)
-    p.add_argument("--no-jacobian", action="store_true", default=None,
-                   help="skip the finite-difference symplecticity check")
-    p.add_argument("--max-drift", type=float,
-                   help="exit 1 after writing the outputs if the energy drift exceeds this")
-    _add_common(p)
-    p.set_defaults(handler=cmd_integrate)
-
+    for name, handler, help_text in (
+        ("capacity", cmd_capacity, "symplectic spectrum and capacity of an ellipsoid matrix"),
+        ("widths", cmd_widths, "energy scan of maximal actions, candidate width, and flux"),
+        ("exp1", cmd_exp1, "projection-area curves and the radius scan"),
+        ("exp2", cmd_exp2, "transmission-vs-localization scan with baseline"),
+        ("sample", cmd_sample, "dump one sampled ensemble as a table"),
+        ("integrate", cmd_integrate, "integrate the physical Hamiltonian with monitors"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_options(p, OPTIONS[name])
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = getattr(args, "handler", None)
-    if handler is None:
+    if args.cmd is None:
         parser.print_help()
         return 2
     try:
-        return handler(args)
+        return args.handler(args, _merge_config(args, OPTIONS[args.cmd]))
     except SympbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

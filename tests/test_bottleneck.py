@@ -451,3 +451,30 @@ def test_energy_scan_validation():
         energy_scan(builtin_cnf(2), 1.0, 0.0, steps=2, samples=10, seed=0)
     with pytest.raises(BelowSaddleError):
         energy_scan(builtin_cnf(2), E0 - 1.0, 0.0, steps=2, samples=10, seed=0)
+
+
+def test_energy_scan_solves_each_root_once(monkeypatch):
+    # the width's roots are the Monte-Carlo box: steps x n_bath solves, and
+    # the rows equal candidate_width plus action_volume_mc bit for bit
+    model = builtin_cnf(3)
+    steps, samples, seed = 4, 500, 3
+    expected = []
+    for i, e in enumerate(np.linspace(0.1, 1.0, steps).tolist()):
+        w = candidate_width(model, e)
+        f = action_volume_mc(model, e, samples, seed + i)
+        expected.append((w.e, *w.j_max, w.c_cand, w.limiting_mode,
+                         f.volume, f.flux, f.std_error, seed + i))
+    calls = []
+    real = bottleneck.j_max_cnf
+
+    def counting(model, e, k):
+        calls.append((e, k))
+        return real(model, e, k)
+
+    monkeypatch.setattr(bottleneck, "j_max_cnf", counting)
+    report = energy_scan(model, 0.1, 1.0, steps=steps, samples=samples, seed=seed)
+    assert len(calls) == steps * model.n_bath
+    assert len(set(calls)) == len(calls)
+    assert report.rows == expected
+    with pytest.raises(ValueError, match="samples"):
+        energy_scan(model, 0.1, 1.0, steps=2, samples=0, seed=0)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import sympb
 from sympb import save_matrix
-from sympb.cli import main
+from sympb.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -502,6 +503,215 @@ def test_integrate_max_drift_pass_keeps_output_bytes(tmp_path, capsys):
         assert code == 0 and err == ""
         outputs.append([open(base + ext, "rb").read() for ext in (".csv", ".json")])
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# options: flags, config keys and SYMPB_SEED
+# ---------------------------------------------------------------------------
+
+
+# Every action of every subcommand as (option strings, dest, type, choices,
+# default), in parser order; a dropped, renamed or retyped flag fails here.
+FLAG_INVENTORY = {
+    "capacity": [
+        (("-h", "--help"), "help", None, None, "==SUPPRESS=="),
+        ((), "matrix_file", None, None, None),
+        (("--config",), "config", None, None, None),
+        (("-o", "--output"), "output", None, None, None),
+    ],
+    "widths": [
+        (("-h", "--help"), "help", None, None, "==SUPPRESS=="),
+        (("--builtin",), "builtin", None, ("eckart-morse-2dof", "eckart-morse-morse-3dof"), None),
+        (("--model",), "model", None, None, None),
+        (("--e-min",), "e_min", float, None, None),
+        (("--e-max",), "e_max", float, None, None),
+        (("--steps",), "steps", int, None, None),
+        (("--samples",), "samples", int, None, None),
+        (("--seed",), "seed", int, None, None),
+        (("--format",), "format", None, ("csv", "json"), None),
+        (("--config",), "config", None, None, None),
+        (("-o", "--output"), "output", None, None, None),
+    ],
+    "exp1": [
+        (("-h", "--help"), "help", None, None, "==SUPPRESS=="),
+        (("--radii",), "radii", None, None, None),
+        (("--seed",), "seed", int, None, None),
+        (("--sigma",), "sigma", float, None, None),
+        (("--tau-points",), "tau_points", int, None, None),
+        (("--tau-max",), "tau_max", float, None, None),
+        (("--e-ref",), "e_ref", float, None, None),
+        (("--dof",), "dof", int, (2, 3), None),
+        (("--curves-out",), "curves_out", None, None, None),
+        (("--format",), "format", None, ("csv", "json"), None),
+        (("--config",), "config", None, None, None),
+        (("-o", "--output"), "output", None, None, None),
+    ],
+    "exp2": [
+        (("-h", "--help"), "help", None, None, "==SUPPRESS=="),
+        (("--builtin",), "builtin", None, ("eckart-morse-2dof", "eckart-morse-morse-3dof"), None),
+        (("--model",), "model", None, None, None),
+        (("--xis",), "xis", None, None, None),
+        (("--n",), "n", int, None, None),
+        (("--e-center",), "e_center", float, None, None),
+        (("--delta-e",), "delta_e", float, None, None),
+        (("--q1-range",), "q1_range", float, None, None),
+        (("--t-max",), "t_max", float, None, None),
+        (("--seed",), "seed", int, None, None),
+        (("--format",), "format", None, ("csv", "json"), None),
+        (("--config",), "config", None, None, None),
+        (("-o", "--output"), "output", None, None, None),
+    ],
+    "sample": [
+        (("-h", "--help"), "help", None, None, "==SUPPRESS=="),
+        (("--builtin",), "builtin", None, ("eckart-morse-2dof", "eckart-morse-morse-3dof"), None),
+        (("--model",), "model", None, None, None),
+        (("--kind",), "kind", None, ("A", "B"), None),
+        (("--xi",), "xi", float, None, None),
+        (("--n",), "n", int, None, None),
+        (("--e-center",), "e_center", float, None, None),
+        (("--delta-e",), "delta_e", float, None, None),
+        (("--q1-range",), "q1_range", float, None, None),
+        (("--seed",), "seed", int, None, None),
+        (("--format",), "format", None, ("csv", "json"), None),
+        (("--config",), "config", None, None, None),
+        (("-o", "--output"), "output", None, None, None),
+    ],
+    "integrate": [
+        (("-h", "--help"), "help", None, None, "==SUPPRESS=="),
+        (("--params",), "params", None, None, None),
+        (("--state0",), "state0", None, None, None),
+        (("--h",), "h", float, None, None),
+        (("--t-final",), "t_final", float, None, None),
+        (("--monitor-stride",), "monitor_stride", int, None, None),
+        (("--fd-epsilon",), "fd_epsilon", float, None, None),
+        (("--no-jacobian",), "no_jacobian", None, None, None),
+        (("--max-drift",), "max_drift", float, None, None),
+        (("--config",), "config", None, None, None),
+        (("-o", "--output"), "output", None, None, None),
+    ],
+}
+
+
+def test_flag_inventory():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: [
+            (tuple(a.option_strings), a.dest, a.type,
+             None if a.choices is None else tuple(a.choices), a.default)
+            for a in p._actions
+        ]
+        for name, p in sub.choices.items()
+    }
+    assert got == FLAG_INVENTORY
+    assert list(got) == list(FLAG_INVENTORY)
+
+
+# One small run per subcommand, each config value in its natural JSON type.
+CONFIG_RUNS = [
+    ("widths", {"builtin": "eckart-morse-morse-3dof", "e_min": 0, "e_max": 1, "steps": 3,
+                "samples": 400, "seed": 4, "format": "json"}),
+    ("exp1", {"radii": "0.1,0.2", "seed": 2, "sigma": 1, "tau_points": 20, "tau_max": 2,
+              "e_ref": 0, "dof": 3, "curves_out": "curve"}),
+    ("exp2", {"builtin": "eckart-morse-2dof", "xis": "0,0.5", "n": 40, "e_center": 0,
+              "delta_e": 0, "q1_range": 2, "t_max": 3, "seed": 5}),
+    ("sample", {"kind": "B", "xi": 1, "n": 10, "e_center": 0, "q1_range": 2, "seed": 1}),
+    ("integrate", {"state0": "-2,0.3,0.9,-0.2", "h": 0.01, "t_final": 1, "monitor_stride": 5,
+                   "fd_epsilon": 1e-6, "no_jacobian": True, "max_drift": 1}),
+]
+
+
+@pytest.mark.parametrize("cmd,values", CONFIG_RUNS, ids=[cmd for cmd, _ in CONFIG_RUNS])
+def test_config_run_writes_flag_run_bytes(tmp_path, monkeypatch, capsys, cmd, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    flags = [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+             for key, value in values.items()]
+    runs = []
+    for argv in (flags, ["--config", str(cfg)]):
+        work = tmp_path / f"run{len(runs)}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run_cli(capsys, cmd, *argv, "-o", "out")
+        assert code == 0, err
+        runs.append((out, {p.name: p.read_bytes() for p in work.iterdir()}))
+    assert runs[0][1] and runs[0] == runs[1]
+
+
+# Small valid flags per subcommand, so that only the config value is at fault.
+BASE_ARGV = {
+    "widths": ("--e-min", "0", "--e-max", "1", "--steps", "2", "--samples", "100"),
+    "exp1": ("--radii", "0.1", "--tau-points", "5"),
+    "exp2": ("--n", "20", "--xis", "0.5"),
+    "sample": ("--n", "5"),
+    "integrate": ("--state0=-2,0.3,0.9,-0.2", "--h", "0.01", "--t-final", "0.1"),
+}
+
+BAD_CONFIGS = [
+    ("widths", "steps", 2.7),
+    ("integrate", "no_jacobian", "false"),
+    ("exp1", "dof", 4),
+    ("widths", "seed", None),
+    ("widths", "steps", [3]),
+    ("exp1", "sigma", True),
+    ("widths", "samples", {"n": 3}),
+    ("widths", "format", "xml"),
+    ("sample", "kind", "C"),
+    ("widths", "builtin", "eckart-3dof"),
+    ("exp2", "n", "many"),
+    ("exp1", "radii", False),
+    ("integrate", "max-drift", "1e-3x"),
+    ("widths", "e_max", 10**400),
+]
+
+
+@pytest.mark.parametrize("cmd,key,value", BAD_CONFIGS,
+                         ids=[f"{cmd}-{key}-{json.dumps(v)[:12]}" for cmd, key, v in BAD_CONFIGS])
+def test_malformed_config_exit_two(tmp_path, capsys, cmd, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, cmd, *BASE_ARGV[cmd], "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"'{key}'" in err
+
+
+def test_malformed_config_fresh_interpreter(tmp_path):
+    # a null seed once escaped as a TypeError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympb", "widths", *BASE_ARGV["widths"], "--config", str(cfg)],
+        capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: config key 'seed' must be an integer, got null\n"
+
+
+def test_config_values_follow_flag_types(tmp_path, capsys):
+    # integral numbers for int options and numeric text, as the flags take them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 2.0, "samples": "100", "e-min": "0", "e_max": 1}))
+    code, out, _ = run_cli(capsys, "widths", "--config", str(cfg), "--seed", "1")
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert (meta["steps"], meta["samples"], meta["e_min"], meta["e_max"]) == (2, 100, 0.0, 1.0)
+    assert len(rows) == 2
+
+
+def test_seed_env_read_only_without_a_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYMPB_SEED", "abc")
+    argv = ("widths", "--e-min", "0", "--e-max", "0", "--steps", "1", "--samples", "100")
+    code, out, err = run_cli(capsys, *argv, "--seed", "3")
+    assert code == 0, err
+    assert parse_csv(out)[0]["seed"] == 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 4}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0, err
+    assert parse_csv(out)[0]["seed"] == 4
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: SYMPB_SEED must be an integer, got 'abc'\n"
 
 
 # ---------------------------------------------------------------------------
