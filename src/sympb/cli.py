@@ -169,7 +169,9 @@ def _convert(opt: Opt, key: str, value):
 
 
 def _merge_config(args, options) -> dict:
-    """Layer resolution: defaults, then the config file, then flags."""
+    """Layer resolution: defaults, then the config file, then flags.  The
+    command's exclusive group is one setting: the config may set only one of
+    its keys, and a flag in it overrides every config key of the group."""
     table = {opt.key: opt for opt in options if opt.keyed}
     loaded = {}
     if args.config:
@@ -182,6 +184,14 @@ def _merge_config(args, options) -> dict:
             if opt is None:
                 raise ValueError(f"unknown config key {key!r}")
             loaded[opt.key] = _convert(opt, key, value)
+    group = [opt.key for opt in options if opt.exclusive]
+    in_config = [key for key in group if loaded.get(key) is not None]
+    if len(in_config) > 1:
+        raise ValueError(f"config keys {' and '.join(map(repr, in_config))} are mutually "
+                         "exclusive")
+    if any(getattr(args, key) is not None for key in group):
+        for key in group:
+            loaded.pop(key, None)
     cfg = {}
     for key, opt in table.items():
         value = getattr(args, key)

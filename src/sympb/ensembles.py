@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bottleneck import j_max_cnf
+from .bottleneck import _check_monotone, j_max_cnf
 from .errors import BelowSaddleError, ConvergenceError, SamplingError
 from .models import CnfModel, effective_lyapunov, eval_cnf, eval_dk_di
 from .tables import ExperimentReport
@@ -195,8 +195,11 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
     from its own substream, in the order of :func:`sample_ensemble`, and
     J2max(E') is solved once per point.  A (point, ensemble) pair whose first
     J_2 draw gives I' < 0 replays that point's substream in
-    :func:`_redraw_point`.
+    :func:`_redraw_point`.  Like the Monte-Carlo volume, the draws assume
+    that the axis-root box holds the admissible region, so a model whose
+    ``K(0, J)`` decreases in a bath action raises PreconditionError.
     """
+    _check_monotone(model)
     e_lo = spec.e_center - spec.delta_e
     e_hi = spec.e_center + spec.delta_e
     if e_lo <= model.e0:
@@ -253,6 +256,8 @@ def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> Ensemble:
     [-q1_range, -1e-9] and P_1 = +sqrt(Q_1^2 + 2 I').  Draws with I' < 0
     redraw J_2.  Each point has its own seed substream, so results do not
     depend on evaluation order.  Returns an ensemble of shape ``(n_traj,)``.
+    A model whose ``K(0, J)`` decreases in a bath action raises
+    PreconditionError, as in :func:`~sympb.bottleneck.action_volume_mc`.
     """
     if kind not in ("A", "B"):
         raise ValueError(f"ensemble kind must be 'A' or 'B', got {kind!r}")

@@ -83,30 +83,56 @@ def _record_times(h: float, nsteps: int, stride: int) -> np.ndarray:
     return idx * h
 
 
+def _displaced_starts(state0: np.ndarray, eps: float) -> np.ndarray:
+    """The 4d start states of the central-difference Jacobian: rows 2c and
+    2c + 1 displace coordinate c by +eps and -eps."""
+    dim = state0.size
+    starts = np.repeat(state0[None], 2 * dim, axis=0)
+    cols = np.arange(dim)
+    starts[2 * cols, cols] += eps
+    starts[2 * cols + 1, cols] -= eps
+    return starts
+
+
+def _difference_quotient(final: np.ndarray, eps: float) -> np.ndarray:
+    """The Jacobian from the final states of :func:`_displaced_starts`' rows."""
+    return ((final[0::2] - final[1::2]) / (2.0 * eps)).T.copy()
+
+
 def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> TrajectoryRecord:
     """Fixed-step integration to t_final with monitored records.
 
     States are recorded every ``monitor_stride`` steps (first and last always
-    included).  A non-finite monitored state raises DivergenceError carrying
-    the failing time.  When ``compute_jacobian`` is set, the Jacobian of the
-    time-t_final map is estimated by central differences (4d trajectories)
-    and its symplecticity defect reported.
+    included).  When ``compute_jacobian`` is set, the Jacobian of the
+    time-t_final map is estimated by central differences and its
+    symplecticity defect reported: the trajectory and its 4d displaced
+    trajectories run as one Verlet batch of 1 + 4d rows, and each row gives
+    the same bytes as on its own.  A non-finite monitored state raises
+    DivergenceError carrying the time of that record; the message names an
+    auxiliary trajectory when only a displaced row is non-finite there.
     """
     q0, p0 = _split_state(state0)
+    d = q0.size
+    starts = np.concatenate([q0, p0])[None]
+    if cfg.compute_jacobian:
+        starts = np.vstack([starts, _displaced_starts(starts[0], cfg.fd_epsilon)])
     nsteps = max(1, int(round(cfg.t_final / cfg.h)))
     times = _record_times(cfg.h, nsteps, cfg.monitor_stride)
-    qs, ps, bad = kernels.verlet_run(p, q0[None], p0[None], cfg.h, nsteps, cfg.monitor_stride)
+    qs, ps, bad = kernels.verlet_run(
+        p, starts[:, :d], starts[:, d:], cfg.h, nsteps, cfg.monitor_stride
+    )
     if bad >= 0:
-        raise DivergenceError(
-            f"state became non-finite at t = {times[bad]:.6g}", time=times[bad]
-        )
+        main_finite = np.isfinite(qs[bad, 0]).all() and np.isfinite(ps[bad, 0]).all()
+        what = "auxiliary trajectory" if main_finite else "state"
+        raise DivergenceError(f"{what} became non-finite at t = {times[bad]:.6g}",
+                              time=times[bad])
     states = np.hstack([qs[:, 0], ps[:, 0]])
     energies = full_hamiltonian(p, states)
     drift = float(np.max(np.abs(energies - energies[0])))
     sympl_err = None
     jac = None
     if cfg.compute_jacobian:
-        jac = finite_difference_jacobian(p, state0, cfg)
+        jac = _difference_quotient(np.hstack([qs[-1, 1:], ps[-1, 1:]]), cfg.fd_epsilon)
         sympl_err = symplecticity_defect(jac)
     return TrajectoryRecord(
         times=times,
@@ -121,28 +147,21 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
 def finite_difference_jacobian(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> np.ndarray:
     """Central-difference Jacobian of the time-t_final map at state0.
 
-    Runs two displaced trajectories per coordinate (4d in total, matching the
-    documented budget) as one batch.
+    Runs the two displaced trajectories per coordinate (4d in total, matching
+    the documented budget) as one batch; :func:`integrate` runs the same rows
+    behind its reference trajectory, so both give the same bytes.
     """
-    state0 = np.asarray(state0, dtype=float)
-    _split_state(state0)
-    dim = state0.size
+    q0, p0 = _split_state(state0)
+    d = q0.size
+    starts = _displaced_starts(np.concatenate([q0, p0]), cfg.fd_epsilon)
     nsteps = max(1, int(round(cfg.t_final / cfg.h)))
-    # rows 2c and 2c + 1 displace coordinate c by +fd_epsilon and -fd_epsilon
-    starts = np.repeat(state0[None], 2 * dim, axis=0)
-    cols = np.arange(dim)
-    starts[2 * cols, cols] += cfg.fd_epsilon
-    starts[2 * cols + 1, cols] -= cfg.fd_epsilon
-    qs, ps, bad = kernels.verlet_run(
-        p, starts[:, : dim // 2], starts[:, dim // 2:], cfg.h, nsteps, nsteps
-    )
+    qs, ps, bad = kernels.verlet_run(p, starts[:, :d], starts[:, d:], cfg.h, nsteps, nsteps)
     if bad >= 0:
         t_bad = _record_times(cfg.h, nsteps, nsteps)[bad]
         raise DivergenceError(
             f"auxiliary trajectory became non-finite at t = {t_bad:.6g}", time=t_bad
         )
-    final = np.hstack([qs[-1], ps[-1]])
-    return ((final[0::2] - final[1::2]) / (2.0 * cfg.fd_epsilon)).T.copy()
+    return _difference_quotient(np.hstack([qs[-1], ps[-1]]), cfg.fd_epsilon)
 
 
 def symplecticity_defect(jac: np.ndarray) -> float:

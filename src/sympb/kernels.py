@@ -2,8 +2,8 @@
 
 Two loops dominate runtime: Monte-Carlo membership counting for action-space
 volumes and the Stormer-Verlet integration loop.  The Verlet loop steps a
-batch of trajectories together; each row gives the same values, bit for bit,
-as a batch of one.
+batch of trajectories together and evaluates the potential gradient once per
+step; each row gives the same values, bit for bit, as a batch of one.
 """
 
 from __future__ import annotations
@@ -34,6 +34,12 @@ def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride:
     Returns ``(qs, ps, bad)``: records of shape ``(nrec, k, d)`` and the index
     of the first record at which any row is non-finite (the records stop
     there), or -1.
+
+    The gradient is evaluated once before the loop and once per step: the
+    closing half-kick of a step and the opening half-kick of the next one
+    act at the same ``q``, so they share it (first same as last).  The two
+    half-kicks stay separate updates, which keeps the bits of two gradient
+    evaluations per step.
     """
     q = np.array(q0, dtype=np.float64)
     p = np.array(p0, dtype=np.float64)
@@ -46,10 +52,12 @@ def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride:
     rec = 1
     # overflow to inf/nan is detected at record points, not raised
     with np.errstate(over="ignore", invalid="ignore"):
+        g = grad_potential(params, q)
         for step in range(1, nsteps + 1):
-            p -= half_h * grad_potential(params, q)
+            p -= half_h * g
             q += h * velocities(params, p)
-            p -= half_h * grad_potential(params, q)
+            g = grad_potential(params, q)
+            p -= half_h * g
             if step % stride == 0 or step == nsteps:
                 qs[rec] = q
                 ps[rec] = p

@@ -6,10 +6,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import sympb
 from sympb import (
     CnfModel,
+    DivergenceError,
     IntegratorConfig,
     action_volume_mc,
     builtin_cnf,
@@ -264,3 +266,61 @@ def test_finite_difference_jacobian_matches_per_column_oracle():
         jac = finite_difference_jacobian(PARAMS, state0, cfg)
         assert jac.flags.c_contiguous
         assert jac.tobytes() == oracle_jacobian(PARAMS, state0, cfg).tobytes()
+
+
+STATES = (np.array([-2.0, 0.3, 0.9, -0.2]), np.array([-0.5, 0.25, -0.2, 0.4, -0.3, 0.2]))
+
+
+def test_integrate_jacobian_rows_match_oracles():
+    # the trajectory and its 4d displaced rows run as one batch
+    for state0 in STATES:
+        cfg = IntegratorConfig(h=1e-3, t_final=0.3, monitor_stride=7)
+        rec = integrate(PARAMS, state0, cfg)
+        alone = integrate(PARAMS, state0, IntegratorConfig(h=1e-3, t_final=0.3, monitor_stride=7,
+                                                           compute_jacobian=False))
+        assert rec.states.tobytes() == alone.states.tobytes()
+        assert rec.energies.tobytes() == alone.energies.tobytes()
+        assert rec.jacobian.flags.c_contiguous
+        assert rec.jacobian.tobytes() == oracle_jacobian(PARAMS, state0, cfg).tobytes()
+
+
+def test_integrate_one_batch_one_gradient_per_step(monkeypatch):
+    calls = {"verlet_run": 0, "grad_potential": 0}
+    real_run, real_grad = kernels.verlet_run, kernels.grad_potential
+
+    def counting_run(*args):
+        calls["verlet_run"] += 1
+        return real_run(*args)
+
+    def counting_grad(params, q):
+        calls["grad_potential"] += 1
+        return real_grad(params, q)
+
+    monkeypatch.setattr(kernels, "verlet_run", counting_run)
+    monkeypatch.setattr(kernels, "grad_potential", counting_grad)
+    rec = integrate(PARAMS, STATES[1], IntegratorConfig(h=1e-3, t_final=0.25))
+    assert rec.jacobian.shape == (6, 6)
+    assert calls == {"verlet_run": 1, "grad_potential": 250 + 1}
+
+
+def test_integrate_auxiliary_divergence_time():
+    # fd_epsilon 400 sends the row displacing q2 by -400 into Morse overflow
+    state0 = STATES[0]
+    cfg = IntegratorConfig(h=1e-3, t_final=0.5, monitor_stride=30, fd_epsilon=400.0)
+    zm = state0.copy()
+    zm[1] -= cfg.fd_epsilon
+    _, _, bad = oracle_run(PARAMS, zm[:2], zm[2:], cfg.h, 500, cfg.monitor_stride)
+    assert bad >= 1
+    with pytest.raises(DivergenceError) as exc:
+        integrate(PARAMS, state0, cfg)
+    assert str(exc.value).startswith("auxiliary trajectory became non-finite at t = ")
+    assert exc.value.time == bad * cfg.monitor_stride * cfg.h
+    assert exc.value.time < cfg.t_final
+
+
+def test_integrate_main_divergence_with_jacobian():
+    cfg = IntegratorConfig(h=0.01, t_final=1.0)
+    with pytest.raises(DivergenceError) as exc:
+        integrate(PARAMS, np.array([-50.0, -400.0, 0.0, 0.0]), cfg)
+    assert str(exc.value) == "state became non-finite at t = 0.1"
+    assert exc.value.time == pytest.approx(0.1, abs=1e-12)

@@ -181,6 +181,48 @@ def test_widths_non_monotone_model_exit_one(tmp_path, capsys):
     assert err.startswith("error:") and "J_2*J_3" in err
 
 
+@pytest.mark.parametrize("cmd", ["sample", "exp2"])
+def test_sampler_non_monotone_model_exit_one(tmp_path, capsys, cmd):
+    # K(0, J) = J - 0.1 J^2 turns down at J = 5, inside the axis-root box
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"e0": 0.0, "terms": [
+        {"i": 1, "j": [0], "c": 1.0}, {"i": 0, "j": [1], "c": 1.0},
+        {"i": 0, "j": [2], "c": -0.1},
+    ]}))
+    code, out, err = run_cli(capsys, cmd, "--model", str(model), "--n", "20",
+                             "--e-center", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "-0.1*J_2^2" in err
+
+
+def test_builtin_flag_beats_config_model(tmp_path, monkeypatch, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"e0": -0.5, "terms": [
+        {"i": 1, "j": [0], "c": 1.0}, {"i": 0, "j": [1], "c": 1.0},
+    ]}))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": str(model)}))
+    argv = ["widths", "--builtin", "eckart-morse-morse-3dof", "--e-min", "0", "--e-max", "1",
+            "--steps", "2", "--samples", "200", "--seed", "3"]
+    monkeypatch.delenv("SYMPB_SEED", raising=False)
+    code, flag_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0, err
+    meta, columns, _ = parse_csv(out)
+    assert meta["builtin"] == "eckart-morse-morse-3dof" and meta["model"] is None
+    assert columns[:3] == ["E", "J_max_2", "J_max_3"]
+    assert out.splitlines()[1:] == flag_out.splitlines()[1:]
+
+
+def test_config_with_builtin_and_model_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"builtin": "eckart-morse-2dof", "model": "m.json"}))
+    code, out, err = run_cli(capsys, "widths", *BASE_ARGV["widths"], "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: config keys 'builtin' and 'model' are mutually exclusive\n"
+
+
 
 def test_widths_nan_root_exit_one(monkeypatch, capsys):
     from sympb import bottleneck, builtin_cnf
