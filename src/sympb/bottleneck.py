@@ -288,14 +288,18 @@ def _action_volume_mc(model: CnfModel, e: float, samples: int, seed: int,
 
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
+    # ``uniform(0.0, box)`` computes ``0.0 + box * u``, which is ``u * box``
+    # bit for bit; filling one buffer with ``random`` and scaling it in place
+    # avoids numpy's broadcast path for an array-valued ``high``.
+    buf = np.empty((min(MC_CHUNK, samples), nb))
     hits = 0
     remaining = samples
     for child in children:
-        m = min(MC_CHUNK, remaining)
-        rng = np.random.default_rng(child)
-        js = rng.uniform(0.0, box, size=(m, nb))
+        js = buf[:min(MC_CHUNK, remaining)]
+        np.random.default_rng(child).random(out=js)
+        js *= box
         hits += kernels.count_box_hits(model, js, e)
-        remaining -= m
+        remaining -= len(js)
     p_hat = hits / samples
     volume = box_volume * p_hat
     std_error = box_volume * math.sqrt(p_hat * (1.0 - p_hat) / samples)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -45,8 +46,10 @@ DEFAULT_XIS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
 class Opt(NamedTuple):
     """One option: the flag ``--key`` (or ``flags``) and, when ``keyed``, the
     config key ``key``.  ``type`` is None for text and bool for a switch; a
-    callable ``default`` is called only when neither source gives a value.
-    ``exclusive`` options form the command's mutually exclusive group."""
+    float must be finite, and a number must be at least ``minimum`` when one
+    is given.  A callable ``default`` is called only when neither source gives
+    a value.  ``exclusive`` options form the command's mutually exclusive
+    group."""
 
     key: str
     type: Callable | None = None
@@ -56,17 +59,19 @@ class Opt(NamedTuple):
     flags: tuple = ()
     keyed: bool = True
     exclusive: bool = False
+    minimum: float | None = None
 
 
 def _env_seed() -> int:
     raw = os.environ.get("SYMPB_SEED", "")
     try:
-        return int(raw) if raw else 0
+        seed = int(raw) if raw else 0
     except ValueError:
         raise ValueError(f"SYMPB_SEED must be an integer, got {raw!r}") from None
+    return _checked(SEED, "SYMPB_SEED", seed)
 
 
-SEED = Opt("seed", int, _env_seed)
+SEED = Opt("seed", int, _env_seed, minimum=0)
 MODEL = (
     Opt("builtin", choices=tuple(sorted(BUILTIN_CNF)), exclusive=True,
         help="built-in coefficient set (default: eckart-morse-2dof)"),
@@ -143,9 +148,24 @@ OPTIONS = {
 _KINDS = {None: "text", bool: "true or false", int: "an integer", float: "a number"}
 
 
+def _flag(opt: Opt) -> str:
+    return opt.flags[-1] if opt.flags else "--" + opt.key.replace("_", "-")
+
+
+def _checked(opt: Opt, name: str, value):
+    """``value`` if it is finite and at least ``opt.minimum``; otherwise
+    raises ValueError naming the option as ``name``."""
+    if opt.type is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if opt.minimum is not None and value < opt.minimum:
+        raise ValueError(f"{name} must be >= {opt.minimum}, got {value!r}")
+    return value
+
+
 def _convert(opt: Opt, key: str, value):
     """A config value as its flag gives it: converted with the flag's type
-    and checked against its choices.  Raises ValueError naming ``key``."""
+    and checked against its choices and as ``_checked`` checks a flag.
+    Raises ValueError naming ``key``."""
     if value is None and opt.default is None:
         return None
     got = json.dumps(value)
@@ -165,7 +185,7 @@ def _convert(opt: Opt, key: str, value):
     if opt.choices is not None and value not in opt.choices:
         choices = ", ".join(json.dumps(c) for c in opt.choices)
         raise ValueError(f"config key {key!r} must be one of {choices}, got {got}")
-    return value
+    return _checked(opt, f"config key {key!r}", value)
 
 
 def _merge_config(args, options) -> dict:
@@ -197,6 +217,8 @@ def _merge_config(args, options) -> dict:
         value = getattr(args, key)
         if value is None:
             value = loaded[key] if key in loaded else opt.default
+        else:
+            value = _checked(opt, _flag(opt), value)
         cfg[key] = value() if callable(value) else value
     return cfg
 
@@ -210,7 +232,16 @@ def _parse_floats(text: str, what: str) -> list:
     items = [s for s in text.split(",") if s.strip() != ""]
     if not items:
         raise ValueError(f"{what} list is empty")
-    return [float(s) for s in items]
+    values = []
+    for s in items:
+        try:
+            value = float(s)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{what} must hold finite numbers, got {s.strip()!r}")
+        values.append(value)
+    return values
 
 
 def _load_cnf(cfg):
@@ -295,7 +326,7 @@ def _ensemble(cfg, **spec_fields):
 
 def cmd_exp2(args, cfg) -> int:
     model, spec = _ensemble(cfg)
-    xis = _parse_floats(cfg["xis"], "xi")
+    xis = _parse_floats(cfg["xis"], "xis")
     t_max = cfg["t_max"]
     if t_max is None:
         t_max = ensembles.default_t_max(model)
@@ -375,7 +406,7 @@ def _add_options(parser, options) -> None:
         if opt.exclusive:
             group = group or parser.add_mutually_exclusive_group()
             target = group
-        flags = opt.flags or ("--" + opt.key.replace("_", "-"),)
+        flags = opt.flags or (_flag(opt),)
         if opt.type is bool:
             kwargs = {"action": "store_true", "default": None}
         else:

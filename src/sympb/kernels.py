@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import CnfModel, EckartMorseParams, eval_cnf, grad_potential, velocities
+from .models import (
+    CnfModel,
+    EckartMorseParams,
+    _bath_columns,
+    _term_sum,
+    grad_potential,
+    velocities,
+)
 
 __all__ = ["count_box_hits", "verlet_run"]
 
@@ -19,10 +26,11 @@ def count_box_hits(model: CnfModel, j_samples, e: float) -> int:
     """Number of rows ``J`` of ``j_samples`` (shape ``(m, n_bath)``) with
     ``K(0, J) <= e``.
 
-    At I = 0 the terms that carry I add only +/-0.0, so the count equals that
-    of the I-free part of the polynomial.
+    Only the I-free terms are evaluated: at I = 0 a term that carries I adds
+    +/-0.0 for finite J, so the count equals that of the whole polynomial.
     """
-    return int(np.count_nonzero(eval_cnf(model, 0.0, j_samples) <= e))
+    _, cols, total = _bath_columns(model, j_samples)
+    return int(np.count_nonzero(_term_sum(model, None, cols, total, 0) <= e))
 
 
 def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride: int):

@@ -20,6 +20,8 @@ from sympb import (
     integrate,
     kernels,
 )
+from sympb import bottleneck
+from sympb.bottleneck import BRACKET_CAP, MC_CHUNK
 
 PARAMS = default_params()
 
@@ -204,6 +206,69 @@ def test_action_volume_mc_bits_frozen_across_processes():
                          text=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == frozen
+
+
+# Recorded with per-chunk ``Generator.uniform(0.0, box)`` draws and a count
+# over every term of K(0, J).  2 * MC_CHUNK + 4097 samples: two full chunks
+# and a partial last one.  builtin_cnf(3) has one I*J term; I_MODEL has I,
+# I^2, I*J, I^2*J and I*J*J terms.
+I_MODEL = CnfModel(e0=-0.5, terms=(
+    (0, (0, 0), -0.5), (1, (0, 0), 0.7), (0, (1, 0), 1.3), (0, (0, 1), 0.9),
+    (0, (2, 0), 0.2), (0, (1, 1), 0.15), (1, (1, 0), -0.3), (2, (0, 1), 0.4),
+    (1, (1, 1), 0.25), (2, (0, 0), -0.1)))
+MULTI_CHUNK_FROZEN = [
+    (builtin_cnf(3), 0.5, 23, {
+        "volume": "0x1.ed8afc3a6ae2bp-2",
+        "std": "0x1.559cbc3f5167cp-10",
+        "flux": "0x1.30712c30890a8p+4",
+    }),
+    (I_MODEL, 0.8, 29, {
+        "volume": "0x1.4296912ff9ffcp-1",
+        "std": "0x1.c57e1135d828cp-10",
+        "flux": "0x1.8dfa28941fc94p+4",
+    }),
+]
+
+
+@pytest.mark.parametrize("model,e,seed,frozen", MULTI_CHUNK_FROZEN, ids=["builtin3", "i_terms"])
+def test_action_volume_mc_multi_chunk_bits_frozen(model, e, seed, frozen):
+    rep = action_volume_mc(model, e, samples=2 * MC_CHUNK + 4097, seed=seed)
+    assert {"volume": rep.volume.hex(), "std": rep.std_error.hex(),
+            "flux": rep.flux.hex()} == frozen
+
+
+def linear_model(nb):
+    units = [tuple(1 if i == k else 0 for i in range(nb)) for k in range(nb)]
+    return CnfModel(e0=-1.0, terms=((0, (0,) * nb, -1.0), (1, (0,) * nb, 0.5),
+                                    *((0, unit, 1.0) for unit in units)))
+
+
+def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
+    drawn = []
+
+    def capture(model, js, e):
+        drawn.append(js.copy())
+        return 0
+
+    monkeypatch.setattr(kernels, "count_box_hits", capture)
+    rng = np.random.default_rng(31)
+    for nb in (1, 2, 3):
+        model = linear_model(nb)
+        boxes = [(1e-300,) * nb, (BRACKET_CAP,) * nb,
+                 tuple(10.0 ** rng.uniform(-300.0, 12.0, size=nb)),
+                 tuple(rng.uniform(0.1, 5.0, size=nb))]
+        for box in boxes:
+            # chunk layouts [1], [4097], [MC_CHUNK] and [MC_CHUNK, MC_CHUNK, 4097]
+            for samples in (1, 4097, MC_CHUNK, 2 * MC_CHUNK + 4097):
+                drawn.clear()
+                bottleneck._action_volume_mc(model, 0.0, samples, 5, box)
+                children = np.random.SeedSequence(5).spawn(len(drawn))
+                sizes = [min(MC_CHUNK, samples - MC_CHUNK * i) for i in range(len(drawn))]
+                assert sum(sizes) == samples
+                for js, child, m in zip(drawn, children, sizes):
+                    want = np.random.default_rng(child).uniform(0.0, np.array(box), size=(m, nb))
+                    assert js.shape == want.shape
+                    assert js.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -754,6 +755,56 @@ def test_seed_env_read_only_without_a_seed(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: SYMPB_SEED must be an integer, got 'abc'\n"
+
+
+# A NaN or infinite number, from a flag, a list entry or a config value (json
+# reads NaN and Infinity), exits 2 with one error line naming the option:
+# no traceback, no NaN table and no numpy warning.
+NON_FINITE = {
+    "widths": [(("--e-min", "nan"), "--e-min"), (("--e-max", "inf"), "--e-max"),
+               ({"e_min": -math.inf}, "'e_min'")],
+    "exp1": [(("--sigma", "nan"), "--sigma"), (("--radii", "0.1,nan"), "radii"),
+             (("--tau-max", "nan"), "--tau-max"), ({"sigma": math.nan}, "'sigma'"),
+             ({"e_ref": "-inf"}, "'e_ref'")],
+    "exp2": [(("--t-max", "nan"), "--t-max"), (("--e-center", "nan"), "--e-center"),
+             (("--q1-range", "inf"), "--q1-range"), (("--xis", "0.5,-inf"), "xis"),
+             ({"t_max": math.inf}, "'t_max'")],
+    "sample": [(("--xi", "nan"), "--xi"), (("--delta-e=-inf",), "--delta-e"),
+               ({"q1_range": "nan"}, "'q1_range'")],
+    "integrate": [(("--h", "nan"), "--h"), (("--state0=-2,0.3,nan,-0.2",), "state0"),
+                  (("--max-drift", "inf"), "--max-drift"), ({"t_final": math.inf}, "'t_final'")],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(NON_FINITE))
+def test_non_finite_numbers_exit_two(tmp_path, capsys, cmd):
+    for extra, name in NON_FINITE[cmd]:
+        if isinstance(extra, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(extra))
+            extra = ("--config", str(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, cmd, *BASE_ARGV[cmd], *extra)
+        assert (code, out) == (2, ""), (extra, err)
+        assert err.startswith("error: ") and name in err and "finite" in err, err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["widths", "exp1", "exp2", "sample"])
+def test_negative_seed_names_its_source(tmp_path, monkeypatch, capsys, cmd):
+    code, out, err = run_cli(capsys, cmd, *BASE_ARGV[cmd], "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -2}))
+    code, out, err = run_cli(capsys, cmd, *BASE_ARGV[cmd], "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: config key 'seed' must be >= 0, got -2\n")
+    monkeypatch.setenv("SYMPB_SEED", "-3")
+    code, out, err = run_cli(capsys, cmd, *BASE_ARGV[cmd])
+    assert (code, out, err) == (2, "", "error: SYMPB_SEED must be >= 0, got -3\n")
+    # a valid --seed flag still wins over the environment
+    code, _, err = run_cli(capsys, cmd, *BASE_ARGV[cmd], "--seed", "0")
+    assert code == 0, err
 
 
 # ---------------------------------------------------------------------------
