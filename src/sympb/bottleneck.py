@@ -41,6 +41,8 @@ BRACKET_CAP = 1e12
 ROOT_XTOL = 1e-15
 ROOT_RTOL = 1e-12
 BRENT_MAXITER = 100
+# Per-element outcomes of the batched root solver.
+_OK, _BELOW, _NO_BRACKET, _SAME_SIGN, _NAN, _MAXITER = range(6)
 
 # Monte-Carlo chunk size; chunk i draws from substream i of the seed, so the
 # totals do not depend on how chunks would be scheduled across workers.
@@ -90,135 +92,202 @@ def j_max_quadratic(model: QuadraticSaddleModel, e: float, k: int) -> float:
 def j_max_cnf(model: CnfModel, e: float, k: int) -> float:
     """Smallest positive root of ``K(0, ..., J_k, ...) = e`` (other J zero).
 
-    Bracketing starts from the linear estimate ``(e - e0) / omega_k`` and
-    doubles the upper bound until the sign changes (cap 1e12), then the root
-    is refined by Brent's method to relative tolerance 1e-12: ``_brentq``, a
-    port of scipy's brentq.c that reuses the bracket values ``f(lo)`` and
-    ``f(hi)`` instead of evaluating the endpoints again.  Raises
+    A batch of one for :func:`_j_max_roots`: bracketing starts from the
+    linear estimate ``(e - e0) / omega_k`` and doubles the upper bound until
+    the sign changes (cap 1e12), then Brent's method refines the root to
+    relative tolerance 1e-12.  Raises BelowSaddleError for ``e <= e0``,
+    RootBracketError when no bracket is found below the cap, and
     ConvergenceError, naming E, k and the last iterate, when K is NaN or the
     refinement does not converge in 100 iterations.
     """
-    idx = _check_mode(model, k)
-    if e <= model.e0:
-        raise BelowSaddleError(f"E = {e} is not above the saddle energy e0 = {model.e0}")
-    # One probe for every evaluation: the point path of eval_cnf copies it.
-    j = np.zeros(model.n_bath)
-
-    def f(jk: float) -> float:
-        j[idx] = jk
-        return eval_cnf(model, 0.0, j) - e
-
-    lo = 0.0
-    hi = (e - model.e0) / model.omegas[idx]
-    flo = f(lo)
-    fhi = f(hi)
-    while fhi < 0.0:
-        lo, flo = hi, fhi
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise RootBracketError(
-                f"no positive root of K(0, J_{k}) = {e} below {BRACKET_CAP:.0e}"
-            )
-        fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if flo == 0.0:
-        return lo
-    try:
-        return _brentq(f, lo, hi, flo, fhi)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"j_max at E = {e!r}, mode k = {k}: {exc}") from None
+    return float(_j_max_roots(model, [e], k)[0])
 
 
-def _signbit(x: float) -> bool:
-    return math.copysign(1.0, x) < 0.0
+def _j_max_roots(model: CnfModel, e, k, j=None) -> np.ndarray:
+    """:func:`_j_max_solve`, raising the failure of the lowest-index element."""
+    roots, failure = _j_max_solve(model, e, k, j)
+    if failure is not None:
+        raise failure[1]
+    return roots
 
 
-def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
-    """Root of ``f`` in ``[xa, xb]`` by Brent's method, given ``fa = f(xa)``
-    and ``fb = f(xb)`` of opposite signs.
+def _j_max_solve(model: CnfModel, e, k, j=None):
+    """Smallest positive root ``J_k`` of ``K(0, J) = e[i]`` for every energy,
+    with the other bath actions fixed at ``j[i]`` (zeros when None).
 
-    A step-for-step port of scipy's ``brentq.c`` (Brent 1973, *Algorithms for
-    Minimization without Derivatives*, ch. 4), so for the same ``f`` it
-    returns the same bits as ``scipy.optimize.brentq(f, xa, xb,
-    xtol=ROOT_XTOL, rtol=ROOT_RTOL)``; only the two endpoint evaluations are
-    taken from the caller.  Raises ConvergenceError when ``f`` is NaN or
-    BRENT_MAXITER iterations pass without convergence, and RootBracketError
-    when ``fa`` and ``fb`` have the same sign.
+    ``e`` is 1-d, ``k`` a mode or one mode per energy, and ``j`` broadcasts
+    to ``(len(e), n_bath)``; its column k is ignored.  Each element's bracket
+    starts at ``[0, (e - e0) / omega_k]``, and its upper end doubles until
+    ``K - e`` changes sign (cap BRACKET_CAP); :func:`_brent` then refines it.
+    ``f`` is the batched ``eval_cnf`` on the still-active rows only, so each
+    element gets the bits it would get alone.  The whole batch runs to the
+    end.  Returns the roots and None, or the index and the exception of the
+    lowest-index failed element.
     """
-    xpre, xcur, fpre, fcur = xa, xb, fa, fb
-    for x, fx in ((xpre, fpre), (xcur, fcur)):
-        if math.isnan(fx):
-            raise ConvergenceError(f"f is NaN at x = {x!r}")
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if _signbit(fpre) == _signbit(fcur):
-        raise RootBracketError(f"f({xa!r}) and f({xb!r}) have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
+    e = np.array(e, dtype=float).ravel()
+    n = e.size
+    ks = np.broadcast_to(np.asarray(k, dtype=int), (n,))
+    for mode in set(ks.tolist()):
+        _check_mode(model, mode)
+    cols = ks - 2
+    fixed = np.zeros((n, model.n_bath))
+    if j is not None:
+        fixed[...] = j
 
-        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+    def f(x, rows):
+        probe = fixed[rows]
+        probe[np.arange(rows.size), cols[rows]] = x
+        return eval_cnf(model, 0.0, probe) - e[rows]
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C gets +-inf or nan here, which fails the step test below
-                stry = math.inf
-            a, b = abs(spre), 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (a if a < b else b):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
+    status = np.where(e <= model.e0, _BELOW, _OK)
+    lo = np.zeros(n)
+    hi = (e - model.e0) / np.array(model.omegas)[cols]
+    flo = np.zeros(n)
+    fhi = np.zeros(n)
+    # Python floats give inf or nan silently where numpy would warn.
+    with np.errstate(all="ignore"):
+        rows = np.flatnonzero(status == _OK)
+        flo[rows] = f(lo[rows], rows)
+        fhi[rows] = f(hi[rows], rows)
+        grow = rows[fhi[rows] < 0.0]
+        while grow.size:
+            lo[grow], flo[grow] = hi[grow], fhi[grow]
+            hi[grow] *= 2.0
+            capped = hi[grow] > BRACKET_CAP
+            status[grow[capped]] = _NO_BRACKET
+            grow = grow[~capped]
+            fhi[grow] = f(hi[grow], grow)
+            grow = grow[fhi[grow] < 0.0]
+        rows = np.flatnonzero(status == _OK)
+        root = np.where(fhi == 0.0, hi, lo)
+        open_ = rows[(fhi[rows] != 0.0) & (flo[rows] != 0.0)]
+        root[open_], status[open_] = _brent(lambda x, act: f(x, open_[act]), lo[open_],
+                                            hi[open_], flo[open_], fhi[open_])
+    bad = np.flatnonzero(status != _OK)
+    if not bad.size:
+        return root, None
+    i = int(bad[0])
+    return root, (i, _root_error(model, float(e[i]), int(ks[i]), status[i], float(root[i]),
+                                 float(lo[i]), float(hi[i])))
 
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise ConvergenceError(f"f is NaN at x = {xcur!r}")
-    raise ConvergenceError(
-        f"Brent's method did not converge in {BRENT_MAXITER} iterations; "
-        f"last iterate x = {xcur!r}"
+
+def _root_error(model, e: float, k: int, status: int, x: float, lo: float, hi: float):
+    """The exception of one failed element of :func:`_j_max_roots`."""
+    if status == _BELOW:
+        return BelowSaddleError(f"E = {e} is not above the saddle energy e0 = {model.e0}")
+    if status == _NO_BRACKET:
+        return RootBracketError(f"no positive root of K(0, J_{k}) = {e} below {BRACKET_CAP:.0e}")
+    where = f"j_max at E = {e!r}, mode k = {k}: "
+    if status == _SAME_SIGN:
+        return RootBracketError(where + f"f({lo!r}) and f({hi!r}) have the same sign")
+    if status == _NAN:
+        return ConvergenceError(where + f"f is NaN at x = {x!r}")
+    return ConvergenceError(
+        where + f"Brent's method did not converge in {BRENT_MAXITER} iterations; "
+        f"last iterate x = {x!r}"
     )
+
+
+def _brent(f, xa, xb, fa, fb):
+    """Roots by Brent's method, one per element of the brackets ``[xa, xb]``,
+    given ``fa = f(xa)`` and ``fb = f(xb)``.  Returns ``(x, status)``.
+
+    ``f(x, act)`` evaluates the elements whose indices are ``act`` at ``x``.
+    An elementwise port of scipy's ``brentq.c`` (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4): each element takes its own
+    branch through ``np.where``, using only ``+ - * /``, ``abs`` and
+    comparisons, which numpy rounds as C does, and leaves the active set when
+    it converges.  So for the same ``f`` every element gets the bits of
+    ``scipy.optimize.brentq(f, xa, xb, xtol=ROOT_XTOL, rtol=ROOT_RTOL)`` after
+    the same number of evaluations less the two endpoint ones.  ``status`` is
+    ``_OK``, ``_SAME_SIGN`` (``fa`` and ``fb`` share a sign), ``_NAN`` (``f``
+    is NaN at ``x``) or ``_MAXITER`` (``x`` is the last of BRENT_MAXITER
+    iterates).
+    """
+    xa, xb, fa, fb = (np.array(v, dtype=float) for v in (xa, xb, fa, fb))
+    # The scalar checks, in order: a NaN end, a zero end (xa before xb in
+    # both), ends of one sign.
+    nan = np.isnan(fa) | np.isnan(fb)
+    zero = (fa == 0.0) | (fb == 0.0)
+    same = np.signbit(fa) == np.signbit(fb)
+    x = np.where(np.isnan(fa) | (~np.isnan(fb) & (fa == 0.0)), xa, xb)
+    status = np.select([nan, zero, same], [_NAN, _OK, _SAME_SIGN], _OK)
+    act = np.flatnonzero(~(nan | zero | same))
+    xpre, xcur, fpre, fcur = xa[act], xb[act], fa[act], fb[act]
+    xblk = fblk = spre = scur = np.zeros(act.size)
+    with np.errstate(all="ignore"):
+        for _ in range(BRENT_MAXITER):
+            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk = np.where(flip, xpre, xblk)
+            fblk = np.where(flip, fpre, fblk)
+            spre = np.where(flip, xcur - xpre, spre)
+            scur = np.where(flip, spre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+
+            delta = (ROOT_XTOL + ROOT_RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            x[act[done]] = xcur[done]
+            live = ~done
+            act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[live] for v in (act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                  delta, sbis))
+            if not act.size:
+                return x, status
+
+            # interpolate where xpre == xblk, else extrapolate; where the
+            # scalar code divides by zero it sets stry = inf, which fails the
+            # step test below
+            interp = xpre == xblk
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            den = dblk * dpre * (fblk - fpre)
+            stry = np.where(interp, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / den)
+            by_zero = np.where(interp, fcur - fpre == 0.0,
+                               (xpre - xcur == 0.0) | (xblk - xcur == 0.0) | (den == 0.0))
+            stry = np.where(by_zero, np.inf, stry)
+            a, b = np.abs(spre), 3 * np.abs(sbis) - delta
+            good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (2 * np.abs(stry) < np.where(a < b, a, b)))
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur, act)
+            nan = np.isnan(fcur)
+            x[act[nan]] = xcur[nan]
+            status[act[nan]] = _NAN
+            live = ~nan
+            act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+                v[live] for v in (act, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur))
+    x[act] = xcur
+    status[act] = _MAXITER
+    return x, status
 
 
 def candidate_width(model, e: float) -> WidthReport:
     """Candidate transverse width ``2 pi min_k J_k_max(e)`` with the limiting
     mode index (ties resolved to the lowest mode)."""
-    if isinstance(model, CnfModel):
-        j_max_op = j_max_cnf
-    elif isinstance(model, QuadraticSaddleModel):
-        j_max_op = j_max_quadratic
-    else:
+    if not isinstance(model, (CnfModel, QuadraticSaddleModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
     nb = model.n_bath
     if nb < 1:
         raise DimensionError("candidate width needs at least one bath mode")
-    j_max = tuple(j_max_op(model, e, k) for k in range(2, nb + 2))
+    modes = range(2, nb + 2)
+    if isinstance(model, CnfModel):
+        j_max = _j_max_roots(model, [e] * nb, modes).tolist()
+    else:
+        j_max = [j_max_quadratic(model, e, k) for k in modes]
+    return _width_report(e, j_max)
+
+
+def _width_report(e: float, j_max) -> WidthReport:
+    j_max = tuple(j_max)
     arg = int(np.argmin(j_max))
     return WidthReport(
         e=float(e),
@@ -331,7 +400,8 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
 
     Row i uses seed ``seed + i`` for its Monte-Carlo volume, recorded in the
     seed column, so any row can be reproduced in isolation.  Each root
-    ``J_k_max(E)`` is solved once: the width's roots are the volume's box.
+    ``J_k_max(E)`` is solved once, all of them in one batch, and the width's
+    roots are the volume's box.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -344,11 +414,17 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
         + [f"J_max_{k}" for k in range(2, nb + 2)]
         + ["c_cand", "limiting_mode", "V", "phi", "std_error", "seed"]
     )
+    # All steps x n_bath roots in one batch; a failed root raises at its row,
+    # after the earlier rows' Monte-Carlo checks, as a row-by-row scan would.
+    roots, failure = _j_max_solve(model, np.repeat(energies, nb),
+                                  np.tile(np.arange(2, nb + 2), energies.size))
     rows = []
-    for i, e in enumerate(energies):
-        width = candidate_width(model, float(e))
+    for i, e in enumerate(energies.tolist()):
+        if failure is not None and failure[0] // nb == i:
+            raise failure[1]
+        width = _width_report(e, roots[i * nb:(i + 1) * nb].tolist())
         row_seed = seed + i
-        flux = _action_volume_mc(model, float(e), samples, row_seed, width.j_max)
+        flux = _action_volume_mc(model, e, samples, row_seed, width.j_max)
         rows.append(
             (width.e, *width.j_max, width.c_cand, width.limiting_mode,
              flux.volume, flux.flux, flux.std_error, row_seed)

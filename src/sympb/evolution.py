@@ -12,7 +12,10 @@ Only the saddle block of the state-transition matrix touches the rows
 shadow area is therefore ``A(tau) = pi r^2 g(tau)`` with
 ``g = sqrt(det(B P S S^T P^T B^T))``: one factor curve per mixer serves every
 radius, and it is computed for the whole tau grid at once from stacked 2x2
-blocks, with the mixer checked once per curve.
+blocks, with the mixer checked once per curve.  Since ``det B = 1`` the
+exact ``g`` is ``sqrt(det(P S S^T P^T))`` at every tau; the stacked Gram
+determinant is kept only where ``c00*c11`` is at most ``CANCEL_LIMIT`` times
+it, and the tau-independent value stands in everywhere else.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ __all__ = [
 ]
 
 MIXER_TOL = 1e-10
-DET_FLOOR = -1e-12
+CANCEL_LIMIT = 1e5
 DEFAULT_TAU_POINTS = 600
 DEFAULT_SIGMA = 0.5
 
@@ -120,37 +123,31 @@ def _shadow_factors(model: QuadraticSaddleModel, s_mix, taus: np.ndarray) -> np.
     ``math.cosh``/``math.sinh`` as in ``stm``, and ``g = B P S`` and its Gram
     matrices are stacked ``(T, 2, 2n)`` and ``(T, 2, 2)`` products, so every
     factor equals the per-point ``P Phi(-tau) S`` evaluation bit for bit.
-    The 2x2 determinant is clipped at zero; the first one in grid order below
-    ``DET_FLOOR`` raises, since the Gram matrix cannot be that negative.  A
-    ``cosh`` that overflows raises PreconditionError only once the points
-    before it have passed that check, which is the order of a point-by-point
-    evaluation.
+    The Gram determinant ``c00*c11 - c01*c10`` sums terms of size
+    ``cosh^4``; where ``c00*c11`` is more than ``CANCEL_LIMIT`` times it
+    (more than five of its sixteen digits cancelled, or a negative or NaN
+    result) it is replaced by ``det(P S S^T P^T)``, its exact value since
+    ``det B = 1``.  A ``cosh`` that overflows raises PreconditionError.
     """
     s_mix = _check_mixer(model, s_mix)
     n = model.n_dof
     blocks = []
-    overflow = None
     for tau, lt in zip(taus.tolist(), (model.lam * -taus).tolist()):
         try:
             c, s = math.cosh(lt), math.sinh(lt)
         except OverflowError as exc:
-            overflow = tau, exc
-            break
+            raise PreconditionError(
+                f"cosh(lambda * tau) overflows at tau = {tau!r}; shorten the tau grid"
+            ) from exc
         blocks.append(((c, s), (s, c)))
-    g = np.array(blocks, dtype=float).reshape(-1, 2, 2) @ s_mix[[0, n], :]
+    rows = s_mix[[0, n], :]
+    g = np.array(blocks, dtype=float).reshape(-1, 2, 2) @ rows
     gram = g @ g.transpose(0, 2, 1)
     det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-    bad = np.flatnonzero(det < DET_FLOOR)
-    if bad.size:
-        raise PreconditionError(
-            f"projected Gram determinant {det[bad[0]]:.3e} is negative beyond {DET_FLOOR:.0e}"
-        )
-    if overflow is not None:
-        tau, exc = overflow
-        raise PreconditionError(
-            f"cosh(lambda * tau) overflows at tau = {tau!r}; shorten the tau grid"
-        ) from exc
-    return np.sqrt(np.maximum(det, 0.0))
+    gram0 = rows @ rows.T
+    det0 = gram0[0, 0] * gram0[1, 1] - gram0[0, 1] * gram0[1, 0]
+    kept = det * CANCEL_LIMIT >= gram[:, 0, 0] * gram[:, 1, 1]
+    return np.sqrt(np.where(kept, det, det0))
 
 
 def _curve(r: float, taus: np.ndarray, factors: np.ndarray) -> ProjectionAreaCurve:

@@ -297,12 +297,25 @@ def _entry(obj, key: str, what: str):
     return obj[key]
 
 
+def _finite(value, what: str) -> float:
+    """``float(value)``, or a ValueError naming ``what`` unless that is a
+    finite number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def cnf_from_obj(obj) -> CnfModel:
     """Build a CnfModel from parsed JSON.
 
     Accepts either ``{"e0": x, "terms": [{"i": .., "j": [..], "c": ..}, ...]}``
     or a flat list of term objects with one ``{"e0": x}`` entry.  A missing
-    constant term is filled in from ``e0``.  A missing key raises ValueError.
+    constant term is filled in from ``e0``.  A missing key, or an ``e0`` or
+    ``c`` that is not a finite number, raises ValueError naming the key.
     """
     if isinstance(obj, dict):
         e0 = _entry(obj, "e0", "model")
@@ -319,17 +332,18 @@ def cnf_from_obj(obj) -> CnfModel:
             raise ValueError("model list is missing an {'e0': ...} entry")
     else:
         raise ValueError(f"model must be a JSON object or list, got {type(obj).__name__}")
+    e0 = _finite(e0, "model key 'e0'")
     terms = [
         (int(_entry(t, "i", "model term")), tuple(int(p) for p in _entry(t, "j", "model term")),
-         float(_entry(t, "c", "model term")))
-        for t in raw_terms
+         _finite(_entry(t, "c", "model term"), f"model term {n} key 'c'"))
+        for n, t in enumerate(raw_terms)
     ]
     if terms:
         nb = len(terms[0][1])
         zero = (0,) * nb
         if not any(i == 0 and j == zero for i, j, _ in terms):
-            terms.append((0, zero, float(e0)))
-    return CnfModel(e0=float(e0), terms=tuple(terms))
+            terms.append((0, zero, e0))
+    return CnfModel(e0=e0, terms=tuple(terms))
 
 
 def load_cnf_model(path: str) -> CnfModel:
@@ -389,7 +403,8 @@ def default_params() -> EckartMorseParams:
 
 def load_params(path: str) -> EckartMorseParams:
     """Read EckartMorseParams from a JSON object; omitted fields keep their
-    defaults, and an unknown key raises ValueError."""
+    defaults, and an unknown key or a value that is not a finite number
+    raises ValueError naming the key."""
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -400,7 +415,9 @@ def load_params(path: str) -> EckartMorseParams:
         raise ValueError(
             f"{path}: unknown parameter key {unknown[0]!r}; expected keys are {sorted(known)}"
         )
-    return EckartMorseParams(**obj)
+    return EckartMorseParams(**{
+        key: _finite(value, f"{path}: parameter {key!r}") for key, value in obj.items()
+    })
 
 
 def eckart_potential(p: EckartMorseParams, x):

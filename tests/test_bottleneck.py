@@ -22,7 +22,18 @@ from sympb import (
     j_max_quadratic,
 )
 from sympb import bottleneck
-from sympb.bottleneck import BRENT_MAXITER, ROOT_RTOL, ROOT_XTOL, _brentq
+from sympb.bottleneck import (
+    _MAXITER,
+    _NAN,
+    _OK,
+    _SAME_SIGN,
+    BRACKET_CAP,
+    BRENT_MAXITER,
+    ROOT_RTOL,
+    ROOT_XTOL,
+    _brent,
+    _j_max_roots,
+)
 
 E0 = -0.9875
 
@@ -137,22 +148,32 @@ def test_j_max_cnf_no_root_raises():
 
 
 def scipy_brentq(f, lo, hi):
-    """scipy's brentq with j_max_cnf's tolerances: (root, function calls), or
-    (None, None) when it fails to converge."""
+    """scipy's brentq with j_max_cnf's tolerances: (root, function calls),
+    (None, None) when it fails to converge, or ("same sign", None)."""
     from scipy.optimize import brentq
 
     try:
         root, info = brentq(f, lo, hi, xtol=ROOT_XTOL, rtol=ROOT_RTOL, full_output=True)
     except RuntimeError:
         return None, None
+    except ValueError:
+        return "same sign", None
     return root, info.function_calls
 
 
-def port_brentq(f, lo, hi):
-    try:
-        return _brentq(f, lo, hi, f(lo), f(hi))
-    except ConvergenceError:
-        return None
+def port_brent(fs, los, his):
+    """The batched port on scalar functions ``fs[i]`` over ``[los[i], his[i]]``,
+    in one call: (x, status, evaluations per element)."""
+    evals = np.zeros(len(fs), dtype=int)
+
+    def f(x, act):
+        np.add.at(evals, act, 1)
+        return np.array([fs[i](xi) for i, xi in zip(act.tolist(), x.tolist())])
+
+    fa = [g(x) for g, x in zip(fs, los)]
+    fb = [g(x) for g, x in zip(fs, his)]
+    x, status = _brent(f, los, his, fa, fb)
+    return x, status, evals
 
 
 def horner(coeffs, x):
@@ -162,25 +183,44 @@ def horner(coeffs, x):
     return acc
 
 
+def step(x):
+    return -1.0 if x < 1.0 else 1.0
+
+
+polynomials = st.tuples(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=6),
+                        st.floats(-20.0, 20.0), st.floats(1e-6, 40.0), st.floats(0.0, 1.0))
+
+
 @settings(max_examples=400, deadline=None)
-@given(coeffs=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=6),
-       lo=st.floats(-20.0, 20.0), width=st.floats(1e-6, 40.0), u=st.floats(0.0, 1.0))
-def test_brentq_port_matches_scipy_on_polynomials(coeffs, lo, width, u):
-    # shift the constant term so that p(lo) and p(hi) straddle zero
-    hi = lo + width
-    p_lo, p_hi = horner(coeffs, lo), horner(coeffs, hi)
-    level = p_lo + u * (p_hi - p_lo)
-
-    def f(x):
-        return horner(coeffs, x) - level
-
-    flo, fhi = f(lo), f(hi)
-    assume(flo != 0.0 and fhi != 0.0 and (flo < 0.0) != (fhi < 0.0))
-    expected, _ = scipy_brentq(f, lo, hi)
-    got = port_brentq(f, lo, hi)
-    assert (got is None) == (expected is None)
-    if expected is not None:
-        assert got.hex() == expected.hex()
+@given(polys=st.lists(polynomials, min_size=1, max_size=8), step_at=st.integers(-1, 8))
+def test_brentq_port_matches_scipy_on_polynomials(polys, step_at):
+    # Each example is one batch.  The constant term is shifted so that p(lo)
+    # and p(hi) straddle zero up to rounding, which leaves some elements with
+    # a zero or a same-sign end; step_at inserts a unit step on [0, 1e300],
+    # which does not converge in BRENT_MAXITER iterations.
+    fs, los, his = [], [], []
+    for coeffs, lo, width, u in polys:
+        hi = lo + width
+        p_lo, p_hi = horner(coeffs, lo), horner(coeffs, hi)
+        level = p_lo + u * (p_hi - p_lo)
+        fs.append(lambda x, coeffs=coeffs, level=level: horner(coeffs, x) - level)
+        los.append(lo)
+        his.append(hi)
+    if 0 <= step_at <= len(fs):
+        fs.insert(step_at, step)
+        los.insert(step_at, 0.0)
+        his.insert(step_at, 1e300)
+    x, status, evals = port_brent(fs, los, his)
+    for i, (f, lo, hi) in enumerate(zip(fs, los, his)):
+        expected, scipy_evals = scipy_brentq(f, lo, hi)
+        if expected is None:
+            assert status[i] == _MAXITER and evals[i] == BRENT_MAXITER
+        elif expected == "same sign":
+            assert status[i] == _SAME_SIGN and evals[i] == 0
+        else:
+            assert status[i] == _OK
+            assert x[i].hex() == expected.hex()
+            assert evals[i] == scipy_evals - 2
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -194,53 +234,58 @@ def test_j_max_cnf_brent_matches_scipy(dof, mode, seed):
     e = model.e0 + float(np.random.default_rng(seed).uniform(1e-9, 20.0))
     calls = []
 
-    def spy(f, lo, hi, flo, fhi):
-        count = [0]
+    def spy(f, xa, xb, fa, fb):
+        evals = np.zeros(len(xa), dtype=int)
 
-        def counted(x):
-            count[0] += 1
-            return f(x)
+        def counted(x, act):
+            np.add.at(evals, act, 1)
+            return f(x, act)
 
-        root = _brentq(counted, lo, hi, flo, fhi)
-        calls.append((f, lo, hi, count[0]))
-        return root
+        out = _brent(counted, xa, xb, fa, fb)
+        calls.append((f, xa, xb, evals))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bottleneck, "_brentq", spy)
+        mp.setattr(bottleneck, "_brent", spy)
         got = j_max_cnf(model, e, k)
-    assume(calls)
+    assert len(calls) == 1
     f, lo, hi, evals = calls[0]
-    expected, scipy_evals = scipy_brentq(f, lo, hi)
+    assume(len(lo))
+    expected, scipy_evals = scipy_brentq(lambda x: f(np.array([x]), np.array([0]))[0],
+                                         lo[0], hi[0])
     assert got.hex() == expected.hex()
-    assert evals == scipy_evals - 2
+    assert evals.tolist() == [scipy_evals - 2]
 
 
 def test_brentq_nan_raises_convergence_error():
     def f(x):
         return math.nan if 0.2 < x < 0.9 else x - 0.3
 
-    # the first interpolation step lands at x = 0.3, inside the NaN gap
-    with pytest.raises(ConvergenceError, match=r"NaN at x = 0\.3"):
-        _brentq(f, 0.0, 1.0, f(0.0), f(1.0))
-    # a NaN bracket end
-    with pytest.raises(ConvergenceError, match="NaN at x = 0.5"):
-        _brentq(f, 0.0, 0.5, f(0.0), f(0.5))
+    # the first interpolation step lands at x = 0.3, inside the NaN gap; the
+    # second bracket has a NaN end
+    x, status, _ = port_brent([f, f], [0.0, 0.0], [1.0, 0.5])
+    assert status.tolist() == [_NAN, _NAN] and x.tolist() == [0.3, 0.5]
 
 
 def test_brentq_no_convergence_raises_convergence_error():
     # A unit step at x = 1 on [0, 1e300]: every step bisects, and closing
     # 300 decades to the tolerance takes about 1 000 halvings.
-    def f(x):
-        return -1.0 if x < 1.0 else 1.0
-
-    with pytest.raises(ConvergenceError, match=f"{BRENT_MAXITER} iterations; last iterate"):
-        _brentq(f, 0.0, 1e300, f(0.0), f(1e300))
-    assert scipy_brentq(f, 0.0, 1e300) == (None, None)
+    x, status, evals = port_brent([step, step], [0.0, 0.5], [1e300, 2.0])
+    assert status.tolist() == [_MAXITER, _OK] and evals[0] == BRENT_MAXITER
+    assert scipy_brentq(step, 0.0, 1e300) == (None, None)
+    assert x[1].hex() == scipy_brentq(step, 0.5, 2.0)[0].hex()
 
 
 def test_brentq_same_sign_raises():
-    with pytest.raises(RootBracketError):
-        _brentq(lambda x: x, 1.0, 2.0, 1.0, 2.0)
+    x, status, _ = port_brent([lambda x: x], [1.0], [2.0])
+    assert status.tolist() == [_SAME_SIGN]
+    # K(0, J) at J_2 = 0 and J_3 = 5 is already above E = 0
+    model = builtin_cnf(3)
+    hi = (0.0 - model.e0) / model.omegas[0]
+    with pytest.raises(RootBracketError) as info:
+        _j_max_roots(model, [0.0], 2, [0.0, 5.0])
+    assert str(info.value) == (
+        f"j_max at E = 0.0, mode k = 2: f(0.0) and f({hi!r}) have the same sign")
 
 
 def test_j_max_cnf_nan_names_energy_mode_and_iterate(monkeypatch):
@@ -251,15 +296,119 @@ def test_j_max_cnf_nan_names_energy_mode_and_iterate(monkeypatch):
 
     def nan_inside(model, i, j):
         # below e at J_3 = 0, above it at the first bracket end, NaN between
-        if j[1] == 0.0:
-            return real(model, i, j)
-        return math.nan if j[1] < hi else real(model, i, j) + 1.0
+        k = real(model, i, j)
+        return np.where(j[:, 1] == 0.0, k, np.where(j[:, 1] < hi, math.nan, k + 1.0))
 
     monkeypatch.setattr(bottleneck, "eval_cnf", nan_inside)
     with pytest.raises(ConvergenceError) as info:
         j_max_cnf(model, e, 3)
     msg = str(info.value)
     assert f"E = {e!r}" in msg and "mode k = 3" in msg and "NaN at x = " in msg
+
+
+def test_j_max_cnf_no_convergence_names_energy_mode_and_iterate(monkeypatch):
+    # K steps from E - 1e15 to E + 1e15 at J_2 = 1, and closing the bracket
+    # [0, 5.5e29] to the tolerance takes about 140 bisections
+    model = builtin_cnf(2)
+    e = 1e30
+
+    def unit_step(model, i, j):
+        return np.where(j[:, 0] < 1.0, e - 1e15, e + 1e15)
+
+    monkeypatch.setattr(bottleneck, "eval_cnf", unit_step)
+    with pytest.raises(ConvergenceError) as info:
+        j_max_cnf(model, e, 2)
+    head = (f"j_max at E = {e!r}, mode k = 2: Brent's method did not converge in "
+            f"{BRENT_MAXITER} iterations; last iterate x = ")
+    msg = str(info.value)
+    assert msg.startswith(head)
+    assert 0.0 < float(msg[len(head):]) < (e - model.e0) / model.omegas[0]
+
+
+def test_j_max_roots_raises_the_lowest_index_failure():
+    # K(0, J) = J - 0.01 J^2 tops out at 25: E = 30 has no bracket, and
+    # E = nan makes f NaN at the first bracket end.  The whole batch runs,
+    # then the first failing element raises its scalar message.
+    model = alpha_model(omega2=1.0, alpha=-0.01)
+    nan_msg = "j_max at E = nan, mode k = 2: f is NaN at x = 0.0"
+    bracket_msg = "no positive root of K(0, J_2) = 30.0 below 1e+12"
+    below_msg = "E = -1.0 is not above the saddle energy e0 = 0.0"
+    for es, exc, msg in (
+        ([16.0, math.nan, 30.0], ConvergenceError, nan_msg),
+        ([16.0, 30.0, math.nan], RootBracketError, bracket_msg),
+        ([30.0, -1.0, math.nan], RootBracketError, bracket_msg),
+        ([-1.0, 30.0, math.nan], BelowSaddleError, below_msg),
+    ):
+        with pytest.raises(exc) as info:
+            _j_max_roots(model, es, 2)
+        assert str(info.value) == msg
+        bad = next(e for e in es if e != 16.0)
+        with pytest.raises(exc) as info:
+            j_max_cnf(model, bad, 2)
+        assert str(info.value) == msg
+    assert _j_max_roots(model, [16.0, 16.0], 2).tolist() == [j_max_cnf(model, 16.0, 2)] * 2
+
+
+def k_at_zero(model, j):
+    """K(0, J) with Python floats, term by term in eval_cnf's order."""
+    total = 0.0
+    for i_pow, j_pows, coeff in model.terms:
+        v = coeff
+        for _ in range(i_pow):
+            v = v * 0.0
+        for col, p in zip(j, j_pows):
+            for _ in range(p):
+                v = v * col
+        total += v
+    return total
+
+
+def scalar_j_max(model, e, k, fixed):
+    """Reference root of K(0, J) = e in J_k, the other actions at ``fixed``:
+    j_max_cnf's bracket doubling, one point at a time, then scipy's brentq."""
+    col = k - 2
+
+    def f(x):
+        j = list(fixed)
+        j[col] = x
+        return k_at_zero(model, j) - e
+
+    lo, hi = 0.0, (e - model.e0) / model.omegas[col]
+    flo, fhi = f(lo), f(hi)
+    while fhi < 0.0:
+        lo, flo = hi, fhi
+        hi *= 2.0
+        assert hi <= BRACKET_CAP
+        fhi = f(hi)
+    if fhi == 0.0:
+        return hi
+    if flo == 0.0:
+        return lo
+    return scipy_brentq(f, lo, hi)[0]
+
+
+coefficients = st.floats(0.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(extra=st.tuples(*[coefficients] * 6), b=st.floats(-0.1, 0.1), mode=st.sampled_from([2, 3]),
+       points=st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(1e-6, 20.0)),
+                       min_size=1, max_size=8))
+def test_j_max_roots_with_fixed_bath_actions_matches_scalar_loop(extra, b, mode, points):
+    # K(0, J) is nondecreasing with J_2^2, J_3^2, J_2 J_3, J_2^3, J_3^3 and
+    # J_2^2 J_3 terms; each point fixes the other action and sits at a
+    # positive excess over K at J_mode = 0.
+    terms = [(0, (0, 0), -0.5), (1, (0, 0), 0.8), (0, (1, 0), 1.3), (0, (0, 1), 0.9),
+             (1, (1, 0), b), (1, (0, 1), b)]
+    for pows, c in zip([(2, 0), (0, 2), (1, 1), (3, 0), (0, 3), (2, 1)], extra):
+        terms.append((0, pows, c))
+    model = CnfModel(e0=-0.5, terms=tuple(terms))
+    fixed = np.zeros((len(points), 2))
+    fixed[:, 3 - mode] = [other for other, _ in points]
+    es = [k_at_zero(model, row) + de for row, (_, de) in zip(fixed.tolist(), points)]
+    got = _j_max_roots(model, es, mode, fixed)
+    want = [scalar_j_max(model, e, mode, row) for e, row in zip(es, fixed.tolist())]
+    assert [x.hex() for x in got] == [w.hex() for w in want]
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +602,19 @@ def test_energy_scan_validation():
         energy_scan(builtin_cnf(2), E0 - 1.0, 0.0, steps=2, samples=10, seed=0)
 
 
+def test_energy_scan_raises_in_row_order():
+    # K(0, J) = J - 0.01 J^2 has a root at E = 16 and none at E = 30.  The
+    # roots are one batch, but as in a row-by-row scan, row 0's Monte-Carlo
+    # checks come before row 1's root failure.
+    model = alpha_model(omega2=1.0, alpha=-0.01)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        energy_scan(model, 16.0, 30.0, steps=2, samples=0, seed=0)
+    with pytest.raises(PreconditionError, match="J_2"):
+        energy_scan(model, 16.0, 30.0, steps=2, samples=10, seed=0)
+    with pytest.raises(RootBracketError, match=r"K\(0, J_2\) = 30.0 below"):
+        energy_scan(model, 30.0, 40.0, steps=2, samples=0, seed=0)
+
+
 def test_energy_scan_solves_each_root_once(monkeypatch):
     # the width's roots are the Monte-Carlo box: steps x n_bath solves, and
     # the rows equal candidate_width plus action_volume_mc bit for bit
@@ -465,16 +627,18 @@ def test_energy_scan_solves_each_root_once(monkeypatch):
         expected.append((w.e, *w.j_max, w.c_cand, w.limiting_mode,
                          f.volume, f.flux, f.std_error, seed + i))
     calls = []
-    real = bottleneck.j_max_cnf
+    real = bottleneck._j_max_solve
 
-    def counting(model, e, k):
-        calls.append((e, k))
-        return real(model, e, k)
+    def counting(model, e, k, j=None):
+        calls.append(list(zip(np.asarray(e).tolist(), np.asarray(k).tolist())))
+        return real(model, e, k, j)
 
-    monkeypatch.setattr(bottleneck, "j_max_cnf", counting)
+    monkeypatch.setattr(bottleneck, "_j_max_solve", counting)
     report = energy_scan(model, 0.1, 1.0, steps=steps, samples=samples, seed=seed)
-    assert len(calls) == steps * model.n_bath
-    assert len(set(calls)) == len(calls)
+    # one batch of steps x n_bath distinct (E, k) pairs
+    assert len(calls) == 1
+    assert len(calls[0]) == steps * model.n_bath
+    assert len(set(calls[0])) == len(calls[0])
     assert report.rows == expected
     with pytest.raises(ValueError, match="samples"):
         energy_scan(model, 0.1, 1.0, steps=2, samples=0, seed=0)

@@ -488,6 +488,36 @@ def test_integrate_unknown_params_key_exit_two(capsys, tmp_path):
     assert code == 2 and "error:" in err and "'bogus'" in err
 
 
+def test_integrate_non_finite_params_value_exit_two(capsys, tmp_path):
+    # before: the run went on to "state became non-finite" and exit 1
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"m": math.nan}))
+    code, out, err = run_cli(capsys, "integrate", *BASE_ARGV["integrate"],
+                             "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err == f"error: {params}: parameter 'm' must be a finite number, got nan\n"
+
+
+def test_model_non_finite_e0_exit_two(capsys, tmp_path):
+    # before: "constant term nan must equal e0 = nan"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"e0": math.nan, "terms": [
+        {"i": 1, "j": [0], "c": 1.0}, {"i": 0, "j": [1], "c": 1.0}]}))
+    code, out, err = run_cli(capsys, "widths", "--model", str(model), *BASE_ARGV["widths"])
+    assert (code, out) == (2, "")
+    assert err == "error: model key 'e0' must be a finite number, got nan\n"
+
+
+def test_model_non_finite_term_coefficient_exit_two(capsys, tmp_path):
+    # before: exit 1 with "j_max at E = 0.0, mode k = 2: f is NaN at x = 0.0"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps([{"e0": 0.0}, {"i": 1, "j": [0], "c": 1.0},
+                                 {"i": 0, "j": [1], "c": 1.0}, {"i": 0, "j": [2], "c": math.inf}]))
+    code, out, err = run_cli(capsys, "exp2", "--model", str(model), *BASE_ARGV["exp2"])
+    assert (code, out) == (2, "")
+    assert err == "error: model term 2 key 'c' must be a finite number, got inf\n"
+
+
 def test_integrate_bad_step_exit_two(capsys):
     code, _, err = run_cli(
         capsys, "integrate", "--state0=-1e6,1500,0,0", "--h=-0.1",

@@ -1,6 +1,7 @@
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,8 +248,9 @@ def test_radius_scan_validation():
 
 
 def oracle_projection_area(model, r, s_mix, tau):
-    """The shadow area one tau at a time, as first written: the full STM,
-    the mixer checked at every point, one Gram determinant per call."""
+    """The shadow area one tau at a time: the full STM, the mixer checked at
+    every point, one Gram determinant per call, replaced by the tau = 0
+    determinant where its subtraction cancels more than CANCEL_LIMIT."""
     if r <= 0:
         raise ValueError(f"radius must be > 0, got {r}")
     s_mix = np.asarray(s_mix, dtype=float)
@@ -265,11 +267,10 @@ def oracle_projection_area(model, r, s_mix, tau):
     g = (phi @ s_mix)[[0, n], :]
     c = g @ g.T
     det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
-    if det < evolution.DET_FLOOR:
-        raise PreconditionError(
-            f"projected Gram determinant {det:.3e} is negative beyond {evolution.DET_FLOOR:.0e}"
-        )
-    return math.pi * r * r * math.sqrt(max(det, 0.0))
+    if not det * evolution.CANCEL_LIMIT >= c[0, 0] * c[1, 1]:
+        c = s_mix[[0, n], :] @ s_mix[[0, n], :].T
+        det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
+    return math.pi * r * r * math.sqrt(det)
 
 
 def oracle_min_projection_area(model, r, s_mix, tau_grid):
@@ -366,13 +367,31 @@ def test_error_order_matches_per_tau_evaluation():
         radius_scan(MODEL, [0.1], s_mix_seed=1, tau_grid=[])
 
 
-def test_determinant_floor_raises_before_a_later_overflow():
-    # far out on the grid cosh^4 swamps the unit determinant; a point-by-point
-    # evaluation meets that negative determinant before cosh overflows
+def exact_shadow_factor(model, s_mix, tau):
+    """``sqrt(det(P Phi(-tau) S S^T Phi(-tau)^T P^T))`` in mpmath, with digits
+    enough that the ``cosh^4`` terms cancel exactly."""
+    n = model.n_dof
+    lt = abs(model.lam * tau)
+    with mpmath.workdps(30 + int(2 * lt)):
+        c, s = mpmath.cosh(-model.lam * mpmath.mpf(tau)), mpmath.sinh(-model.lam * mpmath.mpf(tau))
+        rows = mpmath.matrix([[float(v) for v in s_mix[0]], [float(v) for v in s_mix[n]]])
+        g = mpmath.matrix([[c, s], [s, c]]) * rows
+        return float(mpmath.sqrt(mpmath.det(g * g.T)))
+
+
+def test_far_tau_grid_matches_the_exact_factor():
+    # far out on the grid cosh^4 swamps the unit determinant of the saddle
+    # block; every area still matches the exact per-tau factor and stays at
+    # or above the ball area, until cosh itself overflows
     s = random_symplectic(3, 0.5, 9)
     grid = np.linspace(0.0, 40.0, 700)
-    assert outcome(oracle_min_projection_area, MODEL, 1.0, s, grid)[0] is PreconditionError
-    with pytest.raises(PreconditionError, match="negative beyond"):
+    curve = min_projection_area(MODEL, 1.0, s, grid)
+    assert outcome(oracle_min_projection_area, MODEL, 1.0, s, grid) == outcome(lambda: curve.areas)
+    for tau, area in list(zip(grid, curve.areas))[::23]:
+        want = math.pi * exact_shadow_factor(MODEL, s, float(tau))
+        assert abs(area - want) <= 1e-10 * want
+    assert curve.min_area >= math.pi
+    with pytest.raises(PreconditionError, match=r"overflows at tau = 2000\.0"):
         min_projection_area(MODEL, 1.0, s, np.append(grid, 2000.0))
     with pytest.raises(PreconditionError, match=r"overflows at tau = 2000\.0") as info:
         min_projection_area(MODEL, 1.0, np.eye(6), np.array([0.0, 2000.0]))

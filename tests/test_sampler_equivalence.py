@@ -32,6 +32,7 @@ from sympb import (
     transmission_scan,
     transmit,
 )
+from sympb.bottleneck import _j_max_roots
 from sympb.ensembles import _solve_reactive_integral
 
 # Models with an I**2 term take the Newton path.  Its coefficient is small
@@ -168,12 +169,16 @@ specs = st.builds(
 def test_array_sampler_matches_scalar_oracle(model, spec, kind, inflate):
     # inflate > 1 widens the J_2 interval past the admissible region, so some
     # first draws give I' < 0 and take the scalar redraw path (or all do, and
-    # both sides raise SamplingError).
+    # both sides raise SamplingError).  The oracle solves each point's root
+    # on its own, the sampler all of them in one batch.
     def j_max(m, e, k):
         return inflate * j_max_cnf(m, e, k)
 
+    def j_max_roots(m, e, k, j=None):
+        return inflate * _j_max_roots(m, e, k, j)
+
     want = outcome(lambda: oracle_sample(model, spec, kind, j_max))
-    with mock.patch.object(sympb.ensembles, "j_max_cnf", j_max):
+    with mock.patch.object(sympb.ensembles, "_j_max_roots", j_max_roots):
         got = outcome(lambda: sample_ensemble(model, spec, kind))
     assert got[0] == want[0]
     if want[0] != "ok":
@@ -216,16 +221,17 @@ def test_criterion_on_knife_edge_uses_math_cosh_sinh(t_max, q1, crosses):
 
 
 def test_scan_solves_j_max_once_per_point(monkeypatch):
+    # one root-solver call holding the n_traj sampled energies
     calls = []
 
-    def counting(model, e, k):
-        calls.append(e)
-        return j_max_cnf(model, e, k)
+    def counting(model, e, k, j=None):
+        calls.append((np.shape(e), k, j))
+        return _j_max_roots(model, e, k, j)
 
-    monkeypatch.setattr(sympb.ensembles, "j_max_cnf", counting)
+    monkeypatch.setattr(sympb.ensembles, "_j_max_roots", counting)
     spec = EnsembleSpec(n_traj=40, e_center=0.0, delta_e=0.01, seed=9)
     transmission_scan(builtin_cnf(3), spec, [round(0.1 * i, 1) for i in range(11)])
-    assert len(calls) == spec.n_traj
+    assert calls == [((spec.n_traj,), 2, None)]
 
 
 # ---------------------------------------------------------------------------
