@@ -89,26 +89,25 @@ def j_max_quadratic(model: QuadraticSaddleModel, e: float, k: int) -> float:
     return (e - model.e0) / model.omegas[idx]
 
 
-def j_max_cnf(model: CnfModel, e: float, k: int) -> float:
+def j_max_cnf(model: CnfModel, e, k):
     """Smallest positive root of ``K(0, ..., J_k, ...) = e`` (other J zero).
 
-    A batch of one for :func:`_j_max_roots`: bracketing starts from the
-    linear estimate ``(e - e0) / omega_k`` and doubles the upper bound until
-    the sign changes (cap 1e12), then Brent's method refines the root to
-    relative tolerance 1e-12.  Raises BelowSaddleError for ``e <= e0``,
-    RootBracketError when no bracket is found below the cap, and
-    ConvergenceError, naming E, k and the last iterate, when K is NaN or the
-    refinement does not converge in 100 iterations.
+    ``e`` is one energy or a 1-d array of energies, and ``k`` one mode or one
+    mode per energy; all roots are solved in one :func:`_j_max_solve` batch.
+    Bracketing starts from the linear estimate ``(e - e0) / omega_k`` and
+    doubles the upper bound until the sign changes (cap 1e12), then Brent's
+    method refines the root to relative tolerance 1e-12.  Returns a float for
+    one energy and an array for an array, each root with the bits it gets
+    alone.  Raises the error of the lowest-index failed root:
+    BelowSaddleError for ``e <= e0``, RootBracketError when no bracket is
+    found below the cap, and ConvergenceError, naming E, k and the last
+    iterate, when K is NaN or the refinement does not converge in 100
+    iterations.
     """
-    return float(_j_max_roots(model, [e], k)[0])
-
-
-def _j_max_roots(model: CnfModel, e, k, j=None) -> np.ndarray:
-    """:func:`_j_max_solve`, raising the failure of the lowest-index element."""
-    roots, failure = _j_max_solve(model, e, k, j)
+    roots, failure = _j_max_solve(model, e, k)
     if failure is not None:
         raise failure[1]
-    return roots
+    return float(roots[0]) if np.ndim(e) == 0 else roots
 
 
 def _j_max_solve(model: CnfModel, e, k, j=None):
@@ -172,7 +171,8 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
 
 
 def _root_error(model, e: float, k: int, status: int, x: float, lo: float, hi: float):
-    """The exception of one failed element of :func:`_j_max_roots`."""
+    """The exception of one failed element of :func:`_j_max_solve`: the
+    error a root solved alone raises, naming its energy ``e`` and mode ``k``."""
     if status == _BELOW:
         return BelowSaddleError(f"E = {e} is not above the saddle energy e0 = {model.e0}")
     if status == _NO_BRACKET:
@@ -280,7 +280,7 @@ def candidate_width(model, e: float) -> WidthReport:
         raise DimensionError("candidate width needs at least one bath mode")
     modes = range(2, nb + 2)
     if isinstance(model, CnfModel):
-        j_max = _j_max_roots(model, [e] * nb, modes).tolist()
+        j_max = j_max_cnf(model, [e] * nb, modes).tolist()
     else:
         j_max = [j_max_quadratic(model, e, k) for k in modes]
     return _width_report(e, j_max)
@@ -351,7 +351,7 @@ def _action_volume_mc(model: CnfModel, e: float, samples: int, seed: int,
                           std_error=0.0, seed=int(seed))
     nb = model.n_bath
     if j_max is None:
-        j_max = [j_max_cnf(model, e, k) for k in range(2, nb + 2)]
+        j_max = j_max_cnf(model, [e] * nb, range(2, nb + 2))
     box = np.array(j_max)
     box_volume = float(np.prod(box))
 

@@ -139,7 +139,7 @@ OPTIONS = {
         Opt("monitor_stride", int, 10),
         Opt("fd_epsilon", float, 1e-6),
         Opt("no_jacobian", bool, help="skip the finite-difference symplecticity check"),
-        Opt("max_drift", float,
+        Opt("max_drift", float, minimum=0.0,
             help="exit 1 after writing the outputs if the energy drift exceeds this"),
         *OUTPUT,
     ),
@@ -357,8 +357,6 @@ def cmd_integrate(args, cfg) -> int:
         print("error: --state0 is required (comma-separated q..., p...)", file=sys.stderr)
         return 2
     max_drift = cfg["max_drift"]
-    if max_drift is not None and not max_drift >= 0:
-        raise ValueError(f"--max-drift must be >= 0, got {max_drift}")
     params = load_params(cfg["params"]) if cfg["params"] else default_params()
     state0 = _parse_floats(cfg["state0"], "state0")
     icfg = integrators.IntegratorConfig(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bottleneck import _check_monotone, _j_max_roots
+from .bottleneck import _check_monotone, j_max_cnf
 from .errors import BelowSaddleError, ConvergenceError, SamplingError
 from .models import CnfModel, effective_lyapunov, eval_cnf, eval_dk_di
 from .tables import ExperimentReport
@@ -193,13 +193,14 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
     Ensemble k draws J_2 from [lows[k] * J2max(E'), J2max(E')]; kind A is
     ``lows[k] = 0``.  Every point draws its first ``3 + n_bath`` uniforms
     from its own substream, in the order of :func:`sample_ensemble`.  The
-    J2max(E') of all points are solved in one batched root-solver call, each
-    with the bits of :func:`~sympb.bottleneck.j_max_cnf`; if some fail, the
-    first point's error is raised.  A (point, ensemble) pair whose first J_2
-    draw gives I' < 0 replays that point's substream in
-    :func:`_redraw_point`.  Like the Monte-Carlo volume, the draws assume
-    that the axis-root box holds the admissible region, so a model whose
-    ``K(0, J)`` decreases in a bath action raises PreconditionError.
+    J2max(E') of all points are solved in one
+    :func:`~sympb.bottleneck.j_max_cnf` call, each with the bits it gets
+    alone; if some fail, the first failing point's error is raised.  A
+    (point, ensemble) pair whose first J_2 draw gives I' < 0 replays that
+    point's substream in :func:`_redraw_point`.  Like the Monte-Carlo volume,
+    the draws assume that the axis-root box holds the admissible region, so a
+    model whose ``K(0, J)`` decreases in a bath action raises
+    PreconditionError.
     """
     _check_monotone(model)
     e_lo = spec.e_center - spec.delta_e
@@ -212,7 +213,7 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_traj)
     u = np.array([np.random.default_rng(child).random(3 + nb) for child in children])
     energy = _uniform(e_lo, e_hi, u[:, 0])
-    j2max = _j_max_roots(model, energy, 2)
+    j2max = j_max_cnf(model, energy, 2)
     lo = np.asarray(lows, dtype=float)[:, None] * j2max
     m, n = lo.shape
     j = np.zeros((m, n, nb))

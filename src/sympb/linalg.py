@@ -126,16 +126,15 @@ def symmetric_sqrt(m) -> np.ndarray:
     return 0.5 * (r + r.T)
 
 
-def _pair_imaginary_spectrum(eigs: np.ndarray, lam_scale: float | None = None) -> np.ndarray:
+def _pair_imaginary_spectrum(eigs: np.ndarray) -> np.ndarray:
     """Collapse eigenvalues expected to come in pairs +/- i*lambda.
+
+    The real parts are tested relative to the largest absolute imaginary part.
 
     Parameters
     ----------
     eigs : ndarray of complex, even length
         Raw eigenvalues of the J-weighted matrix.
-    lam_scale : float, optional
-        Scale used for the relative real-part test; defaults to the largest
-        absolute imaginary part found.
 
     Returns
     -------
@@ -145,7 +144,7 @@ def _pair_imaginary_spectrum(eigs: np.ndarray, lam_scale: float | None = None) -
     if len(eigs) % 2 != 0:
         raise DimensionError("eigenvalue list must have even length")
     imag = np.abs(eigs.imag)
-    scale = float(np.max(imag)) if lam_scale is None else float(lam_scale)
+    scale = float(np.max(imag))
     if scale <= 0.0:
         raise SpectrumError("no nonzero imaginary parts; cannot pair spectrum")
     max_real = float(np.max(np.abs(eigs.real)))

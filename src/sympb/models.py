@@ -164,19 +164,19 @@ class CnfModel:
 
 
 def _bath_columns(model: CnfModel, j, i=0.0):
-    """Bath actions as one column per mode, plus the zero a term sum starts from.
+    """Bath actions as one column per mode, plus the zeros a term sum starts from.
 
-    One point (shape ``(n_bath,)``) gives Python floats and ``0.0``; a batch
-    (shape ``(..., n_bath)``) gives arrays of shape ``j.shape[:-1]`` and zeros
-    of that shape broadcast against the reactive values ``i``.
+    ``j`` has shape ``(..., n_bath)``: the columns have shape ``j.shape[:-1]``
+    and the zeros that shape broadcast against the reactive values ``i``.  One
+    point gives 0-d columns and a 0-d sum, which :func:`_value` returns as a
+    Python float with the same bits: numpy rounds each float64 product and sum
+    as Python rounds a float's.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim == 0 or j.shape[-1] != model.n_bath:
         raise DimensionError(
             f"expected {model.n_bath} bath actions, got shape {j.shape}"
         )
-    if j.ndim == 1:
-        return j, j.tolist(), 0.0
     total = np.zeros(np.broadcast_shapes(np.shape(i), j.shape[:-1]))
     return j, [j[..., k] for k in range(model.n_bath)], total
 
@@ -203,10 +203,6 @@ def _term_sum(model: CnfModel, i, cols, total, order: int):
     return total
 
 
-def _reactive_values(i):
-    return np.asarray(i, dtype=float) if isinstance(i, np.ndarray) else float(i)
-
-
 def eval_cnf(model: CnfModel, i, j):
     """Evaluate ``K(I, J)`` for a CnfModel.
 
@@ -218,17 +214,21 @@ def eval_cnf(model: CnfModel, i, j):
     j : array_like
         Bath actions, shape ``(n_bath,)`` for one point or ``(..., n_bath)``
         for a batch.
+
+    Returns a Python float for one point (scalar ``i``, ``j`` of shape
+    ``(n_bath,)``), with the bits of that point's row in a batch, and an
+    array of the broadcast shape otherwise.
     """
-    i = _reactive_values(i)
+    i = np.asarray(i, dtype=float)
     _, cols, total = _bath_columns(model, j, i)
-    return _term_sum(model, i, cols, total, 0)
+    return _value(_term_sum(model, i, cols, total, 0))
 
 
 def eval_dk_di(model: CnfModel, i, j):
     """Evaluate ``dK/dI`` at ``(I, J)``; shapes as in :func:`eval_cnf`."""
-    i = _reactive_values(i)
+    i = np.asarray(i, dtype=float)
     _, cols, total = _bath_columns(model, j, i)
-    return _term_sum(model, i, cols, total, 1)
+    return _value(_term_sum(model, i, cols, total, 1))
 
 
 def effective_lyapunov(model: CnfModel, j):
@@ -252,7 +252,7 @@ def effective_lyapunov(model: CnfModel, j):
             f"effective rate Lambda(J) = {flat[k]:.6e} is not positive "
             f"at J = {j.reshape(-1, model.n_bath)[k].tolist()}"
         )
-    return rate
+    return _value(rate)
 
 
 def builtin_cnf(n_dof: int = 2) -> CnfModel:

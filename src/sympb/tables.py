@@ -21,8 +21,6 @@ def format_value(v) -> str:
     if isinstance(v, (int,)):
         return str(v)
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
         return FLOAT_FMT % v
     return str(v)
 

@@ -32,7 +32,7 @@ from sympb.bottleneck import (
     ROOT_RTOL,
     ROOT_XTOL,
     _brent,
-    _j_max_roots,
+    _j_max_solve,
 )
 
 E0 = -0.9875
@@ -282,9 +282,9 @@ def test_brentq_same_sign_raises():
     # K(0, J) at J_2 = 0 and J_3 = 5 is already above E = 0
     model = builtin_cnf(3)
     hi = (0.0 - model.e0) / model.omegas[0]
-    with pytest.raises(RootBracketError) as info:
-        _j_max_roots(model, [0.0], 2, [0.0, 5.0])
-    assert str(info.value) == (
+    _, (index, error) = _j_max_solve(model, [0.0], 2, [0.0, 5.0])
+    assert index == 0 and type(error) is RootBracketError
+    assert str(error) == (
         f"j_max at E = 0.0, mode k = 2: f(0.0) and f({hi!r}) have the same sign")
 
 
@@ -325,7 +325,7 @@ def test_j_max_cnf_no_convergence_names_energy_mode_and_iterate(monkeypatch):
     assert 0.0 < float(msg[len(head):]) < (e - model.e0) / model.omegas[0]
 
 
-def test_j_max_roots_raises_the_lowest_index_failure():
+def test_j_max_cnf_raises_the_lowest_index_failure():
     # K(0, J) = J - 0.01 J^2 tops out at 25: E = 30 has no bracket, and
     # E = nan makes f NaN at the first bracket end.  The whole batch runs,
     # then the first failing element raises its scalar message.
@@ -340,13 +340,15 @@ def test_j_max_roots_raises_the_lowest_index_failure():
         ([-1.0, 30.0, math.nan], BelowSaddleError, below_msg),
     ):
         with pytest.raises(exc) as info:
-            _j_max_roots(model, es, 2)
+            j_max_cnf(model, es, 2)
         assert str(info.value) == msg
         bad = next(e for e in es if e != 16.0)
         with pytest.raises(exc) as info:
             j_max_cnf(model, bad, 2)
         assert str(info.value) == msg
-    assert _j_max_roots(model, [16.0, 16.0], 2).tolist() == [j_max_cnf(model, 16.0, 2)] * 2
+    one = j_max_cnf(model, 16.0, 2)
+    assert type(one) is float
+    assert j_max_cnf(model, [16.0, 16.0], 2).tolist() == [one] * 2
 
 
 def k_at_zero(model, j):
@@ -394,7 +396,7 @@ coefficients = st.floats(0.0, 2.0)
 @given(extra=st.tuples(*[coefficients] * 6), b=st.floats(-0.1, 0.1), mode=st.sampled_from([2, 3]),
        points=st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(1e-6, 20.0)),
                        min_size=1, max_size=8))
-def test_j_max_roots_with_fixed_bath_actions_matches_scalar_loop(extra, b, mode, points):
+def test_j_max_solve_with_fixed_bath_actions_matches_scalar_loop(extra, b, mode, points):
     # K(0, J) is nondecreasing with J_2^2, J_3^2, J_2 J_3, J_2^3, J_3^3 and
     # J_2^2 J_3 terms; each point fixes the other action and sits at a
     # positive excess over K at J_mode = 0.
@@ -406,7 +408,8 @@ def test_j_max_roots_with_fixed_bath_actions_matches_scalar_loop(extra, b, mode,
     fixed = np.zeros((len(points), 2))
     fixed[:, 3 - mode] = [other for other, _ in points]
     es = [k_at_zero(model, row) + de for row, (_, de) in zip(fixed.tolist(), points)]
-    got = _j_max_roots(model, es, mode, fixed)
+    got, failure = _j_max_solve(model, es, mode, fixed)
+    assert failure is None
     want = [scalar_j_max(model, e, mode, row) for e, row in zip(es, fixed.tolist())]
     assert [x.hex() for x in got] == [w.hex() for w in want]
 

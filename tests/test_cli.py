@@ -734,6 +734,7 @@ BAD_CONFIGS = [
     ("exp2", "n", "many"),
     ("exp1", "radii", False),
     ("integrate", "max-drift", "1e-3x"),
+    ("integrate", "max_drift", -1),
     ("widths", "e_max", 10**400),
 ]
 

@@ -21,7 +21,6 @@ from sympb import (
     transmission_scan,
     transmit,
 )
-from sympb.bottleneck import _j_max_roots
 
 MODEL2 = builtin_cnf(2)
 MODEL3 = builtin_cnf(3)
@@ -165,10 +164,10 @@ def test_degenerate_window_pins_j2_and_p1():
 def test_sampling_error_when_all_draws_rejected(monkeypatch):
     import sympb.ensembles
 
-    def fake_j_max(model, e, k, j=None):
-        return 100.0 * _j_max_roots(MODEL3, e, k, j)
+    def fake_j_max(model, e, k):
+        return 100.0 * j_max_cnf(MODEL3, e, k)
 
-    monkeypatch.setattr(sympb.ensembles, "_j_max_roots", fake_j_max)
+    monkeypatch.setattr(sympb.ensembles, "j_max_cnf", fake_j_max)
     spec = make_spec(xi=0.5)
     with pytest.raises(SamplingError):
         sample_ensemble(MODEL3, spec, kind="B")

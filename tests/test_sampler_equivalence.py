@@ -32,7 +32,6 @@ from sympb import (
     transmission_scan,
     transmit,
 )
-from sympb.bottleneck import _j_max_roots
 from sympb.ensembles import _solve_reactive_integral
 
 # Models with an I**2 term take the Newton path.  Its coefficient is small
@@ -174,11 +173,8 @@ def test_array_sampler_matches_scalar_oracle(model, spec, kind, inflate):
     def j_max(m, e, k):
         return inflate * j_max_cnf(m, e, k)
 
-    def j_max_roots(m, e, k, j=None):
-        return inflate * _j_max_roots(m, e, k, j)
-
     want = outcome(lambda: oracle_sample(model, spec, kind, j_max))
-    with mock.patch.object(sympb.ensembles, "_j_max_roots", j_max_roots):
+    with mock.patch.object(sympb.ensembles, "j_max_cnf", j_max):
         got = outcome(lambda: sample_ensemble(model, spec, kind))
     assert got[0] == want[0]
     if want[0] != "ok":
@@ -224,14 +220,14 @@ def test_scan_solves_j_max_once_per_point(monkeypatch):
     # one root-solver call holding the n_traj sampled energies
     calls = []
 
-    def counting(model, e, k, j=None):
-        calls.append((np.shape(e), k, j))
-        return _j_max_roots(model, e, k, j)
+    def counting(model, e, k):
+        calls.append((np.shape(e), k))
+        return j_max_cnf(model, e, k)
 
-    monkeypatch.setattr(sympb.ensembles, "_j_max_roots", counting)
+    monkeypatch.setattr(sympb.ensembles, "j_max_cnf", counting)
     spec = EnsembleSpec(n_traj=40, e_center=0.0, delta_e=0.01, seed=9)
     transmission_scan(builtin_cnf(3), spec, [round(0.1 * i, 1) for i in range(11)])
-    assert calls == [((spec.n_traj,), 2, None)]
+    assert calls == [((spec.n_traj,), 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,8 @@ def test_batched_polynomial_matches_points(model, seed, shape):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_batched_polynomial_broadcasts_reactive_values(model):
-    # a batch sums its terms in place, into zeros shaped by both i and j
+    # a batch sums its terms in place, into zeros shaped by both i and j; one
+    # point gives a Python float with the bits of its batch row
     rng = np.random.default_rng(23)
     j = rng.uniform(0.0, 2.0, size=(5, model.n_bath))
     i = rng.uniform(-1.0, 1.0, size=(3, 1))
@@ -267,9 +264,16 @@ def test_batched_polynomial_broadcasts_reactive_values(model):
         assert got.shape == (3, 5)
         want = [k_scalar(model, float(ii), jj.tolist(), order) for ii in i[:, 0] for jj in j]
         assert got.ravel().tobytes() == np.array(want).tobytes()
+        for (r, c), row in np.ndenumerate(got):
+            one = fn(model, float(i[r, 0]), j[c].tolist())
+            assert type(one) is float and one.hex() == float(row).hex()
         got = fn(model, 0.0, j)
         assert got.tobytes() == np.array([k_scalar(model, 0.0, jj.tolist(), order)
                                           for jj in j]).tobytes()
+    lam = effective_lyapunov(model, j)
+    for row, jj in zip(lam.tolist(), j):
+        one = effective_lyapunov(model, jj)
+        assert type(one) is float and one.hex() == row.hex()
 
 
 def test_batched_lyapunov_sign_guard():
