@@ -10,6 +10,8 @@ for polynomial ones), and the directional flux ``phi = (2 pi)^(n-1) V``.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,9 @@ _OK, _BELOW, _NO_BRACKET, _SAME_SIGN, _NAN, _MAXITER = range(6)
 # Monte-Carlo chunk size; chunk i draws from substream i of the seed, so the
 # totals do not depend on how chunks would be scheduled across workers.
 MC_CHUNK = 1 << 16
+# Rows drawn and counted at once: half a chunk keeps each worker's buffers
+# small when energy_scan runs its rows in parallel.
+MC_BLOCK = MC_CHUNK // 2
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,10 @@ def j_max_cnf(model: CnfModel, e, k):
     doubles the upper bound until the sign changes (cap 1e12), then Brent's
     method refines the root to relative tolerance 1e-12.  Returns a float for
     one energy and an array for an array, each root with the bits it gets
-    alone.  Raises the error of the lowest-index failed root:
-    BelowSaddleError for ``e <= e0``, RootBracketError when no bracket is
-    found below the cap, and ConvergenceError, naming E, k and the last
+    alone.  Raises DimensionError, naming the shape, for an energy array of 2
+    or more dimensions, and otherwise the error of the lowest-index failed
+    root: BelowSaddleError for ``e <= e0``, RootBracketError when no bracket
+    is found below the cap, and ConvergenceError, naming E, k and the last
     iterate, when K is NaN or the refinement does not converge in 100
     iterations.
     """
@@ -114,7 +120,8 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
     """Smallest positive root ``J_k`` of ``K(0, J) = e[i]`` for every energy,
     with the other bath actions fixed at ``j[i]`` (zeros when None).
 
-    ``e`` is 1-d, ``k`` a mode or one mode per energy, and ``j`` broadcasts
+    ``e`` is one energy or 1-d (DimensionError otherwise), ``k`` a mode or
+    one mode per energy, and ``j`` broadcasts
     to ``(len(e), n_bath)``; its column k is ignored.  Each element's bracket
     starts at ``[0, (e - e0) / omega_k]``, and its upper end doubles until
     ``K - e`` changes sign (cap BRACKET_CAP); :func:`_brent` then refines it.
@@ -123,7 +130,10 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
     end.  Returns the roots and None, or the index and the exception of the
     lowest-index failed element.
     """
-    e = np.array(e, dtype=float).ravel()
+    e = np.array(e, dtype=float)
+    if e.ndim > 1:
+        raise DimensionError(f"expected one energy or a 1-d array, got shape {e.shape}")
+    e = e.ravel()
     n = e.size
     ks = np.broadcast_to(np.asarray(k, dtype=int), (n,))
     for mode in set(ks.tolist()):
@@ -358,17 +368,20 @@ def _action_volume_mc(model: CnfModel, e: float, samples: int, seed: int,
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     # ``uniform(0.0, box)`` computes ``0.0 + box * u``, which is ``u * box``
-    # bit for bit; filling one buffer with ``random`` and scaling it in place
-    # avoids numpy's broadcast path for an array-valued ``high``.
-    buf = np.empty((min(MC_CHUNK, samples), nb))
+    # bit for bit.  Each chunk is drawn in blocks of MC_BLOCK rows from its one
+    # generator, so the stream is the chunk's; each block is scaled one column
+    # at a time, because ``js *= box`` runs one short inner loop per row.
+    buf = np.empty((min(MC_BLOCK, samples), nb))
     hits = 0
-    remaining = samples
-    for child in children:
-        js = buf[:min(MC_CHUNK, remaining)]
-        np.random.default_rng(child).random(out=js)
-        js *= box
-        hits += kernels.count_box_hits(model, js, e)
-        remaining -= len(js)
+    for c, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        size = min(MC_CHUNK, samples - c * MC_CHUNK)
+        for start in range(0, size, MC_BLOCK):
+            js = buf[:min(MC_BLOCK, size - start)]
+            rng.random(out=js)
+            for k in range(nb):
+                js[:, k] *= box[k]
+            hits += kernels.count_box_hits(model, js, e)
     p_hat = hits / samples
     volume = box_volume * p_hat
     std_error = box_volume * math.sqrt(p_hat * (1.0 - p_hat) / samples)
@@ -394,6 +407,49 @@ def flux_quadratic_exact(model: QuadraticSaddleModel, e: float) -> FluxReport:
                       mc_samples=0, std_error=0.0)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _volumes_in_parallel(model: CnfModel, widths, samples: int, seed: int) -> list:
+    """``_action_volume_mc`` of row i (its width's energy and box, seed
+    ``seed + i``) for every row, on the usable CPUs.
+
+    Worker w of W takes rows ``w, w + W, ...``; the calling thread is worker
+    0 and ``W - 1`` threads are the others, all joined before this returns.
+    A row that raises is returned as its exception, and its worker stops
+    there (its later rows stay None), so every row below the lowest failed
+    one holds its report.  Each row is written by one worker only.
+    """
+    n = len(widths)
+    out = [None] * n
+    n_workers = max(1, min(_usable_cpus(), n))
+
+    def work(first: int) -> None:
+        for i in range(first, n, n_workers):
+            width = widths[i]
+            try:
+                out[i] = _action_volume_mc(model, width.e, samples, seed + i, width.j_max)
+            except Exception as exc:
+                out[i] = exc
+                return
+
+    threads = []
+    try:
+        for w in range(1, n_workers):
+            thread = threading.Thread(target=work, args=(w,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    return out
+
+
 def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
                 samples: int, seed: int, extra_meta: dict | None = None) -> ExperimentReport:
     """Width and flux table over a uniform energy grid.
@@ -401,7 +457,10 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     Row i uses seed ``seed + i`` for its Monte-Carlo volume, recorded in the
     seed column, so any row can be reproduced in isolation.  Each root
     ``J_k_max(E)`` is solved once, all of them in one batch, and the width's
-    roots are the volume's box.
+    roots are the volume's box.  The rows' volumes run in parallel, one
+    worker thread per usable CPU (``os.sched_getaffinity``) up to the number
+    of rows; the output does not depend on how many CPUs there are, and
+    errors are raised in row order, as a row-by-row scan raises them.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -418,17 +477,20 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     # after the earlier rows' Monte-Carlo checks, as a row-by-row scan would.
     roots, failure = _j_max_solve(model, np.repeat(energies, nb),
                                   np.tile(np.arange(2, nb + 2), energies.size))
+    n_rows = steps if failure is None else failure[0] // nb
+    widths = [_width_report(e, roots[i * nb:(i + 1) * nb].tolist())
+              for i, e in enumerate(energies[:n_rows].tolist())]
+    fluxes = _volumes_in_parallel(model, widths, samples, seed)
     rows = []
-    for i, e in enumerate(energies.tolist()):
-        if failure is not None and failure[0] // nb == i:
-            raise failure[1]
-        width = _width_report(e, roots[i * nb:(i + 1) * nb].tolist())
-        row_seed = seed + i
-        flux = _action_volume_mc(model, e, samples, row_seed, width.j_max)
+    for i, (width, flux) in enumerate(zip(widths, fluxes)):
+        if isinstance(flux, Exception):
+            raise flux
         rows.append(
             (width.e, *width.j_max, width.c_cand, width.limiting_mode,
-             flux.volume, flux.flux, flux.std_error, row_seed)
+             flux.volume, flux.flux, flux.std_error, seed + i)
         )
+    if failure is not None:
+        raise failure[1]
     meta = {
         "e_min": float(e_min),
         "e_max": float(e_max),

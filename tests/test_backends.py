@@ -21,7 +21,7 @@ from sympb import (
     kernels,
 )
 from sympb import bottleneck
-from sympb.bottleneck import BRACKET_CAP, MC_CHUNK
+from sympb.bottleneck import BRACKET_CAP, MC_BLOCK, MC_CHUNK
 
 PARAMS = default_params()
 
@@ -258,14 +258,22 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
                  tuple(10.0 ** rng.uniform(-300.0, 12.0, size=nb)),
                  tuple(rng.uniform(0.1, 5.0, size=nb))]
         for box in boxes:
-            # chunk layouts [1], [4097], [MC_CHUNK] and [MC_CHUNK, MC_CHUNK, 4097]
-            for samples in (1, 4097, MC_CHUNK, 2 * MC_CHUNK + 4097):
+            # chunk layouts [1], [4097], [MC_BLOCK + 1], [MC_CHUNK],
+            # [MC_CHUNK, MC_CHUNK, 4097] and [MC_CHUNK, MC_CHUNK, MC_BLOCK + 4097];
+            # a chunk is drawn in blocks of at most MC_BLOCK rows, concatenated
+            # here per chunk
+            for samples in (1, 4097, MC_BLOCK + 1, MC_CHUNK, 2 * MC_CHUNK + 4097,
+                            2 * MC_CHUNK + MC_BLOCK + 4097):
                 drawn.clear()
                 bottleneck._action_volume_mc(model, 0.0, samples, 5, box)
-                children = np.random.SeedSequence(5).spawn(len(drawn))
-                sizes = [min(MC_CHUNK, samples - MC_CHUNK * i) for i in range(len(drawn))]
-                assert sum(sizes) == samples
-                for js, child, m in zip(drawn, children, sizes):
+                n_chunks = -(-samples // MC_CHUNK)
+                children = np.random.SeedSequence(5).spawn(n_chunks)
+                sizes = [min(MC_CHUNK, samples - MC_CHUNK * i) for i in range(n_chunks)]
+                assert [len(js) for js in drawn] == [
+                    min(MC_BLOCK, m - start) for m in sizes for start in range(0, m, MC_BLOCK)]
+                blocks = iter(drawn)
+                for child, m in zip(children, sizes):
+                    js = np.concatenate([next(blocks) for _ in range(0, m, MC_BLOCK)])
                     want = np.random.default_rng(child).uniform(0.0, np.array(box), size=(m, nb))
                     assert js.shape == want.shape
                     assert js.tobytes() == want.tobytes()

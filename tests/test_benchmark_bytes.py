@@ -8,6 +8,7 @@ well as in the benchmark.  The perfbench files are only read.
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -39,3 +40,10 @@ def test_reference_seed_digest(name, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert worker._digest(out) == REFERENCE["digests"][name]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_flux_digest_does_not_depend_on_usable_cpus(cpus, tmp_path, monkeypatch, capsys):
+    # widths spreads its rows over the usable CPUs; the bytes stay the same
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    test_reference_seed_digest("flux", tmp_path, monkeypatch, capsys)

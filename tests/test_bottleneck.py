@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from sympb.bottleneck import (
     _SAME_SIGN,
     BRACKET_CAP,
     BRENT_MAXITER,
+    MC_CHUNK,
     ROOT_RTOL,
     ROOT_XTOL,
     _brent,
@@ -351,6 +357,18 @@ def test_j_max_cnf_raises_the_lowest_index_failure():
     assert j_max_cnf(model, [16.0, 16.0], 2).tolist() == [one] * 2
 
 
+def test_j_max_refuses_energy_arrays_of_two_or_more_dimensions():
+    model = builtin_cnf(3)
+    for e in (np.full((2, 2), 0.5), np.full((1, 3, 1), 0.5)):
+        for solve in (j_max_cnf, _j_max_solve):
+            with pytest.raises(DimensionError, match=re.escape(str(e.shape))):
+                solve(model, e, 2)
+    # 0-d and 1-d energies, and 1-element arrays, still solve
+    one = j_max_cnf(model, 0.5, 2)
+    assert j_max_cnf(model, np.array([0.5]), 2).tolist() == [one]
+    assert j_max_cnf(model, np.array(0.5), 2) == one
+
+
 def k_at_zero(model, j):
     """K(0, J) with Python floats, term by term in eval_cnf's order."""
     total = 0.0
@@ -645,3 +663,95 @@ def test_energy_scan_solves_each_root_once(monkeypatch):
     assert report.rows == expected
     with pytest.raises(ValueError, match="samples"):
         energy_scan(model, 0.1, 1.0, steps=2, samples=0, seed=0)
+
+
+REAL_MC = bottleneck._action_volume_mc
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def record_mc_threads(monkeypatch, fail=(), slow=(), stub=False):
+    """Wrap ``_action_volume_mc`` to record (seed, thread name) per call and
+    to raise ``RuntimeError("row <seed>")`` for the seeds in ``fail``, after
+    sleeping 0.2 s for the seeds in ``slow``.  With ``stub`` the other rows
+    return a zero volume without running the real checks."""
+    calls = []
+
+    def wrapped(model, e, samples, seed, j_max):
+        calls.append((seed, threading.current_thread().name))
+        if seed in slow:
+            time.sleep(0.2)
+        if seed in fail:
+            raise RuntimeError(f"row {seed}")
+        if stub:
+            return bottleneck.FluxReport(e, 0.0, 0.0, samples, 0.0, seed)
+        return REAL_MC(model, e, samples, seed, j_max)
+
+    monkeypatch.setattr(bottleneck, "_action_volume_mc", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4, 16])
+def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
+    # each row equals candidate_width plus action_volume_mc bit for bit, with
+    # one worker per usable CPU up to the row count; the caller is one of
+    # them, and every other worker thread is joined on return
+    model = builtin_cnf(3)
+    steps, samples, seed = 5, 2 * MC_CHUNK + 77, 11
+    expected = []
+    for i, e in enumerate(np.linspace(0.05, 1.0, steps).tolist()):
+        w = candidate_width(model, e)
+        f = action_volume_mc(model, e, samples, seed + i)
+        expected.append((w.e, *w.j_max, w.c_cand, w.limiting_mode,
+                         f.volume, f.flux, f.std_error, seed + i))
+    usable_cpus(monkeypatch, cpus)
+    calls = record_mc_threads(monkeypatch)
+    before = threading.active_count()
+    # switch threads often, so the workers interleave finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = energy_scan(model, 0.05, 1.0, steps=steps, samples=samples, seed=seed)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert report.rows == expected
+    assert sorted(s for s, _ in calls) == [seed + i for i in range(steps)]
+    # worker w takes rows w, w + W, ...; the caller is worker 0
+    thread_of = dict(calls)
+    workers = min(cpus, steps)
+    assert len(set(thread_of.values())) == workers
+    assert thread_of[seed] == threading.current_thread().name
+    assert all(thread_of[seed + i] == thread_of[seed + i % workers] for i in range(steps))
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_energy_scan_raises_the_lowest_failed_row(monkeypatch, cpus):
+    model = builtin_cnf(3)
+    usable_cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    # row 0 fails last in time while row 2 also fails: row 0's error wins
+    record_mc_threads(monkeypatch, fail={0, 2}, slow={0})
+    with pytest.raises(RuntimeError, match="^row 0$"):
+        energy_scan(model, 0.1, 1.0, steps=4, samples=100, seed=0)
+    assert threading.active_count() == before
+    # only row 2 fails: rows 0 and 1 are computed, row 2's error is raised
+    calls = record_mc_threads(monkeypatch, fail={2})
+    with pytest.raises(RuntimeError, match="^row 2$"):
+        energy_scan(model, 0.1, 1.0, steps=4, samples=100, seed=0)
+    assert {0, 1, 2} <= {s for s, _ in calls}
+    assert threading.active_count() == before
+    # K(0, J) = J - 0.01 J^2 has no root above E = 25, so of the rows at
+    # E = 1, 11, 21, 31 the last fails its root: only rows 0-2 are drawn,
+    # and a Monte-Carlo failure at row 1 comes first
+    alpha = alpha_model(omega2=1.0, alpha=-0.01)
+    record_mc_threads(monkeypatch, fail={1}, stub=True)
+    with pytest.raises(RuntimeError, match="^row 1$"):
+        energy_scan(alpha, 1.0, 31.0, steps=4, samples=100, seed=0)
+    calls = record_mc_threads(monkeypatch, stub=True)
+    with pytest.raises(RootBracketError, match=r"K\(0, J_2\) = 31.0 below"):
+        energy_scan(alpha, 1.0, 31.0, steps=4, samples=100, seed=0)
+    assert sorted(s for s, _ in calls) == [0, 1, 2]
+    assert threading.active_count() == before

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sympb
-from sympb import save_matrix
+from sympb import cli, save_matrix
 from sympb.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -134,6 +134,34 @@ def test_widths_monotone_and_seeded_rows(capsys):
     c = [float(r[3]) for r in rows]
     assert c == sorted(c)
     assert [int(r[-1]) for r in rows] == [9, 10, 11, 12]
+
+
+def test_main_reuses_one_parser_without_carrying_options(capsys, monkeypatch):
+    # main builds the parser on its first call only; the options of one call
+    # do not carry into the next, which reads as it does on a fresh parser
+    real = cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    argv = ["widths", "--e-min", "0.5", "--e-max", "0.6", "--steps", "2", "--samples", "300"]
+    cli._parser.cache_clear()
+    try:
+        first = run_cli(capsys, *argv, "--seed", "3", "--format", "json")
+        second = run_cli(capsys, *argv)
+        assert built == [1]
+        cli._parser.cache_clear()
+        fresh = run_cli(capsys, *argv)
+        assert built == [1, 1]
+    finally:
+        cli._parser.cache_clear()
+    assert first[0] == second[0] == 0
+    assert json.loads(first[1])["meta"]["seed"] == 3
+    assert second == fresh
+    assert parse_csv(second[1])[0]["command"] == "widths"
 
 
 def test_widths_below_saddle_exit_one(capsys):
