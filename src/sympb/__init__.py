@@ -63,13 +63,11 @@ from .bottleneck import (
 )
 from .evolution import (
     ProjectionAreaCurve,
-    area_curve,
     capacity_after_evolution,
     default_tau_grid,
     evolved_shape_matrix,
     min_projection_area,
     projection_area,
-    radius_scan,
     radius_scan_curves,
     stm,
 )

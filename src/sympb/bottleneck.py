@@ -451,7 +451,7 @@ def _volumes_in_parallel(model: CnfModel, widths, samples: int, seed: int) -> li
 
 
 def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
-                samples: int, seed: int, extra_meta: dict | None = None) -> ExperimentReport:
+                samples: int, seed: int) -> ExperimentReport:
     """Width and flux table over a uniform energy grid.
 
     Row i uses seed ``seed + i`` for its Monte-Carlo volume, recorded in the
@@ -500,6 +500,4 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
         "model_e0": model.e0,
         "model_terms": [[ip, list(jp), c] for ip, jp, c in model.terms],
     }
-    if extra_meta:
-        meta.update(extra_meta)
     return ExperimentReport(columns=tuple(columns), rows=rows, meta=meta)

@@ -289,7 +289,8 @@ def cmd_widths(args, cfg) -> int:
         print("error: --e-min and --e-max are required", file=sys.stderr)
         return 2
     report = energy_scan(_load_cnf(cfg), cfg["e_min"], cfg["e_max"], cfg["steps"],
-                         cfg["samples"], cfg["seed"], extra_meta=_meta("widths", cfg))
+                         cfg["samples"], cfg["seed"])
+    report.meta.update(_meta("widths", cfg))
     _emit(report, cfg)
     return 0
 
@@ -303,13 +304,15 @@ def cmd_exp1(args, cfg) -> int:
     tau_grid = np.linspace(0.0, float(tau_max), cfg["tau_points"])
     meta = _meta("exp1", cfg, radii=radii, tau_max=float(tau_max))
     report, curves = evolution.radius_scan_curves(
-        model, radii, cfg["seed"], tau_grid=tau_grid, sigma=cfg["sigma"],
-        e_ref=cfg["e_ref"], extra_meta=meta,
+        model, radii, cfg["seed"], tau_grid=tau_grid, sigma=cfg["sigma"], e_ref=cfg["e_ref"],
     )
+    report.meta.update(meta)
     _emit(report, cfg)
     if cfg["curves_out"]:
         for i, curve in enumerate(curves):
-            curve.to_report({**meta, "radius_index": i}).to_csv(f"{cfg['curves_out']}_r{i}.csv")
+            curve_report = curve.to_report()
+            curve_report.meta.update(meta, radius_index=i)
+            curve_report.to_csv(f"{cfg['curves_out']}_r{i}.csv")
     return 0
 
 
@@ -332,7 +335,8 @@ def cmd_exp2(args, cfg) -> int:
     if t_max is None:
         t_max = ensembles.default_t_max(model)
     meta = _meta("exp2", cfg, delta_e=spec.delta_e, t_max=float(t_max), xis=xis)
-    report = ensembles.scan_report(model, spec, xis, float(t_max), extra_meta=meta)
+    report = ensembles.scan_report(model, spec, xis, float(t_max))
+    report.meta.update(meta)
     _emit(report, cfg)
     return 0
 

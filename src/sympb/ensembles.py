@@ -329,10 +329,8 @@ def transmission_scan(model: CnfModel, spec_base: EnsembleSpec, xis,
 
 
 def scan_report(model: CnfModel, spec_base: EnsembleSpec, xis,
-                t_max: float | None = None, extra_meta: dict | None = None) -> ExperimentReport:
+                t_max: float | None = None) -> ExperimentReport:
     """Transmission scan as a CSV-ready table (baseline row flagged kind=A)."""
-    if t_max is None:
-        t_max = default_t_max(model)
     results = transmission_scan(model, spec_base, xis, t_max)
     rows = [
         (res.kind, res.xi, res.fraction, res.n_transmitted, res.n_total,
@@ -345,13 +343,11 @@ def scan_report(model: CnfModel, spec_base: EnsembleSpec, xis,
         "delta_e": spec_base.delta_e,
         "q1_range": spec_base.q1_range,
         "seed": spec_base.seed,
-        "t_max": float(t_max),
+        "t_max": results[0].t_max,
         "xis": [float(x) for x in xis],
         "model_e0": model.e0,
         "model_terms": [[ip, list(jp), c] for ip, jp, c in model.terms],
     }
-    if extra_meta:
-        meta.update(extra_meta)
     return ExperimentReport(
         columns=("kind", "xi", "fraction", "n_transmitted", "n_total", "t_max", "seed"),
         rows=rows,

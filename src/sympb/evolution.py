@@ -38,8 +38,6 @@ __all__ = [
     "min_projection_area",
     "evolved_shape_matrix",
     "default_tau_grid",
-    "area_curve",
-    "radius_scan",
     "radius_scan_curves",
     "capacity_after_evolution",
 ]
@@ -60,11 +58,9 @@ class ProjectionAreaCurve:
     min_area: float
     gromov_scale: float
 
-    def to_report(self, extra_meta: dict | None = None) -> ExperimentReport:
+    def to_report(self) -> ExperimentReport:
         """The curve as a (tau, area) table."""
         meta = {"r": self.r, "min_area": self.min_area, "gromov_scale": self.gromov_scale}
-        if extra_meta:
-            meta.update(extra_meta)
         rows = [(float(t), float(a)) for t, a in zip(self.taus, self.areas)]
         return ExperimentReport(columns=("tau", "area"), rows=rows, meta=meta)
 
@@ -201,15 +197,8 @@ def default_tau_grid(model: QuadraticSaddleModel, points: int = DEFAULT_TAU_POIN
     return np.linspace(0.0, 3.0 / model.lam, points)
 
 
-def area_curve(model: QuadraticSaddleModel, r: float, s_mix, tau_grid,
-               extra_meta: dict | None = None) -> ExperimentReport:
-    """A(tau) curve as a (tau, area) table."""
-    return min_projection_area(model, r, s_mix, tau_grid).to_report(extra_meta)
-
-
 def radius_scan_curves(model: QuadraticSaddleModel, radii, s_mix_seed: int, tau_grid=None,
                        sigma: float = DEFAULT_SIGMA, e_ref: float = 0.0,
-                       extra_meta: dict | None = None,
                        ) -> tuple[ExperimentReport, list[ProjectionAreaCurve]]:
     """The radius-scan table and the A(tau) curve of every radius.
 
@@ -243,22 +232,10 @@ def radius_scan_curves(model: QuadraticSaddleModel, radii, s_mix_seed: int, tau_
         "omegas": list(model.omegas),
         "e0": model.e0,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     report = ExperimentReport(
         columns=("r", "min_area", "pi_r2", "c_cand_ref"), rows=rows, meta=meta
     )
     return report, curves
-
-
-def radius_scan(model: QuadraticSaddleModel, radii, s_mix_seed: int, tau_grid=None,
-                sigma: float = DEFAULT_SIGMA, e_ref: float = 0.0,
-                extra_meta: dict | None = None) -> ExperimentReport:
-    """Minimum shadow area against the ball capacity for a range of radii.
-
-    The table of ``radius_scan_curves``: one mixer shared by all radii.
-    """
-    return radius_scan_curves(model, radii, s_mix_seed, tau_grid, sigma, e_ref, extra_meta)[0]
 
 
 def capacity_after_evolution(model: QuadraticSaddleModel, r: float, s_mix, tau: float) -> float:

@@ -9,6 +9,7 @@ finite-difference Jacobian M of the time-t map from symplecticity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,18 @@ class IntegratorConfig:
             raise ValueError(f"step h must be > 0, got {self.h}")
         if self.t_final <= 0:
             raise ValueError(f"t_final must be > 0, got {self.t_final}")
+        if not math.isfinite(self.t_final / self.h):
+            raise ValueError(f"t_final / h must be a finite step count, got t_final = "
+                             f"{self.t_final!r} and h = {self.h!r}")
         if self.monitor_stride < 1:
             raise ValueError(f"monitor_stride must be >= 1, got {self.monitor_stride}")
         if self.fd_epsilon <= 0:
             raise ValueError(f"fd_epsilon must be > 0, got {self.fd_epsilon}")
+
+    @property
+    def nsteps(self) -> int:
+        """Number of Verlet steps: ``t_final / h`` rounded, and at least one."""
+        return max(1, int(round(self.t_final / self.h)))
 
 
 @dataclass(frozen=True)
@@ -116,10 +125,9 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
     starts = np.concatenate([q0, p0])[None]
     if cfg.compute_jacobian:
         starts = np.vstack([starts, _displaced_starts(starts[0], cfg.fd_epsilon)])
-    nsteps = max(1, int(round(cfg.t_final / cfg.h)))
-    times = _record_times(cfg.h, nsteps, cfg.monitor_stride)
+    times = _record_times(cfg.h, cfg.nsteps, cfg.monitor_stride)
     qs, ps, bad = kernels.verlet_run(
-        p, starts[:, :d], starts[:, d:], cfg.h, nsteps, cfg.monitor_stride
+        p, starts[:, :d], starts[:, d:], cfg.h, cfg.nsteps, cfg.monitor_stride
     )
     if bad >= 0:
         main_finite = np.isfinite(qs[bad, 0]).all() and np.isfinite(ps[bad, 0]).all()
@@ -154,7 +162,7 @@ def finite_difference_jacobian(p: EckartMorseParams, state0, cfg: IntegratorConf
     q0, p0 = _split_state(state0)
     d = q0.size
     starts = _displaced_starts(np.concatenate([q0, p0]), cfg.fd_epsilon)
-    nsteps = max(1, int(round(cfg.t_final / cfg.h)))
+    nsteps = cfg.nsteps
     qs, ps, bad = kernels.verlet_run(p, starts[:, :d], starts[:, d:], cfg.h, nsteps, nsteps)
     if bad >= 0:
         t_bad = _record_times(cfg.h, nsteps, nsteps)[bad]

@@ -13,7 +13,6 @@ import numpy as np
 from .models import (
     CnfModel,
     EckartMorseParams,
-    _bath_columns,
     _term_sum,
     grad_potential,
     velocities,
@@ -29,8 +28,7 @@ def count_box_hits(model: CnfModel, j_samples, e: float) -> int:
     Only the I-free terms are evaluated: at I = 0 a term that carries I adds
     +/-0.0 for finite J, so the count equals that of the whole polynomial.
     """
-    _, cols, total = _bath_columns(model, j_samples)
-    return int(np.count_nonzero(_term_sum(model, None, cols, total, 0) <= e))
+    return int(np.count_nonzero(_term_sum(model, None, j_samples, 0) <= e))
 
 
 def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride: int):

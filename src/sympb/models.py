@@ -17,9 +17,9 @@ rate 0.4375, frequencies 1.6036 and 1.1832 and energy -1.71875 (3 dof).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -101,9 +101,9 @@ class CnfModel:
 
     def __post_init__(self):
         norm = []
-        for t in self.terms:
-            i_pow, j_pows, coeff = t
-            norm.append((int(i_pow), tuple(int(p) for p in j_pows), float(coeff)))
+        for n, (i_pow, j_pows, coeff) in enumerate(self.terms):
+            norm.append((_power(i_pow, f"term {n} I power"),
+                         tuple(_power(p, f"term {n} J power") for p in j_pows), float(coeff)))
         object.__setattr__(self, "terms", tuple(norm))
         if not self.terms:
             raise ValueError("CnfModel needs at least one term")
@@ -115,8 +115,6 @@ class CnfModel:
                 raise DimensionError(
                     f"inconsistent bath arity: expected {nb}, got {len(j_pows)}"
                 )
-            if i_pow < 0 or any(p < 0 for p in j_pows):
-                raise ValueError("powers must be nonnegative")
         const = self.coefficient(0, (0,) * nb)
         if const != self.e0:
             raise ValueError(
@@ -136,14 +134,12 @@ class CnfModel:
     def n_dof(self) -> int:
         return 1 + self.n_bath
 
-    # Cached in the instance dict, which a frozen dataclass still allows: the
-    # terms never change, and the root solvers read these once per point.
-    @functools.cached_property
+    @property
     def lam(self) -> float:
         """Saddle rate: coefficient of the pure linear I term."""
         return self.coefficient(1, (0,) * self.n_bath)
 
-    @functools.cached_property
+    @property
     def omegas(self) -> tuple:
         """Bath frequencies: coefficients of the pure linear J_k terms."""
         nb = self.n_bath
@@ -163,33 +159,26 @@ class CnfModel:
         return total
 
 
-def _bath_columns(model: CnfModel, j, i=0.0):
-    """Bath actions as one column per mode, plus the zeros a term sum starts from.
+def _term_sum(model: CnfModel, i, j, order: int):
+    """Sum of the ``order``-th I-derivative (0 or 1) of every term, in term order.
 
-    ``j`` has shape ``(..., n_bath)``: the columns have shape ``j.shape[:-1]``
-    and the zeros that shape broadcast against the reactive values ``i``.  One
-    point gives 0-d columns and a 0-d sum, which :func:`_value` returns as a
-    Python float with the same bits: numpy rounds each float64 product and sum
-    as Python rounds a float's.
+    ``j`` has shape ``(..., n_bath)`` and the sum has ``j.shape[:-1]``
+    broadcast against the reactive values ``i``.  Each term is built by
+    repeated multiplication, so a batch gives the same values, bit for bit,
+    as its points evaluated one at a time; one point gives a 0-d sum, which
+    :func:`_value` returns as a Python float with the same bits.  ``i = None``
+    evaluates at I = 0 by keeping only the terms whose I-power equals
+    ``order``.  The terms accumulate in place into one array per call: a
+    fresh array per term made the Monte-Carlo counter page-fault anew on
+    every chunk.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim == 0 or j.shape[-1] != model.n_bath:
         raise DimensionError(
             f"expected {model.n_bath} bath actions, got shape {j.shape}"
         )
+    cols = [j[..., k] for k in range(model.n_bath)]
     total = np.zeros(np.broadcast_shapes(np.shape(i), j.shape[:-1]))
-    return j, [j[..., k] for k in range(model.n_bath)], total
-
-
-def _term_sum(model: CnfModel, i, cols, total, order: int):
-    """Sum of the ``order``-th I-derivative (0 or 1) of every term, in term order.
-
-    Each term is built by repeated multiplication, so a batch gives the same
-    values, bit for bit, as its points evaluated one at a time.  ``i = None``
-    evaluates at I = 0 by keeping only the terms whose I-power equals
-    ``order``.  A batch accumulates in place into ``total``: a fresh array
-    per term made the Monte-Carlo counter page-fault anew on every chunk.
-    """
     for i_pow, j_pows, coeff in model.terms:
         if i_pow < order or (i is None and i_pow != order):
             continue
@@ -219,16 +208,12 @@ def eval_cnf(model: CnfModel, i, j):
     ``(n_bath,)``), with the bits of that point's row in a batch, and an
     array of the broadcast shape otherwise.
     """
-    i = np.asarray(i, dtype=float)
-    _, cols, total = _bath_columns(model, j, i)
-    return _value(_term_sum(model, i, cols, total, 0))
+    return _value(_term_sum(model, np.asarray(i, dtype=float), j, 0))
 
 
 def eval_dk_di(model: CnfModel, i, j):
     """Evaluate ``dK/dI`` at ``(I, J)``; shapes as in :func:`eval_cnf`."""
-    i = np.asarray(i, dtype=float)
-    _, cols, total = _bath_columns(model, j, i)
-    return _value(_term_sum(model, i, cols, total, 1))
+    return _value(_term_sum(model, np.asarray(i, dtype=float), j, 1))
 
 
 def effective_lyapunov(model: CnfModel, j):
@@ -242,8 +227,8 @@ def effective_lyapunov(model: CnfModel, j):
     LyapunovSignError
         If the rate is not positive at any of the given bath actions.
     """
-    j, cols, total = _bath_columns(model, j)
-    rate = _term_sum(model, None, cols, total, 1)
+    j = np.asarray(j, dtype=float)
+    rate = _term_sum(model, None, j, 1)
     flat = np.ravel(rate)
     bad = np.flatnonzero(flat <= 0.0)
     if bad.size:
@@ -309,13 +294,24 @@ def _finite(value, what: str) -> float:
     return x
 
 
+def _power(value, what: str) -> int:
+    """A term's power: ``value`` as an int when it is a non-negative whole
+    number (``2.0`` reads as 2); otherwise a ValueError naming ``what``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def cnf_from_obj(obj) -> CnfModel:
     """Build a CnfModel from parsed JSON.
 
     Accepts either ``{"e0": x, "terms": [{"i": .., "j": [..], "c": ..}, ...]}``
     or a flat list of term objects with one ``{"e0": x}`` entry.  A missing
-    constant term is filled in from ``e0``.  A missing key, or an ``e0`` or
-    ``c`` that is not a finite number, raises ValueError naming the key.
+    constant term is filled in from ``e0``.  A missing key, an ``e0`` or
+    ``c`` that is not a finite number, or an ``i`` or ``j`` power that is not
+    a non-negative integer raises ValueError naming the key.
     """
     if isinstance(obj, dict):
         e0 = _entry(obj, "e0", "model")
@@ -333,11 +329,15 @@ def cnf_from_obj(obj) -> CnfModel:
     else:
         raise ValueError(f"model must be a JSON object or list, got {type(obj).__name__}")
     e0 = _finite(e0, "model key 'e0'")
-    terms = [
-        (int(_entry(t, "i", "model term")), tuple(int(p) for p in _entry(t, "j", "model term")),
-         _finite(_entry(t, "c", "model term"), f"model term {n} key 'c'"))
-        for n, t in enumerate(raw_terms)
-    ]
+    terms = []
+    for n, t in enumerate(raw_terms):
+        key = f"model term {n} key"
+        i_pow = _power(_entry(t, "i", "model term"), f"{key} 'i'")
+        j_pows = _entry(t, "j", "model term")
+        if not isinstance(j_pows, list):
+            raise ValueError(f"{key} 'j' must be a list of powers, got {j_pows!r}")
+        terms.append((i_pow, tuple(_power(p, f"{key} 'j'") for p in j_pows),
+                      _finite(_entry(t, "c", "model term"), f"{key} 'c'")))
     if terms:
         nb = len(terms[0][1])
         zero = (0,) * nb

@@ -546,6 +546,34 @@ def test_model_non_finite_term_coefficient_exit_two(capsys, tmp_path):
     assert err == "error: model term 2 key 'c' must be a finite number, got inf\n"
 
 
+@pytest.mark.parametrize("terms, message", [
+    ([{"i": 1.5, "j": [0], "c": 0.7}, {"i": 0, "j": [1], "c": 1.0}],
+     "model term 0 key 'i' must be a non-negative integer, got 1.5"),
+    ([{"i": 1, "j": [0], "c": 0.7}, {"i": 0, "j": [1.9], "c": 1.0}],
+     "model term 1 key 'j' must be a non-negative integer, got 1.9"),
+    ([{"i": math.inf, "j": [0], "c": 0.7}, {"i": 0, "j": [1], "c": 1.0}],
+     "model term 0 key 'i' must be a non-negative integer, got inf"),
+    ([{"i": 1, "j": [0], "c": 0.7}, {"i": 0, "j": [True], "c": 1.0}],
+     "model term 1 key 'j' must be a non-negative integer, got True"),
+])
+def test_model_bad_power_exit_two(capsys, tmp_path, terms, message):
+    # before: 1.5 and 1.9 were truncated to 1 (exit 0), Infinity raised OverflowError (exit 1)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"e0": 0.0, "terms": terms}))
+    code, out, err = run_cli(capsys, "widths", "--model", str(model), *BASE_ARGV["widths"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_integrate_step_count_overflow_exit_two(capsys):
+    # before: OverflowError traceback from int(round(10 / 1e-320)), exit 1
+    code, out, err = run_cli(capsys, "integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "1e-320",
+                             "--t-final", "10")
+    assert (code, out) == (2, "")
+    assert err == ("error: t_final / h must be a finite step count, got t_final = 10.0 "
+                   "and h = 1e-320\n")
+
+
 def test_integrate_bad_step_exit_two(capsys):
     code, _, err = run_cli(
         capsys, "integrate", "--state0=-1e6,1500,0,0", "--h=-0.1",

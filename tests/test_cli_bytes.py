@@ -1,0 +1,66 @@
+"""Golden bytes of CLI outputs that the benchmark's seed-0 digests do not cover.
+
+Each case runs ``sympb.cli.main`` in an empty directory and hashes stdout
+together with every file the command writes there (sorted by name).  The
+digests pin the metadata line as well as the rows, so they catch a key that
+moves between the library's report and the CLI's resolved configuration.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from sympb.cli import main
+
+CASES = {
+    "widths_json": (
+        ["widths", "--e-min", "-0.95", "--e-max", "-0.5", "--steps", "3",
+         "--samples", "2000", "--seed", "3", "--format", "json"],
+        "9eb07ac14e1d379ea6eb9d6635e3e407616a00e1402a1362bd259c58f364e1c7",
+    ),
+    "exp2_json": (
+        ["exp2", "--n", "300", "--xis", "0,0.5,1", "--seed", "2", "--format", "json"],
+        "a209a7cb028d898c3b1ddb27324d107ea7dd4d58a7f281f7710c214b2ba7861d",
+    ),
+    "exp1_json_curves": (
+        ["exp1", "--radii", "0.1,0.3", "--tau-points", "7", "--seed", "4",
+         "--format", "json", "--curves-out", "curve"],
+        "9c66626aed56059ddd5d065cf15a9b86d9129e2c5993f3e642113a31704d0188",
+    ),
+    # the library records tau_max 0.0 for a one-point grid; the CLI's 3/lambda wins
+    "exp1_one_tau_point_curves": (
+        ["exp1", "--radii", "0.2", "--tau-points", "1", "--curves-out", "one"],
+        "3fe04128b80855cebf0cdae469960712f3297c642018cb26be387b35d7d25e1d",
+    ),
+    "sample_b": (
+        ["sample", "--kind", "B", "--xi", "0.4", "--n", "40", "--seed", "6"],
+        "8da80715267504d0e492681f73dd7c5f1f6d53c937ed4667de44a6a40bc79e47",
+    ),
+}
+
+
+def outputs_digest(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    doc = {"stdout": capsys.readouterr().out}
+    for path in sorted(tmp_path.iterdir()):
+        doc[path.name] = path.read_text()
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_bytes(name, tmp_path, monkeypatch, capsys):
+    argv, digest = CASES[name]
+    assert outputs_digest(argv, tmp_path, monkeypatch, capsys) == digest
+
+
+def test_exp1_one_tau_point_records_the_cli_tau_max(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["exp1", "--radii", "0.2", "--tau-points", "1", "--curves-out", "one"]) == 0
+    table_meta = json.loads(capsys.readouterr().out.splitlines()[0][2:])
+    curve_meta = json.loads((tmp_path / "one_r0.csv").read_text().splitlines()[0][2:])
+    for meta in (table_meta, curve_meta):
+        assert meta["tau_max"] == pytest.approx(3.0 / 0.735)
+        assert meta["tau_points"] == 1
+    assert curve_meta["radius_index"] == 0

@@ -296,10 +296,9 @@ def test_scan_degenerate_endpoint_zero():
 
 def test_scan_report_columns_and_meta():
     spec = make_spec(n_traj=100, seed=5)
-    rep = scan_report(MODEL3, spec, [0.0, 1.0], extra_meta={"tag": "demo"})
+    rep = scan_report(MODEL3, spec, [0.0, 1.0])
     assert rep.columns == ("kind", "xi", "fraction", "n_transmitted", "n_total", "t_max", "seed")
     assert len(rep.rows) == 3
-    assert rep.meta["tag"] == "demo"
     assert rep.rows[0][0] == "A"
     assert math.isnan(rep.rows[0][1])
     for row in rep.rows:

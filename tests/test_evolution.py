@@ -13,7 +13,6 @@ from sympb import (
     PreconditionError,
     QuadraticSaddleModel,
     SympbError,
-    area_curve,
     builtin_quadratic,
     capacity_after_evolution,
     default_tau_grid,
@@ -22,7 +21,6 @@ from sympb import (
     is_symplectic,
     min_projection_area,
     projection_area,
-    radius_scan,
     radius_scan_curves,
     random_symplectic,
     symplectic_spectrum,
@@ -125,7 +123,7 @@ def test_projection_area_never_below_ball_area():
 
 
 # ---------------------------------------------------------------------------
-# min_projection_area / area_curve
+# min_projection_area / ProjectionAreaCurve.to_report
 # ---------------------------------------------------------------------------
 
 
@@ -166,7 +164,7 @@ def test_default_tau_grid():
 
 def test_area_curve_report():
     grid = np.linspace(0.0, 1.0, 5)
-    rep = area_curve(MODEL, 0.5, np.eye(6), grid)
+    rep = min_projection_area(MODEL, 0.5, np.eye(6), grid).to_report()
     assert rep.columns == ("tau", "area")
     assert len(rep.rows) == 5
     for (tau, area), g in zip(rep.rows, grid):
@@ -207,12 +205,12 @@ def test_evolved_spectrum_top_eigenvalue():
 
 
 # ---------------------------------------------------------------------------
-# radius_scan
+# radius_scan_curves
 # ---------------------------------------------------------------------------
 
 
 def test_radius_scan_columns_and_floor():
-    rep = radius_scan(MODEL, [0.1, 0.2], s_mix_seed=4, sigma=0.5)
+    rep = radius_scan_curves(MODEL, [0.1, 0.2], s_mix_seed=4, sigma=0.5)[0]
     assert rep.columns == ("r", "min_area", "pi_r2", "c_cand_ref")
     assert len(rep.rows) == 2
     for r, min_area, pi_r2, c_ref in rep.rows:
@@ -222,24 +220,24 @@ def test_radius_scan_columns_and_floor():
 
 
 def test_radius_scan_unmixed_matches_ball_area():
-    rep = radius_scan(MODEL, [0.1, 0.5, 1.0], s_mix_seed=0, sigma=0.0)
+    rep = radius_scan_curves(MODEL, [0.1, 0.5, 1.0], s_mix_seed=0, sigma=0.0)[0]
     for r, min_area, pi_r2, _ in rep.rows:
         assert abs(min_area - pi_r2) <= 1e-6 * pi_r2
 
 
 def test_radius_scan_deterministic():
-    a = radius_scan(MODEL, [0.3, 0.6], s_mix_seed=8, sigma=0.5)
-    b = radius_scan(MODEL, [0.3, 0.6], s_mix_seed=8, sigma=0.5)
+    a = radius_scan_curves(MODEL, [0.3, 0.6], s_mix_seed=8, sigma=0.5)[0]
+    b = radius_scan_curves(MODEL, [0.3, 0.6], s_mix_seed=8, sigma=0.5)[0]
     assert a.rows == b.rows
-    c = radius_scan(MODEL, [0.3, 0.6], s_mix_seed=9, sigma=0.5)
+    c = radius_scan_curves(MODEL, [0.3, 0.6], s_mix_seed=9, sigma=0.5)[0]
     assert c.rows != a.rows
 
 
 def test_radius_scan_validation():
     with pytest.raises(ValueError):
-        radius_scan(MODEL, [], s_mix_seed=0)
+        radius_scan_curves(MODEL, [], s_mix_seed=0)[0]
     with pytest.raises(ValueError):
-        radius_scan(MODEL, [0.1, -0.2], s_mix_seed=0)
+        radius_scan_curves(MODEL, [0.1, -0.2], s_mix_seed=0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +326,7 @@ def test_radius_scan_min_area_matches_per_tau_oracle(data, dof, sigma, seed, rad
         return [oracle_min_projection_area(model, r, s, grid).min() for r in radii]
 
     def scan_column():
-        rep = radius_scan(model, radii, s_mix_seed=seed, tau_grid=grid, sigma=sigma)
+        rep = radius_scan_curves(model, radii, s_mix_seed=seed, tau_grid=grid, sigma=sigma)[0]
         return [row[1] for row in rep.rows]
 
     assert outcome(scan_column) == outcome(oracle_column)
@@ -338,12 +336,12 @@ def test_radius_scan_curves_share_one_factor_curve():
     model = builtin_quadratic(3)
     grid = np.linspace(0.0, 3.0 / model.lam, 90)
     rep, curves = radius_scan_curves(model, [0.1, 0.3], s_mix_seed=6, tau_grid=grid)
-    assert rep.rows == radius_scan(model, [0.1, 0.3], s_mix_seed=6, tau_grid=grid).rows
+    assert rep.rows == radius_scan_curves(model, [0.1, 0.3], s_mix_seed=6, tau_grid=grid)[0].rows
     s = random_symplectic(3, 0.5, 6)
     for row, curve in zip(rep.rows, curves):
         assert curve.r == row[0] and curve.min_area == row[1]
-        want = area_curve(model, row[0], s, grid, extra_meta={"k": 1})
-        got = curve.to_report({"k": 1})
+        want = min_projection_area(model, row[0], s, grid).to_report()
+        got = curve.to_report()
         assert (got.columns, got.rows, got.meta) == (want.columns, want.rows, want.meta)
 
 
@@ -364,7 +362,7 @@ def test_error_order_matches_per_tau_evaluation():
     with pytest.raises(DimensionError):
         min_projection_area(MODEL, 1.0, s[:4, :4], np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="nonempty"):
-        radius_scan(MODEL, [0.1], s_mix_seed=1, tau_grid=[])
+        radius_scan_curves(MODEL, [0.1], s_mix_seed=1, tau_grid=[])[0]
 
 
 def exact_shadow_factor(model, s_mix, tau):

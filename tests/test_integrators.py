@@ -44,6 +44,17 @@ def test_config_validation():
             IntegratorConfig(**kw)
 
 
+def test_config_step_count():
+    assert IntegratorConfig(h=0.1, t_final=1.0).nsteps == 10
+    assert IntegratorConfig(h=0.3, t_final=1.0).nsteps == 3
+    assert IntegratorConfig(h=5.0, t_final=1.0).nsteps == 1
+    # before: OverflowError from int(round(inf)) when the run started
+    with pytest.raises(ValueError, match=r"t_final = 10.0 and h = 1e-320"):
+        IntegratorConfig(h=1e-320, t_final=10.0)
+    with pytest.raises(ValueError, match="finite step count"):
+        IntegratorConfig(h=0.1, t_final=math.inf)
+
+
 def test_state_dimension_validation():
     cfg = IntegratorConfig(h=0.1, t_final=1.0, compute_jacobian=False)
     with pytest.raises(DimensionError):

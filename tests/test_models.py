@@ -132,6 +132,19 @@ def test_cnf_rejects_bad_powers_and_arity():
         CnfModel(e0=0.0, terms=((0, (0,), 0.0), (1, (0, 0), 1.0), (0, (1,), 1.0)))
 
 
+def test_cnf_refuses_non_integral_powers():
+    # before: int() truncated 1.5 to 1 and 1.9 to 1
+    with pytest.raises(ValueError, match="term 1 I power must be a non-negative integer, got 1.5"):
+        CnfModel(e0=0.0, terms=((0, (0,), 0.0), (1.5, (0,), 1.0), (0, (1,), 1.0)))
+    with pytest.raises(ValueError, match="term 2 J power must be a non-negative integer, got 1.9"):
+        CnfModel(e0=0.0, terms=((0, (0,), 0.0), (1, (0,), 1.0), (0, (1.9,), 1.0)))
+    with pytest.raises(ValueError, match="got True"):
+        CnfModel(e0=0.0, terms=((0, (0,), 0.0), (True, (0,), 1.0), (0, (1,), 1.0)))
+    model = CnfModel(e0=0.0, terms=((0.0, (0,), 0.0), (1.0, (0,), 1.0), (0, (np.int64(1),), 1.0)))
+    assert model.terms == ((0, (0,), 0.0), (1, (0,), 1.0), (0, (1,), 1.0))
+    assert all(type(p) is int for _, jp, _ in model.terms for p in jp)
+
+
 def test_quadratic_model_validation():
     with pytest.raises(ValueError):
         QuadraticSaddleModel(lam=0.0, omegas=(1.0,), e0=0.0)
@@ -205,6 +218,37 @@ def test_cnf_from_obj_list_form_fills_constant():
 def test_cnf_from_obj_list_missing_e0():
     with pytest.raises(ValueError):
         cnf_from_obj([{"i": 1, "j": [0], "c": 0.5}])
+
+
+@pytest.mark.parametrize("term, key, got", [
+    ({"i": 1.5, "j": [0], "c": 0.7}, "i", "1.5"),
+    ({"i": 0, "j": [1.9], "c": 0.7}, "j", "1.9"),
+    ({"i": math.inf, "j": [0], "c": 0.7}, "i", "inf"),
+    ({"i": 0, "j": [math.nan], "c": 0.7}, "j", "nan"),
+    ({"i": False, "j": [1], "c": 0.7}, "i", "False"),
+    ({"i": 0, "j": [-2], "c": 0.7}, "j", "-2"),
+    ({"i": "2", "j": [0], "c": 0.7}, "i", "'2'"),
+])
+def test_cnf_from_obj_refuses_bad_powers(term, key, got):
+    obj = [{"e0": -1.0}, {"i": 1, "j": [0], "c": 0.5}, {"i": 0, "j": [1], "c": 2.0}, term]
+    with pytest.raises(ValueError) as info:
+        cnf_from_obj(obj)
+    assert str(info.value) == f"model term 2 key {key!r} must be a non-negative integer, got {got}"
+
+
+def test_cnf_from_obj_refuses_j_that_is_not_a_list():
+    # before: a number raised TypeError (a traceback) and "12" read as the powers (1, 2)
+    for j in (2, "12"):
+        with pytest.raises(ValueError, match="model term 0 key 'j' must be a list of powers"):
+            cnf_from_obj({"e0": 0.0, "terms": [{"i": 0, "j": j, "c": 0.7}]})
+
+
+def test_cnf_from_obj_reads_integral_powers():
+    obj = [{"e0": -1.0}, {"i": 1.0, "j": [0.0], "c": 0.5}, {"i": 0, "j": [1.0], "c": 2.0},
+           {"i": 2.0, "j": [3.0], "c": 0.25}]
+    model = cnf_from_obj(obj)
+    assert model.terms[2] == (2, (3,), 0.25)
+    assert all(type(ip) is int and all(type(p) is int for p in jp) for ip, jp, _ in model.terms)
 
 
 def test_load_cnf_model_roundtrip(tmp_path):
