@@ -28,6 +28,7 @@ from .linalg import (
     symmetric_sqrt,
     symplectic_spectrum,
     symplectic_spectrum_blockdiag,
+    symplecticity_defect,
 )
 from .models import (
     CnfModel,
@@ -87,9 +88,7 @@ from .integrators import (
     IntegratorConfig,
     TrajectoryRecord,
     ds_crossing_times,
-    finite_difference_jacobian,
     integrate,
-    symplecticity_defect,
     verlet_step,
 )
 from .matio import load_matrix, save_matrix

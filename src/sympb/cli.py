@@ -32,7 +32,7 @@ from .models import (
     load_cnf_model,
     load_params,
 )
-from .tables import ExperimentReport
+from .tables import ExperimentReport, write_text
 
 # built-in normal forms by name: degrees of freedom for builtin_cnf
 BUILTIN_CNF = {
@@ -259,14 +259,6 @@ def _emit(report: ExperimentReport, cfg) -> None:
         report.to_csv(target)
 
 
-def _write_text(text: str, output) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # handlers: each takes the parsed flags and the resolved configuration
 # ---------------------------------------------------------------------------
@@ -280,14 +272,13 @@ def cmd_capacity(args, cfg) -> int:
         "spectrum": [float(v) for v in spectrum],
         "capacity": float(ellipsoid_capacity(m)),
     }
-    _write_text(json.dumps(doc) + "\n", cfg["output"])
+    write_text(cfg["output"] or sys.stdout, json.dumps(doc) + "\n")
     return 0
 
 
 def cmd_widths(args, cfg) -> int:
     if cfg["e_min"] is None or cfg["e_max"] is None:
-        print("error: --e-min and --e-max are required", file=sys.stderr)
-        return 2
+        raise ValueError("--e-min and --e-max are required")
     report = energy_scan(_load_cnf(cfg), cfg["e_min"], cfg["e_max"], cfg["steps"],
                          cfg["samples"], cfg["seed"])
     report.meta.update(_meta("widths", cfg))
@@ -359,8 +350,7 @@ def cmd_sample(args, cfg) -> int:
 
 def cmd_integrate(args, cfg) -> int:
     if cfg["state0"] is None:
-        print("error: --state0 is required (comma-separated q..., p...)", file=sys.stderr)
-        return 2
+        raise ValueError("--state0 is required (comma-separated q..., p...)")
     max_drift = cfg["max_drift"]
     params = load_params(cfg["params"]) if cfg["params"] else default_params()
     state0 = _parse_floats(cfg["state0"], "state0")
@@ -387,9 +377,8 @@ def cmd_integrate(args, cfg) -> int:
             for t, state, e in zip(record.times, record.states, record.energies)
         ]
         ExperimentReport(tuple(columns), rows, meta).to_csv(cfg["output"] + ".csv")
-        _write_text(json.dumps(summary) + "\n", cfg["output"] + ".json")
-    else:
-        _write_text(json.dumps(summary) + "\n", None)
+    write_text(cfg["output"] + ".json" if cfg["output"] else sys.stdout,
+               json.dumps(summary) + "\n")
     if max_drift is not None and not record.energy_drift <= max_drift:
         print(f"error: energy drift {record.energy_drift!r} exceeds --max-drift {max_drift!r}",
               file=sys.stderr)

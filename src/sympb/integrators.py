@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DivergenceError
-from .linalg import standard_j
+from .linalg import symplecticity_defect
 from .models import EckartMorseParams, full_hamiltonian
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "TrajectoryRecord",
     "verlet_step",
     "integrate",
-    "finite_difference_jacobian",
-    "symplecticity_defect",
     "ds_crossing_times",
 ]
 
@@ -85,29 +83,6 @@ def verlet_step(p: EckartMorseParams, state, h: float) -> np.ndarray:
     return np.concatenate([qs[-1, 0], ps[-1, 0]])
 
 
-def _record_times(h: float, nsteps: int, stride: int) -> np.ndarray:
-    idx = np.arange(0, nsteps + 1, stride)
-    if idx[-1] != nsteps:
-        idx = np.append(idx, nsteps)
-    return idx * h
-
-
-def _displaced_starts(state0: np.ndarray, eps: float) -> np.ndarray:
-    """The 4d start states of the central-difference Jacobian: rows 2c and
-    2c + 1 displace coordinate c by +eps and -eps."""
-    dim = state0.size
-    starts = np.repeat(state0[None], 2 * dim, axis=0)
-    cols = np.arange(dim)
-    starts[2 * cols, cols] += eps
-    starts[2 * cols + 1, cols] -= eps
-    return starts
-
-
-def _difference_quotient(final: np.ndarray, eps: float) -> np.ndarray:
-    """The Jacobian from the final states of :func:`_displaced_starts`' rows."""
-    return ((final[0::2] - final[1::2]) / (2.0 * eps)).T.copy()
-
-
 def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> TrajectoryRecord:
     """Fixed-step integration to t_final with monitored records.
 
@@ -122,12 +97,18 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
     """
     q0, p0 = _split_state(state0)
     d = q0.size
+    nsteps = cfg.nsteps
+    eps = cfg.fd_epsilon
     starts = np.concatenate([q0, p0])[None]
     if cfg.compute_jacobian:
-        starts = np.vstack([starts, _displaced_starts(starts[0], cfg.fd_epsilon)])
-    times = _record_times(cfg.h, cfg.nsteps, cfg.monitor_stride)
+        # rows 1 + 2c and 2 + 2c displace coordinate c by +eps and -eps
+        cols = np.arange(2 * d)
+        starts = np.repeat(starts, 1 + 4 * d, axis=0)
+        starts[1 + 2 * cols, cols] += eps
+        starts[2 + 2 * cols, cols] -= eps
+    times = np.append(np.arange(0, nsteps, cfg.monitor_stride), nsteps) * cfg.h
     qs, ps, bad = kernels.verlet_run(
-        p, starts[:, :d], starts[:, d:], cfg.h, cfg.nsteps, cfg.monitor_stride
+        p, starts[:, :d], starts[:, d:], cfg.h, nsteps, cfg.monitor_stride
     )
     if bad >= 0:
         main_finite = np.isfinite(qs[bad, 0]).all() and np.isfinite(ps[bad, 0]).all()
@@ -140,7 +121,8 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
     sympl_err = None
     jac = None
     if cfg.compute_jacobian:
-        jac = _difference_quotient(np.hstack([qs[-1, 1:], ps[-1, 1:]]), cfg.fd_epsilon)
+        final = np.hstack([qs[-1, 1:], ps[-1, 1:]])
+        jac = ((final[0::2] - final[1::2]) / (2.0 * eps)).T.copy()
         sympl_err = symplecticity_defect(jac)
     return TrajectoryRecord(
         times=times,
@@ -150,35 +132,6 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
         symplecticity_error=sympl_err,
         jacobian=jac,
     )
-
-
-def finite_difference_jacobian(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> np.ndarray:
-    """Central-difference Jacobian of the time-t_final map at state0.
-
-    Runs the two displaced trajectories per coordinate (4d in total, matching
-    the documented budget) as one batch; :func:`integrate` runs the same rows
-    behind its reference trajectory, so both give the same bytes.
-    """
-    q0, p0 = _split_state(state0)
-    d = q0.size
-    starts = _displaced_starts(np.concatenate([q0, p0]), cfg.fd_epsilon)
-    nsteps = cfg.nsteps
-    qs, ps, bad = kernels.verlet_run(p, starts[:, :d], starts[:, d:], cfg.h, nsteps, nsteps)
-    if bad >= 0:
-        t_bad = _record_times(cfg.h, nsteps, nsteps)[bad]
-        raise DivergenceError(
-            f"auxiliary trajectory became non-finite at t = {t_bad:.6g}", time=t_bad
-        )
-    return _difference_quotient(np.hstack([qs[-1], ps[-1]]), cfg.fd_epsilon)
-
-
-def symplecticity_defect(jac: np.ndarray) -> float:
-    """Entrywise deviation ``max |M^T J M - J|`` of a square Jacobian."""
-    jac = np.asarray(jac, dtype=float)
-    if jac.ndim != 2 or jac.shape[0] != jac.shape[1] or jac.shape[0] % 2 != 0:
-        raise DimensionError(f"Jacobian must be square with even dimension, got {jac.shape}")
-    j = standard_j(jac.shape[0] // 2)
-    return float(np.max(np.abs(jac.T @ j @ jac - j)))
 
 
 def ds_crossing_times(record: TrajectoryRecord, x_star: float = 0.0) -> list:

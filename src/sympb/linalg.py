@@ -22,6 +22,7 @@ PAIR_RTOL = 1e-8
 
 __all__ = [
     "standard_j",
+    "symplecticity_defect",
     "is_symplectic",
     "symmetric_sqrt",
     "symplectic_spectrum",
@@ -81,25 +82,20 @@ def standard_j(n: int) -> np.ndarray:
     return j
 
 
-def is_symplectic(s, tol: float = 1e-10) -> bool:
-    """Test ``S^T J S = J`` entrywise within ``tol``.
-
-    Parameters
-    ----------
-    s : array_like, shape (2n, 2n)
-        Candidate matrix.  Must be square with even dimension.
-    tol : float
-        Maximum allowed entry of ``|S^T J S - J|``.
-
-    Returns
-    -------
-    bool
-    """
+def symplecticity_defect(s) -> float:
+    """Entrywise deviation ``max |S^T J S - J|`` of a square matrix of even
+    dimension from symplecticity (NaN when an entry of ``S`` is NaN)."""
     s = _as_square(s, "S")
     if s.shape[0] % 2 != 0:
         raise DimensionError(f"symplectic matrices have even dimension, got {s.shape[0]}")
     j = standard_j(s.shape[0] // 2)
-    return bool(np.max(np.abs(s.T @ j @ s - j)) <= tol)
+    return float(np.max(np.abs(s.T @ j @ s - j)))
+
+
+def is_symplectic(s, tol: float = 1e-10) -> bool:
+    """Test ``S^T J S = J`` entrywise within ``tol``: whether
+    :func:`symplecticity_defect` is at most ``tol``."""
+    return bool(symplecticity_defect(s) <= tol)
 
 
 def symmetric_sqrt(m) -> np.ndarray:

@@ -55,6 +55,9 @@ LAMBDA_BUILTIN = 0.7350
 OMEGA2_BUILTIN = 1.8225
 B2_BUILTIN = -0.0123
 OMEGA3_BUILTIN = 1.267
+# Largest power of I or of a J_k in a normal-form term: each term is built by
+# repeated multiplication, one product per unit of power.
+MAX_POWER = 64
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,8 @@ class CnfModel:
 
     def coefficient(self, i_power: int, j_powers) -> float:
         """Stored coefficient of the monomial I**i_power * prod J**j_powers
-        (0.0 when absent)."""
-        key = (int(i_power), tuple(int(p) for p in j_powers))
+        (0.0 when absent, as for a power that is not a whole number)."""
+        key = (i_power, tuple(j_powers))
         total = 0.0
         for i_pow, j_pows, coeff in self.terms:
             if (i_pow, j_pows) == key:
@@ -264,13 +267,8 @@ def builtin_cnf(n_dof: int = 2) -> CnfModel:
 
 def builtin_quadratic(n_dof: int = 2) -> QuadraticSaddleModel:
     """Quadratic part of the built-in normal form."""
-    if n_dof == 2:
-        return QuadraticSaddleModel(LAMBDA_BUILTIN, (OMEGA2_BUILTIN,), E0_BUILTIN)
-    if n_dof == 3:
-        return QuadraticSaddleModel(
-            LAMBDA_BUILTIN, (OMEGA2_BUILTIN, OMEGA3_BUILTIN), E0_BUILTIN
-        )
-    raise DimensionError(f"built-in models exist for 2 or 3 dof, got {n_dof}")
+    m = builtin_cnf(n_dof)
+    return QuadraticSaddleModel(m.lam, m.omegas, m.e0)
 
 
 def _entry(obj, key: str, what: str):
@@ -295,12 +293,14 @@ def _finite(value, what: str) -> float:
 
 
 def _power(value, what: str) -> int:
-    """A term's power: ``value`` as an int when it is a non-negative whole
-    number (``2.0`` reads as 2); otherwise a ValueError naming ``what``."""
+    """A term's power: ``value`` as an int when it is a whole number from 0
+    to MAX_POWER (``2.0`` reads as 2); otherwise a ValueError naming ``what``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    if value > MAX_POWER:
+        raise ValueError(f"{what} must be at most {MAX_POWER}, got {value!r}")
     return int(value)
 
 

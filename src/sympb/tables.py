@@ -25,6 +25,16 @@ def format_value(v) -> str:
     return str(v)
 
 
+def write_text(target, text: str) -> None:
+    """Write ``text`` to ``target``: a stream (anything with ``write``) or a
+    path, which is created or overwritten."""
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w") as fh:
+            fh.write(text)
+
+
 @dataclass
 class ExperimentReport:
     """Columns, rows and resolved-configuration metadata for one run."""
@@ -43,10 +53,10 @@ class ExperimentReport:
 
     def to_csv(self, target) -> None:
         """Write CSV with a single ``#``-prefixed JSON metadata line on top."""
-        self._write(target, self._csv_text())
+        write_text(target, self._csv_text())
 
     def to_json(self, target) -> None:
-        self._write(target, self._json_text())
+        write_text(target, self._json_text())
 
     def _csv_text(self) -> str:
         buf = io.StringIO()
@@ -68,11 +78,3 @@ class ExperimentReport:
             "rows": [[norm(v) for v in row] for row in self.rows],
         }
         return json.dumps(doc, sort_keys=True) + "\n"
-
-    @staticmethod
-    def _write(target, text: str) -> None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w") as fh:
-                fh.write(text)

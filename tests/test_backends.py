@@ -16,7 +16,6 @@ from sympb import (
     action_volume_mc,
     builtin_cnf,
     default_params,
-    finite_difference_jacobian,
     integrate,
     kernels,
 )
@@ -330,15 +329,6 @@ def test_integrate_states_match_oracle():
                                                      compute_jacobian=False))
     qo, po, _ = oracle_run(PARAMS, state0[:3], state0[3:], 1e-3, 500, 30)
     assert rec.states.tobytes() == np.hstack([qo, po]).tobytes()
-
-
-def test_finite_difference_jacobian_matches_per_column_oracle():
-    for state0 in (np.array([-2.0, 0.3, 0.9, -0.2]),
-                   np.array([-0.5, 0.25, -0.2, 0.4, -0.3, 0.2])):
-        cfg = IntegratorConfig(h=1e-3, t_final=0.3)
-        jac = finite_difference_jacobian(PARAMS, state0, cfg)
-        assert jac.flags.c_contiguous
-        assert jac.tobytes() == oracle_jacobian(PARAMS, state0, cfg).tobytes()
 
 
 STATES = (np.array([-2.0, 0.3, 0.9, -0.2]), np.array([-0.5, 0.25, -0.2, 0.4, -0.3, 0.2]))

@@ -108,6 +108,12 @@ def test_widths_requires_energy_range(capsys):
     assert "--e-min" in err
 
 
+@pytest.mark.parametrize("argv", [(), ("--e-min", "0"), ("--e-max", "1")])
+def test_widths_missing_energy_range_message(capsys, argv):
+    assert run_cli(capsys, "widths", *argv) == (
+        2, "", "error: --e-min and --e-max are required\n")
+
+
 def test_widths_known_action_value(capsys):
     code, out, _ = run_cli(
         capsys, "widths", "--e-min", "0.8350", "--e-max", "0.8350",
@@ -452,6 +458,11 @@ def test_integrate_requires_state(capsys):
     assert code == 2 and "--state0" in err
 
 
+def test_integrate_missing_state0_message(capsys):
+    assert run_cli(capsys, "integrate", "--h", "0.01") == (
+        2, "", "error: --state0 is required (comma-separated q..., p...)\n")
+
+
 def test_integrate_stationary_summary(capsys):
     code, out, _ = run_cli(
         capsys, "integrate", "--state0=-1e6,1500,0,0",
@@ -555,6 +566,12 @@ def test_model_non_finite_term_coefficient_exit_two(capsys, tmp_path):
      "model term 0 key 'i' must be a non-negative integer, got inf"),
     ([{"i": 1, "j": [0], "c": 0.7}, {"i": 0, "j": [True], "c": 1.0}],
      "model term 1 key 'j' must be a non-negative integer, got True"),
+    # before: passed every check, then `widths` multiplied 1e9 times per term and hung
+    ([{"i": 1, "j": [0], "c": 1}, {"i": 0, "j": [1], "c": 1},
+      {"i": 0, "j": [1000000000], "c": 1e-9}],
+     "model term 2 key 'j' must be at most 64, got 1000000000"),
+    ([{"i": 65, "j": [0], "c": 0.7}, {"i": 1, "j": [0], "c": 0.7}, {"i": 0, "j": [1], "c": 1.0}],
+     "model term 0 key 'i' must be at most 64, got 65"),
 ])
 def test_model_bad_power_exit_two(capsys, tmp_path, terms, message):
     # before: 1.5 and 1.9 were truncated to 1 (exit 0), Infinity raised OverflowError (exit 1)

@@ -33,15 +33,34 @@ CASES = {
         ["exp1", "--radii", "0.2", "--tau-points", "1", "--curves-out", "one"],
         "3fe04128b80855cebf0cdae469960712f3297c642018cb26be387b35d7d25e1d",
     ),
+    "capacity_stdout": (
+        ["capacity", "m.csv"],
+        "1589d04e922734f9e4eedc26817cd45e56934480811addfa6a464d010a1eca64",
+    ),
+    "capacity_output": (
+        ["capacity", "m.csv", "-o", "cap.json"],
+        "a077d9ddfe05607df4931e9cf8ddad56774fe085bb297879b1684461fa21a9d6",
+    ),
+    # without -o the JSON summary goes to stdout
+    "integrate_summary": (
+        ["integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "0.01", "--t-final", "0.5"],
+        "647c34380355538bad4d7e951a101842d6b18320d6bb30d1e06d1c78051d680b",
+    ),
     "sample_b": (
         ["sample", "--kind", "B", "--xi", "0.4", "--n", "40", "--seed", "6"],
         "8da80715267504d0e492681f73dd7c5f1f6d53c937ed4667de44a6a40bc79e47",
     ),
 }
 
+# input files written before the command runs; they are hashed with its outputs
+MATRIX = {"m.csv": "2,0.3,0,0.1\n0.3,1,0.2,0\n0,0.2,0.5,0\n0.1,0,0,4\n"}
+INPUTS = {"capacity_stdout": MATRIX, "capacity_output": MATRIX}
 
-def outputs_digest(argv, tmp_path, monkeypatch, capsys):
+
+def outputs_digest(argv, tmp_path, monkeypatch, capsys, inputs=None):
     monkeypatch.chdir(tmp_path)
+    for name, text in (inputs or {}).items():
+        (tmp_path / name).write_text(text)
     assert main(argv) == 0
     doc = {"stdout": capsys.readouterr().out}
     for path in sorted(tmp_path.iterdir()):
@@ -52,7 +71,7 @@ def outputs_digest(argv, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_bytes(name, tmp_path, monkeypatch, capsys):
     argv, digest = CASES[name]
-    assert outputs_digest(argv, tmp_path, monkeypatch, capsys) == digest
+    assert outputs_digest(argv, tmp_path, monkeypatch, capsys, INPUTS.get(name)) == digest
 
 
 def test_exp1_one_tau_point_records_the_cli_tau_max(tmp_path, monkeypatch, capsys):

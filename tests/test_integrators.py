@@ -12,10 +12,10 @@ from sympb import (
     full_hamiltonian,
     integrate,
     random_symplectic,
-    symplecticity_defect,
     verlet_step,
 )
 from sympb.integrators import TrajectoryRecord, ds_crossing_times
+from sympb.linalg import symplecticity_defect
 from sympb.models import eckart_potential, morse_potential
 
 PARAMS = default_params()

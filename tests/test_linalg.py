@@ -14,7 +14,7 @@ from sympb import (
     symplectic_spectrum,
     symplectic_spectrum_blockdiag,
 )
-from sympb.linalg import _pair_imaginary_spectrum
+from sympb.linalg import _pair_imaginary_spectrum, symplecticity_defect
 
 
 def random_pd(rng, n, floor=0.5):
@@ -79,6 +79,18 @@ def test_is_symplectic_per_plane_rotation():
 def test_is_symplectic_odd_dimension_raises():
     with pytest.raises(DimensionError):
         is_symplectic(np.eye(3))
+
+
+def test_is_symplectic_is_the_defect_within_tol():
+    nan_entry = np.eye(4)
+    nan_entry[1, 2] = np.nan
+    matrices = [np.eye(4), 2.0 * np.eye(4), random_symplectic(2, 0.4, 3),
+                np.eye(4) + 1e-9, nan_entry]
+    for s in matrices:
+        for tol in (0.0, 1e-12, 1e-10, 1e-6, 3.0):
+            assert is_symplectic(s, tol) == (symplecticity_defect(s) <= tol)
+    assert not is_symplectic(nan_entry, np.inf)
+    assert not symplecticity_defect(nan_entry) <= np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from sympb import (
     potential,
     velocities,
 )
+from sympb.models import MAX_POWER
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +62,7 @@ def test_builtin_3dof_structure():
 def test_builtin_rejects_other_dof():
     with pytest.raises(DimensionError):
         builtin_cnf(4)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^built-in models exist for 2 or 3 dof, got 1$"):
         builtin_quadratic(1)
 
 
@@ -109,6 +110,27 @@ def test_cnf_coefficient_sums_duplicates():
     assert model.coefficient(1, (0,)) == 1.0
     assert model.lam == 1.0
     assert model.coefficient(3, (5,)) == 0.0
+
+
+def test_cnf_coefficient_reads_the_key_as_given():
+    # before: int() truncated the key, so (1.7, (0.9,)) read the I**1 J**0 coefficient 0.735
+    model = builtin_cnf(2)
+    assert model.coefficient(1.7, (0.9,)) == 0.0
+    assert model.coefficient(1, (0.9,)) == 0.0
+    assert model.coefficient(1.0, (0.0,)) == 0.735
+    assert model.coefficient(np.int64(1), (np.int64(0),)) == 0.735
+
+
+def test_cnf_refuses_powers_above_max():
+    assert MAX_POWER == 64
+    with pytest.raises(ValueError, match="^term 2 J power must be at most 64, got 65$"):
+        CnfModel(e0=0.0, terms=((0, (0,), 0.0), (1, (0,), 1.0), (0, (65,), 1.0)))
+    with pytest.raises(ValueError,
+                       match="^model term 0 key 'i' must be at most 64, got 1000000000$"):
+        cnf_from_obj({"e0": 0.0, "terms": [{"i": 1e9, "j": [0], "c": 1.0}]})
+    model = CnfModel(e0=0.0, terms=((0, (0,), 0.0), (1, (0,), 1.0), (0, (1,), 1.0),
+                                    (0, (64,), 1.0)))
+    assert eval_cnf(model, 0.0, [2.0]) == 2.0 + 2.0 ** 64
 
 
 def test_cnf_requires_constant_term_matching_e0():
