@@ -17,6 +17,7 @@ import numpy as np
 
 from .bottleneck import _check_monotone, j_max_cnf
 from .errors import BelowSaddleError, ConvergenceError, SamplingError
+from .kernels import substream_uniforms
 from .models import CnfModel, effective_lyapunov, eval_cnf, eval_dk_di
 from .tables import ExperimentReport
 
@@ -192,7 +193,9 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
 
     Ensemble k draws J_2 from [lows[k] * J2max(E'), J2max(E')]; kind A is
     ``lows[k] = 0``.  Every point draws its first ``3 + n_bath`` uniforms
-    from its own substream, in the order of :func:`sample_ensemble`.  The
+    from its own substream, child ``p`` of ``SeedSequence(spec.seed)``, in the
+    order of :func:`sample_ensemble`; :func:`~sympb.kernels.substream_uniforms`
+    draws them for all points in one array pass.  The
     J2max(E') of all points are solved in one
     :func:`~sympb.bottleneck.j_max_cnf` call, each with the bits it gets
     alone; if some fail, the first failing point's error is raised.  A
@@ -210,8 +213,8 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
             f"energy window [{e_lo}, {e_hi}] reaches the saddle energy e0 = {model.e0}"
         )
     nb = model.n_bath
-    children = np.random.SeedSequence(spec.seed).spawn(spec.n_traj)
-    u = np.array([np.random.default_rng(child).random(3 + nb) for child in children])
+    root = np.random.SeedSequence(spec.seed)
+    u = substream_uniforms(root.entropy, spec.n_traj, 3 + nb)
     energy = _uniform(e_lo, e_hi, u[:, 0])
     j2max = j_max_cnf(model, energy, 2)
     lo = np.asarray(lows, dtype=float)[:, None] * j2max
@@ -222,8 +225,9 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
     phases = np.repeat(_uniform(0.0, 2.0 * math.pi, u[None, :, 2:2 + nb]), m, axis=0)
     q1 = np.repeat(_uniform(-spec.q1_range, -Q1_DELTA, u[None, :, 2 + nb]), m, axis=0)
     for k, p in zip(*np.nonzero(~(i_val >= 0.0))):
+        child = np.random.SeedSequence(root.entropy, spawn_key=(int(p),))
         j[k, p, 0], i_val[k, p], phases[k, p], q1[k, p] = _redraw_point(
-            model, children[p], energy[p], j2max[p], lo[k, p], spec.q1_range)
+            model, child, energy[p], j2max[p], lo[k, p], spec.q1_range)
     p1 = np.sqrt(q1 * q1 + 2.0 * i_val)
     return Ensemble(q1=q1, p1=p1, j=j, phases=phases, energy=energy)
 

@@ -27,6 +27,10 @@ __all__ = [
     "ds_crossing_times",
 ]
 
+# Largest record arrays (states of the trajectory and of its displaced rows at
+# every monitored step) that integrate allocates: 1 GiB.
+MAX_RECORD_BYTES = 2**30
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -94,6 +98,8 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
     the same bytes as on its own.  A non-finite monitored state raises
     DivergenceError carrying the time of that record; the message names an
     auxiliary trajectory when only a displaced row is non-finite there.
+    A run whose records would take more than MAX_RECORD_BYTES raises
+    ValueError before anything is allocated.
     """
     q0, p0 = _split_state(state0)
     d = q0.size
@@ -106,6 +112,14 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
         starts = np.repeat(starts, 1 + 4 * d, axis=0)
         starts[1 + 2 * cols, cols] += eps
         starts[2 + 2 * cols, cols] -= eps
+    nrec = len(range(0, nsteps, cfg.monitor_stride)) + 1
+    if nrec * starts.nbytes > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"t_final = {cfg.t_final!r} with h = {cfg.h!r} and monitor_stride = "
+            f"{cfg.monitor_stride} would record {nrec} steps of {starts.nbytes} bytes "
+            f"each, above the limit MAX_RECORD_BYTES = {MAX_RECORD_BYTES} bytes; raise h "
+            f"or monitor_stride"
+        )
     times = np.append(np.arange(0, nsteps, cfg.monitor_stride), nsteps) * cfg.h
     qs, ps, bad = kernels.verlet_run(
         p, starts[:, :d], starts[:, d:], cfg.h, nsteps, cfg.monitor_stride

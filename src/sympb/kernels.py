@@ -1,9 +1,12 @@
 """Hot numeric kernels.
 
-Two loops dominate runtime: Monte-Carlo membership counting for action-space
-volumes and the Stormer-Verlet integration loop.  The Verlet loop steps a
-batch of trajectories together and evaluates the potential gradient once per
-step; each row gives the same values, bit for bit, as a batch of one.
+Monte-Carlo membership counting for action-space volumes, the
+Stormer-Verlet integration loop, and the per-point seed substreams of the
+transmission ensembles.  The Verlet loop steps a batch of trajectories
+together and evaluates the potential gradient once per step; each row gives
+the same values, bit for bit, as a batch of one.  The substream uniforms run
+numpy's SeedSequence and PCG64 over all children at once, with the bits of
+one Generator per child.
 """
 
 from __future__ import annotations
@@ -18,7 +21,142 @@ from .models import (
     velocities,
 )
 
-__all__ = ["count_box_hits", "verlet_run"]
+__all__ = ["count_box_hits", "substream_uniforms", "verlet_run"]
+
+# numpy's stream-stable SeedSequence and PCG64 (NEP 19).  The SeedSequence
+# constants are those of numpy/random/bit_generator.pyx, the PCG64 multiplier
+# that of numpy/random/src/pcg64/pcg64.h (O'Neill 2014, XSL-RR 128/64).
+POOL_SIZE = 4
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+MASK32 = 0xFFFFFFFF
+PCG_MULT_HI = 2549297995355413924
+PCG_MULT_LO = 4865540595714422341
+
+
+def _entropy_words(entropy) -> list:
+    """The uint32 words, least significant first, that SeedSequence makes of
+    a non-negative integer or a (nested) sequence of them."""
+    if isinstance(entropy, (int, np.integer)):
+        n = int(entropy)
+        if n < 0:
+            raise ValueError(f"entropy must be non-negative, got {n}")
+        words = [n & MASK32]
+        while n > MASK32:
+            n >>= 32
+            words.append(n & MASK32)
+        return words
+    return [w for item in entropy for w in _entropy_words(item)]
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """SeedSequence's ``hashmix`` (``mult`` MULT_A) or one output word of
+    ``generate_state`` (``mult`` MULT_B): returns ``(value, next hash_const)``.
+
+    ``value`` is a Python int or a uint64 array of 32-bit words; the products
+    of two 32-bit words fit in 64 bits, so masking gives the uint32 bits.
+    """
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & MASK32
+    value = (value * hash_const) & MASK32
+    return value ^ (value >> XSHIFT), hash_const
+
+
+def _mix(x, y):
+    result = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
+    return result ^ (result >> XSHIFT)
+
+
+def _seed_words(entropy, n: int) -> list:
+    """``SeedSequence(entropy).spawn(n)[i].generate_state(4, np.uint64)`` for
+    every child ``i``: four uint64 arrays of length ``n``.
+
+    All children share the run entropy, padded to the pool size, and differ
+    only in their one spawn word, the last entropy word.  So every step before
+    that word runs once on Python ints and the rest on arrays.
+    """
+    run = _entropy_words(entropy)
+    run += [0] * (POOL_SIZE - len(run))
+    words = run + [np.arange(n, dtype=np.uint64)]
+    # mix_entropy
+    pool = [0] * POOL_SIZE
+    hash_const = INIT_A
+    for i in range(POOL_SIZE):
+        pool[i], hash_const = _hashmix(words[i], hash_const, MULT_A)
+    for i_src in range(POOL_SIZE):
+        for i_dst in range(POOL_SIZE):
+            if i_src != i_dst:
+                h, hash_const = _hashmix(pool[i_src], hash_const, MULT_A)
+                pool[i_dst] = _mix(pool[i_dst], h)
+    for word in words[POOL_SIZE:]:
+        for i_dst in range(POOL_SIZE):
+            h, hash_const = _hashmix(word, hash_const, MULT_A)
+            pool[i_dst] = _mix(pool[i_dst], h)
+    # generate_state(4, np.uint64): 8 uint32 words read as little-endian uint64
+    state = []
+    hash_const = INIT_B
+    for i in range(2 * POOL_SIZE):
+        value, hash_const = _hashmix(pool[i % POOL_SIZE], hash_const, MULT_B)
+        state.append(value)
+    return [state[2 * w] | (state[2 * w + 1] << 32) for w in range(POOL_SIZE)]
+
+
+def _mul_hi64(a, b: int):
+    """High 64 bits of the 128-bit product of uint64 ``a`` and the int ``b``,
+    from 32-bit halves."""
+    a0, a1 = a & MASK32, a >> 32
+    b0, b1 = b & MASK32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & MASK32) + (p10 & MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One step of the 128-bit LCG ``state * PCG_MULT + inc`` on two limbs."""
+    prod_hi = _mul_hi64(lo, PCG_MULT_LO) + lo * PCG_MULT_HI + hi * PCG_MULT_LO
+    return _add128(prod_hi, lo * PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def substream_uniforms(entropy, n: int, k: int) -> np.ndarray:
+    """The ``(n, k)`` array whose row ``i`` is
+    ``np.random.default_rng(SeedSequence(entropy).spawn(n)[i]).random(k)``,
+    bit for bit, computed for all ``n`` children at once.
+
+    ``entropy`` is a non-negative integer or a sequence of them, as
+    ``SeedSequence`` takes it (pass ``SeedSequence(seed).entropy`` to keep
+    numpy's own seed checks).  A child index needs one spawn word, so ``n``
+    may be at most 2**32.
+
+    Each child's PCG64 is seeded as ``pcg_setseq_128_srandom_r`` does with
+    ``initstate`` the first and ``initseq`` the second uint64 pair of its
+    seed state; each draw steps the LCG, takes the XSL-RR output and keeps
+    its top 53 bits, ``(next64 >> 11) * 2**-53``.
+    """
+    n = int(n)
+    if not 0 <= n <= 2**32:
+        raise ValueError(f"n must lie in [0, 2**32], got {n}")
+    seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(entropy, n)
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    # state 0, one step (which leaves inc), add initstate, one more step
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    out = np.empty((n, k))
+    for col in range(k):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        xored, rot = hi ^ lo, hi >> 58
+        out[:, col] = ((xored >> rot) | (xored << ((64 - rot) & 63))) >> 11
+    out *= 2.0**-53
+    return out
 
 
 def count_box_hits(model: CnfModel, j_samples, e: float) -> int:

@@ -7,7 +7,6 @@ timestamps).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -59,12 +58,23 @@ class ExperimentReport:
         write_text(target, self._json_text())
 
     def _csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("# " + json.dumps(self.meta, sort_keys=True) + "\n")
-        buf.write(",".join(self.columns) + "\n")
+        """The CSV text; each value is written as :func:`format_value` writes
+        it.  Rows are filled into one ``%`` template per tuple of value types;
+        a row that holds a bool, which prints as ``true``/``false``, is
+        formatted value by value."""
+        lines = ["# " + json.dumps(self.meta, sort_keys=True), ",".join(self.columns)]
+        templates = {}
         for row in self.rows:
-            buf.write(",".join(format_value(v) for v in row) + "\n")
-        return buf.getvalue()
+            types = tuple(map(type, row))
+            if types not in templates:
+                templates[types] = None if bool in types else ",".join(
+                    FLOAT_FMT if issubclass(t, float) else "%s" for t in types)
+            template = templates[types]
+            if template is None:
+                lines.append(",".join(map(format_value, row)))
+            else:
+                lines.append(template % tuple(row))
+        return "\n".join(lines) + "\n"
 
     def _json_text(self) -> str:
         def norm(v):

@@ -591,6 +591,17 @@ def test_integrate_step_count_overflow_exit_two(capsys):
                    "and h = 1e-320\n")
 
 
+def test_integrate_huge_step_count_exit_two(capsys):
+    # before: numpy could not allocate the 7.28 TiB of records, traceback and exit 1;
+    # the limit is checked before anything is allocated or stepped
+    code, out, err = run_cli(capsys, "integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "1e-12",
+                             "--t-final", "10")
+    assert (code, out) == (2, "")
+    assert err == ("error: t_final = 10.0 with h = 1e-12 and monitor_stride = 10 would record "
+                   "1000000000001 steps of 288 bytes each, above the limit MAX_RECORD_BYTES = "
+                   "1073741824 bytes; raise h or monitor_stride\n")
+
+
 def test_integrate_bad_step_exit_two(capsys):
     code, _, err = run_cli(
         capsys, "integrate", "--state0=-1e6,1500,0,0", "--h=-0.1",

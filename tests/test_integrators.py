@@ -14,6 +14,7 @@ from sympb import (
     random_symplectic,
     verlet_step,
 )
+import sympb.integrators
 from sympb.integrators import TrajectoryRecord, ds_crossing_times
 from sympb.linalg import symplecticity_defect
 from sympb.models import eckart_potential, morse_potential
@@ -131,6 +132,22 @@ def test_record_times_and_stride():
     rec = integrate(PARAMS, st, IntegratorConfig(h=0.1, t_final=1.0,
                                                  monitor_stride=5, compute_jacobian=False))
     assert np.allclose(rec.times, [0.0, 0.5, 1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("jacobian, record_bytes", [(False, 32), (True, 288)])
+def test_record_bytes_limit(monkeypatch, jacobian, record_bytes):
+    # h = 0.1, t_final = 1, stride 3: 5 records of (1 + 4d) x 2d doubles with
+    # the Jacobian's displaced rows, of 2d without
+    cfg = IntegratorConfig(h=0.1, t_final=1.0, monitor_stride=3, compute_jacobian=jacobian)
+    monkeypatch.setattr(sympb.integrators, "MAX_RECORD_BYTES", 5 * record_bytes)
+    assert integrate(PARAMS, far_field_state(), cfg).states.shape == (5, 4)
+    monkeypatch.setattr(sympb.integrators, "MAX_RECORD_BYTES", 5 * record_bytes - 1)
+    with pytest.raises(ValueError) as exc:
+        integrate(PARAMS, far_field_state(), cfg)
+    assert str(exc.value) == (
+        f"t_final = 1.0 with h = 0.1 and monitor_stride = 3 would record 5 steps of "
+        f"{record_bytes} bytes each, above the limit MAX_RECORD_BYTES = "
+        f"{5 * record_bytes - 1} bytes; raise h or monitor_stride")
 
 
 def test_no_jacobian_flag():

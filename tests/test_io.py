@@ -62,6 +62,25 @@ def test_report_csv_layout():
     assert lines[3] == "nan,false,B"
 
 
+def test_report_csv_rows_equal_format_value_per_cell():
+    # the writer fills one template per tuple of value types; every cell must
+    # read as format_value writes it, whatever the mix of types in a column
+    class Ratio(float):
+        pass
+
+    values = [0.1, -0.0, float("inf"), float("nan"), 5e-324, Ratio(1.0 / 3.0), np.float64(2.5),
+              np.float32(0.1), 7, -2**70, np.int64(-4), True, False, np.bool_(True), "A",
+              "50%", "%s", None, (1, 2)]
+    rng = np.random.default_rng(13)
+    rows = [tuple(values[i] for i in rng.integers(0, len(values), size=3)) for _ in range(400)]
+    rows += [(1.5, 2, "B"), (1.5, True, "B"), (1.5, 2, "B")]
+    rep = ExperimentReport(columns=("a", "b", "c"), rows=rows, meta={"k": 1})
+    buf = io.StringIO()
+    rep.to_csv(buf)
+    lines = buf.getvalue().split("\n")
+    assert lines[2:] == [",".join(format_value(v) for v in row) for row in rows] + [""]
+
+
 def test_report_json_nan_becomes_null():
     rep = ExperimentReport(columns=("x",), rows=[(float("nan"),)], meta={})
     buf = io.StringIO()

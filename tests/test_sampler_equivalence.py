@@ -230,6 +230,41 @@ def test_scan_solves_j_max_once_per_point(monkeypatch):
     assert calls == [((spec.n_traj,), 2)]
 
 
+@pytest.mark.parametrize("inflate", [1.0, 1.5])
+def test_sampler_builds_a_generator_only_per_redrawn_pair(monkeypatch, inflate):
+    # the first draws of every point come from one array pass; a Generator is
+    # built only to replay the substream of a (point, ensemble) pair whose
+    # first J_2 draw gives I' < 0
+    model = builtin_cnf(3)
+    spec = EnsembleSpec(n_traj=60, e_center=0.0, delta_e=0.01, seed=77)
+    lows = [0.0, 0.3, 0.6]
+
+    def j_max(m, e, k):
+        return inflate * j_max_cnf(m, e, k)
+
+    want = 0
+    for child in np.random.SeedSequence(spec.seed).spawn(spec.n_traj):
+        for low in lows:
+            rng = np.random.default_rng(child)
+            e = rng.uniform(spec.e_center - spec.delta_e, spec.e_center + spec.delta_e)
+            top = j_max(model, e, 2)
+            i = solve_scalar(model, e, [rng.uniform(low * top, top), 0.0])
+            want += i < 0.0 and abs(i) > sympb.ensembles.I_CLAMP_RTOL * max(abs(e), 1.0)
+    assert (want > 0) == (inflate > 1.0)
+
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(sympb.ensembles, "j_max_cnf", j_max)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    sympb.ensembles._sample_batch(model, spec, lows)
+    assert len(calls) == want
+
+
 # ---------------------------------------------------------------------------
 # batched polynomial
 # ---------------------------------------------------------------------------
