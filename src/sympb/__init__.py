@@ -33,10 +33,8 @@ from .linalg import (
 from .models import (
     CnfModel,
     EckartMorseParams,
-    QuadraticSaddleModel,
     barrier_x,
     builtin_cnf,
-    builtin_quadratic,
     cnf_from_obj,
     default_params,
     eckart_potential,
@@ -58,17 +56,13 @@ from .bottleneck import (
     action_volume_mc,
     candidate_width,
     energy_scan,
-    flux_quadratic_exact,
     j_max_cnf,
-    j_max_quadratic,
 )
 from .evolution import (
     ProjectionAreaCurve,
-    capacity_after_evolution,
     default_tau_grid,
     evolved_shape_matrix,
     min_projection_area,
-    projection_area,
     radius_scan_curves,
     stm,
 )

@@ -3,8 +3,8 @@
 On the dividing surface the admissible bath actions form the region
 ``{J >= 0 : K(0, J) <= E}``.  This module computes per-mode maximal actions
 ``J_k_max(E)``, the candidate transverse width ``c_cand = 2 pi min_k J_k_max``,
-the action-space volume (exactly for quadratic models, by seeded Monte Carlo
-for polynomial ones), and the directional flux ``phi = (2 pi)^(n-1) V``.
+the action-space volume by seeded Monte Carlo, and the directional flux
+``phi = (2 pi)^(n-1) V``.
 """
 
 from __future__ import annotations
@@ -24,17 +24,15 @@ from .errors import (
     PreconditionError,
     RootBracketError,
 )
-from .models import CnfModel, QuadraticSaddleModel, eval_cnf
+from .models import CnfModel, eval_cnf
 from .tables import ExperimentReport
 
 __all__ = [
     "WidthReport",
     "FluxReport",
-    "j_max_quadratic",
     "j_max_cnf",
     "candidate_width",
     "action_volume_mc",
-    "flux_quadratic_exact",
     "energy_scan",
 ]
 
@@ -84,14 +82,6 @@ def _check_mode(model, k: int) -> int:
             f"mode index k must be in [2, {nb + 1}] for this model, got {k}"
         )
     return k - 2
-
-
-def j_max_quadratic(model: QuadraticSaddleModel, e: float, k: int) -> float:
-    """Maximal action of mode k at energy e: ``(e - e0) / omega_k``."""
-    idx = _check_mode(model, k)
-    if e <= model.e0:
-        raise BelowSaddleError(f"E = {e} is not above the saddle energy e0 = {model.e0}")
-    return (e - model.e0) / model.omegas[idx]
 
 
 def j_max_cnf(model: CnfModel, e, k):
@@ -280,20 +270,13 @@ def _brent(f, xa, xb, fa, fb):
     return x, status
 
 
-def candidate_width(model, e: float) -> WidthReport:
+def candidate_width(model: CnfModel, e: float) -> WidthReport:
     """Candidate transverse width ``2 pi min_k J_k_max(e)`` with the limiting
     mode index (ties resolved to the lowest mode)."""
-    if not isinstance(model, (CnfModel, QuadraticSaddleModel)):
+    if not isinstance(model, CnfModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
     nb = model.n_bath
-    if nb < 1:
-        raise DimensionError("candidate width needs at least one bath mode")
-    modes = range(2, nb + 2)
-    if isinstance(model, CnfModel):
-        j_max = j_max_cnf(model, [e] * nb, modes).tolist()
-    else:
-        j_max = [j_max_quadratic(model, e, k) for k in modes]
-    return _width_report(e, j_max)
+    return _width_report(e, j_max_cnf(model, [e] * nb, range(2, nb + 2)).tolist())
 
 
 def _width_report(e: float, j_max) -> WidthReport:
@@ -388,23 +371,6 @@ def _action_volume_mc(model: CnfModel, e: float, samples: int, seed: int,
     flux = (2.0 * math.pi) ** nb * volume
     return FluxReport(e=float(e), volume=volume, flux=flux, mc_samples=int(samples),
                       std_error=std_error, seed=int(seed))
-
-
-def flux_quadratic_exact(model: QuadraticSaddleModel, e: float) -> FluxReport:
-    """Exact simplex volume and flux for a quadratic model.
-
-    ``V = (e - e0)^(n-1) / ((n-1)! prod_k omega_k)`` and
-    ``phi = (2 pi)^(n-1) V``.
-    """
-    nb = model.n_bath
-    if nb < 1:
-        raise DimensionError("need at least one bath mode")
-    if e < model.e0:
-        raise BelowSaddleError(f"E = {e} is below the saddle energy e0 = {model.e0}")
-    de = e - model.e0
-    volume = de**nb / (math.factorial(nb) * float(np.prod(model.omegas)))
-    return FluxReport(e=float(e), volume=volume, flux=(2.0 * math.pi) ** nb * volume,
-                      mc_samples=0, std_error=0.0)
 
 
 def _usable_cpus() -> int:

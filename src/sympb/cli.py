@@ -27,7 +27,6 @@ from .linalg import ellipsoid_capacity, symplectic_spectrum
 from .matio import load_matrix
 from .models import (
     builtin_cnf,
-    builtin_quadratic,
     default_params,
     load_cnf_model,
     load_params,
@@ -287,7 +286,7 @@ def cmd_widths(args, cfg) -> int:
 
 
 def cmd_exp1(args, cfg) -> int:
-    model = builtin_quadratic(cfg["dof"])
+    model = builtin_cnf(cfg["dof"])
     radii = _parse_floats(cfg["radii"], "radii")
     tau_max = cfg["tau_max"]
     if tau_max is None:

@@ -1,10 +1,12 @@
 """Linear evolution of ellipsoids and saddle-plane shadow areas.
 
-The quadratic normal form has an exact state-transition matrix: a hyperbolic
-block on the reactive pair ``(Q_1, P_1)`` and a rotation per bath mode.  A
-round ball of radius r, skewed by a symplectic mixer and evolved backward in
-time, casts a shadow on the saddle plane whose area ``A(tau)`` can touch but
-never cross the ball capacity ``pi r^2``.
+The flow is the linearisation of a normal form at its saddle: only the
+linear part of a ``CnfModel`` (``lam``, ``omegas``, ``e0``) enters, and its
+state-transition matrix is exact, a hyperbolic block on the reactive pair
+``(Q_1, P_1)`` and a rotation per bath mode.  A round ball of radius r,
+skewed by a symplectic mixer and evolved backward in time, casts a shadow on
+the saddle plane whose area ``A(tau)`` can touch but never cross the ball
+capacity ``pi r^2``.
 
 Only the saddle block of the state-transition matrix touches the rows
 ``0`` and ``n`` that the saddle-plane projection P keeps, so
@@ -27,19 +29,17 @@ import numpy as np
 
 from .bottleneck import candidate_width
 from .errors import DimensionError, PreconditionError
-from .linalg import ellipsoid_capacity, is_symplectic, random_symplectic
-from .models import QuadraticSaddleModel
+from .linalg import is_symplectic, random_symplectic
+from .models import CnfModel
 from .tables import ExperimentReport
 
 __all__ = [
     "ProjectionAreaCurve",
     "stm",
-    "projection_area",
     "min_projection_area",
     "evolved_shape_matrix",
     "default_tau_grid",
     "radius_scan_curves",
-    "capacity_after_evolution",
 ]
 
 MIXER_TOL = 1e-10
@@ -65,8 +65,8 @@ class ProjectionAreaCurve:
         return ExperimentReport(columns=("tau", "area"), rows=rows, meta=meta)
 
 
-def stm(model: QuadraticSaddleModel, t: float) -> np.ndarray:
-    """State-transition matrix of the quadratic normal form at time t.
+def stm(model: CnfModel, t: float) -> np.ndarray:
+    """State-transition matrix of the model's linearisation at time t.
 
     Saddle block ``[[cosh lt, sinh lt], [sinh lt, cosh lt]]`` on (Q_1, P_1),
     rotation ``[[cos wt, sin wt], [-sin wt, cos wt]]`` on each bath pair,
@@ -89,7 +89,7 @@ def stm(model: QuadraticSaddleModel, t: float) -> np.ndarray:
     return phi
 
 
-def _check_mixer(model: QuadraticSaddleModel, s_mix) -> np.ndarray:
+def _check_mixer(model: CnfModel, s_mix) -> np.ndarray:
     s_mix = np.asarray(s_mix, dtype=float)
     n = model.n_dof
     if s_mix.shape != (2 * n, 2 * n):
@@ -112,7 +112,7 @@ def _check_grid(tau_grid) -> np.ndarray:
     return taus
 
 
-def _shadow_factors(model: QuadraticSaddleModel, s_mix, taus: np.ndarray) -> np.ndarray:
+def _shadow_factors(model: CnfModel, s_mix, taus: np.ndarray) -> np.ndarray:
     """Area factors ``g(tau) = A(tau) / (pi r^2)`` over a whole tau grid.
 
     The mixer is checked once.  ``B(-tau)`` is built per point with
@@ -157,30 +157,26 @@ def _curve(r: float, taus: np.ndarray, factors: np.ndarray) -> ProjectionAreaCur
     )
 
 
-def projection_area(model: QuadraticSaddleModel, r: float, s_mix, tau: float) -> float:
-    """Saddle-plane shadow area of the mixed ball evolved backward to time tau.
+def min_projection_area(model: CnfModel, r: float, s_mix, tau_grid) -> ProjectionAreaCurve:
+    """Evaluate the saddle-plane shadow area of the mixed ball evolved
+    backward to each time of a sorted grid, and record the curve and its
+    minimum.
 
     ``A(tau) = pi r^2 sqrt(det(P Phi(-tau) S S^T Phi(-tau)^T P^T))`` where P
-    selects the (Q_1, P_1) rows: a grid of one point.
+    selects the (Q_1, P_1) rows; a grid of one point gives one area.
     """
-    if r <= 0:
-        raise ValueError(f"radius must be > 0, got {r}")
-    return math.pi * r * r * float(_shadow_factors(model, s_mix, np.array([tau], dtype=float))[0])
-
-
-def min_projection_area(model: QuadraticSaddleModel, r: float, s_mix, tau_grid) -> ProjectionAreaCurve:
-    """Evaluate A(tau) on a sorted grid and record the full curve and its minimum."""
     taus = _check_grid(tau_grid)
     if r <= 0:
         raise ValueError(f"radius must be > 0, got {r}")
     return _curve(r, taus, _shadow_factors(model, s_mix, taus))
 
 
-def evolved_shape_matrix(model: QuadraticSaddleModel, r: float, s_mix, tau: float) -> np.ndarray:
+def evolved_shape_matrix(model: CnfModel, r: float, s_mix, tau: float) -> np.ndarray:
     """Shape matrix of the evolved ellipsoid ``Phi(-tau) S_mix B(r)``.
 
     Returns the symmetric PD matrix M with the evolved set equal to
-    ``{z : z^T M z <= 1}``; its capacity stays ``pi r^2``.
+    ``{z : z^T M z <= 1}``; its capacity (``linalg.ellipsoid_capacity``)
+    stays ``pi r^2``.
     """
     if r <= 0:
         raise ValueError(f"radius must be > 0, got {r}")
@@ -190,14 +186,14 @@ def evolved_shape_matrix(model: QuadraticSaddleModel, r: float, s_mix, tau: floa
     return 0.5 * (m + m.T)
 
 
-def default_tau_grid(model: QuadraticSaddleModel, points: int = DEFAULT_TAU_POINTS) -> np.ndarray:
+def default_tau_grid(model: CnfModel, points: int = DEFAULT_TAU_POINTS) -> np.ndarray:
     """Uniform grid of ``points`` times on [0, 3/lambda] (a few e-foldings)."""
     if points < 1:
         raise ValueError(f"need at least one grid point, got {points}")
     return np.linspace(0.0, 3.0 / model.lam, points)
 
 
-def radius_scan_curves(model: QuadraticSaddleModel, radii, s_mix_seed: int, tau_grid=None,
+def radius_scan_curves(model: CnfModel, radii, s_mix_seed: int, tau_grid=None,
                        sigma: float = DEFAULT_SIGMA, e_ref: float = 0.0,
                        ) -> tuple[ExperimentReport, list[ProjectionAreaCurve]]:
     """The radius-scan table and the A(tau) curve of every radius.
@@ -237,7 +233,3 @@ def radius_scan_curves(model: QuadraticSaddleModel, radii, s_mix_seed: int, tau_
     )
     return report, curves
 
-
-def capacity_after_evolution(model: QuadraticSaddleModel, r: float, s_mix, tau: float) -> float:
-    """Capacity of the evolved ellipsoid (invariantly ``pi r^2``)."""
-    return ellipsoid_capacity(evolved_shape_matrix(model, r, s_mix, tau))

@@ -30,6 +30,9 @@ __all__ = [
 # Largest record arrays (states of the trajectory and of its displaced rows at
 # every monitored step) that integrate allocates: 1 GiB.
 MAX_RECORD_BYTES = 2**30
+# Largest number of Verlet steps that integrate runs: about an hour at 45 us
+# per batched step (2 shared vCPU).
+MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,9 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
     the same bytes as on its own.  A non-finite monitored state raises
     DivergenceError carrying the time of that record; the message names an
     auxiliary trajectory when only a displaced row is non-finite there.
-    A run whose records would take more than MAX_RECORD_BYTES raises
-    ValueError before anything is allocated.
+    A run whose records would take more than MAX_RECORD_BYTES, or that would
+    take more than MAX_STEPS steps, raises ValueError before anything is
+    allocated.
     """
     q0, p0 = _split_state(state0)
     d = q0.size
@@ -119,6 +123,11 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
             f"{cfg.monitor_stride} would record {nrec} steps of {starts.nbytes} bytes "
             f"each, above the limit MAX_RECORD_BYTES = {MAX_RECORD_BYTES} bytes; raise h "
             f"or monitor_stride"
+        )
+    if nsteps > MAX_STEPS:
+        raise ValueError(
+            f"t_final = {cfg.t_final!r} with h = {cfg.h!r} would take {nsteps} steps, "
+            f"above the limit MAX_STEPS = {MAX_STEPS}; raise h or lower t_final"
         )
     times = np.append(np.arange(0, nsteps, cfg.monitor_stride), nsteps) * cfg.h
     qs, ps, bad = kernels.verlet_run(

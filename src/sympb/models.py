@@ -2,9 +2,10 @@
 
 Two families describe dynamics near an index-1 saddle:
 
-* quadratic / polynomial normal forms in the action-like variables
-  ``(I, J_2, ..., J_n)``, where ``I`` is the reactive integral and the ``J_k``
-  are bath actions, and
+* polynomial normal forms ``K(I, J_2, ..., J_n)`` in the action-like
+  variables, where ``I`` is the reactive integral and the ``J_k`` are bath
+  actions; the quadratic saddle-centre(-centre) model is the linear one,
+  ``K = e0 + lam*I + sum_k omega_k*J_k``, and
 * the Eckart-Morse(-Morse) Hamiltonian in physical coordinates, used for
   direct trajectory integration.
 
@@ -27,13 +28,11 @@ import numpy as np
 from .errors import DimensionError, LyapunovSignError
 
 __all__ = [
-    "QuadraticSaddleModel",
     "CnfModel",
     "eval_cnf",
     "eval_dk_di",
     "effective_lyapunov",
     "builtin_cnf",
-    "builtin_quadratic",
     "load_cnf_model",
     "cnf_from_obj",
     "EckartMorseParams",
@@ -58,34 +57,6 @@ OMEGA3_BUILTIN = 1.267
 # Largest power of I or of a J_k in a normal-form term: each term is built by
 # repeated multiplication, one product per unit of power.
 MAX_POWER = 64
-
-
-@dataclass(frozen=True)
-class QuadraticSaddleModel:
-    """Quadratic saddle-center normal form.
-
-    ``H = e0 + lam*I + sum_k omegas[k]*J_k`` with one unstable direction of
-    rate ``lam`` and one center per bath frequency.
-    """
-
-    lam: float
-    omegas: tuple
-    e0: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if any(w <= 0 for w in self.omegas):
-            raise ValueError(f"bath frequencies must be > 0, got {self.omegas}")
-
-    @property
-    def n_dof(self) -> int:
-        return 1 + len(self.omegas)
-
-    @property
-    def n_bath(self) -> int:
-        return len(self.omegas)
 
 
 @dataclass(frozen=True)
@@ -263,12 +234,6 @@ def builtin_cnf(n_dof: int = 2) -> CnfModel:
         )
         return CnfModel(e0=E0_BUILTIN, terms=terms)
     raise DimensionError(f"built-in models exist for 2 or 3 dof, got {n_dof}")
-
-
-def builtin_quadratic(n_dof: int = 2) -> QuadraticSaddleModel:
-    """Quadratic part of the built-in normal form."""
-    m = builtin_cnf(n_dof)
-    return QuadraticSaddleModel(m.lam, m.omegas, m.e0)
 
 
 def _entry(obj, key: str, what: str):

@@ -15,24 +15,23 @@ from sympb import (
     CnfModel,
     EnsembleSpec,
     IntegratorConfig,
-    QuadraticSaddleModel,
     action_volume_mc,
     builtin_cnf,
     default_params,
     effective_lyapunov,
     ellipsoid_capacity,
     eval_cnf,
-    flux_quadratic_exact,
     integrate,
     j_max_cnf,
     min_projection_area,
-    projection_area,
     random_symplectic,
     symplectic_spectrum,
     symplectic_spectrum_blockdiag,
     transmission_scan,
 )
 from sympb.evolution import default_tau_grid, evolved_shape_matrix
+
+from oracles import linear_cnf, simplex_flux
 
 
 @contextmanager
@@ -56,16 +55,6 @@ def criterion(num, budget=None):
 def random_pd(rng, n, floor=0.5):
     g = rng.normal(size=(n, n))
     return g @ g.T + floor * np.eye(n)
-
-
-def linear_cnf(lam, omegas, e0):
-    nb = len(omegas)
-    zero = (0,) * nb
-    terms = [(0, zero, e0), (1, zero, lam)]
-    for k, w in enumerate(omegas):
-        unit = tuple(1 if i == k else 0 for i in range(nb))
-        terms.append((0, unit, w))
-    return CnfModel(e0=e0, terms=tuple(terms))
 
 
 def test_criterion_1_capacity_normalization():
@@ -168,10 +157,9 @@ def test_criterion_4_flux_oracle():
         for n_dof in (2, 3):
             lam, omegas, e0 = 0.7350, (1.8225, 1.267)[: n_dof - 1], -0.9875
             cnf = linear_cnf(lam, omegas, e0)
-            quad = QuadraticSaddleModel(lam=lam, omegas=omegas, e0=e0)
             for i, e in enumerate(energies):
                 mc = action_volume_mc(cnf, float(e), samples=1_000_000, seed=500 + i)
-                exact = flux_quadratic_exact(quad, float(e))
+                exact = simplex_flux(cnf, float(e))
                 scaled_std = 3.0 * (2.0 * math.pi) ** (n_dof - 1) * mc.std_error
                 tol = scaled_std + 1e-10 * max(abs(exact.flux), 1.0)
                 assert abs(mc.flux - exact.flux) <= tol
@@ -194,7 +182,7 @@ def test_criterion_5_projection_area_floor():
     # unmixed tau=0 equality at 1e-6 relative, evolved capacity pi r^2 at
     # 1e-8 relative; budget 30 s
     with criterion(5, budget=30.0) as info:
-        model = QuadraticSaddleModel(lam=0.7350, omegas=(1.8225, 1.267), e0=-0.9875)
+        model = linear_cnf(0.7350, (1.8225, 1.267), -0.9875)
         grid = default_tau_grid(model)
         radii = (0.05, 0.1, 0.2, 0.4)
         min_margin = math.inf
@@ -212,7 +200,7 @@ def test_criterion_5_projection_area_floor():
                 assert worst_cap <= 1e-8
         worst_unmixed = 0.0
         for r in radii:
-            a0 = projection_area(model, r, np.eye(2 * model.n_dof), 0.0)
+            a0 = min_projection_area(model, r, np.eye(2 * model.n_dof), [0.0]).min_area
             worst_unmixed = max(worst_unmixed, abs(a0 - math.pi * r * r) / (math.pi * r * r))
         assert worst_unmixed <= 1e-6
         info["detail"] = (

@@ -16,15 +16,12 @@ from sympb import (
     ConvergenceError,
     DimensionError,
     PreconditionError,
-    QuadraticSaddleModel,
     RootBracketError,
     action_volume_mc,
     builtin_cnf,
     candidate_width,
     energy_scan,
-    flux_quadratic_exact,
     j_max_cnf,
-    j_max_quadratic,
 )
 from sympb import bottleneck
 from sympb.bottleneck import (
@@ -41,18 +38,9 @@ from sympb.bottleneck import (
     _j_max_solve,
 )
 
+from oracles import linear_cnf, simplex_flux
+
 E0 = -0.9875
-
-
-def linear_cnf(lam, omegas, e0):
-    """CnfModel with the same content as QuadraticSaddleModel(lam, omegas, e0)."""
-    nb = len(omegas)
-    zero = (0,) * nb
-    terms = [(0, zero, e0), (1, zero, lam)]
-    for k, w in enumerate(omegas):
-        unit = tuple(1 if i == k else 0 for i in range(nb))
-        terms.append((0, unit, w))
-    return CnfModel(e0=e0, terms=tuple(terms))
 
 
 def alpha_model(omega2, alpha, e0=0.0, lam=1.0):
@@ -64,40 +52,40 @@ def alpha_model(omega2, alpha, e0=0.0, lam=1.0):
 
 
 # ---------------------------------------------------------------------------
-# j_max_quadratic
+# j_max_cnf on the linear (quadratic saddle-centre) model: (E - e0) / omega_k
 # ---------------------------------------------------------------------------
 
 
 def test_j_max_quadratic_builtin_frequency():
-    model = QuadraticSaddleModel(lam=1.0, omegas=(1.8225,), e0=0.0)
-    assert j_max_quadratic(model, 1.8225, 2) == 1.0
+    model = linear_cnf(1.0, (1.8225,), 0.0)
+    assert j_max_cnf(model, 1.8225, 2) == 1.0
 
 
 def test_j_max_quadratic_unit_excess():
-    model = QuadraticSaddleModel(lam=0.5, omegas=(2.0, 0.7), e0=-1.0)
+    model = linear_cnf(0.5, (2.0, 0.7), -1.0)
     for k, w in ((2, 2.0), (3, 0.7)):
-        assert abs(j_max_quadratic(model, -1.0 + w, k) - 1.0) <= 1e-15
+        assert abs(j_max_cnf(model, -1.0 + w, k) - 1.0) <= 1e-15
 
 
 def test_j_max_quadratic_direct_division():
-    model = QuadraticSaddleModel(lam=1.0, omegas=(2.0, 1.0), e0=0.0)
-    assert j_max_quadratic(model, 1.0, 2) == 0.5
-    assert j_max_quadratic(model, 1.0, 3) == 1.0
+    model = linear_cnf(1.0, (2.0, 1.0), 0.0)
+    assert j_max_cnf(model, 1.0, 2) == 0.5
+    assert j_max_cnf(model, 1.0, 3) == 1.0
 
 
 def test_j_max_quadratic_below_saddle():
-    model = QuadraticSaddleModel(lam=1.0, omegas=(1.0,), e0=0.0)
+    model = linear_cnf(1.0, (1.0,), 0.0)
     with pytest.raises(BelowSaddleError):
-        j_max_quadratic(model, 0.0, 2)
+        j_max_cnf(model, 0.0, 2)
     with pytest.raises(BelowSaddleError):
-        j_max_quadratic(model, -0.5, 2)
+        j_max_cnf(model, -0.5, 2)
 
 
 def test_mode_index_validation():
-    model = QuadraticSaddleModel(lam=1.0, omegas=(1.0,), e0=0.0)
+    model = linear_cnf(1.0, (1.0,), 0.0)
     for bad in (1, 3, 0):
         with pytest.raises(DimensionError):
-            j_max_quadratic(model, 1.0, bad)
+            j_max_cnf(model, 1.0, bad)
     cnf = builtin_cnf(2)
     with pytest.raises(DimensionError):
         j_max_cnf(cnf, 0.0, 3)
@@ -438,7 +426,7 @@ def test_j_max_solve_with_fixed_bath_actions_matches_scalar_loop(extra, b, mode,
 
 
 def test_candidate_width_3dof_reference_value():
-    model = QuadraticSaddleModel(lam=0.7350, omegas=(1.8225, 1.267), e0=E0)
+    model = linear_cnf(0.7350, (1.8225, 1.267), E0)
     rep = candidate_width(model, 0.0)
     expected = 2.0 * math.pi * 0.9875 / 1.8225
     assert abs(rep.c_cand - expected) <= 1e-12 * expected
@@ -447,14 +435,14 @@ def test_candidate_width_3dof_reference_value():
 
 
 def test_candidate_width_2dof_formula():
-    model = QuadraticSaddleModel(lam=0.7350, omegas=(1.8225,), e0=E0)
+    model = linear_cnf(0.7350, (1.8225,), E0)
     for e in (0.0, 0.5, 2.0):
         rep = candidate_width(model, e)
         assert abs(rep.c_cand - 2.0 * math.pi * (e - E0) / 1.8225) <= 1e-12
 
 
 def test_candidate_width_tie_breaks_to_lowest_mode():
-    model = QuadraticSaddleModel(lam=1.0, omegas=(1.0, 1.0), e0=0.0)
+    model = linear_cnf(1.0, (1.0, 1.0), 0.0)
     assert candidate_width(model, 1.0).limiting_mode == 2
 
 
@@ -471,12 +459,10 @@ def test_candidate_width_oracle_equivalence():
         omegas = tuple(rng.uniform(0.3, 3.0, size=nb))
         e0 = float(rng.uniform(-2.0, 0.0))
         e = e0 + float(rng.uniform(0.1, 5.0))
-        quad = QuadraticSaddleModel(lam=lam, omegas=omegas, e0=e0)
         cnf = linear_cnf(lam, omegas, e0)
         for k in range(2, nb + 2):
-            a = j_max_quadratic(quad, e, k)
-            b = j_max_cnf(cnf, e, k)
-            assert abs(a - b) <= 1e-10 * a
+            # the root is the direct division, bit for bit
+            assert j_max_cnf(cnf, e, k) == (e - e0) / omegas[k - 2]
 
 
 def test_j_max_and_width_monotone_in_energy():
@@ -490,7 +476,7 @@ def test_j_max_and_width_monotone_in_energy():
 
 
 def test_candidate_width_scaling_linear_in_excess():
-    model = QuadraticSaddleModel(lam=1.0, omegas=(1.8225, 1.267), e0=-1.0)
+    model = linear_cnf(1.0, (1.8225, 1.267), -1.0)
     base = candidate_width(model, -1.0 + 0.7).c_cand
     for s in (0.5, 2.0, 7.0):
         scaled = candidate_width(model, -1.0 + s * 0.7).c_cand
@@ -503,24 +489,29 @@ def test_candidate_width_scaling_linear_in_excess():
 
 
 def test_flux_exact_2dof():
-    model = QuadraticSaddleModel(lam=1.0, omegas=(1.8225,), e0=0.0)
-    rep = flux_quadratic_exact(model, 1.8225)
+    model = linear_cnf(1.0, (1.8225,), 0.0)
+    rep = simplex_flux(model, 1.8225)
     assert rep.volume == 1.0
     assert abs(rep.flux - 2.0 * math.pi) <= 1e-15
     assert rep.std_error == 0.0
+    # one bath action: every Monte-Carlo sample hits, so the estimate is exact
+    mc = action_volume_mc(model, 1.8225, samples=1000, seed=0)
+    assert (mc.volume, mc.flux, mc.std_error) == (rep.volume, rep.flux, 0.0)
 
 
 def test_flux_exact_3dof_triangle():
-    model = QuadraticSaddleModel(lam=1.0, omegas=(1.0, 1.0), e0=0.0)
-    rep = flux_quadratic_exact(model, 1.0)
+    model = linear_cnf(1.0, (1.0, 1.0), 0.0)
+    rep = simplex_flux(model, 1.0)
     assert rep.volume == 0.5
     assert abs(rep.flux - 2.0 * math.pi**2) <= 1e-14
 
 
 def test_flux_exact_at_saddle_energy():
-    model = QuadraticSaddleModel(lam=1.0, omegas=(1.0,), e0=0.25)
-    rep = flux_quadratic_exact(model, 0.25)
+    model = linear_cnf(1.0, (1.0,), 0.25)
+    rep = simplex_flux(model, 0.25)
     assert rep.volume == 0.0 and rep.flux == 0.0
+    mc = action_volume_mc(model, 0.25, samples=10, seed=0)
+    assert mc.volume == 0.0 and mc.flux == 0.0
 
 
 def test_mc_at_saddle_energy_is_zero():
@@ -554,9 +545,8 @@ def test_mc_linear_2dof_is_exact():
     # The admissible set fills the whole bounding interval, so every sample
     # hits and the estimate collapses to the box length.
     cnf = linear_cnf(1.0, (1.8225,), 0.0)
-    quad = QuadraticSaddleModel(lam=1.0, omegas=(1.8225,), e0=0.0)
     mc = action_volume_mc(cnf, 1.0, samples=10_000, seed=5)
-    exact = flux_quadratic_exact(quad, 1.0)
+    exact = simplex_flux(cnf, 1.0)
     assert mc.std_error == 0.0
     assert abs(mc.volume - exact.volume) <= 1e-11 * exact.volume
     assert abs(mc.flux - exact.flux) <= 1e-11 * exact.flux
@@ -564,8 +554,7 @@ def test_mc_linear_2dof_is_exact():
 
 def test_mc_matches_simplex_on_seed_suite():
     cnf = linear_cnf(0.7, (1.3, 0.8), -0.5)
-    quad = QuadraticSaddleModel(lam=0.7, omegas=(1.3, 0.8), e0=-0.5)
-    exact = flux_quadratic_exact(quad, 1.0)
+    exact = simplex_flux(cnf, 1.0)
     for seed in range(20):
         mc = action_volume_mc(cnf, 1.0, samples=100_000, seed=seed)
         assert abs(mc.volume - exact.volume) <= 3.0 * mc.std_error

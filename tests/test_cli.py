@@ -602,6 +602,20 @@ def test_integrate_huge_step_count_exit_two(capsys):
                    "1073741824 bytes; raise h or monitor_stride\n")
 
 
+def test_integrate_step_count_above_limit_exit_two(capsys, monkeypatch):
+    # a huge monitor stride keeps the records small, so only the step bound refuses the run
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("verlet_run called")
+
+    monkeypatch.setattr("sympb.kernels.verlet_run", no_stepping)
+    code, out, err = run_cli(capsys, "integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "1e-12",
+                             "--t-final", "10", "--monitor-stride", "1000000000000",
+                             "--no-jacobian")
+    assert (code, out) == (2, "")
+    assert err == ("error: t_final = 10.0 with h = 1e-12 would take 10000000000000 steps, "
+                   "above the limit MAX_STEPS = 100000000; raise h or lower t_final\n")
+
+
 def test_integrate_bad_step_exit_two(capsys):
     code, _, err = run_cli(
         capsys, "integrate", "--state0=-1e6,1500,0,0", "--h=-0.1",

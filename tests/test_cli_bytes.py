@@ -33,6 +33,12 @@ CASES = {
         ["exp1", "--radii", "0.2", "--tau-points", "1", "--curves-out", "one"],
         "3fe04128b80855cebf0cdae469960712f3297c642018cb26be387b35d7d25e1d",
     ),
+    # c_cand_ref at an energy other than the default, from the 3-dof widths
+    "exp1_dof3_e_ref_curves": (
+        ["exp1", "--dof", "3", "--e-ref", "0.7", "--tau-max", "40", "--radii", "0.1,0.4",
+         "--tau-points", "9", "--curves-out", "c"],
+        "0c2922cba717be250996101ff9d8d0cd386b710c2ab99cc0ae15e824da6314be",
+    ),
     "capacity_stdout": (
         ["capacity", "m.csv"],
         "1589d04e922734f9e4eedc26817cd45e56934480811addfa6a464d010a1eca64",

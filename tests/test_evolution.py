@@ -11,16 +11,13 @@ from sympb import (
     DimensionError,
     standard_j,
     PreconditionError,
-    QuadraticSaddleModel,
     SympbError,
-    builtin_quadratic,
-    capacity_after_evolution,
+    builtin_cnf,
     default_tau_grid,
     ellipsoid_capacity,
     evolved_shape_matrix,
     is_symplectic,
     min_projection_area,
-    projection_area,
     radius_scan_curves,
     random_symplectic,
     symplectic_spectrum,
@@ -29,7 +26,9 @@ from sympb import (
 from sympb import evolution
 from sympb.cli import main as cli_main
 
-MODEL = QuadraticSaddleModel(lam=0.7350, omegas=(1.8225, 1.267), e0=-0.9875)
+from oracles import linear_cnf
+
+MODEL = linear_cnf(0.7350, (1.8225, 1.267), -0.9875)
 
 
 # ---------------------------------------------------------------------------
@@ -84,32 +83,32 @@ def test_stm_group_property():
 
 
 # ---------------------------------------------------------------------------
-# projection_area
+# min_projection_area at one tau
 # ---------------------------------------------------------------------------
 
 
 def test_projection_area_unmixed_is_pi_r2_for_all_tau():
     for r in (0.5, 1.0, 2.0):
         for tau in (0.0, 0.5, 2.0):
-            a = projection_area(MODEL, r, np.eye(6), tau)
+            a = min_projection_area(MODEL, r, np.eye(6), [tau]).min_area
             assert abs(a - math.pi * r * r) <= 1e-12 * math.pi * r * r
 
 
 def test_projection_area_rejects_bad_radius():
     with pytest.raises(ValueError):
-        projection_area(MODEL, 0.0, np.eye(6), 0.0)
+        min_projection_area(MODEL, 0.0, np.eye(6), [0.0])
     with pytest.raises(ValueError):
-        projection_area(MODEL, -1.0, np.eye(6), 0.0)
+        min_projection_area(MODEL, -1.0, np.eye(6), [0.0])
 
 
 def test_projection_area_rejects_non_symplectic_mixer():
     with pytest.raises(PreconditionError):
-        projection_area(MODEL, 1.0, 2.0 * np.eye(6), 0.0)
+        min_projection_area(MODEL, 1.0, 2.0 * np.eye(6), [0.0])
 
 
 def test_projection_area_rejects_wrong_shape():
     with pytest.raises(DimensionError):
-        projection_area(MODEL, 1.0, np.eye(4), 0.0)
+        min_projection_area(MODEL, 1.0, np.eye(4), [0.0])
 
 
 def test_projection_area_never_below_ball_area():
@@ -119,7 +118,7 @@ def test_projection_area_never_below_ball_area():
         for r in (0.1, 0.4):
             floor = math.pi * r * r
             for tau in taus:
-                assert projection_area(MODEL, r, s, float(tau)) >= floor - 1e-9
+                assert min_projection_area(MODEL, r, s, [float(tau)]).min_area >= floor - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ def test_area_curve_report():
 
 
 # ---------------------------------------------------------------------------
-# evolved_shape_matrix / capacity_after_evolution
+# evolved_shape_matrix
 # ---------------------------------------------------------------------------
 
 
@@ -190,7 +189,7 @@ def test_capacity_preserved_under_evolution():
         s = random_symplectic(3, sigma=0.5, seed=19 + i)
         r = float(rng.uniform(0.2, 1.5))
         tau = float(rng.uniform(0.0, 3.0))
-        cap = capacity_after_evolution(MODEL, r, s, tau)
+        cap = ellipsoid_capacity(evolved_shape_matrix(MODEL, r, s, tau))
         assert abs(cap - math.pi * r * r) <= 1e-8 * math.pi * r * r
 
 
@@ -303,14 +302,14 @@ def tau_grids(draw, lam):
 @given(data=st.data(), dof=st.sampled_from([2, 3]), sigma=st.floats(0.0, 1.5),
        seed=st.integers(0, 2**31 - 1), r=st.floats(1e-3, 3.0))
 def test_min_projection_area_matches_per_tau_oracle(data, dof, sigma, seed, r):
-    model = builtin_quadratic(dof)
+    model = builtin_cnf(dof)
     grid = data.draw(tau_grids(model.lam))
     s = random_symplectic(dof, sigma, seed)
     want = outcome(oracle_min_projection_area, model, r, s, grid)
     got = outcome(lambda: min_projection_area(model, r, s, grid).areas)
     assert got == want
     if isinstance(want, list):
-        assert outcome(lambda: [projection_area(model, r, s, float(grid[-1]))]) == want[-1:]
+        assert outcome(lambda: min_projection_area(model, r, s, grid[-1:]).areas) == want[-1:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,7 +317,7 @@ def test_min_projection_area_matches_per_tau_oracle(data, dof, sigma, seed, r):
        seed=st.integers(0, 2**31 - 1),
        radii=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=4))
 def test_radius_scan_min_area_matches_per_tau_oracle(data, dof, sigma, seed, radii):
-    model = builtin_quadratic(dof)
+    model = builtin_cnf(dof)
     grid = data.draw(tau_grids(model.lam))
     s = random_symplectic(dof, sigma, seed)
 
@@ -333,7 +332,7 @@ def test_radius_scan_min_area_matches_per_tau_oracle(data, dof, sigma, seed, rad
 
 
 def test_radius_scan_curves_share_one_factor_curve():
-    model = builtin_quadratic(3)
+    model = builtin_cnf(3)
     grid = np.linspace(0.0, 3.0 / model.lam, 90)
     rep, curves = radius_scan_curves(model, [0.1, 0.3], s_mix_seed=6, tau_grid=grid)
     assert rep.rows == radius_scan_curves(model, [0.1, 0.3], s_mix_seed=6, tau_grid=grid)[0].rows
@@ -356,7 +355,7 @@ def test_error_order_matches_per_tau_evaluation():
         with pytest.raises(ValueError, match="radius"):
             min_projection_area(MODEL, r, 2.0 * np.eye(6), np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="radius"):
-            projection_area(MODEL, r, np.eye(4), 0.0)
+            min_projection_area(MODEL, r, np.eye(4), [0.0])
     with pytest.raises(PreconditionError):
         min_projection_area(MODEL, 1.0, 2.0 * np.eye(6), np.array([0.0, 1.0]))
     with pytest.raises(DimensionError):
@@ -442,7 +441,7 @@ def test_capacity_invariant_under_symplectic_conjugation(dof, sigma, seed, shift
        seed=st.integers(0, 2**31 - 1), r=st.floats(1e-3, 2.0),
        points=st.integers(1, 400), tau_max=st.floats(0.0, 4.0))
 def test_min_area_never_below_ball_capacity(dof, sigma, seed, r, points, tau_max):
-    model = builtin_quadratic(dof)
+    model = builtin_cnf(dof)
     grid = np.linspace(0.0, tau_max / model.lam, points)
     curve = min_projection_area(model, r, random_symplectic(dof, sigma, seed), grid)
     assert curve.min_area >= math.pi * r * r - 1e-9

@@ -1,7 +1,9 @@
-"""Every name that a sympb module lists in ``__all__`` exists in it."""
+"""Every name that a sympb module lists in ``__all__`` exists in it, and the
+package re-exports exactly those names of its library modules."""
 
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -18,3 +20,23 @@ def test_all_names_resolve(name):
     # a stale entry would break the star import
     exec(f"from {name} import *", {})
 
+
+# modules whose public names stay in the module: the array kernels and the CLI
+NOT_REEXPORTED = {"sympb.kernels", "sympb.cli", "sympb.__main__"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES[1:] if m not in NOT_REEXPORTED])
+def test_module_names_are_reexported(name):
+    mod = importlib.import_module(name)
+    exported = getattr(mod, "__all__", [])
+    assert [n for n in exported if getattr(sympb, n, None) is not getattr(mod, n)] == []
+
+
+def test_package_names_are_listed_by_their_module():
+    # the reverse: a re-exported name stays in its module's __all__, where it has one
+    stale = []
+    for n, obj in vars(sympb).items():
+        mod = sys.modules.get(getattr(obj, "__module__", None))
+        if not n.startswith("_") and n not in getattr(mod, "__all__", [n]):
+            stale.append(n)
+    assert stale == []

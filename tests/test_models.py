@@ -10,10 +10,8 @@ from sympb import (
     DimensionError,
     EckartMorseParams,
     LyapunovSignError,
-    QuadraticSaddleModel,
     barrier_x,
     builtin_cnf,
-    builtin_quadratic,
     cnf_from_obj,
     default_params,
     eckart_potential,
@@ -63,16 +61,7 @@ def test_builtin_rejects_other_dof():
     with pytest.raises(DimensionError):
         builtin_cnf(4)
     with pytest.raises(DimensionError, match="^built-in models exist for 2 or 3 dof, got 1$"):
-        builtin_quadratic(1)
-
-
-def test_builtin_quadratic_matches_cnf_linear_part():
-    for n in (2, 3):
-        quad = builtin_quadratic(n)
-        cnf = builtin_cnf(n)
-        assert quad.e0 == cnf.e0
-        assert quad.lam == cnf.lam
-        assert quad.omegas == cnf.omegas
+        builtin_cnf(1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +154,6 @@ def test_cnf_refuses_non_integral_powers():
     model = CnfModel(e0=0.0, terms=((0.0, (0,), 0.0), (1.0, (0,), 1.0), (0, (np.int64(1),), 1.0)))
     assert model.terms == ((0, (0,), 0.0), (1, (0,), 1.0), (0, (1,), 1.0))
     assert all(type(p) is int for _, jp, _ in model.terms for p in jp)
-
-
-def test_quadratic_model_validation():
-    with pytest.raises(ValueError):
-        QuadraticSaddleModel(lam=0.0, omegas=(1.0,), e0=0.0)
-    with pytest.raises(ValueError):
-        QuadraticSaddleModel(lam=1.0, omegas=(1.0, -1.0), e0=0.0)
-    model = QuadraticSaddleModel(lam=1.0, omegas=(2.0, 3.0), e0=-1.0)
-    assert model.n_dof == 3
-    assert model.n_bath == 2
 
 
 # ---------------------------------------------------------------------------
