@@ -100,9 +100,7 @@ def j_max_cnf(model: CnfModel, e, k):
     iterate, when K is NaN or the refinement does not converge in 100
     iterations.
     """
-    roots, failure = _j_max_solve(model, e, k)
-    if failure is not None:
-        raise failure[1]
+    roots = _j_max_solve(model, e, k)
     return float(roots[0]) if np.ndim(e) == 0 else roots
 
 
@@ -117,8 +115,8 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
     ``K - e`` changes sign (cap BRACKET_CAP); :func:`_brent` then refines it.
     ``f`` is the batched ``eval_cnf`` on the still-active rows only, so each
     element gets the bits it would get alone.  The whole batch runs to the
-    end.  Returns the roots and None, or the index and the exception of the
-    lowest-index failed element.
+    end; then the lowest-index failed element raises its error, else the
+    roots are returned.
     """
     e = np.array(e, dtype=float)
     if e.ndim > 1:
@@ -163,11 +161,11 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
         root[open_], status[open_] = _brent(lambda x, act: f(x, open_[act]), lo[open_],
                                             hi[open_], flo[open_], fhi[open_])
     bad = np.flatnonzero(status != _OK)
-    if not bad.size:
-        return root, None
-    i = int(bad[0])
-    return root, (i, _root_error(model, float(e[i]), int(ks[i]), status[i], float(root[i]),
-                                 float(lo[i]), float(hi[i])))
+    if bad.size:
+        i = int(bad[0])
+        raise _root_error(model, float(e[i]), int(ks[i]), status[i], float(root[i]),
+                          float(lo[i]), float(hi[i]))
+    return root
 
 
 def _root_error(model, e: float, k: int, status: int, x: float, lo: float, hi: float):
@@ -324,18 +322,8 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     Raises PreconditionError when an I-free term of ``K(0, J)`` has a negative
     coefficient: the box may then cut off part of the admissible region.
     """
-    return _action_volume_mc(model, e, samples, seed, None)
-
-
-def _action_volume_mc(model: CnfModel, e: float, samples: int, seed: int,
-                      j_max) -> FluxReport:
-    """``action_volume_mc`` with the box edges ``j_max`` already solved at
-    ``e`` (one per bath mode, as in ``WidthReport.j_max``), or None to solve
-    them here.  The checks run first either way, in the same order."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if model.n_bath < 1:
-        raise DimensionError("need at least one bath mode")
     if e < model.e0:
         raise BelowSaddleError(f"E = {e} is below the saddle energy e0 = {model.e0}")
     _check_monotone(model)
@@ -343,8 +331,14 @@ def _action_volume_mc(model: CnfModel, e: float, samples: int, seed: int,
         return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=int(samples),
                           std_error=0.0, seed=int(seed))
     nb = model.n_bath
-    if j_max is None:
-        j_max = j_max_cnf(model, [e] * nb, range(2, nb + 2))
+    return _count_volume(model, e, j_max_cnf(model, [e] * nb, range(2, nb + 2)), samples, seed)
+
+
+def _count_volume(model: CnfModel, e: float, j_max, samples: int, seed: int) -> FluxReport:
+    """The Monte-Carlo volume and flux at ``e`` over the box with edges
+    ``j_max`` (one per bath mode, as in ``WidthReport.j_max``), unchecked:
+    the caller has checked ``samples``, the model and the energy."""
+    nb = model.n_bath
     box = np.array(j_max)
     box_volume = float(np.prod(box))
 
@@ -381,14 +375,13 @@ def _usable_cpus() -> int:
 
 
 def _volumes_in_parallel(model: CnfModel, widths, samples: int, seed: int) -> list:
-    """``_action_volume_mc`` of row i (its width's energy and box, seed
+    """``_count_volume`` of row i (its width's energy and box, seed
     ``seed + i``) for every row, on the usable CPUs.
 
     Worker w of W takes rows ``w, w + W, ...``; the calling thread is worker
     0 and ``W - 1`` threads are the others, all joined before this returns.
-    A row that raises is returned as its exception, and its worker stops
-    there (its later rows stay None), so every row below the lowest failed
-    one holds its report.  Each row is written by one worker only.
+    A worker stops at the first row that raises; once all are joined, the
+    lowest such row's error is raised.  Each row is written by one worker.
     """
     n = len(widths)
     out = [None] * n
@@ -398,7 +391,7 @@ def _volumes_in_parallel(model: CnfModel, widths, samples: int, seed: int) -> li
         for i in range(first, n, n_workers):
             width = widths[i]
             try:
-                out[i] = _action_volume_mc(model, width.e, samples, seed + i, width.j_max)
+                out[i] = _count_volume(model, width.e, width.j_max, samples, seed + i)
             except Exception as exc:
                 out[i] = exc
                 return
@@ -413,6 +406,11 @@ def _volumes_in_parallel(model: CnfModel, widths, samples: int, seed: int) -> li
     finally:
         for thread in threads:
             thread.join()
+    # every row below the lowest failed one holds its report, so that row's
+    # error is the first one met
+    for flux in out:
+        if isinstance(flux, Exception):
+            raise flux
     return out
 
 
@@ -421,17 +419,22 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     """Width and flux table over a uniform energy grid.
 
     Row i uses seed ``seed + i`` for its Monte-Carlo volume, recorded in the
-    seed column, so any row can be reproduced in isolation.  Each root
-    ``J_k_max(E)`` is solved once, all of them in one batch, and the width's
-    roots are the volume's box.  The rows' volumes run in parallel, one
-    worker thread per usable CPU (``os.sched_getaffinity``) up to the number
-    of rows; the output does not depend on how many CPUs there are, and
-    errors are raised in row order, as a row-by-row scan raises them.
+    seed column, so any row can be reproduced in isolation.  The inputs are
+    checked first (``steps``, the energy range, ``samples``, then the model
+    as :func:`action_volume_mc` checks it); then every root ``J_k_max(E)`` is
+    solved once, all in one batch that raises the error of the lowest failed
+    root; then the rows' volumes are counted over the widths' roots as boxes,
+    in parallel, one worker thread per usable CPU (``os.sched_getaffinity``)
+    up to the number of rows.  The output does not depend on how many CPUs
+    there are.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if e_max < e_min:
         raise ValueError(f"e_max = {e_max} is below e_min = {e_min}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_monotone(model)
     energies = np.linspace(e_min, e_max, steps) if steps > 1 else np.array([e_min])
     nb = model.n_bath
     columns = (
@@ -439,24 +442,13 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
         + [f"J_max_{k}" for k in range(2, nb + 2)]
         + ["c_cand", "limiting_mode", "V", "phi", "std_error", "seed"]
     )
-    # All steps x n_bath roots in one batch; a failed root raises at its row,
-    # after the earlier rows' Monte-Carlo checks, as a row-by-row scan would.
-    roots, failure = _j_max_solve(model, np.repeat(energies, nb),
-                                  np.tile(np.arange(2, nb + 2), energies.size))
-    n_rows = steps if failure is None else failure[0] // nb
+    roots = j_max_cnf(model, np.repeat(energies, nb), np.tile(np.arange(2, nb + 2), steps))
     widths = [_width_report(e, roots[i * nb:(i + 1) * nb].tolist())
-              for i, e in enumerate(energies[:n_rows].tolist())]
+              for i, e in enumerate(energies.tolist())]
     fluxes = _volumes_in_parallel(model, widths, samples, seed)
-    rows = []
-    for i, (width, flux) in enumerate(zip(widths, fluxes)):
-        if isinstance(flux, Exception):
-            raise flux
-        rows.append(
-            (width.e, *width.j_max, width.c_cand, width.limiting_mode,
+    rows = [(width.e, *width.j_max, width.c_cand, width.limiting_mode,
              flux.volume, flux.flux, flux.std_error, seed + i)
-        )
-    if failure is not None:
-        raise failure[1]
+            for i, (width, flux) in enumerate(zip(widths, fluxes))]
     meta = {
         "e_min": float(e_min),
         "e_max": float(e_max),

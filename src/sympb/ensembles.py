@@ -279,8 +279,10 @@ def transmit(model: CnfModel, ens: Ensemble, t_max: float) -> np.ndarray:
 
     cosh and sinh come from :mod:`math` point by point: numpy's differ from
     them in the last ulp on some arguments, which would move knife-edge
-    points.
+    points.  Raises ValueError unless ``t_max > 0``.
     """
+    if not t_max > 0.0:
+        raise ValueError(f"t_max must be > 0, got {t_max!r}")
     q1, p1 = ens.q1, ens.p1
     lt = np.asarray(effective_lyapunov(model, ens.j) * t_max)
     # Beyond 350 cosh/sinh overflow; there coth(lt) is 1 to machine precision.

@@ -264,7 +264,7 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
             for samples in (1, 4097, MC_BLOCK + 1, MC_CHUNK, 2 * MC_CHUNK + 4097,
                             2 * MC_CHUNK + MC_BLOCK + 4097):
                 drawn.clear()
-                bottleneck._action_volume_mc(model, 0.0, samples, 5, box)
+                bottleneck._count_volume(model, 0.0, box, samples, 5)
                 n_chunks = -(-samples // MC_CHUNK)
                 children = np.random.SeedSequence(5).spawn(n_chunks)
                 sizes = [min(MC_CHUNK, samples - MC_CHUNK * i) for i in range(n_chunks)]

@@ -276,9 +276,10 @@ def test_brentq_same_sign_raises():
     # K(0, J) at J_2 = 0 and J_3 = 5 is already above E = 0
     model = builtin_cnf(3)
     hi = (0.0 - model.e0) / model.omegas[0]
-    _, (index, error) = _j_max_solve(model, [0.0], 2, [0.0, 5.0])
-    assert index == 0 and type(error) is RootBracketError
-    assert str(error) == (
+    with pytest.raises(RootBracketError) as info:
+        _j_max_solve(model, [0.0], 2, [0.0, 5.0])
+    assert type(info.value) is RootBracketError
+    assert str(info.value) == (
         f"j_max at E = 0.0, mode k = 2: f(0.0) and f({hi!r}) have the same sign")
 
 
@@ -414,8 +415,7 @@ def test_j_max_solve_with_fixed_bath_actions_matches_scalar_loop(extra, b, mode,
     fixed = np.zeros((len(points), 2))
     fixed[:, 3 - mode] = [other for other, _ in points]
     es = [k_at_zero(model, row) + de for row, (_, de) in zip(fixed.tolist(), points)]
-    got, failure = _j_max_solve(model, es, mode, fixed)
-    assert failure is None
+    got = _j_max_solve(model, es, mode, fixed)
     want = [scalar_j_max(model, e, mode, row) for e, row in zip(es, fixed.tolist())]
     assert [x.hex() for x in got] == [w.hex() for w in want]
 
@@ -612,17 +612,42 @@ def test_energy_scan_validation():
         energy_scan(builtin_cnf(2), E0 - 1.0, 0.0, steps=2, samples=10, seed=0)
 
 
-def test_energy_scan_raises_in_row_order():
+ALPHA_MSG = ("term -0.01*J_2^2 makes K(0, J) decrease in a bath action, so the admissible "
+             "region can leave the axis-root sampling box")
+
+
+def test_energy_scan_checks_inputs_before_roots():
     # K(0, J) = J - 0.01 J^2 has a root at E = 16 and none at E = 30.  The
-    # roots are one batch, but as in a row-by-row scan, row 0's Monte-Carlo
-    # checks come before row 1's root failure.
+    # inputs are checked first, in the order steps, energy range, samples,
+    # model, so each check wins over every later one and over a failing root.
     model = alpha_model(omega2=1.0, alpha=-0.01)
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        energy_scan(model, 16.0, 30.0, steps=2, samples=0, seed=0)
-    with pytest.raises(PreconditionError, match="J_2"):
-        energy_scan(model, 16.0, 30.0, steps=2, samples=10, seed=0)
-    with pytest.raises(RootBracketError, match=r"K\(0, J_2\) = 30.0 below"):
-        energy_scan(model, 30.0, 40.0, steps=2, samples=0, seed=0)
+    for args, exc, msg in (
+        ((30.0, 40.0, 0, 0), ValueError, "steps must be >= 1, got 0"),
+        ((40.0, 30.0, 2, 0), ValueError, "e_max = 30.0 is below e_min = 40.0"),
+        ((16.0, 30.0, 2, 0), ValueError, "samples must be >= 1, got 0"),
+        ((30.0, 40.0, 2, 0), ValueError, "samples must be >= 1, got 0"),
+        ((16.0, 30.0, 2, 10), PreconditionError, ALPHA_MSG),
+        ((30.0, 40.0, 2, 10), PreconditionError, ALPHA_MSG),
+    ):
+        with pytest.raises(exc) as info:
+            energy_scan(model, *args, seed=0)
+        assert type(info.value) is exc and str(info.value) == msg
+    # below the saddle on a monotone model: the sample count still wins
+    with pytest.raises(ValueError) as info:
+        energy_scan(builtin_cnf(2), -2.0, 1.0, steps=2, samples=0, seed=0)
+    assert type(info.value) is ValueError and str(info.value) == "samples must be >= 1, got 0"
+
+
+def rows_one_by_one(model, energies, samples, seed):
+    """energy_scan's rows from candidate_width and action_volume_mc, one
+    energy at a time."""
+    rows = []
+    for i, e in enumerate(energies.tolist()):
+        w = candidate_width(model, e)
+        f = action_volume_mc(model, e, samples, seed + i)
+        rows.append((w.e, *w.j_max, w.c_cand, w.limiting_mode,
+                     f.volume, f.flux, f.std_error, seed + i))
+    return rows
 
 
 def test_energy_scan_solves_each_root_once(monkeypatch):
@@ -630,12 +655,7 @@ def test_energy_scan_solves_each_root_once(monkeypatch):
     # the rows equal candidate_width plus action_volume_mc bit for bit
     model = builtin_cnf(3)
     steps, samples, seed = 4, 500, 3
-    expected = []
-    for i, e in enumerate(np.linspace(0.1, 1.0, steps).tolist()):
-        w = candidate_width(model, e)
-        f = action_volume_mc(model, e, samples, seed + i)
-        expected.append((w.e, *w.j_max, w.c_cand, w.limiting_mode,
-                         f.volume, f.flux, f.std_error, seed + i))
+    expected = rows_one_by_one(model, np.linspace(0.1, 1.0, steps), samples, seed)
     calls = []
     real = bottleneck._j_max_solve
 
@@ -654,31 +674,28 @@ def test_energy_scan_solves_each_root_once(monkeypatch):
         energy_scan(model, 0.1, 1.0, steps=2, samples=0, seed=0)
 
 
-REAL_MC = bottleneck._action_volume_mc
+REAL_MC = bottleneck._count_volume
 
 
 def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def record_mc_threads(monkeypatch, fail=(), slow=(), stub=False):
-    """Wrap ``_action_volume_mc`` to record (seed, thread name) per call and
-    to raise ``RuntimeError("row <seed>")`` for the seeds in ``fail``, after
-    sleeping 0.2 s for the seeds in ``slow``.  With ``stub`` the other rows
-    return a zero volume without running the real checks."""
+def record_mc_threads(monkeypatch, fail=(), slow=()):
+    """Wrap ``_count_volume`` to record (seed, thread name) per call and to
+    raise ``RuntimeError("row <seed>")`` for the seeds in ``fail``, after
+    sleeping 0.2 s for the seeds in ``slow``."""
     calls = []
 
-    def wrapped(model, e, samples, seed, j_max):
+    def wrapped(model, e, j_max, samples, seed):
         calls.append((seed, threading.current_thread().name))
         if seed in slow:
             time.sleep(0.2)
         if seed in fail:
             raise RuntimeError(f"row {seed}")
-        if stub:
-            return bottleneck.FluxReport(e, 0.0, 0.0, samples, 0.0, seed)
-        return REAL_MC(model, e, samples, seed, j_max)
+        return REAL_MC(model, e, j_max, samples, seed)
 
-    monkeypatch.setattr(bottleneck, "_action_volume_mc", wrapped)
+    monkeypatch.setattr(bottleneck, "_count_volume", wrapped)
     return calls
 
 
@@ -689,12 +706,7 @@ def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
     # them, and every other worker thread is joined on return
     model = builtin_cnf(3)
     steps, samples, seed = 5, 2 * MC_CHUNK + 77, 11
-    expected = []
-    for i, e in enumerate(np.linspace(0.05, 1.0, steps).tolist()):
-        w = candidate_width(model, e)
-        f = action_volume_mc(model, e, samples, seed + i)
-        expected.append((w.e, *w.j_max, w.c_cand, w.limiting_mode,
-                         f.volume, f.flux, f.std_error, seed + i))
+    expected = rows_one_by_one(model, np.linspace(0.05, 1.0, steps), samples, seed)
     usable_cpus(monkeypatch, cpus)
     calls = record_mc_threads(monkeypatch)
     before = threading.active_count()
@@ -716,6 +728,27 @@ def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
     assert all(thread_of[seed + i] == thread_of[seed + i % workers] for i in range(steps))
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(extra=st.tuples(*[coefficients] * 3), b=st.floats(-0.1, 0.1),
+       e_min=st.floats(-0.4, 3.0), span=st.floats(0.0, 5.0), steps=st.integers(1, 4),
+       samples=st.integers(1, 3000), seed=st.integers(0, 2**32))
+def test_energy_scan_rows_on_a_nonlinear_model(monkeypatch, cpus, extra, b, e_min, span,
+                                               steps, samples, seed):
+    # positive J_2^2, J_2 J_3 and J_3^2 terms make Brent's method iterate;
+    # every row still equals candidate_width plus action_volume_mc
+    terms = [(0, (0, 0), -0.5), (1, (0, 0), 0.8), (0, (1, 0), 1.3), (0, (0, 1), 0.9),
+             (1, (1, 0), b)]
+    terms += [(0, pows, c) for pows, c in zip([(2, 0), (1, 1), (0, 2)], extra)]
+    model = CnfModel(e0=-0.5, terms=tuple(terms))
+    e_max = e_min + span
+    usable_cpus(monkeypatch, cpus)
+    report = energy_scan(model, e_min, e_max, steps=steps, samples=samples, seed=seed)
+    energies = np.linspace(e_min, e_max, steps) if steps > 1 else np.array([e_min])
+    assert report.rows == rows_one_by_one(model, energies, samples, seed)
+
+
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_energy_scan_raises_the_lowest_failed_row(monkeypatch, cpus):
     model = builtin_cnf(3)
@@ -732,15 +765,27 @@ def test_energy_scan_raises_the_lowest_failed_row(monkeypatch, cpus):
         energy_scan(model, 0.1, 1.0, steps=4, samples=100, seed=0)
     assert {0, 1, 2} <= {s for s, _ in calls}
     assert threading.active_count() == before
-    # K(0, J) = J - 0.01 J^2 has no root above E = 25, so of the rows at
-    # E = 1, 11, 21, 31 the last fails its root: only rows 0-2 are drawn,
-    # and a Monte-Carlo failure at row 1 comes first
-    alpha = alpha_model(omega2=1.0, alpha=-0.01)
-    record_mc_threads(monkeypatch, fail={1}, stub=True)
-    with pytest.raises(RuntimeError, match="^row 1$"):
-        energy_scan(alpha, 1.0, 31.0, steps=4, samples=100, seed=0)
-    calls = record_mc_threads(monkeypatch, stub=True)
-    with pytest.raises(RootBracketError, match=r"K\(0, J_2\) = 31.0 below"):
-        energy_scan(alpha, 1.0, 31.0, steps=4, samples=100, seed=0)
-    assert sorted(s for s, _ in calls) == [0, 1, 2]
-    assert threading.active_count() == before
+    # K(0, J) = J - 0.01 J^2 is not monotone: it is refused before any root
+    # is solved, so no row is drawn
+    calls = record_mc_threads(monkeypatch, fail={1})
+    with pytest.raises(PreconditionError) as info:
+        energy_scan(alpha_model(omega2=1.0, alpha=-0.01), 1.0, 31.0, steps=4, samples=100,
+                    seed=0)
+    assert type(info.value) is PreconditionError and str(info.value) == ALPHA_MSG
+    assert calls == [] and threading.active_count() == before
+    # of the rows at E = 0.1, 0.4, 0.7, 1.0, row 2's J_2 root meets a NaN at
+    # its first bracket end: its error is raised and no row is drawn
+    e2 = np.linspace(0.1, 1.0, 4).tolist()[2]
+    hi = (e2 - model.e0) / model.omegas[0]
+    real = bottleneck.eval_cnf
+
+    def nan_at_row_2(model, i, j):
+        return np.where((j[:, 0] == hi) & (j[:, 1] == 0.0), math.nan, real(model, i, j))
+
+    monkeypatch.setattr(bottleneck, "eval_cnf", nan_at_row_2)
+    calls = record_mc_threads(monkeypatch, fail={1})
+    with pytest.raises(ConvergenceError) as info:
+        energy_scan(model, 0.1, 1.0, steps=4, samples=100, seed=0)
+    assert type(info.value) is ConvergenceError
+    assert str(info.value) == f"j_max at E = {e2!r}, mode k = 2: f is NaN at x = {hi!r}"
+    assert calls == [] and threading.active_count() == before

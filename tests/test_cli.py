@@ -216,6 +216,22 @@ def test_widths_non_monotone_model_exit_one(tmp_path, capsys):
     assert err.startswith("error:") and "J_2*J_3" in err
 
 
+def test_widths_input_checks_come_before_the_roots(tmp_path, capsys):
+    # E = -2 is below the saddle, but the inputs are checked before any
+    # root is solved: a bad sample count exits 2, a non-monotone model 1
+    below = ("--e-min", "-2", "--e-max", "1", "--steps", "2")
+    assert run_cli(capsys, "widths", *below, "--samples", "0") == (
+        2, "", "error: samples must be >= 1, got 0\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"e0": 0.0, "terms": [
+        {"i": 1, "j": [0], "c": 1.0}, {"i": 0, "j": [1], "c": 1.0},
+        {"i": 0, "j": [2], "c": -0.1},
+    ]}))
+    assert run_cli(capsys, "widths", "--model", str(model), *below, "--samples", "100") == (
+        1, "", "error: term -0.1*J_2^2 makes K(0, J) decrease in a bath action, so the "
+        "admissible region can leave the axis-root sampling box\n")
+
+
 @pytest.mark.parametrize("cmd", ["sample", "exp2"])
 def test_sampler_non_monotone_model_exit_one(tmp_path, capsys, cmd):
     # K(0, J) = J - 0.1 J^2 turns down at J = 5, inside the axis-root box
@@ -391,6 +407,16 @@ def test_exp2_degenerate_endpoint(capsys):
     assert code == 0
     _, _, rows = parse_csv(out)
     assert float(rows[1][2]) == 0.0
+
+
+@pytest.mark.parametrize("t_max", ["-1", "0", "-0"])
+def test_exp2_horizon_not_positive_exit_two(tmp_path, capsys, t_max):
+    # a backward or empty horizon once wrote a table of zero fractions
+    want = (2, "", f"error: t_max must be > 0, got {float(t_max)!r}\n")
+    assert run_cli(capsys, "exp2", *BASE_ARGV["exp2"], f"--t-max={t_max}") == want
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_max": float(t_max)}))
+    assert run_cli(capsys, "exp2", *BASE_ARGV["exp2"], "--config", str(cfg)) == want
 
 
 def test_exp2_json_nan_to_null(capsys):

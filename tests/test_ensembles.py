@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ def test_transmit_overflow_guard():
     # down to 0.3045, so L t_max = 304.5 stays below the guard
     mixed = points([-0.5, -0.6, -0.5], [0.6, 0.5, 0.6], [(0.1,), (0.1,), (35.0,)])
     assert transmit(MODEL2, mixed, t_max=1000.0).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("t_max", [0.0, -0.0, -1.0, -math.inf, math.nan])
+def test_transmit_refuses_a_horizon_that_is_not_positive(t_max):
+    # an empty or backward horizon would count every point as reflected
+    ens = points([-0.1], [0.5], [(0.5,)])
+    msg = f"^t_max must be > 0, got {re.escape(repr(t_max))}$"
+    with pytest.raises(ValueError, match=msg):
+        transmit(MODEL2, ens, t_max)
+    with pytest.raises(ValueError, match=msg):
+        transmission_fraction(MODEL2, ens, t_max)
+    with pytest.raises(ValueError, match=msg):
+        transmission_scan(MODEL2, make_spec(n_traj=10), [0.5], t_max)
 
 
 def test_transmission_fraction_empty():
