@@ -43,6 +43,11 @@ I_CLAMP_RTOL = 1e-12
 MAX_REDRAWS = 100
 # Newton steps allowed when K has I powers above one.
 NEWTON_STEPS = 50
+# transmit's knife-edge band, relative and absolute: far wider than the few-ulp
+# gap between numpy's cosh/sinh and math's, and (the smallest normal double)
+# than the rounding of products that underflow.
+_EDGE_RTOL = 1e-12
+_EDGE_ATOL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -273,26 +278,42 @@ def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> Ensemble:
                     energy=batch.energy)
 
 
-def transmit(model: CnfModel, ens: Ensemble, t_max: float) -> np.ndarray:
-    """One bool per point: ``Q_1 cosh(L t_max) + P_1 sinh(L t_max) > 0`` with
-    L = Lambda(J).
-
-    cosh and sinh come from :mod:`math` point by point: numpy's differ from
-    them in the last ulp on some arguments, which would move knife-edge
-    points.  Raises ValueError unless ``t_max > 0``.
-    """
+def _check_horizon(t_max) -> None:
     if not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
-    q1, p1 = ens.q1, ens.p1
-    lt = np.asarray(effective_lyapunov(model, ens.j) * t_max)
-    # Beyond 350 cosh/sinh overflow; there coth(lt) is 1 to machine precision.
+
+
+def transmit(model: CnfModel, ens: Ensemble, t_max: float) -> np.ndarray:
+    """One bool per point: ``Q_1 cosh(L t_max) + P_1 sinh(L t_max) > 0`` with
+    L = Lambda(J), equal to the criterion evaluated point by point with
+    :func:`math.cosh` and :func:`math.sinh`.
+
+    ``a = Q_1 cosh``, ``b = P_1 sinh`` and ``v = a + b`` are computed for all
+    points in one numpy pass.  numpy's cosh and sinh differ from math's by a
+    few ulp at most, so the two sums differ by about 1e-15 (|a| + |b|) (plus
+    a few subnormal steps when a and b underflow).  A point is therefore
+    decided by the sign of ``v`` only when ``|v|`` exceeds the band
+    ``_EDGE_RTOL (|a| + |b|) + _EDGE_ATOL``; the knife-edge points inside it,
+    and any point where a product overflows or gives NaN, are recomputed
+    with the scalar math expression.  Beyond ``L t_max = 350`` the sign of
+    ``P_1 + Q_1`` decides.  Raises ValueError unless ``t_max > 0``.
+    """
+    _check_horizon(t_max)
+    lt = effective_lyapunov(model, ens.j) * t_max
+    q1, p1, lt = np.broadcast_arrays(ens.q1, ens.p1, lt)
+    # Beyond 350, coth(lt) is 1 to machine precision, so the criterion is the
+    # sign of P_1 + Q_1.
     far = lt > 350.0
-    near = [x for x in lt.ravel().tolist() if not x > 350.0]
-    cosh = np.zeros(lt.shape)
-    sinh = np.zeros(lt.shape)
-    cosh[~far] = [math.cosh(x) for x in near]
-    sinh[~far] = [math.sinh(x) for x in near]
-    return np.where(far, p1 + q1 > 0.0, q1 * cosh + p1 * sinh > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = q1 * np.cosh(lt)
+        b = p1 * np.sinh(lt)
+        v = a + b
+        band = _EDGE_RTOL * (np.abs(a) + np.abs(b)) + _EDGE_ATOL
+    out = np.where(far, p1 + q1 > 0.0, v > 0.0)
+    edge = ~far & ~(np.abs(v) > band)
+    out[edge] = [q * math.cosh(x) + p * math.sinh(x) > 0.0
+                 for q, p, x in zip(q1[edge].tolist(), p1[edge].tolist(), lt[edge].tolist())]
+    return out
 
 
 def _result(n_trans, n: int, t_max, xi: float, kind: str) -> TransmissionResult:
@@ -319,13 +340,15 @@ def transmission_scan(model: CnfModel, spec_base: EnsembleSpec, xis,
     Every ensemble reuses ``spec_base.seed``, so the B results share their
     random draws across xi (common random numbers): each point is drawn once
     and mapped into every ensemble.  Returns the baseline first (kind "A",
-    xi = nan), then one result per xi in the given order.
+    xi = nan), then one result per xi in the given order.  A horizon that is
+    not positive raises ValueError before any ensemble is sampled.
     """
     xis = [float(x) for x in xis]
     if any(not 0.0 <= x <= 1.0 for x in xis):
         raise ValueError(f"xi values must lie in [0, 1], got {xis}")
     if t_max is None:
         t_max = default_t_max(model)
+    _check_horizon(t_max)
     batch = _sample_batch(model, spec_base, [0.0] + xis)
     counts = np.count_nonzero(transmit(model, batch, t_max), axis=1)
     n = spec_base.n_traj

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -417,6 +418,28 @@ def test_exp2_horizon_not_positive_exit_two(tmp_path, capsys, t_max):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t_max": float(t_max)}))
     assert run_cli(capsys, "exp2", *BASE_ARGV["exp2"], "--config", str(cfg)) == want
+
+
+@pytest.mark.parametrize("t_max", [-1.0, 0.0, math.nan])
+def test_exp2_refuses_a_horizon_before_sampling(tmp_path, capsys, monkeypatch, t_max):
+    # a refused horizon once cost a full sampling pass: 0.36 s at --n 200000
+    def no_sampling(*args):
+        raise AssertionError("an ensemble was sampled for a refused horizon")
+
+    monkeypatch.setattr(sympb.ensembles, "_sample_batch", no_sampling)
+    argv = ("exp2", "--n", "200000", "--xis", "0.5")
+    refused = f"t_max must be > 0, got {t_max!r}"
+    finite = "must be a finite number, got nan"
+    nan = math.isnan(t_max)
+    flag_err = f"error: --t-max {finite}\n" if nan else f"error: {refused}\n"
+    assert run_cli(capsys, *argv, f"--t-max={t_max!r}") == (2, "", flag_err)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_max": t_max}))
+    key_err = f"error: config key 't_max' {finite}\n" if nan else f"error: {refused}\n"
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == (2, "", key_err)
+    spec = sympb.EnsembleSpec(n_traj=200000, e_center=0.0, delta_e=0.01, seed=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        sympb.transmission_scan(sympb.builtin_cnf(2), spec, [0.5], t_max)
 
 
 def test_exp2_json_nan_to_null(capsys):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympb.ensembles
+from oracles import linear_cnf
 from sympb import (
     CnfModel,
     ConvergenceError,
@@ -23,6 +24,8 @@ from sympb import (
     LyapunovSignError,
     SamplingError,
     builtin_cnf,
+    default_delta_e,
+    default_t_max,
     effective_lyapunov,
     eval_cnf,
     eval_dk_di,
@@ -32,6 +35,7 @@ from sympb import (
     transmission_scan,
     transmit,
 )
+from sympb.cli import DEFAULT_XIS
 from sympb.ensembles import _solve_reactive_integral
 
 # Models with an I**2 term take the Newton path.  Its coefficient is small
@@ -214,6 +218,99 @@ def test_criterion_on_knife_edge_uses_math_cosh_sinh(t_max, q1, crosses):
     assert oracle_transmit(model, q1, 0.5, [0.0], t_max) is crosses
     assert transmit(model, ens, t_max).tolist() == [crosses]
     assert transmission_fraction(model, ens, t_max).n_transmitted == int(crosses)
+
+
+class CountingMath:
+    """Stands in for ``math`` in sympb.ensembles, counting cosh/sinh calls."""
+
+    def __init__(self):
+        self.calls = {"cosh": 0, "sinh": 0}
+
+    def cosh(self, x):
+        self.calls["cosh"] += 1
+        return math.cosh(x)
+
+    def sinh(self, x):
+        self.calls["sinh"] += 1
+        return math.sinh(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+# Lambda = 1 at every J, so L t_max is t_max bit for bit
+UNIT_RATE = linear_cnf(1.0, [1.0], 0.0)
+
+
+def flat_points(q1, p1):
+    n = len(q1)
+    return Ensemble(q1=q1, p1=p1, j=np.zeros((n, 1)), phases=np.zeros((n, 1)),
+                    energy=np.zeros(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lt=st.one_of(st.floats(1e-3, 350.0),
+                    st.sampled_from([350.0, float(np.nextafter(350.0, np.inf))])),
+       p1s=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
+def test_criterion_on_constructed_knife_edge_points(lt, p1s):
+    # Q1 = -P1 tanh(L t_max), nudged by -4..+4 ulp, straddles the crossing
+    # Q1 cosh + P1 sinh = 0, where numpy's cosh/sinh may flip the sign: every
+    # such point up to L t_max = 350 is recomputed with math's, beyond it
+    # none is
+    q1, p1 = [], []
+    for p in p1s:
+        q = -p * math.tanh(lt)
+        q1 += [q + k * math.ulp(q) for k in range(-4, 5)]
+        p1 += [p] * 9
+    counting = CountingMath()
+    with mock.patch.object(sympb.ensembles, "math", counting):
+        got = transmit(UNIT_RATE, flat_points(q1, p1), lt).tolist()
+    assert got == [oracle_transmit(UNIT_RATE, q, p, [0.0], lt) for q, p in zip(q1, p1)]
+    near = 0 if lt > 350.0 else len(q1)
+    assert counting.calls == {"cosh": near, "sinh": near}
+
+
+@pytest.mark.parametrize("lt, q1, p1", [
+    (0.9665144500109102, -8.0887681e-314, 1.08258942097e-313),
+    (2.480265064529092, -1.40607713417e-313, 1.42592725063e-313),
+    (0.22289095009583926, -1.3297860476e-313, 6.06455703275e-313),
+])
+def test_criterion_on_subnormal_knife_edge_points(lt, q1, p1):
+    # Q1 cosh and P1 sinh are subnormal: a cosh one ulp off moves Q1 cosh by
+    # a whole subnormal step, which a band relative to |Q1 cosh| + |P1 sinh|
+    # alone (1e-12 of it rounds to 0) lets through as v = +5e-324
+    assert oracle_transmit(UNIT_RATE, q1, p1, [0.0], lt) is False
+    assert transmit(UNIT_RATE, flat_points([q1], [p1]), lt).tolist() == [False]
+
+
+def test_criterion_where_a_product_overflows():
+    # Q1 from a q1_range of 1e300 at L t_max = 340: Q1 cosh overflows, so the
+    # sum is -inf or NaN and no point crosses, on both sides and silently
+    q1, p1 = [-1e300, -1e300, -3e299], [1.0, 2e300, math.inf]
+    want = [oracle_transmit(UNIT_RATE, q, p, [0.0], 340.0) for q, p in zip(q1, p1)]
+    assert want == [False, False, False]
+    with np.errstate(all="raise"):
+        assert transmit(UNIT_RATE, flat_points(q1, p1), 340.0).tolist() == want
+
+
+def test_exp2_batch_takes_no_math_call():
+    # no point of a default exp2 batch lies near the knife edge, so the
+    # criterion makes no per-point math call (and equals the oracle)
+    model = builtin_cnf(3)
+    spec = EnsembleSpec(n_traj=1000, e_center=0.0, delta_e=default_delta_e(model, 0.0),
+                        seed=0)
+    xis = [float(x) for x in DEFAULT_XIS.split(",")]
+    batch = sympb.ensembles._sample_batch(model, spec, [0.0] + xis)
+    t_max = default_t_max(model)
+    counting = CountingMath()
+    with mock.patch.object(sympb.ensembles, "math", counting):
+        got = transmit(model, batch, t_max)
+    assert counting.calls == {"cosh": 0, "sinh": 0}
+    assert got.shape == (12, 1000)
+    assert got.tolist() == [
+        [oracle_transmit(model, q, p, j, t_max) for q, p, j in zip(*rows)]
+        for rows in zip(batch.q1.tolist(), batch.p1.tolist(), batch.j.tolist())
+    ]
 
 
 def test_scan_solves_j_max_once_per_point(monkeypatch):
