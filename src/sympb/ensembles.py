@@ -36,11 +36,9 @@ __all__ = [
 
 # Q_1 is drawn from [-q1_range, -Q1_DELTA]: strictly negative.
 Q1_DELTA = 1e-9
-# |I'| at or below this relative level is snapped to zero, so boundary cases
-# (xi = 1 with zero energy spread) survive root-finder rounding exactly.
+# I' in [0, I_CLAMP_RTOL max(|E'|, 1)] is snapped to zero, and so is an I' < 0
+# whose energy deficit is within the J2max root's overshoot plus that level.
 I_CLAMP_RTOL = 1e-12
-# Per-point cap on bath-action redraws; the documented rejection-rate limit.
-MAX_REDRAWS = 100
 # Newton steps allowed when K has I powers above one.
 NEWTON_STEPS = 50
 # transmit's knife-edge band, relative and absolute: far wider than the few-ulp
@@ -68,8 +66,8 @@ class EnsembleSpec:
             raise ValueError(f"xi must lie in [0, 1], got {self.xi}")
         if self.delta_e < 0:
             raise ValueError(f"delta_e must be >= 0, got {self.delta_e}")
-        if self.q1_range <= 0:
-            raise ValueError(f"q1_range must be > 0, got {self.q1_range}")
+        if not self.q1_range > Q1_DELTA:
+            raise ValueError(f"q1_range must be > {Q1_DELTA}, got {self.q1_range}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +76,8 @@ class Ensemble:
 
     ``q1`` and ``p1`` have shape ``(..., n)``, ``j`` and ``phases`` shape
     ``(..., n, n_bath)`` and ``energy`` shape ``(n,)``: the leading axes run
-    over ensembles that share their per-point draws.  Every point lies in the
-    forward-reactive half-space Q1 < 0 < P1.
+    over ensembles that share their per-point draws; other shapes raise
+    ValueError.  Every point lies in the forward-reactive half-space Q1 < 0 < P1.
     """
 
     q1: np.ndarray
@@ -91,6 +89,12 @@ class Ensemble:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+        n = self.q1.shape
+        if (self.p1.shape, self.j.shape[:-1], self.phases.shape, self.energy.shape) != (
+                n, n, self.j.shape, n[-1:]):
+            got = ", ".join(f"{f.name} {getattr(self, f.name).shape}" for f in fields(self))
+            raise ValueError(f"ensemble needs q1, p1 (..., n), j, phases (..., n, n_bath) "
+                             f"and energy (n,), got {got}")
         _check_half_space(self.q1, self.p1)
 
 
@@ -175,10 +179,27 @@ def _uniform(lo, hi, u):
     return lo + (hi - lo) * u
 
 
-def _clamp_reactive(i_val, e_point):
-    """Snap |I'| <= I_CLAMP_RTOL * max(|E'|, 1) to zero."""
-    small = np.abs(i_val) <= I_CLAMP_RTOL * np.maximum(np.abs(e_point), 1.0)
-    return np.where(small, 0.0, i_val)
+def _clamp_reactive(model: CnfModel, i_val, energy, j, j2max):
+    """Snap to zero every I' in [0, tol], tol = I_CLAMP_RTOL max(|E'|, 1), and
+    every I' < 0 whose deficit Lambda(J) (-I') is at most the J2max root's
+    overshoot max(K(0, J2max e_2) - E', 0) plus tol; any other negative or NaN
+    I' raises SamplingError."""
+    tol = I_CLAMP_RTOL * np.maximum(np.abs(energy), 1.0)
+    i_val = np.where((0.0 <= i_val) & (i_val <= tol), 0.0, i_val)
+    k, p = np.nonzero(~(i_val >= 0.0))
+    if not p.size:
+        return i_val
+    top = np.zeros((p.size, model.n_bath))
+    top[:, 0] = j2max[p]
+    slack = np.maximum(eval_cnf(model, 0.0, top) - energy[p], 0.0) + tol[p]
+    bad = np.flatnonzero(~(effective_lyapunov(model, j[k, p]) * -i_val[k, p] <= slack))
+    if bad.size:
+        k, p = k[bad[0]], p[bad[0]]
+        raise SamplingError(
+            f"I' = {float(i_val[k, p])!r} < 0 beyond root rounding at E' = {float(energy[p])!r}, "
+            f"J_2 = {float(j[k, p, 0])!r}, J2max = {float(j2max[p])!r}")
+    i_val[k, p] = 0.0
+    return i_val
 
 
 def _check_half_space(q1, p1) -> None:
@@ -197,18 +218,16 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
     """Sample one ensemble per entry of ``lows`` from the same per-point draws.
 
     Ensemble k draws J_2 from [lows[k] * J2max(E'), J2max(E')]; kind A is
-    ``lows[k] = 0``.  Every point draws its first ``3 + n_bath`` uniforms
-    from its own substream, child ``p`` of ``SeedSequence(spec.seed)``, in the
-    order of :func:`sample_ensemble`; :func:`~sympb.kernels.substream_uniforms`
-    draws them for all points in one array pass.  The
-    J2max(E') of all points are solved in one
-    :func:`~sympb.bottleneck.j_max_cnf` call, each with the bits it gets
-    alone; if some fail, the first failing point's error is raised.  A
-    (point, ensemble) pair whose first J_2 draw gives I' < 0 replays that
-    point's substream in :func:`_redraw_point`.  Like the Monte-Carlo volume,
-    the draws assume that the axis-root box holds the admissible region, so a
-    model whose ``K(0, J)`` decreases in a bath action raises
-    PreconditionError.
+    ``lows[k] = 0``.  Every point draws its ``3 + n_bath`` uniforms from its
+    own substream, child ``p`` of ``SeedSequence(spec.seed)``, in the order
+    of :func:`sample_ensemble`; :func:`~sympb.kernels.substream_uniforms`
+    draws them for all points in one array pass.  The J2max(E') of all
+    points are solved in one :func:`~sympb.bottleneck.j_max_cnf` call, each
+    with the bits it gets alone; if some fail, the first failing point's
+    error is raised.  I' is snapped by :func:`_clamp_reactive`.  Like the
+    Monte-Carlo volume, the draws assume that the axis-root box holds the
+    admissible region, so a model whose ``K(0, J)`` decreases in a bath
+    action raises PreconditionError.
     """
     _check_monotone(model)
     e_lo = spec.e_center - spec.delta_e
@@ -218,44 +237,18 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
             f"energy window [{e_lo}, {e_hi}] reaches the saddle energy e0 = {model.e0}"
         )
     nb = model.n_bath
-    root = np.random.SeedSequence(spec.seed)
-    u = substream_uniforms(root.entropy, spec.n_traj, 3 + nb)
+    u = substream_uniforms(np.random.SeedSequence(spec.seed).entropy, spec.n_traj, 3 + nb)
     energy = _uniform(e_lo, e_hi, u[:, 0])
     j2max = j_max_cnf(model, energy, 2)
     lo = np.asarray(lows, dtype=float)[:, None] * j2max
     m, n = lo.shape
     j = np.zeros((m, n, nb))
     j[..., 0] = _uniform(lo, j2max, u[:, 1])
-    i_val = _clamp_reactive(_solve_reactive_integral(model, energy, j), energy)
+    i_val = _clamp_reactive(model, _solve_reactive_integral(model, energy, j), energy, j, j2max)
     phases = np.repeat(_uniform(0.0, 2.0 * math.pi, u[None, :, 2:2 + nb]), m, axis=0)
     q1 = np.repeat(_uniform(-spec.q1_range, -Q1_DELTA, u[None, :, 2 + nb]), m, axis=0)
-    for k, p in zip(*np.nonzero(~(i_val >= 0.0))):
-        child = np.random.SeedSequence(root.entropy, spawn_key=(int(p),))
-        j[k, p, 0], i_val[k, p], phases[k, p], q1[k, p] = _redraw_point(
-            model, child, energy[p], j2max[p], lo[k, p], spec.q1_range)
     p1 = np.sqrt(q1 * q1 + 2.0 * i_val)
     return Ensemble(q1=q1, p1=p1, j=j, phases=phases, energy=energy)
-
-
-def _redraw_point(model: CnfModel, child, e_point, j2max, lo, q1_range):
-    """Scalar path for one point: replay its substream past E' and redraw
-    J_2 until I' >= 0.  Returns ``(J_2, I', phases, Q_1)``."""
-    rng = np.random.default_rng(child)
-    rng.random()  # E', already drawn
-    j = np.zeros(model.n_bath)
-    for _ in range(MAX_REDRAWS + 1):
-        j[0] = rng.uniform(lo, j2max)
-        i_val = float(_clamp_reactive(_solve_reactive_integral(model, e_point, j), e_point))
-        if i_val >= 0.0:
-            break
-    else:
-        raise SamplingError(
-            f"rejection rate above 99%: I' < 0 for {MAX_REDRAWS + 1} "
-            f"consecutive bath-action draws at E' = {e_point}"
-        )
-    phases = rng.uniform(0.0, 2.0 * math.pi, model.n_bath)
-    q1 = rng.uniform(-q1_range, -Q1_DELTA)
-    return j[0], i_val, phases, q1
 
 
 def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> Ensemble:
@@ -264,10 +257,11 @@ def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> Ensemble:
     Per point, in order: energy E' uniform in the window; J_2 uniform in
     [0, J2max(E')] for kind A or [xi*J2max(E'), J2max(E')] for kind B (any
     higher bath actions are zero); bath phases uniform in [0, 2pi); the
-    reaction integral I' solved from K(I', J) = E'; Q_1 uniform in
-    [-q1_range, -1e-9] and P_1 = +sqrt(Q_1^2 + 2 I').  Draws with I' < 0
-    redraw J_2.  Each point has its own seed substream, so results do not
-    depend on evaluation order.  Returns an ensemble of shape ``(n_traj,)``.
+    reaction integral I' solved from K(I', J) = E' (an I' < 0 within the
+    J2max root's rounding is zero, one beyond it raises SamplingError); Q_1
+    uniform in [-q1_range, -1e-9] and P_1 = +sqrt(Q_1^2 + 2 I').  Each point
+    has its own seed substream, so results do not depend on evaluation
+    order.  Returns an ensemble of shape ``(n_traj,)``.
     A model whose ``K(0, J)`` decreases in a bath action raises
     PreconditionError, as in :func:`~sympb.bottleneck.action_volume_mc`.
     """

@@ -42,7 +42,8 @@ class LyapunovSignError(SympbError):
 
 
 class SamplingError(SympbError):
-    """Rejection sampling failed to produce admissible initial conditions."""
+    """A sampled reaction integral I' is NaN, or negative beyond the rounding
+    of the J2max root it was drawn under."""
 
 
 class ConvergenceError(SympbError):

@@ -138,11 +138,13 @@ def _shadow_factors(model: CnfModel, s_mix, taus: np.ndarray) -> np.ndarray:
         blocks.append(((c, s), (s, c)))
     rows = s_mix[[0, n], :]
     g = np.array(blocks, dtype=float).reshape(-1, 2, 2) @ rows
-    gram = g @ g.transpose(0, 2, 1)
-    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    # Overflowed or NaN entries fail the CANCEL_LIMIT test and take det0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = g @ g.transpose(0, 2, 1)
+        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        kept = det * CANCEL_LIMIT >= gram[:, 0, 0] * gram[:, 1, 1]
     gram0 = rows @ rows.T
     det0 = gram0[0, 0] * gram0[1, 1] - gram0[0, 1] * gram0[1, 0]
-    kept = det * CANCEL_LIMIT >= gram[:, 0, 0] * gram[:, 1, 1]
     return np.sqrt(np.where(kept, det, det0))
 
 

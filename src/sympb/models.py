@@ -274,9 +274,9 @@ def cnf_from_obj(obj) -> CnfModel:
 
     Accepts either ``{"e0": x, "terms": [{"i": .., "j": [..], "c": ..}, ...]}``
     or a flat list of term objects with one ``{"e0": x}`` entry.  A missing
-    constant term is filled in from ``e0``.  A missing key, an ``e0`` or
-    ``c`` that is not a finite number, or an ``i`` or ``j`` power that is not
-    a non-negative integer raises ValueError naming the key.
+    constant term is filled in from ``e0``.  A missing key, a non-finite
+    ``e0`` or ``c``, a power that is not a non-negative integer or a ``j``
+    length unlike the first term's raises ValueError naming the key.
     """
     if isinstance(obj, dict):
         e0 = _entry(obj, "e0", "model")
@@ -301,6 +301,8 @@ def cnf_from_obj(obj) -> CnfModel:
         j_pows = _entry(t, "j", "model term")
         if not isinstance(j_pows, list):
             raise ValueError(f"{key} 'j' must be a list of powers, got {j_pows!r}")
+        if terms and len(j_pows) != len(terms[0][1]):
+            raise ValueError(f"{key} 'j' has {len(j_pows)} powers, expected {len(terms[0][1])}")
         terms.append((i_pow, tuple(_power(p, f"{key} 'j'") for p in j_pows),
                       _finite(_entry(t, "c", "model term"), f"{key} 'c'")))
     if terms:

@@ -247,6 +247,37 @@ def test_sampler_non_monotone_model_exit_one(tmp_path, capsys, cmd):
     assert err.startswith("error:") and "-0.1*J_2^2" in err
 
 
+# lambda = 1e-3 and a 2 J_2^3 term: at E' ~ 1e3 the J2max root's rounding,
+# magnified by dK/dJ J / Lambda, pushes the computed I' at xi = 1 below zero
+STIFF_MODEL = {"e0": -1, "terms": [{"i": 0, "j": [0], "c": -1}, {"i": 1, "j": [0], "c": 0.001},
+                                   {"i": 0, "j": [1], "c": 1}, {"i": 0, "j": [3], "c": 2}]}
+
+
+def test_stiff_model_at_xi_one_snaps_i_to_zero(tmp_path, capsys):
+    # before: exit 1, "rejection rate above 99%: I' < 0 for 101 consecutive
+    # bath-action draws"
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(STIFF_MODEL))
+    code, out, err = run_cli(capsys, "exp2", "--model", str(model), "--e-center", "1000",
+                             "--xis", "0.9,1", "--n", "200", "--seed", "1")
+    assert (code, err) == (0, "")
+    _, _, rows = parse_csv(out)
+    assert [row[:2] for row in rows] == [["A", "nan"], ["B", "0.90000000000000002"], ["B", "1"]]
+    assert float(rows[2][2]) == 0.0
+    code, out, err = run_cli(capsys, "sample", "--model", str(model), "--e-center", "1000",
+                             "--kind", "B", "--xi", "1", "--n", "50")
+    assert (code, err) == (0, "")
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 50 and all(p1 == q1[1:] for q1, p1, *_ in rows)
+
+
+@pytest.mark.parametrize("cmd", ["sample", "exp2"])
+def test_q1_range_not_above_q1_delta_exit_two(capsys, cmd):
+    # before: --q1-range 1e-12 drew Q_1 from the inverted interval [-1e-9, -1e-12]
+    code, out, err = run_cli(capsys, cmd, *BASE_ARGV[cmd], "--q1-range", "1e-12")
+    assert (code, out, err) == (2, "", "error: q1_range must be > 1e-09, got 1e-12\n")
+
+
 def test_builtin_flag_beats_config_model(tmp_path, monkeypatch, capsys):
     model = tmp_path / "m.json"
     model.write_text(json.dumps({"e0": -0.5, "terms": [
@@ -621,6 +652,9 @@ def test_model_non_finite_term_coefficient_exit_two(capsys, tmp_path):
      "model term 2 key 'j' must be at most 64, got 1000000000"),
     ([{"i": 65, "j": [0], "c": 0.7}, {"i": 1, "j": [0], "c": 0.7}, {"i": 0, "j": [1], "c": 1.0}],
      "model term 0 key 'i' must be at most 64, got 65"),
+    # before: exit 1 with "inconsistent bath arity: expected 1, got 2"
+    ([{"i": 1, "j": [0], "c": 1.0}, {"i": 0, "j": [1, 0], "c": 1.0}],
+     "model term 1 key 'j' has 2 powers, expected 1"),
 ])
 def test_model_bad_power_exit_two(capsys, tmp_path, terms, message):
     # before: 1.5 and 1.9 were truncated to 1 (exit 0), Infinity raised OverflowError (exit 1)

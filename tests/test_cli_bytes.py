@@ -1,13 +1,15 @@
 """Golden bytes of CLI outputs that the benchmark's seed-0 digests do not cover.
 
-Each case runs ``sympb.cli.main`` in an empty directory and hashes stdout
-together with every file the command writes there (sorted by name).  The
-digests pin the metadata line as well as the rows, so they catch a key that
-moves between the library's report and the CLI's resolved configuration.
+Each case runs ``sympb.cli.main`` in an empty directory, with warnings as
+errors and nothing on stderr, and hashes stdout together with every file the
+command writes there (sorted by name).  The digests pin the metadata line as
+well as the rows, so they catch a key that moves between the library's
+report and the CLI's resolved configuration.
 """
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -39,6 +41,16 @@ CASES = {
          "--tau-points", "9", "--curves-out", "c"],
         "0c2922cba717be250996101ff9d8d0cd386b710c2ab99cc0ae15e824da6314be",
     ),
+    # cosh^4 overflows the Gram determinant at the long taus, which take det0
+    # without a numpy warning
+    "exp1_dof2_tau_max_600": (
+        ["exp1", "--dof", "2", "--tau-max", "600"],
+        "1c258573a1583ad7d0b36e17d5bbb8d33485e81a5818c57bf10a2a15c14be451",
+    ),
+    "exp1_dof3_tau_max_600": (
+        ["exp1", "--dof", "3", "--tau-max", "600"],
+        "37dbec20223ca9e329587d243c476ee985d448792cdce1c5bba983189e07c369",
+    ),
     "capacity_stdout": (
         ["capacity", "m.csv"],
         "1589d04e922734f9e4eedc26817cd45e56934480811addfa6a464d010a1eca64",
@@ -67,8 +79,12 @@ def outputs_digest(argv, tmp_path, monkeypatch, capsys, inputs=None):
     monkeypatch.chdir(tmp_path)
     for name, text in (inputs or {}).items():
         (tmp_path / name).write_text(text)
-    assert main(argv) == 0
-    doc = {"stdout": capsys.readouterr().out}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = {"stdout": captured.out}
     for path in sorted(tmp_path.iterdir()):
         doc[path.name] = path.read_text()
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -89,3 +105,4 @@ def test_exp1_one_tau_point_records_the_cli_tau_max(tmp_path, monkeypatch, capsy
         assert meta["tau_max"] == pytest.approx(3.0 / 0.735)
         assert meta["tau_points"] == 1
     assert curve_meta["radius_index"] == 0
+

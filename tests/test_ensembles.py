@@ -1,9 +1,13 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sympb.ensembles
 from sympb import (
     BelowSaddleError,
     CnfModel,
@@ -60,6 +64,10 @@ def test_spec_validation():
         make_spec(xi=1.5)
     with pytest.raises(ValueError):
         make_spec(q1_range=0.0)
+    # Q_1 is drawn from [-q1_range, -1e-9], which a smaller range would invert
+    for q1_range in (1e-9, 1e-12, math.nan):
+        with pytest.raises(ValueError, match=r"^q1_range must be > 1e-09, got "):
+            make_spec(q1_range=q1_range)
 
 
 def test_initial_condition_half_space():
@@ -75,6 +83,21 @@ def test_initial_condition_half_space():
     with pytest.raises(ValueError, match=r"Q1 = 0\.0, P1 = 0\.5"):
         Ensemble(q1=[[-0.1], [0.0]], p1=[[0.5], [0.5]], j=[[[0.1]], [[0.1]]],
                  phases=[[[0.0]], [[0.0]]], energy=[0.0])
+
+
+def test_ensemble_shapes_must_agree():
+    # before: one Q_1 with three P_1 counted as fraction 3.0 of n_total 1
+    msg = r"got q1 \(1,\), p1 \(3,\), j \(3, 1\), phases \(3, 1\), energy \(3,\)$"
+    with pytest.raises(ValueError, match=msg):
+        Ensemble(q1=[-0.1], p1=[0.5, 0.6, 0.7], j=[[0.0]] * 3, phases=[[0.0]] * 3,
+                 energy=[0.0] * 3)
+    good = dict(q1=[-0.1, -0.2], p1=[0.5, 0.6], j=[[0.1], [0.2]], phases=[[0.0], [0.0]],
+                energy=[0.0, 0.0])
+    for key, bad in (("j", [0.1, 0.2]), ("phases", [[0.0, 0.0], [0.0, 0.0]]),
+                     ("energy", [0.0]), ("p1", [[0.5, 0.6]])):
+        with pytest.raises(ValueError, match="^ensemble needs q1, p1"):
+            Ensemble(**{**good, key: bad})
+    assert Ensemble(**good).q1.shape == (2,)
 
 
 def test_sample_ensemble_kind_validation():
@@ -162,16 +185,59 @@ def test_degenerate_window_pins_j2_and_p1():
         assert abs(p1 - abs(q1)) <= 1e-15 * p1
 
 
-def test_sampling_error_when_all_draws_rejected(monkeypatch):
-    import sympb.ensembles
+def test_sampling_error_names_the_point(monkeypatch):
+    # an I' < 0 far beyond the J2max root's rounding is refused, not redrawn
+    spec = make_spec(n_traj=20, seed=4)
+    ens = sample_ensemble(MODEL3, spec, kind="B")
+    solve = sympb.ensembles._solve_reactive_integral
 
-    def fake_j_max(model, e, k):
-        return 100.0 * j_max_cnf(MODEL3, e, k)
+    def sunk(model, e, j):
+        i_val = solve(model, e, j)
+        i_val[..., 7] = -1.0
+        return i_val
 
-    monkeypatch.setattr(sympb.ensembles, "j_max_cnf", fake_j_max)
-    spec = make_spec(xi=0.5)
-    with pytest.raises(SamplingError):
+    monkeypatch.setattr(sympb.ensembles, "_solve_reactive_integral", sunk)
+    e = float(ens.energy[7])
+    msg = (f"I' = -1.0 < 0 beyond root rounding at E' = {e!r}, "
+           f"J_2 = {float(ens.j[7, 0])!r}, J2max = {j_max_cnf(MODEL3, e, 2)!r}")
+    with pytest.raises(SamplingError, match=f"^{re.escape(msg)}$"):
         sample_ensemble(MODEL3, spec, kind="B")
+
+
+@st.composite
+def monotone_models(draw):
+    """K = e0 + lam I + omega J_2 (+ c2 J_2^2) (+ c3 J_2^3) (+ omega_3 J_3)."""
+    terms = [(0, (0,), -1.0), (1, (0,), draw(st.floats(1e-5, 1.0))),
+             (0, (1,), draw(st.floats(0.1, 2.0)))]
+    for power in (2, 3):
+        if draw(st.booleans()):
+            terms.append((0, (power,), draw(st.floats(1e-3, 2.0))))
+    if draw(st.booleans()):
+        terms = [(i, jp + (0,), c) for i, jp, c in terms] + [(0, (0, 1), 1.3)]
+    return CnfModel(e0=-1.0, terms=tuple(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=monotone_models(), e_center=st.floats(-0.9, 1e3),
+       delta_e=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+       xis=st.lists(st.floats(0.0, 1.0), max_size=3).map(lambda x: x + [1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampler_never_rejects_on_monotone_models(model, e_center, delta_e, xis, seed):
+    # J_2 <= J2max(E') and K(0, J) nondecreasing in J_2 make the exact I'
+    # >= 0, so a negative computed I' is root rounding and snaps to zero
+    spec = EnsembleSpec(n_traj=40, e_center=e_center, delta_e=delta_e, seed=seed)
+    clamp = sympb.ensembles._clamp_reactive
+    seen = []
+
+    def recording(*args):
+        seen.append(clamp(*args))
+        return seen[-1]
+
+    with mock.patch.object(sympb.ensembles, "_clamp_reactive", recording):
+        batch = sympb.ensembles._sample_batch(model, spec, [0.0] + xis)
+    assert len(seen) == 1 and (seen[0] >= 0.0).all()
+    assert (batch.p1 >= np.abs(batch.q1)).all()
+    assert len(transmission_scan(model, spec, xis)) == len(xis) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The oracle below is the documented per-point procedure written with scalar
 Python arithmetic: its own polynomial loops, its own Newton polish and its
-own redraw loop.  The library samples whole ensembles as arrays and must
-reproduce it bit for bit.
+own snapping of I' < 0.  The library samples whole ensembles as arrays and
+must reproduce it bit for bit.
 """
 
 import math
@@ -104,8 +104,8 @@ def solve_scalar(model, e, j):
 
 
 def oracle_sample(model, spec, kind, j_max):
-    """Per point, from its own substream: E', J2max(E'), J_2 redrawn until
-    I' >= 0, the bath phases, then Q_1."""
+    """Per point, from its own substream: E', J2max(E'), J_2, I' (snapped to
+    zero within the root's rounding), the bath phases, then Q_1."""
     e_lo, e_hi = spec.e_center - spec.delta_e, spec.e_center + spec.delta_e
     nb = model.n_bath
     out = []
@@ -114,16 +114,16 @@ def oracle_sample(model, spec, kind, j_max):
         e = rng.uniform(e_lo, e_hi)
         j2max = j_max(model, e, 2)
         lo = spec.xi * j2max if kind == "B" else 0.0
-        j = [0.0] * nb
-        for _ in range(sympb.ensembles.MAX_REDRAWS + 1):
-            j[0] = rng.uniform(lo, j2max)
-            i = solve_scalar(model, e, j)
-            if abs(i) <= sympb.ensembles.I_CLAMP_RTOL * max(abs(e), 1.0):
-                i = 0.0
-            if i >= 0.0:
-                break
-        else:
-            raise SamplingError("all draws rejected")
+        j = [rng.uniform(lo, j2max)] + [0.0] * (nb - 1)
+        i = solve_scalar(model, e, j)
+        tol = sympb.ensembles.I_CLAMP_RTOL * max(abs(e), 1.0)
+        if 0.0 <= i <= tol:
+            i = 0.0
+        elif not i >= 0.0:
+            overshoot = max(k_scalar(model, 0.0, [j2max] + [0.0] * (nb - 1)) - e, 0.0)
+            if not lam_scalar(model, j) * -i <= overshoot + tol:
+                raise SamplingError("I' < 0 beyond root rounding")
+            i = 0.0
         phases = tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(nb))
         q1 = rng.uniform(-spec.q1_range, -sympb.ensembles.Q1_DELTA)
         p1 = math.sqrt(q1 * q1 + 2.0 * i)
@@ -171,9 +171,9 @@ specs = st.builds(
        inflate=st.sampled_from([1.0, 1.5]))
 def test_array_sampler_matches_scalar_oracle(model, spec, kind, inflate):
     # inflate > 1 widens the J_2 interval past the admissible region, so some
-    # first draws give I' < 0 and take the scalar redraw path (or all do, and
-    # both sides raise SamplingError).  The oracle solves each point's root
-    # on its own, the sampler all of them in one batch.
+    # draws give I' < 0; the inflated root's overshoot then covers their
+    # deficit, and both sides snap them to zero.  The oracle solves each
+    # point's root on its own, the sampler all of them in one batch.
     def j_max(m, e, k):
         return inflate * j_max_cnf(m, e, k)
 
@@ -329,9 +329,9 @@ def test_scan_solves_j_max_once_per_point(monkeypatch):
 
 @pytest.mark.parametrize("inflate", [1.0, 1.5])
 def test_sampler_builds_a_generator_only_per_redrawn_pair(monkeypatch, inflate):
-    # the first draws of every point come from one array pass; a Generator is
-    # built only to replay the substream of a (point, ensemble) pair whose
-    # first J_2 draw gives I' < 0
+    # no (point, ensemble) pair is redrawn any more, so no Generator is built:
+    # a pair whose first J_2 draw gives I' < 0 (there are some once j_max is
+    # inflated) keeps that draw, and every draw comes from the substream kernel
     model = builtin_cnf(3)
     spec = EnsembleSpec(n_traj=60, e_center=0.0, delta_e=0.01, seed=77)
     lows = [0.0, 0.3, 0.6]
@@ -339,27 +339,32 @@ def test_sampler_builds_a_generator_only_per_redrawn_pair(monkeypatch, inflate):
     def j_max(m, e, k):
         return inflate * j_max_cnf(m, e, k)
 
-    want = 0
+    first, negative = [], 0
     for child in np.random.SeedSequence(spec.seed).spawn(spec.n_traj):
+        row = []
         for low in lows:
             rng = np.random.default_rng(child)
             e = rng.uniform(spec.e_center - spec.delta_e, spec.e_center + spec.delta_e)
             top = j_max(model, e, 2)
-            i = solve_scalar(model, e, [rng.uniform(low * top, top), 0.0])
-            want += i < 0.0 and abs(i) > sympb.ensembles.I_CLAMP_RTOL * max(abs(e), 1.0)
-    assert (want > 0) == (inflate > 1.0)
+            row.append(rng.uniform(low * top, top))
+            i = solve_scalar(model, e, [row[-1], 0.0])
+            negative += i < 0.0 and abs(i) > sympb.ensembles.I_CLAMP_RTOL * max(abs(e), 1.0)
+        first.append(row)
+    assert (negative > 0) == (inflate > 1.0)
 
-    calls = []
-    default_rng = np.random.default_rng
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return default_rng(*args, **kwargs)
+    def no_generator(*args, **kwargs):
+        raise AssertionError("np.random.default_rng called")
 
     monkeypatch.setattr(sympb.ensembles, "j_max_cnf", j_max)
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    sympb.ensembles._sample_batch(model, spec, lows)
-    assert len(calls) == want
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    batch = sympb.ensembles._sample_batch(model, spec, lows)
+    assert batch.j[..., 0].T.tolist() == first
+    assert sample_ensemble(model, spec, "A").q1.shape == (60,)
+    monkeypatch.undo()
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    spec = EnsembleSpec(n_traj=60, e_center=0.0, delta_e=0.01, seed=77, xi=1.0)
+    assert len(transmission_scan(model, spec, [0.0, 0.6, 1.0])) == 4
+    assert sample_ensemble(model, spec, "B").q1.shape == (60,)
 
 
 # ---------------------------------------------------------------------------
