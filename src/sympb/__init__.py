@@ -40,6 +40,7 @@ from .models import (
     eckart_potential,
     effective_lyapunov,
     eval_cnf,
+    eval_k0,
     eval_dk_di,
     full_hamiltonian,
     grad_potential,

@@ -21,10 +21,9 @@ from .errors import (
     BelowSaddleError,
     ConvergenceError,
     DimensionError,
-    PreconditionError,
     RootBracketError,
 )
-from .models import CnfModel, eval_cnf
+from .models import CnfModel, eval_k0
 from .tables import ExperimentReport
 
 __all__ = [
@@ -113,7 +112,7 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
     to ``(len(e), n_bath)``; its column k is ignored.  Each element's bracket
     starts at ``[0, (e - e0) / omega_k]``, and its upper end doubles until
     ``K - e`` changes sign (cap BRACKET_CAP); :func:`_brent` then refines it.
-    ``f`` is the batched ``eval_cnf`` on the still-active rows only, so each
+    ``f`` is the batched ``eval_k0`` on the still-active rows only, so each
     element gets the bits it would get alone.  The whole batch runs to the
     end; then the lowest-index failed element raises its error, else the
     roots are returned.
@@ -134,7 +133,7 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
     def f(x, rows):
         probe = fixed[rows]
         probe[np.arange(rows.size), cols[rows]] = x
-        return eval_cnf(model, 0.0, probe) - e[rows]
+        return eval_k0(model, probe) - e[rows]
 
     status = np.where(e <= model.e0, _BELOW, _OK)
     lo = np.zeros(n)
@@ -288,29 +287,6 @@ def _width_report(e: float, j_max) -> WidthReport:
     )
 
 
-def _check_monotone(model: CnfModel) -> None:
-    """Raise PreconditionError when an I-free J term has a negative coefficient.
-
-    The axis-root box ``prod_k [0, J_k_max]`` holds the whole admissible
-    region when ``K(0, J)`` is nondecreasing in every J_k, which nonnegative
-    I-free coefficients guarantee.
-    """
-    for i_pow, j_pows, _ in model.terms:
-        if i_pow or not any(j_pows):
-            continue
-        coeff = model.coefficient(0, j_pows)
-        if coeff < 0.0:
-            monomial = "*".join(
-                f"J_{k + 2}" + (f"^{p}" if p > 1 else "")
-                for k, p in enumerate(j_pows) if p
-            )
-            raise PreconditionError(
-                f"term {coeff!r}*{monomial} makes K(0, J) decrease in a bath "
-                "action, so the admissible region can leave the axis-root "
-                "sampling box"
-            )
-
-
 def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> FluxReport:
     """Monte-Carlo action-space volume and flux at energy e.
 
@@ -326,7 +302,7 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
         raise ValueError(f"samples must be >= 1, got {samples}")
     if e < model.e0:
         raise BelowSaddleError(f"E = {e} is below the saddle energy e0 = {model.e0}")
-    _check_monotone(model)
+    model.check_monotone()
     if e == model.e0:
         return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=int(samples),
                           std_error=0.0, seed=int(seed))
@@ -434,7 +410,7 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
         raise ValueError(f"e_max = {e_max} is below e_min = {e_min}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_monotone(model)
+    model.check_monotone()
     energies = np.linspace(e_min, e_max, steps) if steps > 1 else np.array([e_min])
     nb = model.n_bath
     columns = (
@@ -456,6 +432,6 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
         "samples": int(samples),
         "seed": int(seed),
         "model_e0": model.e0,
-        "model_terms": [[ip, list(jp), c] for ip, jp, c in model.terms],
+        "model_terms": model.terms,
     }
     return ExperimentReport(columns=tuple(columns), rows=rows, meta=meta)

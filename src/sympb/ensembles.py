@@ -15,10 +15,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bottleneck import _check_monotone, j_max_cnf
+from .bottleneck import j_max_cnf
 from .errors import BelowSaddleError, ConvergenceError, SamplingError
 from .kernels import substream_uniforms
-from .models import CnfModel, effective_lyapunov, eval_cnf, eval_dk_di
+from .models import CnfModel, effective_lyapunov, eval_cnf, eval_dk_di, eval_k0
 from .tables import ExperimentReport
 
 __all__ = [
@@ -127,8 +127,8 @@ def _solve_reactive_integral(model: CnfModel, e_target, j):
     handles coefficient tables with higher I powers.
     """
     lam_j = effective_lyapunov(model, j)
-    i_val = (e_target - eval_cnf(model, 0.0, j)) / lam_j
-    if any(ip > 1 for ip, _, _ in model.terms):
+    i_val = (e_target - eval_k0(model, j)) / lam_j
+    if model.dk_terms != model.lam_terms:  # dK/dI depends on I
         i_val = _newton_polish(model, e_target, j, i_val)
     return i_val
 
@@ -191,7 +191,7 @@ def _clamp_reactive(model: CnfModel, i_val, energy, j, j2max):
         return i_val
     top = np.zeros((p.size, model.n_bath))
     top[:, 0] = j2max[p]
-    slack = np.maximum(eval_cnf(model, 0.0, top) - energy[p], 0.0) + tol[p]
+    slack = np.maximum(eval_k0(model, top) - energy[p], 0.0) + tol[p]
     bad = np.flatnonzero(~(effective_lyapunov(model, j[k, p]) * -i_val[k, p] <= slack))
     if bad.size:
         k, p = k[bad[0]], p[bad[0]]
@@ -229,7 +229,7 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
     admissible region, so a model whose ``K(0, J)`` decreases in a bath
     action raises PreconditionError.
     """
-    _check_monotone(model)
+    model.check_monotone()
     e_lo = spec.e_center - spec.delta_e
     e_hi = spec.e_center + spec.delta_e
     if e_lo <= model.e0:
@@ -369,7 +369,7 @@ def scan_report(model: CnfModel, spec_base: EnsembleSpec, xis,
         "t_max": results[0].t_max,
         "xis": [float(x) for x in xis],
         "model_e0": model.e0,
-        "model_terms": [[ip, list(jp), c] for ip, jp, c in model.terms],
+        "model_terms": model.terms,
     }
     return ExperimentReport(
         columns=("kind", "xi", "fraction", "n_transmitted", "n_total", "t_max", "seed"),

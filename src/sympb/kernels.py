@@ -16,7 +16,7 @@ import numpy as np
 from .models import (
     CnfModel,
     EckartMorseParams,
-    _term_sum,
+    eval_k0,
     grad_potential,
     velocities,
 )
@@ -163,10 +163,9 @@ def count_box_hits(model: CnfModel, j_samples, e: float) -> int:
     """Number of rows ``J`` of ``j_samples`` (shape ``(m, n_bath)``) with
     ``K(0, J) <= e``.
 
-    Only the I-free terms are evaluated: at I = 0 a term that carries I adds
-    +/-0.0 for finite J, so the count equals that of the whole polynomial.
+    ``K(0, J)`` is :func:`~sympb.models.eval_k0`, the I-free terms alone.
     """
-    return int(np.count_nonzero(_term_sum(model, None, j_samples, 0) <= e))
+    return int(np.count_nonzero(eval_k0(model, j_samples) <= e))
 
 
 def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride: int):

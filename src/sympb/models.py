@@ -25,11 +25,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, LyapunovSignError
+from .errors import DimensionError, LyapunovSignError, PreconditionError
 
 __all__ = [
     "CnfModel",
     "eval_cnf",
+    "eval_k0",
     "eval_dk_di",
     "effective_lyapunov",
     "builtin_cnf",
@@ -65,86 +66,97 @@ class CnfModel:
 
     ``terms`` is a tuple of ``(i_power, j_powers, coeff)`` entries; the value
     of the model is ``sum coeff * I**i_power * prod J_k**j_powers[k]``.
-    Required structure: a constant term equal to ``e0``, a pure-I linear term
-    with positive coefficient (the saddle rate), and a positive linear term in
-    each bath action (the bath frequencies).
+    Required structure: finite coefficients, a constant term equal to a
+    finite ``e0``, a pure-I linear term with positive coefficient (the saddle
+    rate), and a positive linear term in each bath action (the bath
+    frequencies).
+
+    The terms are compiled once: ``n_bath``, ``lam`` and ``omegas`` are plain
+    attributes, :meth:`coefficient` reads the summed monomials, and each
+    quantity sums one term table in term order: ``terms`` for K, ``dk_terms``
+    for dK/dI (I power lowered by one, coefficient times the old power), and
+    their I-free rows ``k0_terms`` for K(0, J) and ``lam_terms`` for
+    Lambda(J).  Equality, hashing, the repr and pickling read ``e0`` and
+    ``terms`` only.
     """
 
     e0: float
     terms: tuple
 
     def __post_init__(self):
-        norm = []
-        for n, (i_pow, j_pows, coeff) in enumerate(self.terms):
-            norm.append((_power(i_pow, f"term {n} I power"),
-                         tuple(_power(p, f"term {n} J power") for p in j_pows), float(coeff)))
-        object.__setattr__(self, "terms", tuple(norm))
-        if not self.terms:
+        _finite(self.e0, "e0")
+        terms = tuple((_power(i_pow, f"term {n} I power"),
+                       tuple(_power(p, f"term {n} J power") for p in j_pows),
+                       _finite(coeff, f"term {n} coefficient"))
+                      for n, (i_pow, j_pows, coeff) in enumerate(self.terms))
+        if not terms:
             raise ValueError("CnfModel needs at least one term")
-        nb = len(self.terms[0][1])
+        nb = len(terms[0][1])
         if nb < 1:
             raise ValueError("CnfModel needs at least one bath action")
-        for i_pow, j_pows, _ in self.terms:
+        for _, j_pows, _ in terms:
             if len(j_pows) != nb:
-                raise DimensionError(
-                    f"inconsistent bath arity: expected {nb}, got {len(j_pows)}"
-                )
-        const = self.coefficient(0, (0,) * nb)
+                raise DimensionError(f"inconsistent bath arity: expected {nb}, got {len(j_pows)}")
+        monomials = {}
+        for i_pow, j_pows, coeff in terms:
+            monomials[i_pow, j_pows] = monomials.get((i_pow, j_pows), 0.0) + coeff
+        dk_terms = tuple((i_pow - 1, j_pows, coeff * i_pow) for i_pow, j_pows, coeff in terms
+                         if i_pow)
+        zero = (0,) * nb
+        self.__dict__.update(  # frozen: set once, here
+            terms=terms, n_bath=nb, _monomials=monomials, dk_terms=dk_terms,
+            k0_terms=tuple(t for t in terms if not t[0]),
+            lam_terms=tuple(t for t in dk_terms if not t[0]),
+            lam=monomials.get((1, zero), 0.0),
+            omegas=tuple(monomials.get((0, zero[:k] + (1,) + zero[k + 1:]), 0.0)
+                         for k in range(nb)))
+        const = self.coefficient(0, zero)
         if const != self.e0:
-            raise ValueError(
-                f"constant term {const!r} must equal e0 = {self.e0!r}"
-            )
-        if self.lam <= 0:
+            raise ValueError(f"constant term {const!r} must equal e0 = {self.e0!r}")
+        if not self.lam > 0:
             raise ValueError("linear I coefficient (saddle rate) must be > 0")
         for k, w in enumerate(self.omegas):
-            if w <= 0:
+            if not w > 0:
                 raise ValueError(f"linear coefficient of J_{k + 2} must be > 0")
 
-    @property
-    def n_bath(self) -> int:
-        return len(self.terms[0][1])
+    def __reduce__(self):
+        return CnfModel, (self.e0, self.terms)
 
     @property
     def n_dof(self) -> int:
         return 1 + self.n_bath
 
-    @property
-    def lam(self) -> float:
-        """Saddle rate: coefficient of the pure linear I term."""
-        return self.coefficient(1, (0,) * self.n_bath)
-
-    @property
-    def omegas(self) -> tuple:
-        """Bath frequencies: coefficients of the pure linear J_k terms."""
-        nb = self.n_bath
-        return tuple(
-            self.coefficient(0, tuple(1 if i == k else 0 for i in range(nb)))
-            for k in range(nb)
-        )
-
     def coefficient(self, i_power: int, j_powers) -> float:
-        """Stored coefficient of the monomial I**i_power * prod J**j_powers
+        """Summed coefficient of the monomial I**i_power * prod J**j_powers
         (0.0 when absent, as for a power that is not a whole number)."""
-        key = (i_power, tuple(j_powers))
-        total = 0.0
-        for i_pow, j_pows, coeff in self.terms:
-            if (i_pow, j_pows) == key:
-                total += coeff
-        return total
+        return self._monomials.get((i_power, tuple(j_powers)), 0.0)
+
+    def check_monotone(self) -> None:
+        """Raise PreconditionError when an I-free J monomial has a negative
+        summed coefficient.  The axis-root box ``prod_k [0, J_k_max]`` holds
+        the whole admissible region when ``K(0, J)`` is nondecreasing in every
+        J_k, which nonnegative I-free coefficients guarantee."""
+        for (i_pow, j_pows), coeff in self._monomials.items():
+            if coeff < 0.0 and not i_pow and any(j_pows):
+                monomial = "*".join(f"J_{k + 2}" + (f"^{p}" if p > 1 else "")
+                                    for k, p in enumerate(j_pows) if p)
+                raise PreconditionError(
+                    f"term {coeff!r}*{monomial} makes K(0, J) decrease in a bath "
+                    "action, so the admissible region can leave the axis-root "
+                    "sampling box"
+                )
 
 
-def _term_sum(model: CnfModel, i, j, order: int):
-    """Sum of the ``order``-th I-derivative (0 or 1) of every term, in term order.
+def _term_sum(model: CnfModel, terms, i, j):
+    """Sum of the table ``terms`` of ``model`` at ``(I, J)``, in table order.
 
     ``j`` has shape ``(..., n_bath)`` and the sum has ``j.shape[:-1]``
     broadcast against the reactive values ``i``.  Each term is built by
     repeated multiplication, so a batch gives the same values, bit for bit,
     as its points evaluated one at a time; one point gives a 0-d sum, which
-    :func:`_value` returns as a Python float with the same bits.  ``i = None``
-    evaluates at I = 0 by keeping only the terms whose I-power equals
-    ``order``.  The terms accumulate in place into one array per call: a
-    fresh array per term made the Monte-Carlo counter page-fault anew on
-    every chunk.
+    :func:`_value` returns as a Python float with the same bits.  The terms
+    accumulate in place into one array per call: a fresh array per term made
+    the Monte-Carlo counter page-fault anew on every chunk.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim == 0 or j.shape[-1] != model.n_bath:
@@ -153,11 +165,9 @@ def _term_sum(model: CnfModel, i, j, order: int):
         )
     cols = [j[..., k] for k in range(model.n_bath)]
     total = np.zeros(np.broadcast_shapes(np.shape(i), j.shape[:-1]))
-    for i_pow, j_pows, coeff in model.terms:
-        if i_pow < order or (i is None and i_pow != order):
-            continue
-        v = coeff * i_pow if order else coeff
-        for _ in range(i_pow - order):
+    for i_pow, j_pows, coeff in terms:
+        v = coeff
+        for _ in range(i_pow):
             v = v * i
         for col, p in zip(cols, j_pows):
             for _ in range(p):
@@ -182,12 +192,19 @@ def eval_cnf(model: CnfModel, i, j):
     ``(n_bath,)``), with the bits of that point's row in a batch, and an
     array of the broadcast shape otherwise.
     """
-    return _value(_term_sum(model, np.asarray(i, dtype=float), j, 0))
+    return _value(_term_sum(model, model.terms, np.asarray(i, dtype=float), j))
+
+
+def eval_k0(model: CnfModel, j):
+    """``K(0, J)`` on the dividing surface from the I-free terms alone; shapes
+    as in :func:`effective_lyapunov`.  For finite ``J`` it is ``eval_cnf(model,
+    0.0, j)`` bit for bit: a term that carries I adds +/-0.0 there."""
+    return _value(_term_sum(model, model.k0_terms, 0.0, j))
 
 
 def eval_dk_di(model: CnfModel, i, j):
     """Evaluate ``dK/dI`` at ``(I, J)``; shapes as in :func:`eval_cnf`."""
-    return _value(_term_sum(model, np.asarray(i, dtype=float), j, 1))
+    return _value(_term_sum(model, model.dk_terms, np.asarray(i, dtype=float), j))
 
 
 def effective_lyapunov(model: CnfModel, j):
@@ -202,7 +219,7 @@ def effective_lyapunov(model: CnfModel, j):
         If the rate is not positive at any of the given bath actions.
     """
     j = np.asarray(j, dtype=float)
-    rate = _term_sum(model, None, j, 1)
+    rate = _term_sum(model, model.lam_terms, 0.0, j)
     flat = np.ravel(rate)
     bad = np.flatnonzero(flat <= 0.0)
     if bad.size:
@@ -247,9 +264,9 @@ def _entry(obj, key: str, what: str):
 
 def _finite(value, what: str) -> float:
     """``float(value)``, or a ValueError naming ``what`` unless that is a
-    finite number."""
+    finite number (a bool is not one)."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x):
@@ -274,22 +291,26 @@ def cnf_from_obj(obj) -> CnfModel:
 
     Accepts either ``{"e0": x, "terms": [{"i": .., "j": [..], "c": ..}, ...]}``
     or a flat list of term objects with one ``{"e0": x}`` entry.  A missing
-    constant term is filled in from ``e0``.  A missing key, a non-finite
-    ``e0`` or ``c``, a power that is not a non-negative integer or a ``j``
-    length unlike the first term's raises ValueError naming the key.
+    constant term is filled in from ``e0``.  A missing key, an ``e0`` or
+    ``c`` that is not a finite number (a bool is not one), a power that is
+    not a non-negative integer or a ``j`` length unlike the first term's
+    raises ValueError naming the key, and a second ``{"e0": x}`` entry one
+    naming its index.
     """
     if isinstance(obj, dict):
         e0 = _entry(obj, "e0", "model")
         raw_terms = _entry(obj, "terms", "model")
     elif isinstance(obj, list):
-        e0 = None
+        e0 = missing = object()  # a JSON null is an e0 too, refused below
         raw_terms = []
-        for entry in obj:
-            if isinstance(entry, dict) and "e0" in entry and "c" not in entry:
-                e0 = entry["e0"]
-            else:
+        for n, entry in enumerate(obj):
+            if not (isinstance(entry, dict) and "e0" in entry and "c" not in entry):
                 raw_terms.append(entry)
-        if e0 is None:
+            elif e0 is not missing:
+                raise ValueError(f"model list entry {n} is a second {{'e0': ...}} entry")
+            else:
+                e0 = entry["e0"]
+        if e0 is missing:
             raise ValueError("model list is missing an {'e0': ...} entry")
     else:
         raise ValueError(f"model must be a JSON object or list, got {type(obj).__name__}")

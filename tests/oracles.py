@@ -3,6 +3,7 @@
 The quadratic saddle-centre(-centre) model ``K = e0 + lam*I + sum_k
 omega_k*J_k`` is the linear ``CnfModel``; at I = 0 its admissible bath
 actions ``{J >= 0 : K(0, J) <= E}`` form a simplex with a closed-form volume.
+``term_sum`` is the reference for the compiled term tables of any CnfModel.
 """
 
 import math
@@ -34,3 +35,28 @@ def simplex_flux(model: CnfModel, e: float) -> FluxReport:
     volume = (e - model.e0) ** nb / (math.factorial(nb) * float(np.prod(model.omegas)))
     return FluxReport(e=float(e), volume=volume, flux=(2.0 * math.pi) ** nb * volume,
                       mc_samples=0, std_error=0.0)
+
+
+def term_sum(model: CnfModel, i, j, order: int):
+    """Reference sum of the ``order``-th I-derivative (0 or 1) of every term
+    of ``model.terms``, deciding per term and per call whether it counts.
+
+    ``j`` has shape ``(..., n_bath)``; ``i = None`` evaluates at I = 0 by
+    keeping only the terms whose I power equals ``order`` (K(0, J) for order
+    0, Lambda(J) for order 1).  Each term is built by repeated
+    multiplication and added in term order, into zeros.
+    """
+    j = np.asarray(j, dtype=float)
+    cols = [j[..., k] for k in range(model.n_bath)]
+    total = np.zeros(np.broadcast_shapes(np.shape(i), j.shape[:-1]))
+    for i_pow, j_pows, coeff in model.terms:
+        if i_pow < order or (i is None and i_pow != order):
+            continue
+        v = coeff * i_pow if order else coeff
+        for _ in range(i_pow - order):
+            v = v * i
+        for col, p in zip(cols, j_pows):
+            for _ in range(p):
+                v = v * col
+        total += v
+    return total

@@ -287,14 +287,14 @@ def test_j_max_cnf_nan_names_energy_mode_and_iterate(monkeypatch):
     model = builtin_cnf(3)
     e = model.e0 + 0.5
     hi = (e - model.e0) / model.omegas[1]
-    real = bottleneck.eval_cnf
+    real = bottleneck.eval_k0
 
-    def nan_inside(model, i, j):
+    def nan_inside(model, j):
         # below e at J_3 = 0, above it at the first bracket end, NaN between
-        k = real(model, i, j)
+        k = real(model, j)
         return np.where(j[:, 1] == 0.0, k, np.where(j[:, 1] < hi, math.nan, k + 1.0))
 
-    monkeypatch.setattr(bottleneck, "eval_cnf", nan_inside)
+    monkeypatch.setattr(bottleneck, "eval_k0", nan_inside)
     with pytest.raises(ConvergenceError) as info:
         j_max_cnf(model, e, 3)
     msg = str(info.value)
@@ -307,10 +307,10 @@ def test_j_max_cnf_no_convergence_names_energy_mode_and_iterate(monkeypatch):
     model = builtin_cnf(2)
     e = 1e30
 
-    def unit_step(model, i, j):
+    def unit_step(model, j):
         return np.where(j[:, 0] < 1.0, e - 1e15, e + 1e15)
 
-    monkeypatch.setattr(bottleneck, "eval_cnf", unit_step)
+    monkeypatch.setattr(bottleneck, "eval_k0", unit_step)
     with pytest.raises(ConvergenceError) as info:
         j_max_cnf(model, e, 2)
     head = (f"j_max at E = {e!r}, mode k = 2: Brent's method did not converge in "
@@ -777,12 +777,12 @@ def test_energy_scan_raises_the_lowest_failed_row(monkeypatch, cpus):
     # its first bracket end: its error is raised and no row is drawn
     e2 = np.linspace(0.1, 1.0, 4).tolist()[2]
     hi = (e2 - model.e0) / model.omegas[0]
-    real = bottleneck.eval_cnf
+    real = bottleneck.eval_k0
 
-    def nan_at_row_2(model, i, j):
-        return np.where((j[:, 0] == hi) & (j[:, 1] == 0.0), math.nan, real(model, i, j))
+    def nan_at_row_2(model, j):
+        return np.where((j[:, 0] == hi) & (j[:, 1] == 0.0), math.nan, real(model, j))
 
-    monkeypatch.setattr(bottleneck, "eval_cnf", nan_at_row_2)
+    monkeypatch.setattr(bottleneck, "eval_k0", nan_at_row_2)
     calls = record_mc_threads(monkeypatch, fail={1})
     with pytest.raises(ConvergenceError) as info:
         energy_scan(model, 0.1, 1.0, steps=4, samples=100, seed=0)

@@ -312,15 +312,15 @@ def test_widths_nan_root_exit_one(monkeypatch, capsys):
 
     model = builtin_cnf(2)
     hi = (0.5 - model.e0) / model.omegas[0]
-    real = bottleneck.eval_cnf
+    real = bottleneck.eval_k0
 
-    def nan_inside(model, i, j):
+    def nan_inside(model, j):
         # K below E at J_2 = 0, above it at the bracket end, NaN between
         if j[0] == 0.0:
-            return real(model, i, j)
-        return math.nan if j[0] < hi else real(model, i, j) + 1.0
+            return real(model, j)
+        return math.nan if j[0] < hi else real(model, j) + 1.0
 
-    monkeypatch.setattr(bottleneck, "eval_cnf", nan_inside)
+    monkeypatch.setattr(bottleneck, "eval_k0", nan_inside)
     code, out, err = run_cli(capsys, "widths", "--e-min", "0.5", "--e-max", "0.5",
                              "--steps", "1", "--samples", "100")
     assert code == 1 and out == ""
@@ -635,6 +635,37 @@ def test_model_non_finite_term_coefficient_exit_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "exp2", "--model", str(model), *BASE_ARGV["exp2"])
     assert (code, out) == (2, "")
     assert err == "error: model term 2 key 'c' must be a finite number, got inf\n"
+
+
+def test_model_and_params_boolean_numbers_exit_two(capsys, tmp_path):
+    # before: "c": true ran widths with a rate of 1.0 and {"eps": true} integrated, both exit 0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"e0": 0.0, "terms": [{"i": 1, "j": [0], "c": True},
+                                                      {"i": 0, "j": [1], "c": 1.0}]}))
+    code, out, err = run_cli(capsys, "widths", "--model", str(model), *BASE_ARGV["widths"])
+    assert (code, out) == (2, "")
+    assert err == "error: model term 0 key 'c' must be a finite number, got True\n"
+    model.write_text(json.dumps([{"e0": False}, {"i": 1, "j": [0], "c": 1.0},
+                                 {"i": 0, "j": [1], "c": 1.0}]))
+    code, out, err = run_cli(capsys, "widths", "--model", str(model), *BASE_ARGV["widths"])
+    assert (code, out) == (2, "")
+    assert err == "error: model key 'e0' must be a finite number, got False\n"
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"eps": True}))
+    code, out, err = run_cli(capsys, "integrate", *BASE_ARGV["integrate"],
+                             "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err == f"error: {params}: parameter 'eps' must be a finite number, got True\n"
+
+
+def test_model_list_second_e0_entry_exit_two(capsys, tmp_path):
+    # before: the second entry silently replaced the first, and the run used e0 = -1
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps([{"e0": -2}, {"i": 1, "j": [0], "c": 0.7},
+                                 {"i": 0, "j": [1], "c": 1.3}, {"e0": -1}]))
+    code, out, err = run_cli(capsys, "widths", "--model", str(model), *BASE_ARGV["widths"])
+    assert (code, out) == (2, "")
+    assert err == "error: model list entry 3 is a second {'e0': ...} entry\n"
 
 
 @pytest.mark.parametrize("terms, message", [

@@ -1,15 +1,21 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import term_sum
 from sympb import (
     CnfModel,
     DimensionError,
     EckartMorseParams,
     LyapunovSignError,
+    PreconditionError,
     barrier_x,
     builtin_cnf,
     cnf_from_obj,
@@ -17,6 +23,8 @@ from sympb import (
     eckart_potential,
     effective_lyapunov,
     eval_cnf,
+    eval_dk_di,
+    eval_k0,
     full_hamiltonian,
     grad_potential,
     kinetic_energy,
@@ -26,7 +34,7 @@ from sympb import (
     potential,
     velocities,
 )
-from sympb.models import MAX_POWER
+from sympb.models import MAX_POWER, _term_sum
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +164,110 @@ def test_cnf_refuses_non_integral_powers():
     assert all(type(p) is int for _, jp, _ in model.terms for p in jp)
 
 
+def test_cnf_refuses_non_finite_numbers():
+    # before: the NaN rates passed `lam <= 0`, and default_t_max returned nan
+    with pytest.raises(ValueError, match="^term 1 coefficient must be a finite number, got nan$"):
+        CnfModel(e0=-1.0, terms=((0, (0,), -1.0), (1, (0,), math.nan), (0, (1,), math.nan)))
+    with pytest.raises(ValueError, match="^term 0 coefficient must be a finite number, got inf$"):
+        CnfModel(e0=-1.0, terms=((0, (0,), math.inf), (1, (0,), 1.0), (0, (1,), 1.0)))
+    with pytest.raises(ValueError, match="^e0 must be a finite number, got inf$"):
+        CnfModel(e0=math.inf, terms=((0, (0,), math.inf), (1, (0,), 1.0), (0, (1,), 1.0)))
+    with pytest.raises(ValueError, match="^term 2 coefficient must be a finite number, got True$"):
+        CnfModel(e0=0.0, terms=((0, (0,), 0.0), (1, (0,), 1.0), (0, (1,), True)))
+
+
+# ---------------------------------------------------------------------------
+# compiled term tables
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cnf_models(draw):
+    """Random CnfModels with an I**2 term, an I*J term with a negative
+    coefficient, a J**3 term, up to four more terms and a duplicated
+    monomial, in any order."""
+    nb = draw(st.integers(1, 2))
+    zero = (0,) * nb
+    units = [tuple(int(i == k) for i in range(nb)) for k in range(nb)]
+    coeff = st.floats(-2.0, 2.0)
+    rate = st.floats(3.0, 5.0)
+    terms = [(0, zero, draw(coeff)), (1, zero, draw(rate))] + [(0, u, draw(rate)) for u in units]
+    terms += [(2, zero, draw(coeff)), (1, units[0], -draw(st.floats(0.0, 2.0))),
+              (0, (3,) + zero[1:], draw(coeff))]
+    # small enough that a duplicate of a rate leaves it positive
+    terms += draw(st.lists(st.tuples(st.integers(0, 3), st.tuples(*[st.integers(0, 3)] * nb),
+                                     st.floats(-0.5, 0.5)), max_size=4))
+    terms.append(draw(st.sampled_from(terms)))
+    terms = draw(st.permutations(terms))
+    e0 = 0.0
+    for i_pow, j_pows, c in terms:
+        if not i_pow and not any(j_pows):
+            e0 += c
+    return CnfModel(e0=e0, terms=tuple(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=cnf_models(), seed=st.integers(0, 2**32 - 1))
+def test_term_tables_match_the_reference_bit_for_bit(model, seed):
+    rng = np.random.default_rng(seed)
+    j = rng.uniform(-3.0, 3.0, size=(6, model.n_bath))
+    i = rng.uniform(-2.0, 2.0, size=6)
+    for got, want in (
+        (eval_cnf(model, i, j), term_sum(model, i, j, 0)),
+        (eval_dk_di(model, i, j), term_sum(model, i, j, 1)),
+        (eval_k0(model, j), term_sum(model, None, j, 0)),
+        (_term_sum(model, model.lam_terms, 0.0, j), term_sum(model, None, j, 1)),
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert eval_k0(model, j[0]) == float(term_sum(model, None, j[0], 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=cnf_models(),
+       j=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+def test_k0_is_k_at_zero_for_finite_j(model, j):
+    # a term that carries I adds +/-0.0 at I = 0, even where J**p overflows
+    j = np.reshape(j, (-1, model.n_bath))
+    with np.errstate(all="ignore"):
+        assert eval_k0(model, j).tobytes() == eval_cnf(model, 0.0, j).tobytes()
+        for row in j:
+            assert np.float64(eval_k0(model, row)).tobytes() == \
+                np.float64(eval_cnf(model, 0.0, row)).tobytes()
+
+
+def compiled(model):
+    return (model.n_bath, model.lam, model.omegas, model.dk_terms, model.k0_terms,
+            model.lam_terms, model.coefficient(2, (0, 1)))
+
+
+def test_replace_and_pickle_recompute_the_compiled_terms():
+    model = builtin_cnf(3)
+    terms = model.terms + ((2, (0, 1), 0.5), (1, (0, 0), 0.25), (0, (1, 0), 0.5))
+    changed = dataclasses.replace(model, terms=terms)
+    assert compiled(changed) == compiled(CnfModel(e0=model.e0, terms=terms))
+    assert (changed.lam, changed.omegas) == (0.735 + 0.25, (1.8225 + 0.5, 1.267))
+    assert changed.dk_terms[-2:] == ((1, (0, 1), 1.0), (0, (0, 0), 0.25))
+    # pickles hold e0 and terms only, and loading rebuilds the tables
+    data = pickle.dumps(changed)
+    assert b"dk_terms" not in data and b"_monomials" not in data
+    for clone in (pickle.loads(data), copy.deepcopy(changed)):
+        assert clone == changed and hash(clone) == hash(changed)
+        assert compiled(clone) == compiled(changed)
+    assert repr(changed) == f"CnfModel(e0={model.e0!r}, terms={terms!r})"
+    with pytest.raises(ValueError, match="must equal e0"):
+        dataclasses.replace(model, e0=0.0)
+
+
+def test_check_monotone_reads_the_summed_monomials():
+    base = ((0, (0, 0), 0.0), (1, (0, 0), 1.0), (0, (1, 0), 1.0), (0, (0, 1), 1.0))
+    CnfModel(e0=0.0, terms=base + ((0, (1, 1), -0.5), (0, (1, 1), 1.0))).check_monotone()
+    CnfModel(e0=0.0, terms=base + ((1, (0, 2), -0.5),)).check_monotone()
+    model = CnfModel(e0=0.0, terms=base + ((0, (1, 1), -1.0), (0, (0, 3), -2.0),
+                                          (0, (1, 1), 0.5)))
+    with pytest.raises(PreconditionError, match=r"^term -0\.5\*J_2\*J_3 makes K\(0, J\)"):
+        model.check_monotone()
+
+
 # ---------------------------------------------------------------------------
 # effective_lyapunov
 # ---------------------------------------------------------------------------
@@ -219,6 +331,28 @@ def test_cnf_from_obj_list_form_fills_constant():
 def test_cnf_from_obj_list_missing_e0():
     with pytest.raises(ValueError):
         cnf_from_obj([{"i": 1, "j": [0], "c": 0.5}])
+
+
+def test_cnf_from_obj_list_refuses_a_second_e0():
+    # before: the second entry silently replaced the first
+    obj = [{"e0": -2}, {"i": 1, "j": [0], "c": 0.7}, {"i": 0, "j": [1], "c": 1.3}, {"e0": -1}]
+    with pytest.raises(ValueError, match=r"^model list entry 3 is a second \{'e0': \.\.\.\} entry$"):
+        cnf_from_obj(obj)
+    obj[0] = {"e0": None}
+    with pytest.raises(ValueError, match=r"^model list entry 3 is a second \{'e0': \.\.\.\} entry$"):
+        cnf_from_obj(obj)
+    with pytest.raises(ValueError, match="^model key 'e0' must be a finite number, got None$"):
+        cnf_from_obj(obj[:3])
+
+
+def test_cnf_from_obj_and_load_params_refuse_booleans(tmp_path):
+    obj = {"e0": 0.0, "terms": [{"i": 1, "j": [0], "c": True}, {"i": 0, "j": [1], "c": 1.0}]}
+    with pytest.raises(ValueError, match="^model term 0 key 'c' must be a finite number, got True$"):
+        cnf_from_obj(obj)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"eps": True}))
+    with pytest.raises(ValueError, match="parameter 'eps' must be a finite number, got True$"):
+        load_params(str(path))
 
 
 @pytest.mark.parametrize("term, key, got", [
