@@ -4,14 +4,15 @@ On the dividing surface the admissible bath actions form the region
 ``{J >= 0 : K(0, J) <= E}``.  This module computes per-mode maximal actions
 ``J_k_max(E)``, the candidate transverse width ``c_cand = 2 pi min_k J_k_max``,
 the action-space volume by seeded Monte Carlo, and the directional flux
-``phi = (2 pi)^(n-1) V``.
+``phi = (2 pi)^(n-1) V``.  ``energy_scan`` counts its rows' volumes on a
+thread pool of one worker per usable CPU; each row draws from its own seed,
+so the table does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,8 +273,15 @@ def candidate_width(model: CnfModel, e: float) -> WidthReport:
     mode index (ties resolved to the lowest mode)."""
     if not isinstance(model, CnfModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
+    return _width_report(e, _axis_roots(model, [e])[0].tolist())
+
+
+def _axis_roots(model: CnfModel, energies) -> np.ndarray:
+    """Every bath mode's ``J_k_max(E)`` at every energy, one row per energy
+    and one column per mode, from one :func:`j_max_cnf` batch."""
     nb = model.n_bath
-    return _width_report(e, j_max_cnf(model, [e] * nb, range(2, nb + 2)).tolist())
+    modes = np.tile(np.arange(2, nb + 2), len(energies))
+    return j_max_cnf(model, np.repeat(energies, nb), modes).reshape(-1, nb)
 
 
 def _width_report(e: float, j_max) -> WidthReport:
@@ -306,8 +314,7 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     if e == model.e0:
         return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=int(samples),
                           std_error=0.0, seed=int(seed))
-    nb = model.n_bath
-    return _count_volume(model, e, j_max_cnf(model, [e] * nb, range(2, nb + 2)), samples, seed)
+    return _count_volume(model, e, _axis_roots(model, [e])[0], samples, seed)
 
 
 def _count_volume(model: CnfModel, e: float, j_max, samples: int, seed: int) -> FluxReport:
@@ -318,23 +325,23 @@ def _count_volume(model: CnfModel, e: float, j_max, samples: int, seed: int) -> 
     box = np.array(j_max)
     box_volume = float(np.prod(box))
 
-    n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    children = np.random.SeedSequence(seed).spawn((samples + MC_CHUNK - 1) // MC_CHUNK)
     # ``uniform(0.0, box)`` computes ``0.0 + box * u``, which is ``u * box``
-    # bit for bit.  Each chunk is drawn in blocks of MC_BLOCK rows from its one
-    # generator, so the stream is the chunk's; each block is scaled one column
-    # at a time, because ``js *= box`` runs one short inner loop per row.
+    # bit for bit.  Blocks of MC_BLOCK rows are drawn in turn from the
+    # generator of their chunk, opened at the chunk's first block; MC_BLOCK
+    # divides MC_CHUNK, so no block spans two chunks and each chunk's stream
+    # is the one it would give alone.  Each block is scaled one column at a
+    # time, because ``js *= box`` runs one short inner loop per row.
     buf = np.empty((min(MC_BLOCK, samples), nb))
     hits = 0
-    for c, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        size = min(MC_CHUNK, samples - c * MC_CHUNK)
-        for start in range(0, size, MC_BLOCK):
-            js = buf[:min(MC_BLOCK, size - start)]
-            rng.random(out=js)
-            for k in range(nb):
-                js[:, k] *= box[k]
-            hits += kernels.count_box_hits(model, js, e)
+    for start in range(0, samples, MC_BLOCK):
+        if start % MC_CHUNK == 0:
+            rng = np.random.default_rng(children[start // MC_CHUNK])
+        js = buf[:min(MC_BLOCK, samples - start)]
+        rng.random(out=js)
+        for k in range(nb):
+            js[:, k] *= box[k]
+        hits += kernels.count_box_hits(model, js, e)
     p_hat = hits / samples
     volume = box_volume * p_hat
     std_error = box_volume * math.sqrt(p_hat * (1.0 - p_hat) / samples)
@@ -350,46 +357,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _volumes_in_parallel(model: CnfModel, widths, samples: int, seed: int) -> list:
-    """``_count_volume`` of row i (its width's energy and box, seed
-    ``seed + i``) for every row, on the usable CPUs.
-
-    Worker w of W takes rows ``w, w + W, ...``; the calling thread is worker
-    0 and ``W - 1`` threads are the others, all joined before this returns.
-    A worker stops at the first row that raises; once all are joined, the
-    lowest such row's error is raised.  Each row is written by one worker.
-    """
-    n = len(widths)
-    out = [None] * n
-    n_workers = max(1, min(_usable_cpus(), n))
-
-    def work(first: int) -> None:
-        for i in range(first, n, n_workers):
-            width = widths[i]
-            try:
-                out[i] = _count_volume(model, width.e, width.j_max, samples, seed + i)
-            except Exception as exc:
-                out[i] = exc
-                return
-
-    threads = []
-    try:
-        for w in range(1, n_workers):
-            thread = threading.Thread(target=work, args=(w,))
-            thread.start()
-            threads.append(thread)
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    # every row below the lowest failed one holds its report, so that row's
-    # error is the first one met
-    for flux in out:
-        if isinstance(flux, Exception):
-            raise flux
-    return out
-
-
 def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
                 samples: int, seed: int) -> ExperimentReport:
     """Width and flux table over a uniform energy grid.
@@ -399,10 +366,12 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     checked first (``steps``, the energy range, ``samples``, then the model
     as :func:`action_volume_mc` checks it); then every root ``J_k_max(E)`` is
     solved once, all in one batch that raises the error of the lowest failed
-    root; then the rows' volumes are counted over the widths' roots as boxes,
-    in parallel, one worker thread per usable CPU (``os.sched_getaffinity``)
-    up to the number of rows.  The output does not depend on how many CPUs
-    there are.
+    root; then the rows' volumes are counted over the widths' roots as boxes
+    on a thread pool of one worker per usable CPU (``os.sched_getaffinity``),
+    up to the number of rows.  The pool takes the rows in order and returns
+    them in order, so when rows fail the lowest failed row's error is
+    raised, after every worker is joined.  The output does not depend on how
+    many CPUs there are.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -418,10 +387,15 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
         + [f"J_max_{k}" for k in range(2, nb + 2)]
         + ["c_cand", "limiting_mode", "V", "phi", "std_error", "seed"]
     )
-    roots = j_max_cnf(model, np.repeat(energies, nb), np.tile(np.arange(2, nb + 2), steps))
-    widths = [_width_report(e, roots[i * nb:(i + 1) * nb].tolist())
-              for i, e in enumerate(energies.tolist())]
-    fluxes = _volumes_in_parallel(model, widths, samples, seed)
+    widths = [_width_report(e, j_max.tolist())
+              for e, j_max in zip(energies.tolist(), _axis_roots(model, energies))]
+    # imported here, as random_symplectic imports scipy: only widths needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), steps)) as pool:
+        fluxes = list(pool.map(
+            lambda i: _count_volume(model, widths[i].e, widths[i].j_max, samples, seed + i),
+            range(steps)))
     rows = [(width.e, *width.j_max, width.c_cand, width.limiting_mode,
              flux.volume, flux.flux, flux.std_error, seed + i)
             for i, (width, flux) in enumerate(zip(widths, fluxes))]

@@ -332,6 +332,8 @@ def cmd_exp2(args, cfg) -> int:
 
 
 def cmd_sample(args, cfg) -> int:
+    if cfg["kind"] == "A" and cfg["xi"] != 0:
+        raise ValueError(f"xi = {cfg['xi']!r} needs kind B: kind A draws with xi = 0")
     model, spec = _ensemble(cfg, xi=cfg["xi"])
     ens = ensembles.sample_ensemble(model, spec, cfg["kind"])
     nb = model.n_bath

@@ -112,6 +112,14 @@ def _check_grid(tau_grid) -> np.ndarray:
     return taus
 
 
+def _check_radius(r: float) -> None:
+    """Refuse a radius that is not positive or whose ``pi r^2`` is not finite."""
+    if r <= 0:
+        raise ValueError(f"radius must be > 0, got {r}")
+    if not math.isfinite(math.pi * r * r):
+        raise ValueError(f"radius {r} gives pi r^2 = {math.pi * r * r}, not a finite number")
+
+
 def _shadow_factors(model: CnfModel, s_mix, taus: np.ndarray) -> np.ndarray:
     """Area factors ``g(tau) = A(tau) / (pi r^2)`` over a whole tau grid.
 
@@ -168,8 +176,7 @@ def min_projection_area(model: CnfModel, r: float, s_mix, tau_grid) -> Projectio
     selects the (Q_1, P_1) rows; a grid of one point gives one area.
     """
     taus = _check_grid(tau_grid)
-    if r <= 0:
-        raise ValueError(f"radius must be > 0, got {r}")
+    _check_radius(r)
     return _curve(r, taus, _shadow_factors(model, s_mix, taus))
 
 
@@ -180,8 +187,7 @@ def evolved_shape_matrix(model: CnfModel, r: float, s_mix, tau: float) -> np.nda
     ``{z : z^T M z <= 1}``; its capacity (``linalg.ellipsoid_capacity``)
     stays ``pi r^2``.
     """
-    if r <= 0:
-        raise ValueError(f"radius must be > 0, got {r}")
+    _check_radius(r)
     s_mix = _check_mixer(model, s_mix)
     t = stm(model, -tau) @ s_mix
     m = np.linalg.inv(r * r * (t @ t.T))
@@ -210,8 +216,8 @@ def radius_scan_curves(model: CnfModel, radii, s_mix_seed: int, tau_grid=None,
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("need at least one radius")
-    if any(r <= 0 for r in radii):
-        raise ValueError(f"radii must be positive, got {radii}")
+    for r in radii:
+        _check_radius(r)
     if tau_grid is None:
         tau_grid = default_tau_grid(model)
     s_mix = random_symplectic(model.n_dof, sigma, s_mix_seed)

@@ -10,7 +10,11 @@ from .tables import FLOAT_FMT
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Read a real matrix from a ``.csv`` or ``.json`` file (by extension)."""
+    """Read a real matrix from a ``.csv`` or ``.json`` file (by extension).
+
+    Raises ValueError, naming the path, when the file does not hold a 2-D
+    matrix or when an entry is NaN or infinite (the first such ``[row, col]``,
+    counted from 0)."""
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
@@ -19,6 +23,10 @@ def load_matrix(path: str) -> np.ndarray:
         m = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
     if m.ndim != 2:
         raise ValueError(f"{path} does not contain a 2-D matrix")
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: entry [{i}, {j}] is {float(m[i, j])}, not a finite number")
     return m
 
 

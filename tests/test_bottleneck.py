@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import re
@@ -701,14 +702,22 @@ def record_mc_threads(monkeypatch, fail=(), slow=()):
 
 @pytest.mark.parametrize("cpus", [1, 2, 4, 16])
 def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
-    # each row equals candidate_width plus action_volume_mc bit for bit, with
-    # one worker per usable CPU up to the row count; the caller is one of
-    # them, and every other worker thread is joined on return
+    # each row equals candidate_width plus action_volume_mc bit for bit, on a
+    # pool of one worker per usable CPU up to the row count; the caller runs
+    # no row, and every worker thread is joined on return
     model = builtin_cnf(3)
     steps, samples, seed = 5, 2 * MC_CHUNK + 77, 11
     expected = rows_one_by_one(model, np.linspace(0.05, 1.0, steps), samples, seed)
     usable_cpus(monkeypatch, cpus)
     calls = record_mc_threads(monkeypatch)
+    pools = []
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
     before = threading.active_count()
     # switch threads often, so the workers interleave finely
     interval = sys.getswitchinterval()
@@ -720,12 +729,11 @@ def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
     assert threading.active_count() == before
     assert report.rows == expected
     assert sorted(s for s, _ in calls) == [seed + i for i in range(steps)]
-    # worker w takes rows w, w + W, ...; the caller is worker 0
-    thread_of = dict(calls)
     workers = min(cpus, steps)
-    assert len(set(thread_of.values())) == workers
-    assert thread_of[seed] == threading.current_thread().name
-    assert all(thread_of[seed + i] == thread_of[seed + i % workers] for i in range(steps))
+    assert pools == [workers]
+    threads = {name for _, name in calls}
+    assert len(threads) <= workers
+    assert threading.current_thread().name not in threads
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

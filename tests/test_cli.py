@@ -94,6 +94,22 @@ def test_capacity_io_errors_exit_two(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("name,text", [
+    ("nan.csv", "1,0\n0,nan\n"), ("inf.csv", "1,0\n-inf,1\n"),
+    ("nan.json", "[[1, NaN], [0, 1]]"), ("inf.json", "[[1, 0], [0, Infinity]]"),
+])
+def test_capacity_non_finite_matrix_exit_two(tmp_path, capsys, name, text):
+    # before: numpy's "Array must not contain infs or NaNs", after a
+    # RuntimeWarning for inf, without the file's name
+    path = tmp_path / name
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "capacity", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: entry [") and err.endswith("not a finite number\n")
+
+
 def test_no_subcommand_exits_two(capsys):
     assert main([]) == 2
 
@@ -385,6 +401,13 @@ def test_exp1_empty_radii_exit_two(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_exp1_radius_with_infinite_area_exit_two(capsys):
+    # before: exit 0 with min_area and pi_r2 written as inf
+    code, out, err = run_cli(capsys, "exp1", "--radii", "0.1,1e200", "--tau-points", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: radius 1e+200 gives pi r^2 = inf, not a finite number\n"
+
+
 def test_exp1_byte_deterministic(tmp_path, capsys):
     paths = [str(tmp_path / f"run{i}.csv") for i in (0, 1)]
     for p in paths:
@@ -491,6 +514,17 @@ def test_sample_columns_2dof(capsys):
     assert len(rows) == 20
     for row in rows:
         assert float(row[0]) < 0.0 < float(row[1])
+
+
+def test_sample_kind_a_refuses_xi(tmp_path, capsys):
+    # before: kind A drew with xi = 0 but the metadata said "xi": 0.4 (exit 0)
+    msg = "error: xi = 0.4 needs kind B: kind A draws with xi = 0\n"
+    assert run_cli(capsys, "sample", "--n", "5", "--kind", "A", "--xi", "0.4") == (2, "", msg)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "A", "xi": 0.4}))
+    assert run_cli(capsys, "sample", "--n", "5", "--config", str(cfg)) == (2, "", msg)
+    code, out, _ = run_cli(capsys, "sample", "--n", "5", "--kind", "A", "--xi", "0")
+    assert code == 0 and parse_csv(out)[0]["xi"] == 0.0
 
 
 def test_sample_columns_3dof(capsys):
@@ -1086,44 +1120,53 @@ def assert_capacity_pi(out):
 
 
 # Runs in a fresh interpreter: import sympb and its CLI, make calls, then
-# print the scipy modules loaded so far.
-SCIPY_PROBE = """
+# print the names of all modules loaded so far.
+MODULE_PROBE = """
 import contextlib, io, json, sys
 import sympb, sympb.cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = sympb.cli.main(argv)
     assert code == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def scipy_modules_after(tmp_path, calls):
+def modules_after(tmp_path, calls):
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)],
+        [sys.executable, "-c", MODULE_PROBE, json.dumps(calls)],
         capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
+def package(modules, name):
+    return [m for m in modules if m == name or m.startswith(name + ".")]
+
+
 def test_import_and_diagnostics_load_no_scipy(tmp_path):
+    # nor concurrent.futures, which only widths' thread pool needs; exp1 is
+    # left out because scipy.linalg itself imports concurrent.futures
     path = write_matrix(tmp_path, "m.csv", np.eye(4))
+    widths = ["widths", "--builtin", "eckart-morse-morse-3dof", "--e-min", "0", "--e-max", "1",
+              "--steps", "3", "--samples", "500"]
     calls = [
         ["capacity", path],
-        ["widths", "--builtin", "eckart-morse-morse-3dof", "--e-min", "0", "--e-max", "1",
-         "--steps", "3", "--samples", "500"],
         ["exp2", "--n", "50", "--xis", "0,0.5"],
         ["sample", "--n", "20", "--kind", "B", "--xi", "0.5"],
         ["integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "0.01", "--t-final", "0.5"],
     ]
-    assert scipy_modules_after(tmp_path, []) == []
-    assert scipy_modules_after(tmp_path, calls) == []
+    for modules in (modules_after(tmp_path, []), modules_after(tmp_path, calls)):
+        assert package(modules, "scipy") == [] and package(modules, "concurrent") == []
+    modules = modules_after(tmp_path, [widths])
+    assert package(modules, "scipy") == [] and "concurrent.futures" in modules
 
 
 def test_exp1_loads_scipy_linalg(tmp_path):
     calls = [["exp1", "--radii", "0.1", "--tau-points", "10"]]
-    assert "scipy.linalg" in scipy_modules_after(tmp_path, calls)
+    assert "scipy.linalg" in modules_after(tmp_path, calls)
+
 
 def test_console_script_smoke(tmp_path):
     # Runs the declared entry point the way its installed launcher does, in a

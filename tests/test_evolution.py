@@ -239,6 +239,16 @@ def test_radius_scan_validation():
         radius_scan_curves(MODEL, [0.1, -0.2], s_mix_seed=0)[0]
 
 
+def test_radius_with_infinite_area_is_refused():
+    # pi r^2 overflows for r above about 7.6e153
+    for r in (1e200, 1e154, math.inf, math.nan):
+        with pytest.raises(ValueError, match="pi r\\^2"):
+            radius_scan_curves(MODEL, [0.1, r], s_mix_seed=0)
+        with pytest.raises(ValueError, match="pi r\\^2"):
+            min_projection_area(MODEL, r, np.eye(6), [0.0])
+    assert min_projection_area(MODEL, 1e153, np.eye(6), [0.0]).gromov_scale < math.inf
+
+
 # ---------------------------------------------------------------------------
 # batched shadow areas against the per-tau oracle
 # ---------------------------------------------------------------------------

@@ -162,3 +162,17 @@ def test_matrix_json_rejects_ragged(tmp_path):
     path.write_text("[[1.0, 2.0], [3.0]]\n")
     with pytest.raises(ValueError):
         load_matrix(str(path))
+
+
+@pytest.mark.parametrize("name,text,entry", [
+    ("nan.csv", "1,2\n3,nan\n", "[1, 1] is nan"),
+    ("inf.csv", "1,inf\n-inf,4\n", "[0, 1] is inf"),
+    ("nan.json", "[[NaN, 2], [3, 4]]", "[0, 0] is nan"),
+    ("inf.json", "[[1, 2], [-Infinity, 4]]", "[1, 0] is -inf"),
+])
+def test_matrix_rejects_non_finite_entries(tmp_path, name, text, entry):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_matrix(str(path))
+    assert str(info.value) == f"{path}: entry {entry}, not a finite number"
