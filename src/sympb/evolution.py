@@ -23,6 +23,7 @@ it, and the tau-independent value stands in everywhere else.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +114,18 @@ def _check_grid(tau_grid) -> np.ndarray:
 
 
 def _check_radius(r: float) -> None:
-    """Refuse a radius that is not positive or whose ``pi r^2`` is not finite."""
+    """Refuse a radius that is not positive, whose ``pi r^2`` is not finite,
+    or whose ``r^2`` is below the smallest normal float (there the areas
+    round to 0 and the shape matrix ``1 / r^2`` is inf or singular)."""
     if r <= 0:
         raise ValueError(f"radius must be > 0, got {r}")
     if not math.isfinite(math.pi * r * r):
         raise ValueError(f"radius {r} gives pi r^2 = {math.pi * r * r}, not a finite number")
+    if r * r < sys.float_info.min:
+        raise ValueError(
+            f"radius {r} gives r^2 = {r * r}, below the smallest normal float "
+            f"{sys.float_info.min}"
+        )
 
 
 def _shadow_factors(model: CnfModel, s_mix, taus: np.ndarray) -> np.ndarray:

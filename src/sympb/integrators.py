@@ -30,8 +30,8 @@ __all__ = [
 # Largest record arrays (states of the trajectory and of its displaced rows at
 # every monitored step) that integrate allocates: 1 GiB.
 MAX_RECORD_BYTES = 2**30
-# Largest number of Verlet steps that integrate runs: about an hour at 45 us
-# per batched step (2 shared vCPU).
+# Largest number of Verlet steps that integrate runs: about half an hour at
+# 20 us per batched step of 13 rows (2 shared vCPU).
 MAX_STEPS = 10**8
 
 

@@ -424,8 +424,9 @@ def _expit(s):
     """Logistic ``1 / (1 + exp(-s))``, elementwise, with ``exp`` overflow
     read as ``inf``.
 
-    Kept apart from :func:`_logistic`: its ``ex / (1 + ex)`` branch for
-    ``s < 0`` differs in the last bit, which would change trajectory bytes.
+    Kept apart from the logistic inside :func:`grad_potential`: its
+    ``ex / (1 + ex)`` branch for ``s < 0`` differs in the last bit, which
+    would change trajectory bytes.
     """
     out = []
     for x in np.ravel(s).tolist():
@@ -458,29 +459,31 @@ def potential(p: EckartMorseParams, q):
     return _value(v)
 
 
-def _logistic(s):
-    """Stable logistic ``1 / (1 + exp(-s))``, elementwise.
-
-    Uses ``math.exp`` one element at a time: ``np.exp`` differs from it in
-    the last bit for some arguments, which would change trajectory bytes.
-    """
-    out = []
-    for x in np.ravel(s).tolist():
-        if x >= 0.0:
-            out.append(1.0 / (1.0 + math.exp(-x)))
-        else:
-            ex = math.exp(x)
-            out.append(ex / (1.0 + ex))
-    return np.reshape(out, np.shape(s))
-
-
 def grad_potential(p: EckartMorseParams, q) -> np.ndarray:
     """Analytic gradient of :func:`potential` for configurations of shape
-    ``(..., d)``; each row gives the same values as on its own."""
+    ``(..., d)``, C-ordered; each row gives the same values as on its own.
+
+    The reactive column is one pass over Python floats.  Its logistic uses
+    ``math.exp``: ``np.exp`` differs from it in the last bit for some
+    arguments, which would change trajectory bytes.  The Verlet loop's
+    batches hold at most 1 + 4d rows, where numpy's per-call dispatch would
+    cost more than this arithmetic.
+    """
     q = np.asarray(q, dtype=float)
-    g = np.empty_like(q)
-    u = _logistic((q[..., 0] + p.x0) / p.a)
-    g[..., 0] = u * (1.0 - u) * (p.A + p.B * (1.0 - 2.0 * u)) / p.a
+    # C order whatever the input's layout, so the reshape below is a view
+    g = np.empty(q.shape)
+    big_a, big_b, a, x0 = p.A, p.B, p.a, p.x0
+    exp = math.exp
+    col = []
+    for x in q[..., 0].ravel().tolist():
+        s = (x + x0) / a
+        if s >= 0.0:
+            u = 1.0 / (1.0 + exp(-s))
+        else:
+            ex = exp(s)
+            u = ex / (1.0 + ex)
+        col.append(u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a)
+    g.reshape(-1, q.shape[-1])[:, 0] = col
     e = np.exp(-p.aM * q[..., 1:])
     g[..., 1:] = 2.0 * p.De * p.aM * (e - e * e)
     return g
@@ -499,7 +502,7 @@ def velocities(p: EckartMorseParams, mom) -> np.ndarray:
     """dq/dt = dH/dp for momenta of shape ``(..., d)``, with the momentum
     coupling included."""
     mom = np.asarray(mom, dtype=float)
-    s = np.sum(mom, axis=-1, keepdims=True)
+    s = mom.sum(axis=-1, keepdims=True)
     return mom / p.m + p.eps * (s - mom)
 
 

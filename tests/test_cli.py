@@ -408,6 +408,16 @@ def test_exp1_radius_with_infinite_area_exit_two(capsys):
     assert err == "error: radius 1e+200 gives pi r^2 = inf, not a finite number\n"
 
 
+def test_exp1_radius_with_underflowing_square_exit_two(capsys):
+    # before: exit 0 with min_area and pi_r2 written as 0
+    code, out, err = run_cli(capsys, "exp1", "--radii", "1e-170", "--tau-points", "3")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: radius 1e-170 gives r^2 = 0.0, below the smallest normal float "
+        "2.2250738585072014e-308\n"
+    )
+
+
 def test_exp1_byte_deterministic(tmp_path, capsys):
     paths = [str(tmp_path / f"run{i}.csv") for i in (0, 1)]
     for p in paths:

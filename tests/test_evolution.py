@@ -249,6 +249,31 @@ def test_radius_with_infinite_area_is_refused():
     assert min_projection_area(MODEL, 1e153, np.eye(6), [0.0]).gromov_scale < math.inf
 
 
+def test_radius_with_underflowing_square_is_refused_by_the_scan():
+    # before: min_area and pi_r2 written as 0
+    with pytest.raises(ValueError, match=r"radius 1e-170 gives r\^2 = 0\.0, below"):
+        radius_scan_curves(MODEL, [0.1, 1e-170], s_mix_seed=0)
+    with pytest.raises(ValueError, match=r"radius 1e-170 gives r\^2 = 0\.0, below"):
+        min_projection_area(MODEL, 1e-170, np.eye(6), [0.0])
+
+
+def test_radius_with_zero_square_is_refused_by_the_shape_matrix():
+    # before: numpy's LinAlgError "Singular matrix"
+    with pytest.raises(ValueError, match=r"radius 1e-200 gives r\^2 = 0\.0, below"):
+        evolved_shape_matrix(builtin_cnf(2), 1e-200, np.eye(4), 0.0)
+
+
+def test_radius_with_subnormal_square_is_refused_by_the_shape_matrix():
+    # before: a matrix of NaN and inf, returned without an error
+    r2 = 1e-160 * 1e-160
+    assert 0.0 < r2 < np.finfo(float).tiny
+    with pytest.raises(ValueError, match=rf"radius 1e-160 gives r\^2 = {r2!r}, below"):
+        evolved_shape_matrix(builtin_cnf(2), 1e-160, np.eye(4), 0.0)
+    # the smallest radius whose square is normal still gives a finite matrix
+    r = math.sqrt(np.finfo(float).tiny) * (1 + 1e-15)
+    assert np.isfinite(evolved_shape_matrix(builtin_cnf(2), r, np.eye(4), 0.0)).all()
+
+
 # ---------------------------------------------------------------------------
 # batched shadow areas against the per-tau oracle
 # ---------------------------------------------------------------------------
