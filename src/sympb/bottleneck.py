@@ -44,8 +44,9 @@ BRENT_MAXITER = 100
 # Per-element outcomes of the batched root solver.
 _OK, _BELOW, _NO_BRACKET, _SAME_SIGN, _NAN, _MAXITER = range(6)
 
-# Monte-Carlo chunk size; chunk i draws from substream i of the seed, so the
-# totals do not depend on how chunks would be scheduled across workers.
+# Monte-Carlo chunk size: chunk i of a row's samples draws from substream i
+# of the row's seed, so MC_CHUNK and the seed fix the drawn bytes.  energy_scan
+# runs whole rows in parallel; each row draws its chunks in order.
 MC_CHUNK = 1 << 16
 # Rows drawn and counted at once: half a chunk keeps each worker's buffers
 # small when energy_scan runs its rows in parallel.
@@ -389,7 +390,8 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     )
     widths = [_width_report(e, j_max.tolist())
               for e, j_max in zip(energies.tolist(), _axis_roots(model, energies))]
-    # imported here, as random_symplectic imports scipy: only widths needs it
+    # imported here, as random_symplectic imports scipy.linalg: only widths
+    # needs the thread pool, so no other command loads concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), steps)) as pool:

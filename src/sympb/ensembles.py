@@ -68,6 +68,10 @@ class EnsembleSpec:
             raise ValueError(f"delta_e must be >= 0, got {self.delta_e}")
         if not self.q1_range > Q1_DELTA:
             raise ValueError(f"q1_range must be > {Q1_DELTA}, got {self.q1_range}")
+        # P_1 = sqrt(Q_1^2 + 2 I') needs a finite Q_1^2
+        if not math.isfinite(self.q1_range * self.q1_range):
+            raise ValueError(f"q1_range {self.q1_range} gives q1_range^2 = "
+                             f"{self.q1_range * self.q1_range}, not a finite number")
 
 
 @dataclass(frozen=True, eq=False)

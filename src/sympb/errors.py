@@ -5,6 +5,21 @@ command line layer can map it to a single exit code, distinct from I/O and
 usage failures.
 """
 
+__all__ = [
+    "SympbError",
+    "DimensionError",
+    "SymmetryError",
+    "DefinitenessError",
+    "SpectrumError",
+    "BelowSaddleError",
+    "RootBracketError",
+    "LyapunovSignError",
+    "SamplingError",
+    "ConvergenceError",
+    "PreconditionError",
+    "DivergenceError",
+]
+
 
 class SympbError(Exception):
     """Base class for numerical-domain errors raised by this package."""

@@ -139,23 +139,22 @@ def _shadow_factors(model: CnfModel, s_mix, taus: np.ndarray) -> np.ndarray:
     ``cosh^4``; where ``c00*c11`` is more than ``CANCEL_LIMIT`` times it
     (more than five of its sixteen digits cancelled, or a negative or NaN
     result) it is replaced by ``det(P S S^T P^T)``, its exact value since
-    ``det B = 1``.  A ``cosh`` that overflows raises PreconditionError.
+    ``det B = 1``.  A ``cosh`` that overflows gives an infinite block, whose
+    NaN determinant takes that value too.
     """
     s_mix = _check_mixer(model, s_mix)
     n = model.n_dof
     blocks = []
-    for tau, lt in zip(taus.tolist(), (model.lam * -taus).tolist()):
+    for lt in (model.lam * -taus).tolist():
         try:
             c, s = math.cosh(lt), math.sinh(lt)
-        except OverflowError as exc:
-            raise PreconditionError(
-                f"cosh(lambda * tau) overflows at tau = {tau!r}; shorten the tau grid"
-            ) from exc
+        except OverflowError:
+            c, s = math.inf, -math.inf
         blocks.append(((c, s), (s, c)))
     rows = s_mix[[0, n], :]
-    g = np.array(blocks, dtype=float).reshape(-1, 2, 2) @ rows
     # Overflowed or NaN entries fail the CANCEL_LIMIT test and take det0.
     with np.errstate(over="ignore", invalid="ignore"):
+        g = np.array(blocks, dtype=float).reshape(-1, 2, 2) @ rows
         gram = g @ g.transpose(0, 2, 1)
         det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
         kept = det * CANCEL_LIMIT >= gram[:, 0, 0] * gram[:, 1, 1]

@@ -8,6 +8,8 @@ import numpy as np
 
 from .tables import FLOAT_FMT
 
+__all__ = ["load_matrix", "save_matrix"]
+
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a real matrix from a ``.csv`` or ``.json`` file (by extension).

@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+__all__ = ["ExperimentReport"]
+
 FLOAT_FMT = "%.17g"
 
 

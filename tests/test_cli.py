@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -294,6 +295,14 @@ def test_q1_range_not_above_q1_delta_exit_two(capsys, cmd):
     assert (code, out, err) == (2, "", "error: q1_range must be > 1e-09, got 1e-12\n")
 
 
+@pytest.mark.parametrize("cmd", ["sample", "exp2"])
+def test_q1_range_with_overflowing_square_exit_two(capsys, cmd):
+    # before: exit 0 with an overflow warning, p1 = inf and every point transmitted
+    code, out, err = run_cli(capsys, cmd, *BASE_ARGV[cmd], "--q1-range", "1e300")
+    assert (code, out) == (2, "")
+    assert err == "error: q1_range 1e+300 gives q1_range^2 = inf, not a finite number\n"
+
+
 def test_builtin_flag_beats_config_model(tmp_path, monkeypatch, capsys):
     model = tmp_path / "m.json"
     model.write_text(json.dumps({"e0": -0.5, "terms": [
@@ -384,16 +393,38 @@ def test_exp1_scan_row_properties(capsys):
         assert min_area >= pi_r2 - 1e-9
 
 
-def test_exp1_cosh_overflow_exit_one(tmp_path):
-    # run as a process, so that an uncaught exception would show its traceback
+def test_exp1_cosh_overflow_takes_the_exact_area(tmp_path):
+    # before: exit 1 with "cosh(lambda * tau) overflows at tau = ..."; run as
+    # a process, with warnings as errors, so that a numpy warning or an
+    # uncaught exception would show on stderr
+    argv = ["exp1", "--dof", "2", "--seed", "9", "--tau-max", "2000", "--tau-points", "70"]
     proc = subprocess.run(
-        [sys.executable, "-m", "sympb", "exp1", "--dof", "2", "--seed", "9",
-         "--tau-max", "2000", "--tau-points", "70"],
+        [sys.executable, "-W", "error", "-m", "sympb", *argv],
         capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=120,
     )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "error: cosh(lambda * tau) overflows at tau = " in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
+    prefix = str(tmp_path / "c")
+    assert main([*argv, "-o", str(tmp_path / "exp1.csv"), "--curves-out", prefix]) == 0
+    assert parse_csv((tmp_path / "exp1.csv").read_text())[2] == parse_csv(proc.stdout)[2]
+    model = sympb.builtin_cnf(2)
+    rows = sympb.random_symplectic(2, 0.5, 9)[[0, 2], :]
+    with mpmath.workdps(50):
+        m = mpmath.matrix(rows.tolist())
+        factor = mpmath.sqrt(mpmath.det(m * m.T))
+    radii = [float(r[0]) for r in parse_csv(proc.stdout)[2]]
+    overflowed = 0
+    for i, r in enumerate(radii):
+        with mpmath.workdps(50):
+            want = float(mpmath.pi * mpmath.mpf(r) ** 2 * factor)
+        _, _, curve = parse_csv(Path(f"{prefix}_r{i}.csv").read_text())
+        for tau, area in ((float(t), float(a)) for t, a in curve):
+            try:
+                math.cosh(model.lam * tau)
+                continue
+            except OverflowError:
+                overflowed += 1
+            assert abs(area - want) <= 2 * math.ulp(want)
+    assert overflowed > 0
 
 
 def test_exp1_empty_radii_exit_two(capsys):

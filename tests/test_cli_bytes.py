@@ -51,6 +51,11 @@ CASES = {
         ["exp1", "--dof", "3", "--tau-max", "600"],
         "37dbec20223ca9e329587d243c476ee985d448792cdce1c5bba983189e07c369",
     ),
+    # cosh itself overflows from tau = 968.28..., and those taus take det0 too
+    "exp1_dof3_tau_max_1000": (
+        ["exp1", "--dof", "3", "--tau-max", "1000"],
+        "73b7d1ece5ccc53f966b5b4e17852459c3b5bcd127b93375833f7097e4491ae5",
+    ),
     "capacity_stdout": (
         ["capacity", "m.csv"],
         "1589d04e922734f9e4eedc26817cd45e56934480811addfa6a464d010a1eca64",

@@ -68,6 +68,11 @@ def test_spec_validation():
     for q1_range in (1e-9, 1e-12, math.nan):
         with pytest.raises(ValueError, match=r"^q1_range must be > 1e-09, got "):
             make_spec(q1_range=q1_range)
+    # P_1 = sqrt(Q_1^2 + 2 I') would be inf, and every point would transmit
+    for q1_range in (math.inf, 1e160):
+        with pytest.raises(ValueError, match=re.escape(f"q1_range {q1_range} gives q1_range^2 = inf,")):
+            make_spec(q1_range=q1_range)
+    assert make_spec(q1_range=1e150).q1_range == 1e150
 
 
 def test_initial_condition_half_space():

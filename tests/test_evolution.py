@@ -411,10 +411,20 @@ def exact_shadow_factor(model, s_mix, tau):
         return float(mpmath.sqrt(mpmath.det(g * g.T)))
 
 
+def exact_far_area(model, r, s_mix):
+    """``pi r^2 sqrt(det(P S S^T P^T))`` in 50-digit mpmath: the exact area at
+    every tau, since the saddle block has determinant 1."""
+    n = model.n_dof
+    with mpmath.workdps(50):
+        rows = mpmath.matrix([[float(v) for v in s_mix[0]], [float(v) for v in s_mix[n]]])
+        return float(mpmath.pi * mpmath.mpf(r) ** 2 * mpmath.sqrt(mpmath.det(rows * rows.T)))
+
+
 def test_far_tau_grid_matches_the_exact_factor():
     # far out on the grid cosh^4 swamps the unit determinant of the saddle
     # block; every area still matches the exact per-tau factor and stays at
-    # or above the ball area, until cosh itself overflows
+    # or above the ball area, and where cosh itself overflows the area is the
+    # exact tau-independent one
     s = random_symplectic(3, 0.5, 9)
     grid = np.linspace(0.0, 40.0, 700)
     curve = min_projection_area(MODEL, 1.0, s, grid)
@@ -423,11 +433,15 @@ def test_far_tau_grid_matches_the_exact_factor():
         want = math.pi * exact_shadow_factor(MODEL, s, float(tau))
         assert abs(area - want) <= 1e-10 * want
     assert curve.min_area >= math.pi
-    with pytest.raises(PreconditionError, match=r"overflows at tau = 2000\.0"):
-        min_projection_area(MODEL, 1.0, s, np.append(grid, 2000.0))
-    with pytest.raises(PreconditionError, match=r"overflows at tau = 2000\.0") as info:
-        min_projection_area(MODEL, 1.0, np.eye(6), np.array([0.0, 2000.0]))
-    assert isinstance(info.value.__cause__, OverflowError)
+    with pytest.raises(OverflowError):
+        math.cosh(MODEL.lam * 2000.0)
+    far = min_projection_area(MODEL, 1.0, s, np.append(grid, 2000.0))
+    assert np.array_equal(far.areas[:-1], curve.areas)
+    want = exact_far_area(MODEL, 1.0, s)
+    assert abs(far.areas[-1] - want) <= 2 * math.ulp(want)
+    assert far.min_area == curve.min_area
+    eye = min_projection_area(MODEL, 1.0, np.eye(6), np.array([0.0, 2000.0]))
+    assert eye.areas.tolist() == [math.pi, math.pi]
 
 
 def test_exp1_checks_and_draws_the_mixer_once(tmp_path, monkeypatch, capsys):
