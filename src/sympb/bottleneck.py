@@ -269,31 +269,30 @@ def _brent(f, xa, xb, fa, fb):
     return x, status
 
 
-def candidate_width(model: CnfModel, e: float) -> WidthReport:
+def candidate_width(model: CnfModel, e):
     """Candidate transverse width ``2 pi min_k J_k_max(e)`` with the limiting
-    mode index (ties resolved to the lowest mode)."""
+    mode index (ties resolved to the lowest mode).
+
+    ``e`` is one energy, giving a WidthReport, or a 1-d array, giving one
+    report per energy; every mode's root at every energy comes from one
+    :func:`j_max_cnf` batch, which raises the lowest-index failure.  Raises
+    TypeError for a model that is not a CnfModel and DimensionError, naming
+    the shape, for an energy array of 2 or more dimensions.
+    """
     if not isinstance(model, CnfModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    return _width_report(e, _axis_roots(model, [e])[0].tolist())
-
-
-def _axis_roots(model: CnfModel, energies) -> np.ndarray:
-    """Every bath mode's ``J_k_max(E)`` at every energy, one row per energy
-    and one column per mode, from one :func:`j_max_cnf` batch."""
+    energies = np.array(e, dtype=float)
+    if energies.ndim > 1:
+        raise DimensionError(f"expected one energy or a 1-d array, got shape {energies.shape}")
     nb = model.n_bath
-    modes = np.tile(np.arange(2, nb + 2), len(energies))
-    return j_max_cnf(model, np.repeat(energies, nb), modes).reshape(-1, nb)
-
-
-def _width_report(e: float, j_max) -> WidthReport:
-    j_max = tuple(j_max)
-    arg = int(np.argmin(j_max))
-    return WidthReport(
-        e=float(e),
-        j_max=j_max,
-        c_cand=2.0 * math.pi * j_max[arg],
-        limiting_mode=2 + arg,
-    )
+    modes = np.tile(np.arange(2, nb + 2), energies.size)
+    roots = j_max_cnf(model, np.repeat(energies, nb), modes).reshape(-1, nb)
+    reports = []
+    for en, j_max in zip(energies.ravel().tolist(), roots.tolist()):
+        arg = int(np.argmin(j_max))
+        reports.append(WidthReport(e=en, j_max=tuple(j_max), c_cand=2.0 * math.pi * j_max[arg],
+                                   limiting_mode=2 + arg))
+    return reports[0] if energies.ndim == 0 else reports
 
 
 def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> FluxReport:
@@ -315,7 +314,7 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     if e == model.e0:
         return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=int(samples),
                           std_error=0.0, seed=int(seed))
-    return _count_volume(model, e, _axis_roots(model, [e])[0], samples, seed)
+    return _count_volume(model, e, candidate_width(model, e).j_max, samples, seed)
 
 
 def _count_volume(model: CnfModel, e: float, j_max, samples: int, seed: int) -> FluxReport:
@@ -388,8 +387,7 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
         + [f"J_max_{k}" for k in range(2, nb + 2)]
         + ["c_cand", "limiting_mode", "V", "phi", "std_error", "seed"]
     )
-    widths = [_width_report(e, j_max.tolist())
-              for e, j_max in zip(energies.tolist(), _axis_roots(model, energies))]
+    widths = candidate_width(model, energies)
     # imported here, as random_symplectic imports scipy.linalg: only widths
     # needs the thread pool, so no other command loads concurrent.futures
     from concurrent.futures import ThreadPoolExecutor

@@ -306,7 +306,7 @@ def cmd_exp1(args, cfg) -> int:
     return 0
 
 
-def _ensemble(cfg, **spec_fields):
+def _ensemble(cfg):
     """The model and ensemble spec shared by exp2 and sample."""
     model = _load_cnf(cfg)
     delta_e = cfg["delta_e"]
@@ -314,7 +314,7 @@ def _ensemble(cfg, **spec_fields):
         delta_e = ensembles.default_delta_e(model, cfg["e_center"])
     spec = ensembles.EnsembleSpec(n_traj=cfg["n"], e_center=cfg["e_center"],
                                   delta_e=float(delta_e), seed=cfg["seed"],
-                                  q1_range=cfg["q1_range"], **spec_fields)
+                                  q1_range=cfg["q1_range"])
     return model, spec
 
 
@@ -334,8 +334,8 @@ def cmd_exp2(args, cfg) -> int:
 def cmd_sample(args, cfg) -> int:
     if cfg["kind"] == "A" and cfg["xi"] != 0:
         raise ValueError(f"xi = {cfg['xi']!r} needs kind B: kind A draws with xi = 0")
-    model, spec = _ensemble(cfg, xi=cfg["xi"])
-    ens = ensembles.sample_ensemble(model, spec, cfg["kind"])
+    model, spec = _ensemble(cfg)
+    ens = ensembles.sample_ensemble(model, spec, cfg["xi"] if cfg["kind"] == "B" else 0.0)
     nb = model.n_bath
     columns = (
         ["q1", "p1"]

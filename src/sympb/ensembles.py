@@ -1,8 +1,10 @@
 """Finite-time transmission experiments on the truncated normal form.
 
-Ensemble A samples bath actions uniformly over the admissible interval;
-Ensemble B pushes them toward the maximal action with a localization
-parameter xi.  Each initial condition starts in the forward-reactive
+An ensemble draws its bath action J_2 uniformly from a band
+``[xi J2max(E'), J2max(E')]`` of the admissible interval: the localization
+``xi = 0`` is the unbiased ensemble A, and ``xi > 0`` pushes the actions
+toward the maximum (ensemble B).  Bands sampled together share their
+per-point draws.  Each initial condition starts in the forward-reactive
 half-space (Q_1 < 0 < P_1) at an energy drawn from a narrow window, and is
 transmitted when the closed-form reactive coordinate Q_1(t) has crossed zero
 by t_max.
@@ -27,7 +29,6 @@ __all__ = [
     "TransmissionResult",
     "sample_ensemble",
     "transmit",
-    "transmission_fraction",
     "transmission_scan",
     "default_t_max",
     "default_delta_e",
@@ -56,14 +57,15 @@ class EnsembleSpec:
     e_center: float
     delta_e: float
     seed: int
-    xi: float = 0.0
     q1_range: float = 1.0
 
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"xi must lie in [0, 1], got {self.xi}")
+        for name in ("e_center", "delta_e"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.delta_e < 0:
             raise ValueError(f"delta_e must be >= 0, got {self.delta_e}")
         if not self.q1_range > Q1_DELTA:
@@ -104,12 +106,18 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class TransmissionResult:
+    """One band's transmitted count; the baseline (ensemble A) has xi = nan."""
+
     xi: float
     fraction: float
     n_transmitted: int
     n_total: int
     t_max: float
-    kind: str = "B"
+
+    @property
+    def kind(self) -> str:
+        """The report's label: "A" for the baseline, "B" for a band of the sweep."""
+        return "A" if math.isnan(self.xi) else "B"
 
 
 def default_t_max(model: CnfModel) -> float:
@@ -187,22 +195,26 @@ def _clamp_reactive(model: CnfModel, i_val, energy, j, j2max):
     """Snap to zero every I' in [0, tol], tol = I_CLAMP_RTOL max(|E'|, 1), and
     every I' < 0 whose deficit Lambda(J) (-I') is at most the J2max root's
     overshoot max(K(0, J2max e_2) - E', 0) plus tol; any other negative or NaN
-    I' raises SamplingError."""
+    I' raises SamplingError, for the first such point in row-major order.
+    ``i_val`` has shape ``(..., n)``, ``j`` ``(..., n, n_bath)``, and
+    ``energy`` and ``j2max`` ``(n,)``."""
     tol = I_CLAMP_RTOL * np.maximum(np.abs(energy), 1.0)
     i_val = np.where((0.0 <= i_val) & (i_val <= tol), 0.0, i_val)
-    k, p = np.nonzero(~(i_val >= 0.0))
+    neg = np.nonzero(~(i_val >= 0.0))
+    p = neg[-1]
     if not p.size:
         return i_val
     top = np.zeros((p.size, model.n_bath))
     top[:, 0] = j2max[p]
     slack = np.maximum(eval_k0(model, top) - energy[p], 0.0) + tol[p]
-    bad = np.flatnonzero(~(effective_lyapunov(model, j[k, p]) * -i_val[k, p] <= slack))
+    bad = np.flatnonzero(~(effective_lyapunov(model, j[neg]) * -i_val[neg] <= slack))
     if bad.size:
-        k, p = k[bad[0]], p[bad[0]]
+        at = tuple(idx[bad[0]] for idx in neg)
+        p = at[-1]
         raise SamplingError(
-            f"I' = {float(i_val[k, p])!r} < 0 beyond root rounding at E' = {float(energy[p])!r}, "
-            f"J_2 = {float(j[k, p, 0])!r}, J2max = {float(j2max[p])!r}")
-    i_val[k, p] = 0.0
+            f"I' = {float(i_val[at])!r} < 0 beyond root rounding at E' = {float(energy[p])!r}, "
+            f"J_2 = {float(j[at][0])!r}, J2max = {float(j2max[p])!r}")
+    i_val[neg] = 0.0
     return i_val
 
 
@@ -218,21 +230,37 @@ def _check_half_space(q1, p1) -> None:
         )
 
 
-def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
-    """Sample one ensemble per entry of ``lows`` from the same per-point draws.
+def sample_ensemble(model: CnfModel, spec: EnsembleSpec, xi=0.0) -> Ensemble:
+    """Draw ``spec.n_traj`` initial conditions in the band ``xi``, or in each
+    band of a 1-d list ``xi``, from the same per-point draws.
 
-    Ensemble k draws J_2 from [lows[k] * J2max(E'), J2max(E')]; kind A is
-    ``lows[k] = 0``.  Every point draws its ``3 + n_bath`` uniforms from its
-    own substream, child ``p`` of ``SeedSequence(spec.seed)``, in the order
-    of :func:`sample_ensemble`; :func:`~sympb.kernels.substream_uniforms`
-    draws them for all points in one array pass.  The J2max(E') of all
-    points are solved in one :func:`~sympb.bottleneck.j_max_cnf` call, each
-    with the bits it gets alone; if some fail, the first failing point's
-    error is raised.  I' is snapped by :func:`_clamp_reactive`.  Like the
+    Per point, in order: energy E' uniform in the window; J_2 uniform in
+    [xi J2max(E'), J2max(E')] (any higher bath actions are zero); bath phases
+    uniform in [0, 2pi); the reaction integral I' solved from K(I', J) = E'
+    (an I' < 0 within the J2max root's rounding is zero, one beyond it raises
+    SamplingError); Q_1 uniform in [-q1_range, -1e-9] and
+    P_1 = +sqrt(Q_1^2 + 2 I').  Ensemble A is ``xi = 0``.  Every point draws
+    its ``3 + n_bath`` uniforms from its own substream, child ``p`` of
+    ``SeedSequence(spec.seed)``, so results do not depend on evaluation
+    order; :func:`~sympb.kernels.substream_uniforms` draws them for all
+    points in one array pass, and each band maps the same J_2 uniform into
+    its own interval.  The J2max(E') of all points are solved in one
+    :func:`~sympb.bottleneck.j_max_cnf` call, each with the bits it gets
+    alone; if some fail, the first failing point's error is raised.
+
+    Returns an ensemble of shape ``(n_traj,)`` for one ``xi`` and
+    ``(len(xi), n_traj)`` for a list.  An ``xi`` outside [0, 1] or of two or
+    more dimensions raises ValueError before anything is drawn.  Like the
     Monte-Carlo volume, the draws assume that the axis-root box holds the
     admissible region, so a model whose ``K(0, J)`` decreases in a bath
     action raises PreconditionError.
     """
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim > 1:
+        raise ValueError(f"xi must be one value or a 1-d list, got shape {xi.shape}")
+    outside = xi[~((0.0 <= xi) & (xi <= 1.0))]
+    if outside.size:
+        raise ValueError(f"xi must lie in [0, 1], got {float(outside[0])!r}")
     model.check_monotone()
     e_lo = spec.e_center - spec.delta_e
     e_hi = spec.e_center + spec.delta_e
@@ -244,36 +272,14 @@ def _sample_batch(model: CnfModel, spec: EnsembleSpec, lows) -> Ensemble:
     u = substream_uniforms(np.random.SeedSequence(spec.seed).entropy, spec.n_traj, 3 + nb)
     energy = _uniform(e_lo, e_hi, u[:, 0])
     j2max = j_max_cnf(model, energy, 2)
-    lo = np.asarray(lows, dtype=float)[:, None] * j2max
-    m, n = lo.shape
-    j = np.zeros((m, n, nb))
+    lo = xi[..., None] * j2max
+    j = np.zeros(lo.shape + (nb,))
     j[..., 0] = _uniform(lo, j2max, u[:, 1])
     i_val = _clamp_reactive(model, _solve_reactive_integral(model, energy, j), energy, j, j2max)
-    phases = np.repeat(_uniform(0.0, 2.0 * math.pi, u[None, :, 2:2 + nb]), m, axis=0)
-    q1 = np.repeat(_uniform(-spec.q1_range, -Q1_DELTA, u[None, :, 2 + nb]), m, axis=0)
+    phases = np.broadcast_to(_uniform(0.0, 2.0 * math.pi, u[:, 2:2 + nb]), j.shape)
+    q1 = np.broadcast_to(_uniform(-spec.q1_range, -Q1_DELTA, u[:, 2 + nb]), lo.shape)
     p1 = np.sqrt(q1 * q1 + 2.0 * i_val)
     return Ensemble(q1=q1, p1=p1, j=j, phases=phases, energy=energy)
-
-
-def sample_ensemble(model: CnfModel, spec: EnsembleSpec, kind: str) -> Ensemble:
-    """Draw ``spec.n_traj`` initial conditions of the given kind ("A" or "B").
-
-    Per point, in order: energy E' uniform in the window; J_2 uniform in
-    [0, J2max(E')] for kind A or [xi*J2max(E'), J2max(E')] for kind B (any
-    higher bath actions are zero); bath phases uniform in [0, 2pi); the
-    reaction integral I' solved from K(I', J) = E' (an I' < 0 within the
-    J2max root's rounding is zero, one beyond it raises SamplingError); Q_1
-    uniform in [-q1_range, -1e-9] and P_1 = +sqrt(Q_1^2 + 2 I').  Each point
-    has its own seed substream, so results do not depend on evaluation
-    order.  Returns an ensemble of shape ``(n_traj,)``.
-    A model whose ``K(0, J)`` decreases in a bath action raises
-    PreconditionError, as in :func:`~sympb.bottleneck.action_volume_mc`.
-    """
-    if kind not in ("A", "B"):
-        raise ValueError(f"ensemble kind must be 'A' or 'B', got {kind!r}")
-    batch = _sample_batch(model, spec, [spec.xi if kind == "B" else 0.0])
-    return Ensemble(q1=batch.q1[0], p1=batch.p1[0], j=batch.j[0], phases=batch.phases[0],
-                    energy=batch.energy)
 
 
 def _check_horizon(t_max) -> None:
@@ -314,45 +320,27 @@ def transmit(model: CnfModel, ens: Ensemble, t_max: float) -> np.ndarray:
     return out
 
 
-def _result(n_trans, n: int, t_max, xi: float, kind: str) -> TransmissionResult:
-    n_trans = int(n_trans)
-    return TransmissionResult(
-        xi=xi, fraction=n_trans / n, n_transmitted=n_trans, n_total=n,
-        t_max=float(t_max), kind=kind,
-    )
-
-
-def transmission_fraction(model: CnfModel, ens: Ensemble, t_max: float,
-                          xi: float = float("nan"), kind: str = "B") -> TransmissionResult:
-    """Count transmitted points of a sampled ensemble."""
-    n = ens.q1.size
-    if n == 0:
-        raise ValueError("ensemble is empty")
-    return _result(np.count_nonzero(transmit(model, ens, t_max)), n, t_max, xi, kind)
-
-
 def transmission_scan(model: CnfModel, spec_base: EnsembleSpec, xis,
                       t_max: float | None = None) -> list:
     """Ensemble A baseline plus an Ensemble B sweep over xi values.
 
-    Every ensemble reuses ``spec_base.seed``, so the B results share their
-    random draws across xi (common random numbers): each point is drawn once
-    and mapped into every ensemble.  Returns the baseline first (kind "A",
-    xi = nan), then one result per xi in the given order.  A horizon that is
-    not positive raises ValueError before any ensemble is sampled.
+    The baseline and every band are sampled in one :func:`sample_ensemble`
+    call with bands ``[0.0] + xis``, so they share their random draws
+    (common random numbers): each point is drawn once and mapped into every
+    band.  Returns the baseline first (kind "A", xi = nan), then one result
+    per xi in the given order.  A horizon that is not positive raises
+    ValueError before any ensemble is sampled.
     """
     xis = [float(x) for x in xis]
-    if any(not 0.0 <= x <= 1.0 for x in xis):
-        raise ValueError(f"xi values must lie in [0, 1], got {xis}")
     if t_max is None:
         t_max = default_t_max(model)
     _check_horizon(t_max)
-    batch = _sample_batch(model, spec_base, [0.0] + xis)
-    counts = np.count_nonzero(transmit(model, batch, t_max), axis=1)
+    batch = sample_ensemble(model, spec_base, [0.0] + xis)
+    counts = np.count_nonzero(transmit(model, batch, t_max), axis=1).tolist()
     n = spec_base.n_traj
-    return [_result(counts[0], n, t_max, float("nan"), "A")] + [
-        _result(c, n, t_max, xi, "B") for c, xi in zip(counts[1:], xis)
-    ]
+    return [TransmissionResult(xi=xi, fraction=c / n, n_transmitted=c, n_total=n,
+                               t_max=float(t_max))
+            for xi, c in zip([math.nan] + xis, counts)]
 
 
 def scan_report(model: CnfModel, spec_base: EnsembleSpec, xis,

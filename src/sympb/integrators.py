@@ -53,6 +53,8 @@ class IntegratorConfig:
                              f"{self.t_final!r} and h = {self.h!r}")
         if self.monitor_stride < 1:
             raise ValueError(f"monitor_stride must be >= 1, got {self.monitor_stride}")
+        if not math.isfinite(self.fd_epsilon):
+            raise ValueError(f"fd_epsilon must be a finite number, got {self.fd_epsilon!r}")
         if self.fd_epsilon <= 0:
             raise ValueError(f"fd_epsilon must be > 0, got {self.fd_epsilon}")
 

@@ -249,7 +249,7 @@ def random_symplectic(n: int, sigma: float, seed: int) -> np.ndarray:
     n : int
         Degrees of freedom; the result is ``2n x 2n``.
     sigma : float
-        Half-width of the uniform coefficient distribution, >= 0.
+        Half-width of the uniform coefficient distribution, finite and >= 0.
     seed : int
         Seed for ``numpy.random.default_rng``.
 
@@ -259,6 +259,8 @@ def random_symplectic(n: int, sigma: float, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise DimensionError(f"need n >= 1 degrees of freedom, got n = {n}")
+    if not np.isfinite(sigma):
+        raise ValueError(f"sigma must be a finite number, got {sigma!r}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     rng = np.random.default_rng(seed)

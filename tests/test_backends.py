@@ -22,6 +22,8 @@ from sympb import (
 from sympb import bottleneck
 from sympb.bottleneck import BRACKET_CAP, MC_BLOCK, MC_CHUNK
 
+from oracles import linear_cnf
+
 PARAMS = default_params()
 
 
@@ -300,12 +302,6 @@ def test_action_volume_mc_multi_chunk_bits_frozen(model, e, seed, frozen):
             "flux": rep.flux.hex()} == frozen
 
 
-def linear_model(nb):
-    units = [tuple(1 if i == k else 0 for i in range(nb)) for k in range(nb)]
-    return CnfModel(e0=-1.0, terms=((0, (0,) * nb, -1.0), (1, (0,) * nb, 0.5),
-                                    *((0, unit, 1.0) for unit in units)))
-
-
 def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
     drawn = []
 
@@ -316,7 +312,7 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
     monkeypatch.setattr(kernels, "count_box_hits", capture)
     rng = np.random.default_rng(31)
     for nb in (1, 2, 3):
-        model = linear_model(nb)
+        model = linear_cnf(0.5, [1.0] * nb, -1.0)
         boxes = [(1e-300,) * nb, (BRACKET_CAP,) * nb,
                  tuple(10.0 ** rng.uniform(-300.0, 12.0, size=nb)),
                  tuple(rng.uniform(0.1, 5.0, size=nb))]

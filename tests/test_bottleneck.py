@@ -476,6 +476,33 @@ def test_j_max_and_width_monotone_in_energy():
             assert b >= a
 
 
+def test_candidate_width_takes_an_energy_array_in_one_root_batch(monkeypatch):
+    # one report per energy, each equal to the energy's own report; every
+    # mode's root at every energy comes from one j_max_cnf call
+    model = builtin_cnf(3)
+    energies = np.linspace(E0 + 0.05, E0 + 4.0, 7)
+    alone = [candidate_width(model, e) for e in energies.tolist()]
+    calls = []
+
+    def counting(m, e, k):
+        calls.append((np.shape(e), np.shape(k)))
+        return j_max_cnf(m, e, k)
+
+    monkeypatch.setattr(bottleneck, "j_max_cnf", counting)
+    assert candidate_width(model, energies) == alone
+    assert candidate_width(model, list(energies)) == alone
+    assert calls == [((14,), (14,))] * 2
+    assert candidate_width(model, energies[:1]) == alone[:1]
+    assert candidate_width(model, np.array(energies[0])) == alone[0]
+
+
+def test_candidate_width_refuses_energy_arrays_of_two_or_more_dimensions():
+    model = builtin_cnf(3)
+    for e in (np.full((2, 2), 0.5), np.full((1, 3, 1), 0.5)):
+        with pytest.raises(DimensionError, match=re.escape(str(e.shape))):
+            candidate_width(model, e)
+
+
 def test_candidate_width_scaling_linear_in_excess():
     model = linear_cnf(1.0, (1.8225, 1.267), -1.0)
     base = candidate_width(model, -1.0 + 0.7).c_cand

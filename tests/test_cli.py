@@ -521,7 +521,7 @@ def test_exp2_refuses_a_horizon_before_sampling(tmp_path, capsys, monkeypatch, t
     def no_sampling(*args):
         raise AssertionError("an ensemble was sampled for a refused horizon")
 
-    monkeypatch.setattr(sympb.ensembles, "_sample_batch", no_sampling)
+    monkeypatch.setattr(sympb.ensembles, "sample_ensemble", no_sampling)
     argv = ("exp2", "--n", "200000", "--xis", "0.5")
     refused = f"t_max must be > 0, got {t_max!r}"
     finite = "must be a finite number, got nan"

@@ -69,6 +69,15 @@ CASES = {
         ["integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "0.01", "--t-final", "0.5"],
         "647c34380355538bad4d7e951a101842d6b18320d6bb30d1e06d1c78051d680b",
     ),
+    # kind A is the band xi = 0 of the sampler
+    "sample_a": (
+        ["sample", "--kind", "A", "--n", "40", "--seed", "6"],
+        "094cb1d889f07df0d2386e6a3f1ea4b140a6416cd1b7ad07f7f2b664f168bbf4",
+    ),
+    "sample_a_json": (
+        ["sample", "--kind", "A", "--n", "40", "--seed", "6", "--format", "json"],
+        "5394fc1726102ac4da43cf653cd9362ab3e14f25e855f9a0976044da32a0bcf9",
+    ),
     "sample_b": (
         ["sample", "--kind", "B", "--xi", "0.4", "--n", "40", "--seed", "6"],
         "8da80715267504d0e492681f73dd7c5f1f6d53c937ed4667de44a6a40bc79e47",

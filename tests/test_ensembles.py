@@ -22,7 +22,6 @@ from sympb import (
     j_max_cnf,
     sample_ensemble,
     scan_report,
-    transmission_fraction,
     transmission_scan,
     transmit,
 )
@@ -33,7 +32,7 @@ E0 = -0.9875
 
 
 def make_spec(**kw):
-    base = dict(n_traj=200, e_center=0.0, delta_e=0.05, seed=11, xi=0.5)
+    base = dict(n_traj=200, e_center=0.0, delta_e=0.05, seed=11)
     base.update(kw)
     return EnsembleSpec(**base)
 
@@ -58,10 +57,6 @@ def test_spec_validation():
         make_spec(n_traj=0)
     with pytest.raises(ValueError):
         make_spec(delta_e=-0.1)
-    with pytest.raises(ValueError):
-        make_spec(xi=-0.2)
-    with pytest.raises(ValueError):
-        make_spec(xi=1.5)
     with pytest.raises(ValueError):
         make_spec(q1_range=0.0)
     # Q_1 is drawn from [-q1_range, -1e-9], which a smaller range would invert
@@ -105,15 +100,44 @@ def test_ensemble_shapes_must_agree():
     assert Ensemble(**good).q1.shape == (2,)
 
 
-def test_sample_ensemble_kind_validation():
-    with pytest.raises(ValueError):
-        sample_ensemble(MODEL2, make_spec(), kind="C")
+@pytest.mark.parametrize("field, value", [
+    ("e_center", math.nan), ("e_center", math.inf), ("e_center", -math.inf),
+    ("delta_e", math.nan), ("delta_e", math.inf),
+])
+def test_spec_refuses_a_window_that_is_not_finite(field, value):
+    # before: a NaN window died in the scan with "ConvergenceError: j_max at
+    # E = nan", and delta_e = inf with a BelowSaddleError
+    msg = f"^{field} must be a finite number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=msg):
+        make_spec(**{field: value})
+
+
+@pytest.mark.parametrize("xi, msg", [
+    (-0.2, "xi must lie in [0, 1], got -0.2"),
+    (1.5, "xi must lie in [0, 1], got 1.5"),
+    (math.nan, "xi must lie in [0, 1], got nan"),
+    ([0.5, 1.5, -1.0], "xi must lie in [0, 1], got 1.5"),
+    ([[0.5]], "xi must be one value or a 1-d list, got shape (1, 1)"),
+    ([[0.0, 1.0]], "xi must be one value or a 1-d list, got shape (1, 2)"),
+])
+def test_sample_ensemble_refuses_bands_outside_the_unit_interval(monkeypatch, xi, msg):
+    # the one check of every band, made before anything is drawn
+    def no_draws(*args):
+        raise AssertionError("uniforms were drawn for a refused band")
+
+    monkeypatch.setattr(sympb.ensembles, "substream_uniforms", no_draws)
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        sample_ensemble(MODEL2, make_spec(), xi)
+    if np.ndim(xi) < 2:
+        # the scan's bands [0.0] + xis meet the same check and message
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            transmission_scan(MODEL2, make_spec(), np.atleast_1d(xi))
 
 
 def test_sample_ensemble_below_saddle():
     spec = make_spec(e_center=E0, delta_e=0.5)
     with pytest.raises(BelowSaddleError):
-        sample_ensemble(MODEL2, spec, kind="A")
+        sample_ensemble(MODEL2, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +147,27 @@ def test_sample_ensemble_below_saddle():
 
 def test_sample_ensemble_deterministic():
     spec = make_spec()
-    a = sample_ensemble(MODEL3, spec, kind="B")
-    b = sample_ensemble(MODEL3, spec, kind="B")
+    a = sample_ensemble(MODEL3, spec, 0.5)
+    b = sample_ensemble(MODEL3, spec, 0.5)
     assert a.q1.shape == a.p1.shape == a.energy.shape == (200,)
     assert a.j.shape == a.phases.shape == (200, 2)
     assert bits(a) == bits(b)
-    c = sample_ensemble(MODEL3, make_spec(seed=12), kind="B")
+    c = sample_ensemble(MODEL3, make_spec(seed=12), 0.5)
     assert bits(c) != bits(a)
 
 
 def test_sampled_energies_in_window():
     spec = make_spec(n_traj=500)
-    for kind in ("A", "B"):
-        for e in sample_ensemble(MODEL3, spec, kind=kind).energy:
+    for xi in (0.0, 0.5):
+        for e in sample_ensemble(MODEL3, spec, xi).energy:
             assert spec.e_center - spec.delta_e <= e <= spec.e_center + spec.delta_e
 
 
 def test_sampled_ics_satisfy_energy_constraint():
     # reconstruct I from (q1, p1) and re-evaluate the normal form
     spec = make_spec(n_traj=300)
-    for kind in ("A", "B"):
-        ens = sample_ensemble(MODEL3, spec, kind=kind)
+    for xi in (0.0, 0.5):
+        ens = sample_ensemble(MODEL3, spec, xi)
         for q1, p1, j, e in zip(ens.q1, ens.p1, ens.j, ens.energy):
             i_val = (p1**2 - q1**2) / 2.0
             assert abs(eval_cnf(MODEL3, i_val, j) - e) <= 1e-10
@@ -152,7 +176,7 @@ def test_sampled_ics_satisfy_energy_constraint():
 
 def test_sampled_geometry_ranges():
     spec = make_spec(n_traj=400, q1_range=0.7)
-    ens = sample_ensemble(MODEL3, spec, kind="B")
+    ens = sample_ensemble(MODEL3, spec, 0.5)
     assert ens.j.shape == ens.phases.shape == (400, 2)
     for q1, p1, j, phases in zip(ens.q1, ens.p1, ens.j, ens.phases):
         assert -0.7 <= q1 <= -1e-9
@@ -164,27 +188,31 @@ def test_sampled_geometry_ranges():
 
 
 def test_kind_b_localizes_j2():
-    spec = make_spec(n_traj=300, delta_e=0.0, xi=0.8)
+    spec = make_spec(n_traj=300, delta_e=0.0)
     j2max = j_max_cnf(MODEL3, spec.e_center, 2)
-    for j2 in sample_ensemble(MODEL3, spec, kind="B").j[:, 0]:
+    for j2 in sample_ensemble(MODEL3, spec, 0.8).j[:, 0]:
         assert 0.8 * j2max <= j2 <= j2max
 
 
 def test_kind_b_xi_zero_equals_kind_a():
-    spec = make_spec(xi=0.0)
-    b = sample_ensemble(MODEL3, spec, kind="B")
-    a = sample_ensemble(MODEL3, spec, kind="A")
-    for name in ("q1", "p1", "j", "phases", "energy"):
+    # ensemble A is the band xi = 0, the default, alone or in a list
+    spec = make_spec()
+    b = sample_ensemble(MODEL3, spec, 0.0)
+    a = sample_ensemble(MODEL3, spec)
+    batch = sample_ensemble(MODEL3, spec, [0.0])
+    assert batch.q1.shape == (1, 200) and batch.j.shape == (1, 200, 2)
+    for name in ("q1", "p1", "j", "phases"):
         assert np.array_equal(getattr(b, name), getattr(a, name))
+        assert np.array_equal(getattr(batch, name)[0], getattr(a, name))
     assert bits(b) == bits(a)
 
 
 def test_degenerate_window_pins_j2_and_p1():
     # delta_e = 0 and xi = 1 forces J2 to its maximum, leaving I = 0 so
     # P1 collapses onto |Q1|.
-    spec = make_spec(n_traj=100, delta_e=0.0, xi=1.0)
+    spec = make_spec(n_traj=100, delta_e=0.0)
     j2max = j_max_cnf(MODEL2, spec.e_center, 2)
-    ens = sample_ensemble(MODEL2, spec, kind="B")
+    ens = sample_ensemble(MODEL2, spec, 1.0)
     for q1, p1, j in zip(ens.q1, ens.p1, ens.j):
         assert abs(j[0] - j2max) <= 1e-15 * j2max
         assert abs(p1 - abs(q1)) <= 1e-15 * p1
@@ -193,7 +221,7 @@ def test_degenerate_window_pins_j2_and_p1():
 def test_sampling_error_names_the_point(monkeypatch):
     # an I' < 0 far beyond the J2max root's rounding is refused, not redrawn
     spec = make_spec(n_traj=20, seed=4)
-    ens = sample_ensemble(MODEL3, spec, kind="B")
+    ens = sample_ensemble(MODEL3, spec, 0.5)
     solve = sympb.ensembles._solve_reactive_integral
 
     def sunk(model, e, j):
@@ -206,7 +234,10 @@ def test_sampling_error_names_the_point(monkeypatch):
     msg = (f"I' = -1.0 < 0 beyond root rounding at E' = {e!r}, "
            f"J_2 = {float(ens.j[7, 0])!r}, J2max = {j_max_cnf(MODEL3, e, 2)!r}")
     with pytest.raises(SamplingError, match=f"^{re.escape(msg)}$"):
-        sample_ensemble(MODEL3, spec, kind="B")
+        sample_ensemble(MODEL3, spec, 0.5)
+    # in a list of bands, the first band's point is named
+    with pytest.raises(SamplingError, match=f"^{re.escape(msg)}$"):
+        sample_ensemble(MODEL3, spec, [0.5, 0.9])
 
 
 @st.composite
@@ -239,7 +270,7 @@ def test_sampler_never_rejects_on_monotone_models(model, e_center, delta_e, xis,
         return seen[-1]
 
     with mock.patch.object(sympb.ensembles, "_clamp_reactive", recording):
-        batch = sympb.ensembles._sample_batch(model, spec, [0.0] + xis)
+        batch = sample_ensemble(model, spec, [0.0] + xis)
     assert len(seen) == 1 and (seen[0] >= 0.0).all()
     assert (batch.p1 >= np.abs(batch.q1)).all()
     assert len(transmission_scan(model, spec, xis)) == len(xis) + 1
@@ -298,20 +329,13 @@ def test_transmit_refuses_a_horizon_that_is_not_positive(t_max):
     with pytest.raises(ValueError, match=msg):
         transmit(MODEL2, ens, t_max)
     with pytest.raises(ValueError, match=msg):
-        transmission_fraction(MODEL2, ens, t_max)
-    with pytest.raises(ValueError, match=msg):
         transmission_scan(MODEL2, make_spec(n_traj=10), [0.5], t_max)
-
-
-def test_transmission_fraction_empty():
-    with pytest.raises(ValueError):
-        transmission_fraction(MODEL2, points([], [], np.zeros((0, 1))), t_max=1.0)
 
 
 def test_transmission_fraction_oracle():
     # fraction must equal the count of tanh(Lambda*t) > -q1/p1 directly
-    spec = make_spec(n_traj=2000, seed=3, xi=0.0)
-    ens = sample_ensemble(MODEL3, spec, kind="A")
+    spec = make_spec(n_traj=2000, seed=3)
+    ens = sample_ensemble(MODEL3, spec)
     t_max = default_t_max(MODEL3)
     expected = 0
     for q1, p1, j in zip(ens.q1, ens.p1, ens.j):
@@ -325,7 +349,7 @@ def test_transmission_fraction_oracle():
             continue
         if t_star < t_max:
             expected += 1
-    res = transmission_fraction(MODEL3, ens, t_max)
+    [res] = transmission_scan(MODEL3, spec, [], t_max)
     assert res.n_transmitted == expected
     assert res.fraction == expected / len(ens.q1)
     assert res.n_total == len(ens.q1)

@@ -45,6 +45,14 @@ def test_config_validation():
             IntegratorConfig(**kw)
 
 
+@pytest.mark.parametrize("fd_epsilon", [math.nan, math.inf])
+def test_config_refuses_fd_epsilon_that_is_not_finite(fd_epsilon):
+    # before: the displaced rows became NaN and integrate raised DivergenceError
+    msg = f"^fd_epsilon must be a finite number, got {fd_epsilon!r}$"
+    with pytest.raises(ValueError, match=msg):
+        IntegratorConfig(h=0.1, t_final=1.0, fd_epsilon=fd_epsilon)
+
+
 def test_config_step_count():
     assert IntegratorConfig(h=0.1, t_final=1.0).nsteps == 10
     assert IntegratorConfig(h=0.3, t_final=1.0).nsteps == 3

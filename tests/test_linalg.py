@@ -276,6 +276,13 @@ def test_random_symplectic_rejects_negative_sigma():
         random_symplectic(2, -0.1, 0)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_random_symplectic_refuses_sigma_that_is_not_finite(sigma):
+    # before: a NaN sigma reached numpy's uniform, which raised OverflowError
+    with pytest.raises(ValueError, match=f"^sigma must be a finite number, got {sigma!r}$"):
+        random_symplectic(2, sigma, 0)
+
+
 def test_random_symplectic_rejects_bad_n():
     with pytest.raises(DimensionError):
         random_symplectic(0, 0.5, 0)

@@ -23,6 +23,7 @@ from sympb import (
     EnsembleSpec,
     LyapunovSignError,
     SamplingError,
+    TransmissionResult,
     builtin_cnf,
     default_delta_e,
     default_t_max,
@@ -31,7 +32,6 @@ from sympb import (
     eval_dk_di,
     j_max_cnf,
     sample_ensemble,
-    transmission_fraction,
     transmission_scan,
     transmit,
 )
@@ -103,7 +103,7 @@ def solve_scalar(model, e, j):
     return i
 
 
-def oracle_sample(model, spec, kind, j_max):
+def oracle_sample(model, spec, xi, j_max):
     """Per point, from its own substream: E', J2max(E'), J_2, I' (snapped to
     zero within the root's rounding), the bath phases, then Q_1."""
     e_lo, e_hi = spec.e_center - spec.delta_e, spec.e_center + spec.delta_e
@@ -113,7 +113,7 @@ def oracle_sample(model, spec, kind, j_max):
         rng = np.random.default_rng(child)
         e = rng.uniform(e_lo, e_hi)
         j2max = j_max(model, e, 2)
-        lo = spec.xi * j2max if kind == "B" else 0.0
+        lo = xi * j2max
         j = [rng.uniform(lo, j2max)] + [0.0] * (nb - 1)
         i = solve_scalar(model, e, j)
         tol = sympb.ensembles.I_CLAMP_RTOL * max(abs(e), 1.0)
@@ -161,15 +161,14 @@ specs = st.builds(
     e_center=st.just(0.0),
     delta_e=st.one_of(st.just(0.0), st.floats(1e-6, 0.5)),
     seed=st.integers(0, 2**32 - 1),
-    xi=st.floats(0.0, 1.0),
     q1_range=st.floats(1e-3, 10.0),
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=st.sampled_from(MODELS), spec=specs, kind=st.sampled_from("AB"),
-       inflate=st.sampled_from([1.0, 1.5]))
-def test_array_sampler_matches_scalar_oracle(model, spec, kind, inflate):
+@given(model=st.sampled_from(MODELS), spec=specs,
+       xi=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), inflate=st.sampled_from([1.0, 1.5]))
+def test_array_sampler_matches_scalar_oracle(model, spec, xi, inflate):
     # inflate > 1 widens the J_2 interval past the admissible region, so some
     # draws give I' < 0; the inflated root's overshoot then covers their
     # deficit, and both sides snap them to zero.  The oracle solves each
@@ -177,9 +176,9 @@ def test_array_sampler_matches_scalar_oracle(model, spec, kind, inflate):
     def j_max(m, e, k):
         return inflate * j_max_cnf(m, e, k)
 
-    want = outcome(lambda: oracle_sample(model, spec, kind, j_max))
+    want = outcome(lambda: oracle_sample(model, spec, xi, j_max))
     with mock.patch.object(sympb.ensembles, "j_max_cnf", j_max):
-        got = outcome(lambda: sample_ensemble(model, spec, kind))
+        got = outcome(lambda: sample_ensemble(model, spec, xi))
     assert got[0] == want[0]
     if want[0] != "ok":
         return
@@ -189,7 +188,6 @@ def test_array_sampler_matches_scalar_oracle(model, spec, kind, inflate):
     crosses = [oracle_transmit(model, q1, p1, j, t_max)
                for q1, p1, j in zip(want[1].q1.tolist(), want[1].p1.tolist(), want[1].j.tolist())]
     assert transmit(model, got[1], t_max).tolist() == crosses
-    assert transmission_fraction(model, got[1], t_max).n_transmitted == sum(crosses)
 
 
 @settings(max_examples=15, deadline=None)
@@ -198,12 +196,42 @@ def test_array_sampler_matches_scalar_oracle(model, spec, kind, inflate):
 def test_scan_equals_per_ensemble_sampling(model, spec, xis):
     t_max = 5.0 / model.lam
     results = transmission_scan(model, spec, xis, t_max)
-    expected = [transmission_fraction(model, sample_ensemble(model, spec, "A"), t_max, kind="A")]
-    for xi in xis:
-        spec_b = EnsembleSpec(spec.n_traj, spec.e_center, spec.delta_e, spec.seed, xi, spec.q1_range)
-        expected.append(transmission_fraction(
-            model, sample_ensemble(model, spec_b, "B"), t_max, xi=float(xi), kind="B"))
+    n = spec.n_traj
+    expected = []
+    for xi in [math.nan] + xis:
+        ens = sample_ensemble(model, spec, 0.0 if math.isnan(xi) else xi)
+        count = int(np.count_nonzero(transmit(model, ens, t_max)))
+        expected.append(TransmissionResult(xi=float(xi), fraction=count / n,
+                                           n_transmitted=count, n_total=n, t_max=t_max))
     assert repr(results) == repr(expected)
+    assert [r.kind for r in results] == ["A"] + ["B"] * len(xis)
+
+
+def band(batch, k):
+    """Band ``k`` of a batch of ensembles, as an ensemble of its own."""
+    return Ensemble(q1=batch.q1[k], p1=batch.p1[k], j=batch.j[k], phases=batch.phases[k],
+                    energy=batch.energy)
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=st.sampled_from(MODELS), spec=specs,
+       xis=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       inflate=st.sampled_from([1.0, 1.5]))
+def test_band_list_equals_each_band_alone(model, spec, xis, inflate):
+    # a list of bands is one batch of the per-point draws; each band is the
+    # ensemble that band gives alone, bit for bit, or both raise
+    def j_max(m, e, k):
+        return inflate * j_max_cnf(m, e, k)
+
+    with mock.patch.object(sympb.ensembles, "j_max_cnf", j_max):
+        got = outcome(lambda: sample_ensemble(model, spec, xis))
+        alone = [outcome(lambda: sample_ensemble(model, spec, xi)) for xi in xis]
+    if got[0] != "ok":
+        assert "SamplingError" in [a[0] for a in alone]
+        return
+    assert [a[0] for a in alone] == ["ok"] * len(xis)
+    assert got[1].q1.shape == (len(xis), spec.n_traj)
+    assert [bits(band(got[1], k)) for k in range(len(xis))] == [bits(a[1]) for a in alone]
 
 
 @pytest.mark.parametrize("t_max, q1, crosses", [
@@ -217,7 +245,6 @@ def test_criterion_on_knife_edge_uses_math_cosh_sinh(t_max, q1, crosses):
     ens = Ensemble(q1=[q1], p1=[0.5], j=[[0.0]], phases=[[0.0]], energy=[0.0])
     assert oracle_transmit(model, q1, 0.5, [0.0], t_max) is crosses
     assert transmit(model, ens, t_max).tolist() == [crosses]
-    assert transmission_fraction(model, ens, t_max).n_transmitted == int(crosses)
 
 
 class CountingMath:
@@ -300,7 +327,7 @@ def test_exp2_batch_takes_no_math_call():
     spec = EnsembleSpec(n_traj=1000, e_center=0.0, delta_e=default_delta_e(model, 0.0),
                         seed=0)
     xis = [float(x) for x in DEFAULT_XIS.split(",")]
-    batch = sympb.ensembles._sample_batch(model, spec, [0.0] + xis)
+    batch = sample_ensemble(model, spec, [0.0] + xis)
     t_max = default_t_max(model)
     counting = CountingMath()
     with mock.patch.object(sympb.ensembles, "math", counting):
@@ -327,11 +354,27 @@ def test_scan_solves_j_max_once_per_point(monkeypatch):
     assert calls == [((spec.n_traj,), 2)]
 
 
+def test_scan_samples_once_through_the_public_binding(monkeypatch):
+    # the scan draws the baseline and every band in one call of the module's
+    # sample_ensemble binding, the one a caller can wrap to count or time it
+    calls = []
+
+    def counting(model, spec, xi=0.0):
+        calls.append((spec, xi))
+        return sample_ensemble(model, spec, xi)
+
+    monkeypatch.setattr(sympb.ensembles, "sample_ensemble", counting)
+    spec = EnsembleSpec(n_traj=40, e_center=0.0, delta_e=0.01, seed=9)
+    xis = [0.25, 0.5, 1.0]
+    assert len(transmission_scan(builtin_cnf(3), spec, xis)) == 4
+    assert calls == [(spec, [0.0] + xis)]
+
+
 @pytest.mark.parametrize("inflate", [1.0, 1.5])
-def test_sampler_builds_a_generator_only_per_redrawn_pair(monkeypatch, inflate):
-    # no (point, ensemble) pair is redrawn any more, so no Generator is built:
-    # a pair whose first J_2 draw gives I' < 0 (there are some once j_max is
-    # inflated) keeps that draw, and every draw comes from the substream kernel
+def test_sampler_builds_no_generator(monkeypatch, inflate):
+    # no (point, band) pair is redrawn, so no Generator is built: a pair whose
+    # first J_2 draw gives I' < 0 (there are some once j_max is inflated)
+    # keeps that draw, and every draw comes from the substream kernel
     model = builtin_cnf(3)
     spec = EnsembleSpec(n_traj=60, e_center=0.0, delta_e=0.01, seed=77)
     lows = [0.0, 0.3, 0.6]
@@ -357,14 +400,13 @@ def test_sampler_builds_a_generator_only_per_redrawn_pair(monkeypatch, inflate):
 
     monkeypatch.setattr(sympb.ensembles, "j_max_cnf", j_max)
     monkeypatch.setattr(np.random, "default_rng", no_generator)
-    batch = sympb.ensembles._sample_batch(model, spec, lows)
+    batch = sample_ensemble(model, spec, lows)
     assert batch.j[..., 0].T.tolist() == first
-    assert sample_ensemble(model, spec, "A").q1.shape == (60,)
+    assert sample_ensemble(model, spec).q1.shape == (60,)
     monkeypatch.undo()
     monkeypatch.setattr(np.random, "default_rng", no_generator)
-    spec = EnsembleSpec(n_traj=60, e_center=0.0, delta_e=0.01, seed=77, xi=1.0)
     assert len(transmission_scan(model, spec, [0.0, 0.6, 1.0])) == 4
-    assert sample_ensemble(model, spec, "B").q1.shape == (60,)
+    assert sample_ensemble(model, spec, 1.0).q1.shape == (60,)
 
 
 # ---------------------------------------------------------------------------

@@ -69,5 +69,5 @@ def test_negative_ensemble_seed_raises_seedsequence_error():
         np.random.SeedSequence(-3)
     spec = EnsembleSpec(n_traj=5, e_center=0.0, delta_e=0.01, seed=-3)
     with pytest.raises(ValueError) as got:
-        sample_ensemble(builtin_cnf(2), spec, "A")
+        sample_ensemble(builtin_cnf(2), spec)
     assert str(got.value) == str(want.value)
