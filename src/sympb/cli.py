@@ -108,7 +108,7 @@ OPTIONS = {
         SEED._replace(help="mixer seed"),
         Opt("sigma", float, evolution.DEFAULT_SIGMA, help="mixer strength"),
         Opt("tau_points", int, evolution.DEFAULT_TAU_POINTS),
-        Opt("tau_max", float, help="default 3/lambda"),
+        Opt("tau_max", float, minimum=0.0, help="default 3/lambda"),
         Opt("e_ref", float, 0.0, help="energy of the reference width level"),
         Opt("dof", int, 2, choices=(2, 3)),
         Opt("curves_out", help="prefix for per-radius A(tau) curve files"),
@@ -299,10 +299,7 @@ def cmd_exp1(args, cfg) -> int:
     report.meta.update(meta)
     _emit(report, cfg)
     if cfg["curves_out"]:
-        for i, curve in enumerate(curves):
-            curve_report = curve.to_report()
-            curve_report.meta.update(meta, radius_index=i)
-            curve_report.to_csv(f"{cfg['curves_out']}_r{i}.csv")
+        evolution.write_curves(curves, cfg["curves_out"], meta)
     return 0
 
 
@@ -373,10 +370,8 @@ def cmd_integrate(args, cfg) -> int:
     del meta["max_drift"]
     if cfg["output"]:
         columns = ["t"] + [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)] + ["H"]
-        rows = [
-            (float(t), *(float(v) for v in state), float(e))
-            for t, state, e in zip(record.times, record.states, record.energies)
-        ]
+        rows = list(zip(record.times.tolist(), *record.states.T.tolist(),
+                        record.energies.tolist()))
         ExperimentReport(tuple(columns), rows, meta).to_csv(cfg["output"] + ".csv")
     write_text(cfg["output"] + ".json" if cfg["output"] else sys.stdout,
                json.dumps(summary) + "\n")

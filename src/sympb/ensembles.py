@@ -68,6 +68,10 @@ class EnsembleSpec:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.delta_e < 0:
             raise ValueError(f"delta_e must be >= 0, got {self.delta_e}")
+        lo, hi = self.e_center - self.delta_e, self.e_center + self.delta_e
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"energy window [e_center - delta_e, e_center + delta_e] = "
+                             f"[{lo!r}, {hi!r}] is not finite")
         if not self.q1_range > Q1_DELTA:
             raise ValueError(f"q1_range must be > {Q1_DELTA}, got {self.q1_range}")
         # P_1 = sqrt(Q_1^2 + 2 I') needs a finite Q_1^2

@@ -32,7 +32,7 @@ from .bottleneck import candidate_width
 from .errors import DimensionError, PreconditionError
 from .linalg import is_symplectic, random_symplectic
 from .models import CnfModel
-from .tables import ExperimentReport
+from .tables import ExperimentReport, csv_text, format_column, write_text
 
 __all__ = [
     "ProjectionAreaCurve",
@@ -41,12 +41,14 @@ __all__ = [
     "evolved_shape_matrix",
     "default_tau_grid",
     "radius_scan_curves",
+    "write_curves",
 ]
 
 MIXER_TOL = 1e-10
 CANCEL_LIMIT = 1e5
 DEFAULT_TAU_POINTS = 600
 DEFAULT_SIGMA = 0.5
+CURVE_COLUMNS = ("tau", "area")
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,30 @@ class ProjectionAreaCurve:
 
     def to_report(self) -> ExperimentReport:
         """The curve as a (tau, area) table."""
-        meta = {"r": self.r, "min_area": self.min_area, "gromov_scale": self.gromov_scale}
-        rows = [(float(t), float(a)) for t, a in zip(self.taus, self.areas)]
-        return ExperimentReport(columns=("tau", "area"), rows=rows, meta=meta)
+        rows = list(zip(self.taus.tolist(), self.areas.tolist()))
+        return ExperimentReport(columns=CURVE_COLUMNS, rows=rows, meta=_curve_meta(self))
+
+
+def _curve_meta(curve: ProjectionAreaCurve) -> dict:
+    return {"r": curve.r, "min_area": curve.min_area, "gromov_scale": curve.gromov_scale}
+
+
+def write_curves(curves, prefix: str, meta: dict) -> None:
+    """Write curve ``i`` to ``{prefix}_r{i}.csv`` as ``curve.to_report()``
+    with ``meta`` and ``radius_index`` added to its metadata would write it.
+
+    Each distinct tau grid is formatted once: curves share a formatted grid
+    when their grids have the same dtype and bytes (not when they compare
+    equal, since ``-0.0 == 0.0`` prints ``-0``)."""
+    grids = {}
+    for i, curve in enumerate(curves):
+        key = (curve.taus.dtype.str, curve.taus.tobytes())
+        if key not in grids:
+            grids[key] = format_column(curve.taus.tolist())
+        cells = [grids[key], format_column(curve.areas.tolist())]
+        write_text(f"{prefix}_r{i}.csv",
+                   csv_text({**_curve_meta(curve), **meta, "radius_index": i},
+                            CURVE_COLUMNS, cells))
 
 
 def stm(model: CnfModel, t: float) -> np.ndarray:

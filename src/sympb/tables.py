@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 __all__ = ["ExperimentReport"]
 
@@ -24,6 +25,23 @@ def format_value(v) -> str:
     if isinstance(v, float):
         return FLOAT_FMT % v
     return str(v)
+
+
+def format_column(values) -> list:
+    """``format_value`` of each value.  A column of ``float`` instances only
+    (bools and ``np.float32`` are not) is formatted in one ``FLOAT_FMT``
+    pass."""
+    if all(map(isinstance, values, repeat(float))):
+        return list(map(FLOAT_FMT.__mod__, values))
+    return list(map(format_value, values))
+
+
+def csv_text(meta: dict, columns, cells) -> str:
+    """The CSV text: one ``#``-prefixed JSON metadata line (sorted keys), the
+    header, then one line per row of the formatted columns ``cells``."""
+    lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(columns)]
+    lines += map(",".join, zip(*cells))
+    return "\n".join(lines) + "\n"
 
 
 def write_text(target, text: str) -> None:
@@ -46,6 +64,8 @@ class ExperimentReport:
 
     def __post_init__(self):
         self.columns = tuple(self.columns)
+        if not self.columns:
+            raise ValueError("a report needs at least one column")
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(
@@ -60,23 +80,7 @@ class ExperimentReport:
         write_text(target, self._json_text())
 
     def _csv_text(self) -> str:
-        """The CSV text; each value is written as :func:`format_value` writes
-        it.  Rows are filled into one ``%`` template per tuple of value types;
-        a row that holds a bool, which prints as ``true``/``false``, is
-        formatted value by value."""
-        lines = ["# " + json.dumps(self.meta, sort_keys=True), ",".join(self.columns)]
-        templates = {}
-        for row in self.rows:
-            types = tuple(map(type, row))
-            if types not in templates:
-                templates[types] = None if bool in types else ",".join(
-                    FLOAT_FMT if issubclass(t, float) else "%s" for t in types)
-            template = templates[types]
-            if template is None:
-                lines.append(",".join(map(format_value, row)))
-            else:
-                lines.append(template % tuple(row))
-        return "\n".join(lines) + "\n"
+        return csv_text(self.meta, self.columns, [format_column(c) for c in zip(*self.rows)])
 
     def _json_text(self) -> str:
         def norm(v):

@@ -303,6 +303,33 @@ def test_q1_range_with_overflowing_square_exit_two(capsys, cmd):
     assert err == "error: q1_range 1e+300 gives q1_range^2 = inf, not a finite number\n"
 
 
+@pytest.mark.parametrize("e_center, window", [
+    ("1e308", "[0.0, inf]"), ("-1e308", "[-inf, 0.0]"),
+])
+def test_energy_window_that_overflows_exit_two(tmp_path, capsys, e_center, window):
+    # before: the window's end overflowed to inf and the run exited 1 with
+    # "error: j_max at E = inf, mode k = 2: f is NaN at x = inf"
+    want = ("error: energy window [e_center - delta_e, e_center + delta_e] = "
+            f"{window} is not finite\n")
+    code, out, err = run_cli(capsys, "sample", f"--e-center={e_center}", "--delta-e", "1e308",
+                             "--n", "3")
+    assert (code, out, err) == (2, "", want)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"e_center": float(e_center), "delta_e": 1e308}))
+    code, out, err = run_cli(capsys, "exp2", *BASE_ARGV["exp2"], "--config", str(cfg))
+    assert (code, out, err) == (2, "", want)
+
+
+def test_negative_tau_max_names_its_source(tmp_path, capsys):
+    # before: "error: tau grid must be sorted ascending", naming no option
+    code, out, err = run_cli(capsys, "exp1", "--radii", "0.1", "--tau-max", "-1")
+    assert (code, out, err) == (2, "", "error: --tau-max must be >= 0.0, got -1.0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_max": -0.5}))
+    code, out, err = run_cli(capsys, "exp1", "--radii", "0.1", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: config key 'tau_max' must be >= 0.0, got -0.5\n")
+
+
 def test_builtin_flag_beats_config_model(tmp_path, monkeypatch, capsys):
     model = tmp_path / "m.json"
     model.write_text(json.dumps({"e0": -0.5, "terms": [

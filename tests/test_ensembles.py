@@ -112,6 +112,15 @@ def test_spec_refuses_a_window_that_is_not_finite(field, value):
         make_spec(**{field: value})
 
 
+@pytest.mark.parametrize("e_center, window", [(1e308, "[0.0, inf]"), (-1e308, "[-inf, 0.0]")])
+def test_spec_refuses_an_energy_window_that_overflows(e_center, window):
+    msg = re.escape(f"energy window [e_center - delta_e, e_center + delta_e] = {window} "
+                    "is not finite")
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        make_spec(e_center=e_center, delta_e=1e308)
+    assert make_spec(e_center=e_center, delta_e=1e307).delta_e == 1e307
+
+
 @pytest.mark.parametrize("xi, msg", [
     (-0.2, "xi must lie in [0, 1], got -0.2"),
     (1.5, "xi must lie in [0, 1], got 1.5"),

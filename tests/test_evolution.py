@@ -23,7 +23,7 @@ from sympb import (
     symplectic_spectrum,
     stm,
 )
-from sympb import evolution
+from sympb import evolution, tables
 from sympb.cli import main as cli_main
 
 from oracles import linear_cnf
@@ -377,6 +377,47 @@ def test_radius_scan_curves_share_one_factor_curve():
         want = min_projection_area(model, row[0], s, grid).to_report()
         got = curve.to_report()
         assert (got.columns, got.rows, got.meta) == (want.columns, want.rows, want.meta)
+
+
+def test_write_curves_writes_each_curve_as_its_report(tmp_path):
+    model = builtin_cnf(3)
+    grid = np.linspace(0.0, 3.0 / model.lam, 50)
+    curves = radius_scan_curves(model, [0.1, 0.3], s_mix_seed=6, tau_grid=grid)[1]
+    # equal to the shared grid but not the same bytes: -0.0 prints as -0
+    signed = grid.copy()
+    signed[0] = -0.0
+    curves += [min_projection_area(model, 0.2, np.eye(6), signed),
+               min_projection_area(model, 0.2, np.eye(6), grid.copy())]
+    meta = {"command": "exp1", "seed": 6}
+    evolution.write_curves(curves, str(tmp_path / "curve"), meta)
+    for i, curve in enumerate(curves):
+        rep = curve.to_report()
+        rep.meta.update(meta, radius_index=i)
+        rep.to_csv(str(tmp_path / "want.csv"))
+        got = (tmp_path / f"curve_r{i}.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "curve_r2.csv").read_text().splitlines()[2].startswith("-0,")
+    assert (tmp_path / "curve_r3.csv").read_text().splitlines()[2].startswith("0,")
+
+
+def test_exp1_formats_its_tau_grid_once(tmp_path, monkeypatch):
+    calls = []
+    real = evolution.format_column
+
+    def counting(values):
+        calls.append(list(values))
+        return real(values)
+
+    monkeypatch.setattr(evolution, "format_column", counting)
+    monkeypatch.setattr(tables, "format_column", counting)
+    argv = ["exp1", "--radii", "0.1,0.2,0.3", "--seed", "5", "-o", str(tmp_path / "scan.csv"),
+            "--curves-out", str(tmp_path / "curve")]
+    assert cli_main(argv) == 0
+    grid = default_tau_grid(builtin_cnf(2)).tolist()
+    assert len(grid) == 600
+    assert sum(values == grid for values in calls) == 1
+    # the grid, three area columns and the scan table's four columns
+    assert len(calls) == 8
 
 
 def test_error_order_matches_per_tau_evaluation():

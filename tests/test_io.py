@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sympb import ExperimentReport, load_matrix, save_matrix
-from sympb.tables import format_value
+from sympb.tables import format_column, format_value
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +79,37 @@ def test_report_csv_rows_equal_format_value_per_cell():
     rep.to_csv(buf)
     lines = buf.getvalue().split("\n")
     assert lines[2:] == [",".join(format_value(v) for v in row) for row in rows] + [""]
+
+
+@pytest.mark.parametrize("rows", [[], [(0.25, "A")]])
+def test_report_with_zero_or_one_row(rows):
+    rep = ExperimentReport(columns=("x", "label"), rows=rows, meta={"k": 1})
+    csv_buf, json_buf = io.StringIO(), io.StringIO()
+    rep.to_csv(csv_buf)
+    rep.to_json(json_buf)
+    body = "".join(f"{format_value(x)},{label}\n" for x, label in rows)
+    assert csv_buf.getvalue() == '# {"k": 1}\nx,label\n' + body
+    assert json.loads(json_buf.getvalue()) == {
+        "meta": {"k": 1}, "columns": ["x", "label"], "rows": [list(row) for row in rows]}
+
+
+def test_report_needs_a_column():
+    # with no column there is no cell to carry a row into the CSV
+    with pytest.raises(ValueError, match="at least one column"):
+        ExperimentReport(columns=(), rows=[(), ()])
+
+
+def test_float_column_equals_format_value_per_value():
+    class Ratio(float):
+        pass
+
+    column = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, Ratio(1.0 / 3.0),
+              np.float64(2.5), 0.1]
+    assert format_column(column) == [format_value(v) for v in column]
+    assert format_column(column)[:5] == ["-0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
+    # one value that is not a float instance sends the column value by value
+    for odd in (True, np.float32(0.1), 3, "A"):
+        assert format_column(column + [odd]) == [format_value(v) for v in column + [odd]]
 
 
 def test_report_json_nan_becomes_null():
