@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -107,7 +108,7 @@ OPTIONS = {
         Opt("radii", default=DEFAULT_RADII, help=f"comma-separated radii (default {DEFAULT_RADII})"),
         SEED._replace(help="mixer seed"),
         Opt("sigma", float, evolution.DEFAULT_SIGMA, help="mixer strength"),
-        Opt("tau_points", int, evolution.DEFAULT_TAU_POINTS),
+        Opt("tau_points", int, evolution.DEFAULT_TAU_POINTS, minimum=1),
         Opt("tau_max", float, minimum=0.0, help="default 3/lambda"),
         Opt("e_ref", float, 0.0, help="energy of the reference width level"),
         Opt("dof", int, 2, choices=(2, 3)),
@@ -402,8 +403,24 @@ def _add_options(parser, options) -> None:
         target.add_argument(*flags, help=opt.help, **kwargs)
 
 
+# An argument that reads as a negative number, or a list that starts with one
+# (-1e-3, -.5, -2,0.3, -inf), is a value.  argparse's own matcher (Python 3.11)
+# takes only -1 and -1.5 for values and reads any other "-..." argument as a
+# flag, so "--e-center -1e-3" failed with "expected one argument".
+_NEGATIVE_VALUE = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose flags take ``_NEGATIVE_VALUE`` arguments
+    as values; its subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sympb",
         description="Symplectic bottleneck diagnostics: spectra, widths, flux, "
                     "and finite-time transmission experiments.",

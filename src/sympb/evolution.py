@@ -83,7 +83,7 @@ def write_curves(curves, prefix: str, meta: dict) -> None:
         key = (curve.taus.dtype.str, curve.taus.tobytes())
         if key not in grids:
             grids[key] = format_column(curve.taus.tolist())
-        cells = [grids[key], format_column(curve.areas.tolist())]
+        cells = [grids[key], format_column(curve.areas)]
         write_text(f"{prefix}_r{i}.csv",
                    csv_text({**_curve_meta(curve), **meta, "radius_index": i},
                             CURVE_COLUMNS, cells))

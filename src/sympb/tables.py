@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import repeat
 
+import numpy as np
+
 __all__ = ["ExperimentReport"]
 
 FLOAT_FMT = "%.17g"
@@ -30,7 +32,19 @@ def format_value(v) -> str:
 def format_column(values) -> list:
     """``format_value`` of each value.  A column of ``float`` instances only
     (bools and ``np.float32`` are not) is formatted in one ``FLOAT_FMT``
-    pass."""
+    pass.
+
+    A 1-d ndarray is formatted as its ``tolist()`` would be.  A float64 one
+    formats each distinct bit pattern once (``np.unique`` of its ``uint64``
+    view) and expands the strings through the inverse: an exp1 area column
+    repeats a few dozen values 600 times.  The key is the bits, not the
+    float value, since ``-0.0 == 0.0`` would merge ``-0`` into ``0``."""
+    if isinstance(values, np.ndarray):
+        if values.dtype != np.float64:
+            return format_column(values.tolist())
+        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        distinct = list(map(FLOAT_FMT.__mod__, bits.view(np.float64).tolist()))
+        return np.array(distinct, dtype=object)[inverse].tolist()
     if all(map(isinstance, values, repeat(float))):
         return list(map(FLOAT_FMT.__mod__, values))
     return list(map(format_value, values))

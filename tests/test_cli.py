@@ -1152,6 +1152,59 @@ def test_negative_seed_names_its_source(tmp_path, monkeypatch, capsys, cmd):
     assert code == 0, err
 
 
+# Flag-value pairs whose value starts with "-" but is not of argparse's own
+# "-1" or "-1.5" forms; each once exited 2 with "expected one argument".
+NEGATIVE_VALUES = [
+    ("sample", ("--n", "2", "--e-center", "-1e-3")),
+    ("exp1", ("--radii", "0.1", "--tau-points", "5", "--e-ref", "-1e-3")),
+    ("widths", ("--e-min", "-1e-3", "--e-max", "1e-3", "--steps", "2", "--samples", "100")),
+    ("integrate", ("--h", "0.01", "--t-final", "0.1", "--state0", "-.2,0.3,0.9,-0.2")),
+    ("integrate", ("--h", "-1e-3", "--t-final", "0.1", "--state0", "-2,0.3,0.9,-0.2")),
+]
+
+
+@pytest.mark.parametrize("cmd,pairs", NEGATIVE_VALUES,
+                         ids=["sample", "exp1", "widths", "integrate-state0", "integrate-h"])
+def test_negative_number_value_writes_its_equals_form_bytes(tmp_path, monkeypatch, capsys,
+                                                            cmd, pairs):
+    joined = [f"{flag}={value}" for flag, value in zip(pairs[::2], pairs[1::2])]
+    runs = []
+    for argv in (pairs, joined):
+        work = tmp_path / f"run{len(runs)}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run_cli(capsys, cmd, *argv, "-o", "out")
+        runs.append((code, out, err, {p.name: p.read_bytes() for p in work.iterdir()}))
+    assert runs[0] == runs[1]
+    if "-1e-3" in pairs and cmd == "integrate":
+        assert runs[0][:3] == (2, "", "error: step h must be > 0, got -0.001\n")
+    else:
+        assert runs[0][0] == 0 and runs[0][3], runs[0][2]
+
+
+def test_negative_non_finite_value_and_unknown_flag_exit_two(capsys):
+    code, out, err = run_cli(capsys, "sample", "--n", "2", "--e-center", "-inf")
+    assert (code, out, err) == (2, "", "error: --e-center must be a finite number, got -inf\n")
+    # a "-" argument that is not a number is still a flag
+    for argv, message in ((("-x",), "unrecognized arguments: -x"),
+                          (("--e-center", "-x"), "argument --e-center: expected one argument")):
+        with pytest.raises(SystemExit) as info:
+            main(["sample", "--n", "2", *argv])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_tau_points_below_one_names_its_source(tmp_path, capsys):
+    # before: numpy's "Number of samples, -3, must be non-negative."
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, "exp1", "--radii", "0.1", "--tau-points", value)
+        assert (code, out, err) == (2, "", f"error: --tau-points must be >= 1, got {value}\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_points": -3}))
+    code, out, err = run_cli(capsys, "exp1", "--radii", "0.1", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: config key 'tau_points' must be >= 1, got -3\n")
+
+
 # ---------------------------------------------------------------------------
 # console script
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sympb import ExperimentReport, load_matrix, save_matrix
+from sympb import (ExperimentReport, builtin_cnf, default_tau_grid, load_matrix,
+                   radius_scan_curves, save_matrix, tables)
 from sympb.tables import format_column, format_value
 
 
@@ -110,6 +111,44 @@ def test_float_column_equals_format_value_per_value():
     # one value that is not a float instance sends the column value by value
     for odd in (True, np.float32(0.1), 3, "A"):
         assert format_column(column + [odd]) == [format_value(v) for v in column + [odd]]
+
+
+def nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("column", [
+    np.array([-0.0, 0.0, 1.0, -0.0, 0.0]),
+    np.array([nan_with_payload(1), nan_with_payload(2), nan_with_payload(1), -np.nan]),
+    np.array([np.inf, -np.inf, 5e-324, -5e-324, np.inf]),
+    np.array([], dtype=np.float64),
+    np.arange(24.0)[::3],
+    np.random.default_rng(2).choice([0.1, 1.0 / 3.0, -2.5e-17, 0.0, -0.0, 7.0], size=600),
+    np.array([0.25, -0.0], dtype=np.float32),
+    np.array([2, -3]),
+], ids=["signed-zeros", "nan-payloads", "inf-subnormal", "empty", "strided", "600-repeats",
+        "float32", "int64"])
+def test_array_column_equals_format_value_of_its_list(column):
+    # a float-keyed pass would merge -0.0 into 0.0 and write "0" for both
+    assert format_column(column) == [format_value(v) for v in column.tolist()]
+
+
+def test_exp1_area_column_formats_each_bit_pattern_once(monkeypatch):
+    class CountingFormat(str):
+        calls = 0
+
+        def __mod__(self, value):
+            CountingFormat.calls += 1
+            return str.__mod__(self, value)
+
+    model = builtin_cnf(3)
+    curve = radius_scan_curves(model, [0.3], s_mix_seed=5, tau_grid=default_tau_grid(model))[1][0]
+    want = [format_value(v) for v in curve.areas.tolist()]
+    monkeypatch.setattr(tables, "FLOAT_FMT", CountingFormat(tables.FLOAT_FMT))
+    assert format_column(curve.areas) == want
+    distinct = np.unique(curve.areas.view(np.uint64)).size
+    assert CountingFormat.calls == distinct
+    assert 1 < distinct < len(curve.areas) // 4
 
 
 def test_report_json_nan_becomes_null():
