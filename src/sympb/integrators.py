@@ -30,8 +30,8 @@ __all__ = [
 # Largest record arrays (states of the trajectory and of its displaced rows at
 # every monitored step) that integrate allocates: 1 GiB.
 MAX_RECORD_BYTES = 2**30
-# Largest number of Verlet steps that integrate runs: about half an hour at
-# 20 us per batched step of 13 rows (2 shared vCPU).
+# Largest number of Verlet steps that integrate runs: about 25 minutes at
+# 15 us per batched step of 13 rows (2 shared vCPU).
 MAX_STEPS = 10**8
 
 
@@ -118,7 +118,7 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
         starts = np.repeat(starts, 1 + 4 * d, axis=0)
         starts[1 + 2 * cols, cols] += eps
         starts[2 + 2 * cols, cols] -= eps
-    nrec = len(range(0, nsteps, cfg.monitor_stride)) + 1
+    nrec = kernels.record_count(nsteps, cfg.monitor_stride)
     if nrec * starts.nbytes > MAX_RECORD_BYTES:
         raise ValueError(
             f"t_final = {cfg.t_final!r} with h = {cfg.h!r} and monitor_stride = "

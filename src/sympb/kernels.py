@@ -16,12 +16,12 @@ import numpy as np
 from .models import (
     CnfModel,
     EckartMorseParams,
+    _grad_into,
+    _velocities_into,
     eval_k0,
-    grad_potential,
-    velocities,
 )
 
-__all__ = ["count_box_hits", "substream_uniforms", "verlet_run"]
+__all__ = ["count_box_hits", "record_count", "substream_uniforms", "verlet_run"]
 
 # numpy's stream-stable SeedSequence and PCG64 (NEP 19).  The SeedSequence
 # constants are those of numpy/random/bit_generator.pyx, the PCG64 multiplier
@@ -168,6 +168,13 @@ def count_box_hits(model: CnfModel, j_samples, e: float) -> int:
     return int(np.count_nonzero(eval_k0(model, j_samples) <= e))
 
 
+def record_count(nsteps: int, stride: int) -> int:
+    """Number of records of a run of ``nsteps`` steps recorded every ``stride``
+    steps: step 0, every multiple of ``stride`` below ``nsteps``, and step
+    ``nsteps``.  Python-int arithmetic, so any step count gives a count."""
+    return -(-nsteps // stride) + 1
+
+
 def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride: int):
     """Kick-drift-kick Stormer-Verlet for a batch of trajectories.
 
@@ -178,32 +185,47 @@ def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride:
     of the first record at which any row is non-finite (the records stop
     there), or -1.
 
-    The gradient is evaluated once before the loop and once per step: the
+    The batch is stepped coordinate-major: ``q`` and ``p`` are C-contiguous
+    ``(d, k)`` arrays, row 0 the reactive coordinate of every trajectory and
+    rows ``1:`` the Morse block, and every update writes into a buffer made
+    before the loop, so a step between records allocates no array.  The
+    gradient is evaluated once before the loop and once per step: the
     closing half-kick of a step and the opening half-kick of the next one
-    act at the same ``q``, so they share it (first same as last).  The two
+    act at the same ``q``, so they share one ``kick = half_h * g``.  The two
     half-kicks stay separate updates, which keeps the bits of two gradient
     evaluations per step.
     """
-    q = np.array(q0, dtype=np.float64)
-    p = np.array(p0, dtype=np.float64)
-    nrec = nsteps // stride + 1 + (1 if nsteps % stride else 0)
-    qs = np.empty((nrec,) + q.shape)
-    ps = np.empty((nrec,) + p.shape)
-    qs[0] = q
-    ps[0] = p
+    q = np.array(np.asarray(q0, dtype=np.float64).T, order="C")
+    p = np.array(np.asarray(p0, dtype=np.float64).T, order="C")
+    d, k = q.shape
+    nrec = record_count(nsteps, stride)
+    qs = np.empty((nrec, k, d))
+    ps = np.empty((nrec, k, d))
+    qs[0] = q.T
+    ps[0] = p.T
+    g = np.empty((d, k))
+    v = np.empty((d, k))
+    kick = np.empty((d, k))
+    mom_sum = np.empty(k)
+    morse = np.empty((d - 1, k))
     half_h = 0.5 * h
     rec = 1
     # overflow to inf/nan is detected at record points, not raised
     with np.errstate(over="ignore", invalid="ignore"):
-        g = grad_potential(params, q)
+        _grad_into(params, q, g, morse)
+        np.multiply(g, half_h, out=kick)
         for step in range(1, nsteps + 1):
-            p -= half_h * g
-            q += h * velocities(params, p)
-            g = grad_potential(params, q)
-            p -= half_h * g
+            p -= kick
+            # kick is free until the next gradient: the velocity's scratch
+            _velocities_into(params, p, v, mom_sum, kick)
+            v *= h
+            q += v
+            _grad_into(params, q, g, morse)
+            np.multiply(g, half_h, out=kick)
+            p -= kick
             if step % stride == 0 or step == nsteps:
-                qs[rec] = q
-                ps[rec] = p
+                qs[rec] = q.T
+                ps[rec] = p.T
                 rec += 1
                 if not (np.isfinite(q).all() and np.isfinite(p).all()):
                     return qs[:rec], ps[:rec], rec - 1

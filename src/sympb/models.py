@@ -459,34 +459,60 @@ def potential(p: EckartMorseParams, q):
     return _value(v)
 
 
+def _last_axis(x: np.ndarray, what: str) -> int:
+    """The length d of the last axis of ``x``; a DimensionError unless ``x``
+    has shape ``(..., d)`` with d >= 1."""
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise DimensionError(f"{what} must have shape (..., d) with d >= 1, got shape {x.shape}")
+    return x.shape[-1]
+
+
 def grad_potential(p: EckartMorseParams, q) -> np.ndarray:
     """Analytic gradient of :func:`potential` for configurations of shape
     ``(..., d)``, C-ordered; each row gives the same values as on its own.
 
-    The reactive column is one pass over Python floats.  Its logistic uses
-    ``math.exp``: ``np.exp`` differs from it in the last bit for some
-    arguments, which would change trajectory bytes.  The Verlet loop's
-    batches hold at most 1 + 4d rows, where numpy's per-call dispatch would
-    cost more than this arithmetic.
+    Runs :func:`_grad_into` on the transposed ``(d, N)`` views of the
+    configurations and of the result.
     """
     q = np.asarray(q, dtype=float)
+    d = _last_axis(q, "configurations")
     # C order whatever the input's layout, so the reshape below is a view
     g = np.empty(q.shape)
+    _grad_into(p, q.reshape(-1, d).T, g.reshape(-1, d).T, np.empty((d - 1, g.size // d)))
+    return g
+
+
+def _grad_into(p: EckartMorseParams, q, g, e) -> None:
+    """Gradient of :func:`potential` for coordinate-major configurations:
+    ``q`` and ``g`` have shape ``(d, N)``, row 0 the reactive coordinate of
+    every configuration and rows ``1:`` the Morse coordinates.  Writes ``g``,
+    using ``e`` (shape ``(d - 1, N)``) as scratch; each column gives the same
+    values as on its own.
+
+    The reactive row is one pass over Python floats.  Its logistic uses
+    ``math.exp``: ``np.exp`` differs from it in the last bit for some
+    arguments, which would change trajectory bytes.  The Verlet loop's
+    batches hold at most 1 + 4d columns, where numpy's per-call dispatch
+    would cost more than this arithmetic.
+    """
     big_a, big_b, a, x0 = p.A, p.B, p.a, p.x0
     exp = math.exp
-    col = []
-    for x in q[..., 0].ravel().tolist():
+    row = []
+    for x in q[0].tolist():
         s = (x + x0) / a
         if s >= 0.0:
             u = 1.0 / (1.0 + exp(-s))
         else:
             ex = exp(s)
             u = ex / (1.0 + ex)
-        col.append(u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a)
-    g.reshape(-1, q.shape[-1])[:, 0] = col
-    e = np.exp(-p.aM * q[..., 1:])
-    g[..., 1:] = 2.0 * p.De * p.aM * (e - e * e)
-    return g
+        row.append(u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a)
+    g[0] = row
+    morse = g[1:]
+    np.multiply(q[1:], -p.aM, out=e)
+    np.exp(e, out=e)
+    np.multiply(e, e, out=morse)
+    np.subtract(e, morse, out=morse)
+    np.multiply(morse, 2.0 * p.De * p.aM, out=morse)
 
 
 def kinetic_energy(p: EckartMorseParams, mom):
@@ -500,10 +526,32 @@ def kinetic_energy(p: EckartMorseParams, mom):
 
 def velocities(p: EckartMorseParams, mom) -> np.ndarray:
     """dq/dt = dH/dp for momenta of shape ``(..., d)``, with the momentum
-    coupling included."""
+    coupling included; C-ordered.  Runs :func:`_velocities_into` on the
+    transposed ``(d, N)`` views of the momenta and of the result."""
     mom = np.asarray(mom, dtype=float)
-    s = mom.sum(axis=-1, keepdims=True)
-    return mom / p.m + p.eps * (s - mom)
+    d = _last_axis(mom, "momenta")
+    v = np.empty(mom.shape)
+    n = v.size // d
+    _velocities_into(p, mom.reshape(-1, d).T, v.reshape(-1, d).T, np.empty(n),
+                     np.empty((d, n)))
+    return v
+
+
+def _velocities_into(p: EckartMorseParams, mom, v, s, tmp) -> None:
+    """``mom / m + eps * (s - mom)`` for coordinate-major momenta: ``mom`` and
+    ``v`` have shape ``(d, N)``, and ``s`` (shape ``(N,)``) gets each
+    column's momentum sum, ``(p_0 + p_1) + p_2``.  Writes ``v``, using ``tmp``
+    (shape ``(d, N)``) as scratch.
+
+    For d < 8 numpy adds the rows in sequence, so ``s`` has the bits of a
+    last-axis sum, except perhaps the sign of a sum of -0.0 entries alone;
+    ``s`` enters only through ``s - mom``, which is 0.0 for either sign there.
+    """
+    np.add.reduce(mom, axis=0, out=s)
+    np.subtract(s, mom, out=tmp)
+    np.multiply(tmp, p.eps, out=tmp)
+    np.divide(mom, p.m, out=v)
+    np.add(v, tmp, out=v)
 
 
 def full_hamiltonian(p: EckartMorseParams, state):

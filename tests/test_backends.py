@@ -22,14 +22,14 @@ from sympb import (
 from sympb import bottleneck
 from sympb.bottleneck import BRACKET_CAP, MC_BLOCK, MC_CHUNK
 
-from oracles import linear_cnf
+from oracles import PARAM_SETS, linear_cnf, logistic_py, oracle_run
 
 PARAMS = default_params()
 
 
 # ---------------------------------------------------------------------------
-# Reference oracles: the term-table counter and the one-trajectory Verlet
-# loop the kernels replaced, kept verbatim.
+# Reference oracles: the term-table counter the kernel replaced, kept
+# verbatim, and the central-difference Jacobian of the Verlet oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -53,57 +53,6 @@ def zero_i_table(model):
     return j_pows, coeffs
 
 
-def _logistic_py(s):
-    if s >= 0.0:
-        return 1.0 / (1.0 + math.exp(-s))
-    es = math.exp(s)
-    return es / (1.0 + es)
-
-
-def verlet_run_oracle(q0, p0, h, nsteps, stride, m, eps, big_a, big_b, a, x0, de, am):
-    q = np.array(q0, dtype=np.float64)
-    p = np.array(p0, dtype=np.float64)
-    d = q.shape[0]
-    extra = 1 if nsteps % stride != 0 else 0
-    nrec = nsteps // stride + 1 + extra
-    qs = np.empty((nrec, d))
-    ps = np.empty((nrec, d))
-    g = np.empty(d)
-    half_h = 0.5 * h
-
-    def grad():
-        u = _logistic_py((q[0] + x0) / a)
-        g[0] = u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a
-        e = np.exp(-am * q[1:])
-        g[1:] = 2.0 * de * am * (e - e * e)
-
-    qs[0] = q
-    ps[0] = p
-    rec = 1
-    bad = -1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, nsteps + 1):
-            grad()
-            p -= half_h * g
-            s = p.sum()
-            q += h * (p / m + eps * (s - p))
-            grad()
-            p -= half_h * g
-            if step % stride == 0 or step == nsteps:
-                qs[rec] = q
-                ps[rec] = p
-                rec += 1
-                if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-                    bad = rec - 1
-                    break
-    return qs[:rec], ps[:rec], bad
-
-
-def oracle_run(params, q0, p0, h, nsteps, stride):
-    return verlet_run_oracle(q0, p0, h, nsteps, stride, params.m, params.eps, params.A,
-                             params.B, params.a, params.x0, params.De, params.aM)
-
-
 def oracle_jacobian(params, state0, cfg):
     state0 = np.asarray(state0, dtype=float)
     dim = state0.size
@@ -124,25 +73,19 @@ def oracle_jacobian(params, state0, cfg):
     return jac
 
 
-def random_states(rng, k, d):
-    q = rng.uniform(-1.5, 1.5, size=(k, d))
-    p = rng.uniform(-1.0, 1.0, size=(k, d))
-    return q, p
-
-
 # ---------------------------------------------------------------------------
 # The batched gradient against a per-element scalar oracle
 # ---------------------------------------------------------------------------
 
 
 def grad_potential_oracle(params, q):
-    """The gradient one element at a time: ``_logistic_py`` on the reactive
+    """The gradient one element at a time: ``logistic_py`` on the reactive
     coordinate, numpy's ``exp`` of one float on each Morse coordinate."""
     q = np.asarray(q, dtype=float)
     g = np.empty(q.shape)
     big_a, big_b, a = params.A, params.B, params.a
     for idx in np.ndindex(q.shape[:-1]):
-        u = _logistic_py((float(q[idx + (0,)]) + params.x0) / a)
+        u = logistic_py((float(q[idx + (0,)]) + params.x0) / a)
         g[idx + (0,)] = u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a
         for k in range(1, q.shape[-1]):
             e = np.exp(-params.aM * q[idx + (k,)])
@@ -178,8 +121,7 @@ def gradient_inputs(params, rng):
     }
 
 
-@pytest.mark.parametrize("params", [PARAMS, sympb.EckartMorseParams(
-    A=-0.2, B=1.5, a=0.7, x0=0.3, De=0.8, aM=1.3)], ids=["default", "other"])
+@pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
 def test_grad_potential_matches_scalar_oracle_bits(params):
     rng = np.random.default_rng(23)
     for name, q in gradient_inputs(params, rng).items():
@@ -339,48 +281,8 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Batched Verlet loop
+# integrate on the batched Verlet loop
 # ---------------------------------------------------------------------------
-
-
-def assert_rows_match_oracle(params, q0, p0, h, nsteps, stride):
-    qs, ps, bad = kernels.verlet_run(params, q0, p0, h, nsteps, stride)
-    assert bad == -1
-    assert qs.shape == ps.shape == (len(range(0, nsteps, stride)) + 1, len(q0), q0.shape[1])
-    for row in range(len(q0)):
-        qo, po, bado = oracle_run(params, q0[row], p0[row], h, nsteps, stride)
-        assert bado == -1
-        assert qs[:, row].tobytes() == qo.tobytes()
-        assert ps[:, row].tobytes() == po.tobytes()
-
-
-def test_verlet_batch_matches_oracle_2dof_and_3dof():
-    rng = np.random.default_rng(5)
-    for d in (2, 3):
-        q0, p0 = random_states(rng, 6, d)
-        # stride 7 does not divide 400: the last step is recorded on its own
-        assert_rows_match_oracle(PARAMS, q0, p0, 1e-2, 400, 7)
-        assert_rows_match_oracle(PARAMS, q0, p0, 1e-2, 400, 400)
-
-
-def test_verlet_batch_matches_oracle_negative_step():
-    rng = np.random.default_rng(6)
-    q0, p0 = random_states(rng, 4, 3)
-    assert_rows_match_oracle(PARAMS, q0, p0, -5e-3, 300, 11)
-
-
-def test_verlet_batch_reports_oracle_divergence_index():
-    q0 = np.array([[-2.0, 0.3], [-50.0, -400.0], [0.5, -0.2]])
-    p0 = np.array([[0.9, -0.2], [0.0, 0.0], [0.1, 0.3]])
-    _, _, bad_oracle = oracle_run(PARAMS, q0[1], p0[1], 0.01, 100, 10)
-    assert bad_oracle >= 0
-    qs, ps, bad = kernels.verlet_run(PARAMS, q0, p0, 0.01, 100, 10)
-    assert bad == bad_oracle
-    assert qs.shape[0] == ps.shape[0] == bad + 1
-    for row in (0, 2):
-        qo, po, _ = oracle_run(PARAMS, q0[row], p0[row], 0.01, 100, 10)
-        assert qs[:, row].tobytes() == qo[: bad + 1].tobytes()
-        assert ps[:, row].tobytes() == po[: bad + 1].tobytes()
 
 
 def test_integrate_states_match_oracle():
@@ -408,22 +310,22 @@ def test_integrate_jacobian_rows_match_oracles():
 
 
 def test_integrate_one_batch_one_gradient_per_step(monkeypatch):
-    calls = {"verlet_run": 0, "grad_potential": 0}
-    real_run, real_grad = kernels.verlet_run, kernels.grad_potential
+    calls = {"verlet_run": 0, "grad_into": 0}
+    real_run, real_grad = kernels.verlet_run, kernels._grad_into
 
     def counting_run(*args):
         calls["verlet_run"] += 1
         return real_run(*args)
 
-    def counting_grad(params, q):
-        calls["grad_potential"] += 1
-        return real_grad(params, q)
+    def counting_grad(*args):
+        calls["grad_into"] += 1
+        return real_grad(*args)
 
     monkeypatch.setattr(kernels, "verlet_run", counting_run)
-    monkeypatch.setattr(kernels, "grad_potential", counting_grad)
+    monkeypatch.setattr(kernels, "_grad_into", counting_grad)
     rec = integrate(PARAMS, STATES[1], IntegratorConfig(h=1e-3, t_final=0.25))
     assert rec.jacobian.shape == (6, 6)
-    assert calls == {"verlet_run": 1, "grad_potential": 250 + 1}
+    assert calls == {"verlet_run": 1, "grad_into": 250 + 1}
 
 
 def test_integrate_auxiliary_divergence_time():

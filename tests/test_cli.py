@@ -832,6 +832,52 @@ def test_integrate_step_count_above_limit_exit_two(capsys, monkeypatch):
                    "above the limit MAX_STEPS = 100000000; raise h or lower t_final\n")
 
 
+@pytest.mark.parametrize("stride, want", [
+    ([], "error: t_final = 1e-300 with h = 5e-324 and monitor_stride = 10 would record "
+         "20240225330731062342453 steps of 624 bytes each, above the limit "
+         "MAX_RECORD_BYTES = 1073741824 bytes; raise h or monitor_stride\n"),
+    (["--monitor-stride", str(10**30)],
+     "error: t_final = 1e-300 with h = 5e-324 would take 202402253307310623424512 steps, "
+     "above the limit MAX_STEPS = 100000000; raise h or lower t_final\n"),
+], ids=["record_bound", "step_bound"])
+def test_integrate_step_count_beyond_ssize_t_exit_two(capsys, stride, want):
+    # before: OverflowError traceback from len(range(0, nsteps, stride)), exit 1;
+    # the record count is Python-int arithmetic, checked before the step bound
+    code, out, err = run_cli(capsys, "integrate", "--state0=-2,0.3,0.1,0.9,-0.2,0.05",
+                             "--h", "5e-324", "--t-final", "1e-300", *stride)
+    assert (code, out, err) == (2, "", want)
+
+
+def huge_linspace(monkeypatch, message):
+    """np.linspace raises MemoryError(message) for more than a million points
+    and runs as before otherwise, so no test allocates the size it asks for."""
+    real = np.linspace
+
+    def linspace(start, stop, num=50, *args, **kwargs):
+        if num > 10**6:
+            raise MemoryError(*message)
+        return real(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", linspace)
+
+
+ALLOC = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+
+@pytest.mark.parametrize("argv", [
+    ["widths", "--e-min", "0", "--e-max", "1", "--steps", "100000000000"],
+    ["exp1", "--radii", "0.1", "--tau-points", "3000000000"],
+], ids=["widths", "exp1"])
+@pytest.mark.parametrize("message, want", [
+    ((ALLOC,), f"error: {ALLOC}\n"),
+    ((), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_oversized_allocation_exit_two(capsys, monkeypatch, argv, message, want):
+    # before: numpy's _ArrayMemoryError traceback, exit 1
+    huge_linspace(monkeypatch, message)
+    assert run_cli(capsys, *argv) == (2, "", want)
+
+
 def test_integrate_bad_step_exit_two(capsys):
     code, _, err = run_cli(
         capsys, "integrate", "--state0=-1e6,1500,0,0", "--h=-0.1",

@@ -158,6 +158,19 @@ def test_record_bytes_limit(monkeypatch, jacobian, record_bytes):
         f"{5 * record_bytes - 1} bytes; raise h or monitor_stride")
 
 
+@pytest.mark.parametrize("stride, limit", [(10, "MAX_RECORD_BYTES"), (10**30, "MAX_STEPS")])
+def test_step_count_beyond_ssize_t_raises_value_error(monkeypatch, stride, limit):
+    # about 2e23 steps: the record count must not go through a C ssize_t
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("verlet_run called")
+
+    monkeypatch.setattr(sympb.kernels, "verlet_run", no_stepping)
+    cfg = IntegratorConfig(h=5e-324, t_final=1e-300, monitor_stride=stride)
+    assert cfg.nsteps > 2**63
+    with pytest.raises(ValueError, match=f"above the limit {limit} = "):
+        integrate(PARAMS, np.array([-2.0, 0.3, 0.1, 0.9, -0.2, 0.05]), cfg)
+
+
 def test_no_jacobian_flag():
     rec = integrate(PARAMS, far_field_state(),
                     IntegratorConfig(h=0.1, t_final=1.0, compute_jacobian=False))

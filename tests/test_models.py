@@ -536,6 +536,16 @@ def test_hamiltonian_arity_checks():
         full_hamiltonian(p, np.zeros(8))
 
 
+@pytest.mark.parametrize("value", [1.0, [[]]], ids=["0-d", "d=0"])
+def test_gradient_and_velocities_need_a_last_axis(value):
+    # a scalar or an empty last axis is not a batch of (..., d) states
+    p = default_params()
+    with pytest.raises(DimensionError, match=r"configurations must have shape \(\.\.\., d\)"):
+        grad_potential(p, value)
+    with pytest.raises(DimensionError, match=r"momenta must have shape \(\.\.\., d\)"):
+        velocities(p, value)
+
+
 def test_gradient_matches_finite_difference():
     p = default_params()
     rng = np.random.default_rng(17)
