@@ -16,8 +16,8 @@ import numpy as np
 from .models import (
     CnfModel,
     EckartMorseParams,
-    _grad_into,
-    _velocities_into,
+    _grad_fn,
+    _velocity_fn,
     eval_k0,
 )
 
@@ -189,11 +189,14 @@ def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride:
     ``(d, k)`` arrays, row 0 the reactive coordinate of every trajectory and
     rows ``1:`` the Morse block, and every update writes into a buffer made
     before the loop, so a step between records allocates no array.  The
-    gradient is evaluated once before the loop and once per step: the
-    closing half-kick of a step and the opening half-kick of the next one
-    act at the same ``q``, so they share one ``kick = half_h * g``.  The two
-    half-kicks stay separate updates, which keeps the bits of two gradient
-    evaluations per step.
+    gradient and the velocity are :mod:`~sympb.models` functions bound to
+    these buffers once, with their row views and constants, and the step
+    sizes are 0-d float64 arrays, so no step makes a view or passes a Python
+    float to a ufunc.  The gradient is evaluated once before the loop and
+    once per step: the closing half-kick of a step and the opening half-kick
+    of the next one act at the same ``q``, so they share one ``kick = half_h
+    * g``.  The two half-kicks stay separate updates, which keeps the bits
+    of two gradient evaluations per step.
     """
     q = np.array(np.asarray(q0, dtype=np.float64).T, order="C")
     p = np.array(np.asarray(p0, dtype=np.float64).T, order="C")
@@ -201,31 +204,31 @@ def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride:
     nrec = record_count(nsteps, stride)
     qs = np.empty((nrec, k, d))
     ps = np.empty((nrec, k, d))
-    qs[0] = q.T
-    ps[0] = p.T
+    q_rows, p_rows = q.T, p.T
+    qs[0] = q_rows
+    ps[0] = p_rows
     g = np.empty((d, k))
     v = np.empty((d, k))
     kick = np.empty((d, k))
-    mom_sum = np.empty(k)
-    morse = np.empty((d - 1, k))
-    half_h = 0.5 * h
+    grad = _grad_fn(params, q, g)
+    vel = _velocity_fn(params, p, v)
+    h, half_h = np.array(h, dtype=np.float64), np.array(0.5 * h, dtype=np.float64)
     rec = 1
     # overflow to inf/nan is detected at record points, not raised
     with np.errstate(over="ignore", invalid="ignore"):
-        _grad_into(params, q, g, morse)
+        grad()
         np.multiply(g, half_h, out=kick)
         for step in range(1, nsteps + 1):
             p -= kick
-            # kick is free until the next gradient: the velocity's scratch
-            _velocities_into(params, p, v, mom_sum, kick)
+            vel()
             v *= h
             q += v
-            _grad_into(params, q, g, morse)
+            grad()
             np.multiply(g, half_h, out=kick)
             p -= kick
             if step % stride == 0 or step == nsteps:
-                qs[rec] = q.T
-                ps[rec] = p.T
+                qs[rec] = q_rows
+                ps[rec] = p_rows
                 rec += 1
                 if not (np.isfinite(q).all() and np.isfinite(p).all()):
                     return qs[:rec], ps[:rec], rec - 1

@@ -471,48 +471,59 @@ def grad_potential(p: EckartMorseParams, q) -> np.ndarray:
     """Analytic gradient of :func:`potential` for configurations of shape
     ``(..., d)``, C-ordered; each row gives the same values as on its own.
 
-    Runs :func:`_grad_into` on the transposed ``(d, N)`` views of the
-    configurations and of the result.
+    Runs :func:`_grad_fn`'s gradient once on the transposed ``(d, N)`` views
+    of the configurations and of the result.
     """
     q = np.asarray(q, dtype=float)
     d = _last_axis(q, "configurations")
     # C order whatever the input's layout, so the reshape below is a view
     g = np.empty(q.shape)
-    _grad_into(p, q.reshape(-1, d).T, g.reshape(-1, d).T, np.empty((d - 1, g.size // d)))
+    _grad_fn(p, q.reshape(-1, d).T, g.reshape(-1, d).T)()
     return g
 
 
-def _grad_into(p: EckartMorseParams, q, g, e) -> None:
-    """Gradient of :func:`potential` for coordinate-major configurations:
-    ``q`` and ``g`` have shape ``(d, N)``, row 0 the reactive coordinate of
-    every configuration and rows ``1:`` the Morse coordinates.  Writes ``g``,
-    using ``e`` (shape ``(d - 1, N)``) as scratch; each column gives the same
-    values as on its own.
+def _grad_fn(p: EckartMorseParams, q, g):
+    """The gradient of :func:`potential` for coordinate-major configurations,
+    as a zero-argument function that writes ``g`` from the values ``q`` holds
+    when it is called.  ``q`` and ``g`` have shape ``(d, N)``, row 0 the
+    reactive coordinate of every configuration and rows ``1:`` the Morse
+    coordinates; each column gives the same values as on its own.
 
-    The reactive row is one pass over Python floats.  Its logistic uses
-    ``math.exp``: ``np.exp`` differs from it in the last bit for some
-    arguments, which would change trajectory bytes.  The Verlet loop's
-    batches hold at most 1 + 4d columns, where numpy's per-call dispatch
-    would cost more than this arithmetic.
+    The row views, the Morse scratch and the constants are made here, once:
+    the Verlet loop calls the function once per step, and numpy takes a
+    ufunc operand that is a 0-d float64 array faster than a Python float,
+    with the same bits.  The reactive row is one pass over Python floats.
+    Its logistic uses ``math.exp``: ``np.exp`` differs from it in the last
+    bit for some arguments, which would change trajectory bytes.  The Verlet
+    loop's batches hold at most 1 + 4d columns, where numpy's per-call
+    dispatch would cost more than this arithmetic.
     """
     big_a, big_b, a, x0 = p.A, p.B, p.a, p.x0
     exp = math.exp
-    row = []
-    for x in q[0].tolist():
-        s = (x + x0) / a
-        if s >= 0.0:
-            u = 1.0 / (1.0 + exp(-s))
-        else:
-            ex = exp(s)
-            u = ex / (1.0 + ex)
-        row.append(u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a)
-    g[0] = row
-    morse = g[1:]
-    np.multiply(q[1:], -p.aM, out=e)
-    np.exp(e, out=e)
-    np.multiply(e, e, out=morse)
-    np.subtract(e, morse, out=morse)
-    np.multiply(morse, 2.0 * p.De * p.aM, out=morse)
+    q_x, q_morse = q[0], q[1:]
+    g_x, g_morse = g[0], g[1:]
+    e = np.empty(q_morse.shape)
+    neg_am = np.array(-p.aM, dtype=np.float64)
+    scale = np.array(2.0 * p.De * p.aM, dtype=np.float64)
+
+    def grad() -> None:
+        row = []
+        for x in q_x.tolist():
+            s = (x + x0) / a
+            if s >= 0.0:
+                u = 1.0 / (1.0 + exp(-s))
+            else:
+                ex = exp(s)
+                u = ex / (1.0 + ex)
+            row.append(u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a)
+        g_x[...] = row
+        np.multiply(q_morse, neg_am, out=e)
+        np.exp(e, out=e)
+        np.multiply(e, e, out=g_morse)
+        np.subtract(e, g_morse, out=g_morse)
+        np.multiply(g_morse, scale, out=g_morse)
+
+    return grad
 
 
 def kinetic_energy(p: EckartMorseParams, mom):
@@ -526,32 +537,39 @@ def kinetic_energy(p: EckartMorseParams, mom):
 
 def velocities(p: EckartMorseParams, mom) -> np.ndarray:
     """dq/dt = dH/dp for momenta of shape ``(..., d)``, with the momentum
-    coupling included; C-ordered.  Runs :func:`_velocities_into` on the
-    transposed ``(d, N)`` views of the momenta and of the result."""
+    coupling included; C-ordered.  Runs :func:`_velocity_fn`'s velocity once
+    on the transposed ``(d, N)`` views of the momenta and of the result."""
     mom = np.asarray(mom, dtype=float)
     d = _last_axis(mom, "momenta")
     v = np.empty(mom.shape)
-    n = v.size // d
-    _velocities_into(p, mom.reshape(-1, d).T, v.reshape(-1, d).T, np.empty(n),
-                     np.empty((d, n)))
+    _velocity_fn(p, mom.reshape(-1, d).T, v.reshape(-1, d).T)()
     return v
 
 
-def _velocities_into(p: EckartMorseParams, mom, v, s, tmp) -> None:
-    """``mom / m + eps * (s - mom)`` for coordinate-major momenta: ``mom`` and
-    ``v`` have shape ``(d, N)``, and ``s`` (shape ``(N,)``) gets each
-    column's momentum sum, ``(p_0 + p_1) + p_2``.  Writes ``v``, using ``tmp``
-    (shape ``(d, N)``) as scratch.
+def _velocity_fn(p: EckartMorseParams, mom, v):
+    """``mom / m + eps * (s - mom)`` for coordinate-major momenta, as a
+    zero-argument function that writes ``v`` from the values ``mom`` holds
+    when it is called.  ``mom`` and ``v`` have shape ``(d, N)``, and ``s``
+    is each column's momentum sum, ``(p_0 + p_1) + p_2``.  The scratch and
+    the 0-d constants are made here, once, as in :func:`_grad_fn`.
 
     For d < 8 numpy adds the rows in sequence, so ``s`` has the bits of a
     last-axis sum, except perhaps the sign of a sum of -0.0 entries alone;
     ``s`` enters only through ``s - mom``, which is 0.0 for either sign there.
     """
-    np.add.reduce(mom, axis=0, out=s)
-    np.subtract(s, mom, out=tmp)
-    np.multiply(tmp, p.eps, out=tmp)
-    np.divide(mom, p.m, out=v)
-    np.add(v, tmp, out=v)
+    s = np.empty(mom.shape[1])
+    tmp = np.empty(mom.shape)
+    eps = np.array(p.eps, dtype=np.float64)
+    m = np.array(p.m, dtype=np.float64)
+
+    def vel() -> None:
+        np.add.reduce(mom, axis=0, out=s)
+        np.subtract(s, mom, out=tmp)
+        np.multiply(tmp, eps, out=tmp)
+        np.divide(mom, m, out=v)
+        np.add(v, tmp, out=v)
+
+    return vel
 
 
 def full_hamiltonian(p: EckartMorseParams, state):

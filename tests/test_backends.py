@@ -11,25 +11,19 @@ import pytest
 import sympb
 from sympb import (
     CnfModel,
-    DivergenceError,
-    IntegratorConfig,
     action_volume_mc,
     builtin_cnf,
-    default_params,
-    integrate,
     kernels,
 )
 from sympb import bottleneck
 from sympb.bottleneck import BRACKET_CAP, MC_BLOCK, MC_CHUNK
 
-from oracles import PARAM_SETS, linear_cnf, logistic_py, oracle_run
-
-PARAMS = default_params()
+from oracles import PARAM_SETS, linear_cnf, logistic_py
 
 
 # ---------------------------------------------------------------------------
-# Reference oracles: the term-table counter the kernel replaced, kept
-# verbatim, and the central-difference Jacobian of the Verlet oracle.
+# Reference oracle: the term-table counter the kernel replaced, kept
+# verbatim.
 # ---------------------------------------------------------------------------
 
 
@@ -51,26 +45,6 @@ def zero_i_table(model):
     j_pows = np.array([jp for jp, _ in keep], dtype=np.int64).reshape(len(keep), model.n_bath)
     coeffs = np.array([c for _, c in keep], dtype=np.float64)
     return j_pows, coeffs
-
-
-def oracle_jacobian(params, state0, cfg):
-    state0 = np.asarray(state0, dtype=float)
-    dim = state0.size
-    nsteps = max(1, int(round(cfg.t_final / cfg.h)))
-
-    def final_state(z):
-        qs, ps, bad = oracle_run(params, z[: dim // 2], z[dim // 2:], cfg.h, nsteps, nsteps)
-        assert bad == -1
-        return np.concatenate([qs[-1], ps[-1]])
-
-    jac = np.empty((dim, dim))
-    for col in range(dim):
-        zp = state0.copy()
-        zm = state0.copy()
-        zp[col] += cfg.fd_epsilon
-        zm[col] -= cfg.fd_epsilon
-        jac[:, col] = (final_state(zp) - final_state(zm)) / (2.0 * cfg.fd_epsilon)
-    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -278,74 +252,3 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
                     want = np.random.default_rng(child).uniform(0.0, np.array(box), size=(m, nb))
                     assert js.shape == want.shape
                     assert js.tobytes() == want.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# integrate on the batched Verlet loop
-# ---------------------------------------------------------------------------
-
-
-def test_integrate_states_match_oracle():
-    state0 = np.array([-2.0, 0.3, 0.1, 0.9, -0.2, 0.05])
-    rec = integrate(PARAMS, state0, IntegratorConfig(h=1e-3, t_final=0.5, monitor_stride=30,
-                                                     compute_jacobian=False))
-    qo, po, _ = oracle_run(PARAMS, state0[:3], state0[3:], 1e-3, 500, 30)
-    assert rec.states.tobytes() == np.hstack([qo, po]).tobytes()
-
-
-STATES = (np.array([-2.0, 0.3, 0.9, -0.2]), np.array([-0.5, 0.25, -0.2, 0.4, -0.3, 0.2]))
-
-
-def test_integrate_jacobian_rows_match_oracles():
-    # the trajectory and its 4d displaced rows run as one batch
-    for state0 in STATES:
-        cfg = IntegratorConfig(h=1e-3, t_final=0.3, monitor_stride=7)
-        rec = integrate(PARAMS, state0, cfg)
-        alone = integrate(PARAMS, state0, IntegratorConfig(h=1e-3, t_final=0.3, monitor_stride=7,
-                                                           compute_jacobian=False))
-        assert rec.states.tobytes() == alone.states.tobytes()
-        assert rec.energies.tobytes() == alone.energies.tobytes()
-        assert rec.jacobian.flags.c_contiguous
-        assert rec.jacobian.tobytes() == oracle_jacobian(PARAMS, state0, cfg).tobytes()
-
-
-def test_integrate_one_batch_one_gradient_per_step(monkeypatch):
-    calls = {"verlet_run": 0, "grad_into": 0}
-    real_run, real_grad = kernels.verlet_run, kernels._grad_into
-
-    def counting_run(*args):
-        calls["verlet_run"] += 1
-        return real_run(*args)
-
-    def counting_grad(*args):
-        calls["grad_into"] += 1
-        return real_grad(*args)
-
-    monkeypatch.setattr(kernels, "verlet_run", counting_run)
-    monkeypatch.setattr(kernels, "_grad_into", counting_grad)
-    rec = integrate(PARAMS, STATES[1], IntegratorConfig(h=1e-3, t_final=0.25))
-    assert rec.jacobian.shape == (6, 6)
-    assert calls == {"verlet_run": 1, "grad_into": 250 + 1}
-
-
-def test_integrate_auxiliary_divergence_time():
-    # fd_epsilon 400 sends the row displacing q2 by -400 into Morse overflow
-    state0 = STATES[0]
-    cfg = IntegratorConfig(h=1e-3, t_final=0.5, monitor_stride=30, fd_epsilon=400.0)
-    zm = state0.copy()
-    zm[1] -= cfg.fd_epsilon
-    _, _, bad = oracle_run(PARAMS, zm[:2], zm[2:], cfg.h, 500, cfg.monitor_stride)
-    assert bad >= 1
-    with pytest.raises(DivergenceError) as exc:
-        integrate(PARAMS, state0, cfg)
-    assert str(exc.value).startswith("auxiliary trajectory became non-finite at t = ")
-    assert exc.value.time == bad * cfg.monitor_stride * cfg.h
-    assert exc.value.time < cfg.t_final
-
-
-def test_integrate_main_divergence_with_jacobian():
-    cfg = IntegratorConfig(h=0.01, t_final=1.0)
-    with pytest.raises(DivergenceError) as exc:
-        integrate(PARAMS, np.array([-50.0, -400.0, 0.0, 0.0]), cfg)
-    assert str(exc.value) == "state became non-finite at t = 0.1"
-    assert exc.value.time == pytest.approx(0.1, abs=1e-12)

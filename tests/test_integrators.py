@@ -11,6 +11,7 @@ from sympb import (
     default_params,
     full_hamiltonian,
     integrate,
+    kernels,
     random_symplectic,
     verlet_step,
 )
@@ -18,6 +19,8 @@ import sympb.integrators
 from sympb.integrators import TrajectoryRecord, ds_crossing_times
 from sympb.linalg import symplecticity_defect
 from sympb.models import eckart_potential, morse_potential
+
+from oracles import oracle_run
 
 PARAMS = default_params()
 
@@ -43,6 +46,15 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(**kw)
+    # before: 2.5 passed and integrate died in np.empty with a TypeError
+    for stride in (2.5, 2.0, True, "10", None):
+        with pytest.raises(ValueError, match="^monitor_stride must be an integer, got "):
+            IntegratorConfig(h=1e-2, t_final=0.1, monitor_stride=stride)
+    for stride in (np.int64(3), np.uint8(3), 3):
+        assert IntegratorConfig(h=1e-2, t_final=0.1, monitor_stride=stride).monitor_stride == 3
+    rec = integrate(PARAMS, np.array([-2.0, 0.3, 0.9, -0.2]),
+                    IntegratorConfig(h=1e-2, t_final=0.1, monitor_stride=np.int64(3)))
+    assert rec.times.size == 5
 
 
 @pytest.mark.parametrize("fd_epsilon", [math.nan, math.inf])
@@ -346,3 +358,101 @@ def test_integrate_energies_match_oracle():
     rec = integrate(PARAMS, np.array([-2.0, 0.3, 0.9, -0.2]), IntegratorConfig(h=1e-2, t_final=2.0))
     assert np.array_equal(rec.energies.view(np.int64),
                           oracle_energies(PARAMS, rec.states).view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# integrate on the batched Verlet loop
+# ---------------------------------------------------------------------------
+
+
+def oracle_jacobian(params, state0, cfg):
+    state0 = np.asarray(state0, dtype=float)
+    dim = state0.size
+    nsteps = max(1, int(round(cfg.t_final / cfg.h)))
+
+    def final_state(z):
+        qs, ps, bad = oracle_run(params, z[: dim // 2], z[dim // 2:], cfg.h, nsteps, nsteps)
+        assert bad == -1
+        return np.concatenate([qs[-1], ps[-1]])
+
+    jac = np.empty((dim, dim))
+    for col in range(dim):
+        zp = state0.copy()
+        zm = state0.copy()
+        zp[col] += cfg.fd_epsilon
+        zm[col] -= cfg.fd_epsilon
+        jac[:, col] = (final_state(zp) - final_state(zm)) / (2.0 * cfg.fd_epsilon)
+    return jac
+
+
+def test_integrate_states_match_oracle():
+    state0 = np.array([-2.0, 0.3, 0.1, 0.9, -0.2, 0.05])
+    rec = integrate(PARAMS, state0, IntegratorConfig(h=1e-3, t_final=0.5, monitor_stride=30,
+                                                     compute_jacobian=False))
+    qo, po, _ = oracle_run(PARAMS, state0[:3], state0[3:], 1e-3, 500, 30)
+    assert rec.states.tobytes() == np.hstack([qo, po]).tobytes()
+
+
+STATES = (np.array([-2.0, 0.3, 0.9, -0.2]), np.array([-0.5, 0.25, -0.2, 0.4, -0.3, 0.2]))
+
+
+def test_integrate_jacobian_rows_match_oracles():
+    # the trajectory and its 4d displaced rows run as one batch
+    for state0 in STATES:
+        cfg = IntegratorConfig(h=1e-3, t_final=0.3, monitor_stride=7)
+        rec = integrate(PARAMS, state0, cfg)
+        alone = integrate(PARAMS, state0, IntegratorConfig(h=1e-3, t_final=0.3, monitor_stride=7,
+                                                           compute_jacobian=False))
+        assert rec.states.tobytes() == alone.states.tobytes()
+        assert rec.energies.tobytes() == alone.energies.tobytes()
+        assert rec.jacobian.flags.c_contiguous
+        assert rec.jacobian.tobytes() == oracle_jacobian(PARAMS, state0, cfg).tobytes()
+
+
+def test_integrate_one_batch_one_gradient_per_step(monkeypatch):
+    # the loop binds the gradient once and calls it once per step
+    calls = {"verlet_run": 0, "grad_fn": 0, "grad": 0}
+    real_run, real_grad_fn = kernels.verlet_run, kernels._grad_fn
+
+    def counting_run(*args):
+        calls["verlet_run"] += 1
+        return real_run(*args)
+
+    def counting_grad_fn(*args):
+        calls["grad_fn"] += 1
+        grad = real_grad_fn(*args)
+
+        def counting_grad():
+            calls["grad"] += 1
+            grad()
+
+        return counting_grad
+
+    monkeypatch.setattr(kernels, "verlet_run", counting_run)
+    monkeypatch.setattr(kernels, "_grad_fn", counting_grad_fn)
+    rec = integrate(PARAMS, STATES[1], IntegratorConfig(h=1e-3, t_final=0.25))
+    assert rec.jacobian.shape == (6, 6)
+    assert calls == {"verlet_run": 1, "grad_fn": 1, "grad": 250 + 1}
+
+
+def test_integrate_auxiliary_divergence_time():
+    # fd_epsilon 400 sends the row displacing q2 by -400 into Morse overflow
+    state0 = STATES[0]
+    cfg = IntegratorConfig(h=1e-3, t_final=0.5, monitor_stride=30, fd_epsilon=400.0)
+    zm = state0.copy()
+    zm[1] -= cfg.fd_epsilon
+    _, _, bad = oracle_run(PARAMS, zm[:2], zm[2:], cfg.h, 500, cfg.monitor_stride)
+    assert bad >= 1
+    with pytest.raises(DivergenceError) as exc:
+        integrate(PARAMS, state0, cfg)
+    assert str(exc.value).startswith("auxiliary trajectory became non-finite at t = ")
+    assert exc.value.time == bad * cfg.monitor_stride * cfg.h
+    assert exc.value.time < cfg.t_final
+
+
+def test_integrate_main_divergence_with_jacobian():
+    cfg = IntegratorConfig(h=0.01, t_final=1.0)
+    with pytest.raises(DivergenceError) as exc:
+        integrate(PARAMS, np.array([-50.0, -400.0, 0.0, 0.0]), cfg)
+    assert str(exc.value) == "state became non-finite at t = 0.1"
+    assert exc.value.time == pytest.approx(0.1, abs=1e-12)

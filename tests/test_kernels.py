@@ -110,6 +110,23 @@ def test_verlet_batch_matches_oracle_signed_zeros_and_layouts(params, d):
         assert ((ps[:, rest] == 0) & np.signbit(ps[:, rest])).all()
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_verlet_run_leaves_start_arrays_untouched(d):
+    # the loop binds views of its own state before the first step; none may
+    # reach the caller's arrays, nor the record of step 0
+    q0, p0 = random_states(np.random.default_rng(8), 5, d)
+    for (qname, q), (pname, p) in itertools.product(layouts(q0).items(), layouts(p0).items()):
+        held = [(x, x.tobytes(), x.base, None if x.base is None else x.base.tobytes())
+                for x in (q, p)]
+        qs, ps, bad = kernels.verlet_run(PARAMS, q, p, 1e-2, 50, 20)
+        assert bad == -1
+        for x, data, base, base_data in held:
+            assert x.tobytes() == data, (qname, pname)
+            assert base is None or base.tobytes() == base_data, (qname, pname)
+        assert qs[0].tobytes() == q0.tobytes() and ps[0].tobytes() == p0.tobytes()
+        assert not np.array_equal(qs[-1], q0) and not np.array_equal(ps[-1], p0)
+
+
 @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
 @pytest.mark.parametrize("d", [2, 3])
 def test_velocities_match_last_axis_formula_on_signed_zeros(params, d):
