@@ -31,8 +31,8 @@ __all__ = [
 # Largest record arrays (states of the trajectory and of its displaced rows at
 # every monitored step) that integrate allocates: 1 GiB.
 MAX_RECORD_BYTES = 2**30
-# Largest number of Verlet steps that integrate runs: about 22 minutes at
-# 13 us per batched step of 13 rows (2 shared vCPU).
+# Largest number of Verlet steps that integrate runs: about 20 minutes at
+# 12 us per batched step of 13 rows (2 shared vCPU).
 MAX_STEPS = 10**8
 
 
@@ -45,6 +45,10 @@ class IntegratorConfig:
     compute_jacobian: bool = True
 
     def __post_init__(self):
+        for field in ("h", "t_final", "fd_epsilon"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{field} must be a number, got {value!r}")
         if self.h <= 0:
             raise ValueError(f"step h must be > 0, got {self.h}")
         if self.t_final <= 0:
@@ -135,7 +139,7 @@ def integrate(p: EckartMorseParams, state0, cfg: IntegratorConfig) -> Trajectory
             f"t_final = {cfg.t_final!r} with h = {cfg.h!r} would take {nsteps} steps, "
             f"above the limit MAX_STEPS = {MAX_STEPS}; raise h or lower t_final"
         )
-    times = np.append(np.arange(0, nsteps, cfg.monitor_stride), nsteps) * cfg.h
+    times = np.append(np.arange(0, nsteps, cfg.monitor_stride), nsteps) * float(cfg.h)
     qs, ps, bad = kernels.verlet_run(
         p, starts[:, :d], starts[:, d:], cfg.h, nsteps, cfg.monitor_stride
     )

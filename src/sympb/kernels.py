@@ -37,6 +37,12 @@ XSHIFT = 16
 MASK32 = 0xFFFFFFFF
 PCG_MULT_HI = 2549297995355413924
 PCG_MULT_LO = 4865540595714422341
+# The Verlet loop checks its records for finiteness once per block of at most
+# _CHECK_BLOCK records and _CHECK_STEPS steps (and at least one record): a
+# check costs about as much as one step of a 13-row batch, and a diverging run
+# steps on to the end of its block.
+_CHECK_BLOCK = 64
+_CHECK_STEPS = 640
 
 
 def _entropy_words(entropy) -> list:
@@ -175,6 +181,13 @@ def record_count(nsteps: int, stride: int) -> int:
     return -(-nsteps // stride) + 1
 
 
+def _first_nonfinite(qs, ps, lo: int, hi: int) -> int:
+    """Index of the first of the records ``lo:hi`` at which any entry of
+    ``qs`` or ``ps`` is non-finite, or -1."""
+    finite = np.isfinite(qs[lo:hi]).all(axis=(1, 2)) & np.isfinite(ps[lo:hi]).all(axis=(1, 2))
+    return -1 if finite.all() else lo + int(np.argmin(finite))
+
+
 def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride: int):
     """Kick-drift-kick Stormer-Verlet for a batch of trajectories.
 
@@ -182,8 +195,13 @@ def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride:
     recorded at step 0, every ``stride`` steps and at step ``nsteps``.
 
     Returns ``(qs, ps, bad)``: records of shape ``(nrec, k, d)`` and the index
-    of the first record at which any row is non-finite (the records stop
-    there), or -1.
+    of the first record after step 0 at which any row is non-finite (the
+    records stop there), or -1.  Finiteness is checked once per block of
+    records, over the records written since the last check, and once more
+    at the last record.  A block holds ``_CHECK_BLOCK`` records, or as many
+    as fit in ``_CHECK_STEPS`` steps and at least one, so a run that
+    diverges stops at the end of the block that holds its first non-finite
+    record; the records past that one are dropped.
 
     The batch is stepped coordinate-major: ``q`` and ``p`` are C-contiguous
     ``(d, k)`` arrays, row 0 the reactive coordinate of every trajectory and
@@ -192,11 +210,12 @@ def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride:
     gradient and the velocity are :mod:`~sympb.models` functions bound to
     these buffers once, with their row views and constants, and the step
     sizes are 0-d float64 arrays, so no step makes a view or passes a Python
-    float to a ufunc.  The gradient is evaluated once before the loop and
-    once per step: the closing half-kick of a step and the opening half-kick
-    of the next one act at the same ``q``, so they share one ``kick = half_h
-    * g``.  The two half-kicks stay separate updates, which keeps the bits
-    of two gradient evaluations per step.
+    float to a ufunc; the ufuncs are bound to local names once per run and
+    take their outputs positionally.  The gradient is evaluated once before
+    the loop and once per step: the closing half-kick of a step and the
+    opening half-kick of the next one act at the same ``q``, so they share
+    one ``kick = half_h * g``.  The two half-kicks stay separate updates,
+    which keeps the bits of two gradient evaluations per step.
     """
     q = np.array(np.asarray(q0, dtype=np.float64).T, order="C")
     p = np.array(np.asarray(p0, dtype=np.float64).T, order="C")
@@ -213,23 +232,31 @@ def verlet_run(params: EckartMorseParams, q0, p0, h: float, nsteps: int, stride:
     grad = _grad_fn(params, q, g)
     vel = _velocity_fn(params, p, v)
     h, half_h = np.array(h, dtype=np.float64), np.array(0.5 * h, dtype=np.float64)
+    multiply, subtract, add = np.multiply, np.subtract, np.add
     rec = 1
-    # overflow to inf/nan is detected at record points, not raised
+    # the records before `checked` are finite; the next check is when rec
+    # reaches check_at
+    block = max(1, min(_CHECK_BLOCK, _CHECK_STEPS // stride))
+    checked, check_at = 1, min(1 + block, nrec)
+    # overflow to inf/nan is detected in the records, not raised
     with np.errstate(over="ignore", invalid="ignore"):
         grad()
-        np.multiply(g, half_h, out=kick)
+        multiply(g, half_h, kick)
         for step in range(1, nsteps + 1):
-            p -= kick
+            subtract(p, kick, p)
             vel()
-            v *= h
-            q += v
+            multiply(v, h, v)
+            add(q, v, q)
             grad()
-            np.multiply(g, half_h, out=kick)
-            p -= kick
+            multiply(g, half_h, kick)
+            subtract(p, kick, p)
             if step % stride == 0 or step == nsteps:
                 qs[rec] = q_rows
                 ps[rec] = p_rows
                 rec += 1
-                if not (np.isfinite(q).all() and np.isfinite(p).all()):
-                    return qs[:rec], ps[:rec], rec - 1
+                if rec == check_at:
+                    bad = _first_nonfinite(qs, ps, checked, rec)
+                    if bad >= 0:
+                        return qs[:bad + 1], ps[:bad + 1], bad
+                    checked, check_at = rec, min(rec + block, nrec)
     return qs, ps, -1

@@ -489,10 +489,12 @@ def _grad_fn(p: EckartMorseParams, q, g):
     reactive coordinate of every configuration and rows ``1:`` the Morse
     coordinates; each column gives the same values as on its own.
 
-    The row views, the Morse scratch and the constants are made here, once:
-    the Verlet loop calls the function once per step, and numpy takes a
-    ufunc operand that is a 0-d float64 array faster than a Python float,
-    with the same bits.  The reactive row is one pass over Python floats.
+    The row views, the Morse scratch and the constants are made here, once,
+    and the ufuncs and ``q_x.tolist`` are bound to names here too: the
+    Verlet loop calls the function once per step, and numpy takes a ufunc
+    operand that is a 0-d float64 array faster than a Python float, and an
+    output passed positionally faster than ``out=``, with the same bits.
+    The reactive row is one pass over Python floats.
     Its logistic uses ``math.exp``: ``np.exp`` differs from it in the last
     bit for some arguments, which would change trajectory bytes.  The Verlet
     loop's batches hold at most 1 + 4d columns, where numpy's per-call
@@ -505,10 +507,12 @@ def _grad_fn(p: EckartMorseParams, q, g):
     e = np.empty(q_morse.shape)
     neg_am = np.array(-p.aM, dtype=np.float64)
     scale = np.array(2.0 * p.De * p.aM, dtype=np.float64)
+    multiply, subtract, np_exp = np.multiply, np.subtract, np.exp
+    q_x_list = q_x.tolist
 
     def grad() -> None:
         row = []
-        for x in q_x.tolist():
+        for x in q_x_list():
             s = (x + x0) / a
             if s >= 0.0:
                 u = 1.0 / (1.0 + exp(-s))
@@ -517,11 +521,11 @@ def _grad_fn(p: EckartMorseParams, q, g):
                 u = ex / (1.0 + ex)
             row.append(u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a)
         g_x[...] = row
-        np.multiply(q_morse, neg_am, out=e)
-        np.exp(e, out=e)
-        np.multiply(e, e, out=g_morse)
-        np.subtract(e, g_morse, out=g_morse)
-        np.multiply(g_morse, scale, out=g_morse)
+        multiply(q_morse, neg_am, e)
+        np_exp(e, e)
+        multiply(e, e, g_morse)
+        subtract(e, g_morse, g_morse)
+        multiply(g_morse, scale, g_morse)
 
     return grad
 
@@ -550,8 +554,9 @@ def _velocity_fn(p: EckartMorseParams, mom, v):
     """``mom / m + eps * (s - mom)`` for coordinate-major momenta, as a
     zero-argument function that writes ``v`` from the values ``mom`` holds
     when it is called.  ``mom`` and ``v`` have shape ``(d, N)``, and ``s``
-    is each column's momentum sum, ``(p_0 + p_1) + p_2``.  The scratch and
-    the 0-d constants are made here, once, as in :func:`_grad_fn`.
+    is each column's momentum sum, ``(p_0 + p_1) + p_2``.  The scratch, the
+    0-d constants and the ufuncs are bound here, once, and every output is
+    passed positionally, as in :func:`_grad_fn`.
 
     For d < 8 numpy adds the rows in sequence, so ``s`` has the bits of a
     last-axis sum, except perhaps the sign of a sum of -0.0 entries alone;
@@ -561,13 +566,15 @@ def _velocity_fn(p: EckartMorseParams, mom, v):
     tmp = np.empty(mom.shape)
     eps = np.array(p.eps, dtype=np.float64)
     m = np.array(p.m, dtype=np.float64)
+    add_reduce, subtract, multiply, divide, add = (
+        np.add.reduce, np.subtract, np.multiply, np.divide, np.add)
 
     def vel() -> None:
-        np.add.reduce(mom, axis=0, out=s)
-        np.subtract(s, mom, out=tmp)
-        np.multiply(tmp, eps, out=tmp)
-        np.divide(mom, m, out=v)
-        np.add(v, tmp, out=v)
+        add_reduce(mom, 0, None, s)
+        subtract(s, mom, tmp)
+        multiply(tmp, eps, tmp)
+        divide(mom, m, v)
+        add(v, tmp, v)
 
     return vel
 

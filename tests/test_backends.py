@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -18,7 +17,7 @@ from sympb import (
 from sympb import bottleneck
 from sympb.bottleneck import BRACKET_CAP, MC_BLOCK, MC_CHUNK
 
-from oracles import PARAM_SETS, linear_cnf, logistic_py
+from oracles import linear_cnf
 
 
 # ---------------------------------------------------------------------------
@@ -45,69 +44,6 @@ def zero_i_table(model):
     j_pows = np.array([jp for jp, _ in keep], dtype=np.int64).reshape(len(keep), model.n_bath)
     coeffs = np.array([c for _, c in keep], dtype=np.float64)
     return j_pows, coeffs
-
-
-# ---------------------------------------------------------------------------
-# The batched gradient against a per-element scalar oracle
-# ---------------------------------------------------------------------------
-
-
-def grad_potential_oracle(params, q):
-    """The gradient one element at a time: ``logistic_py`` on the reactive
-    coordinate, numpy's ``exp`` of one float on each Morse coordinate."""
-    q = np.asarray(q, dtype=float)
-    g = np.empty(q.shape)
-    big_a, big_b, a = params.A, params.B, params.a
-    for idx in np.ndindex(q.shape[:-1]):
-        u = logistic_py((float(q[idx + (0,)]) + params.x0) / a)
-        g[idx + (0,)] = u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a
-        for k in range(1, q.shape[-1]):
-            e = np.exp(-params.aM * q[idx + (k,)])
-            g[idx + (k,)] = 2.0 * params.De * params.aM * (e - e * e)
-    return g
-
-
-GRAD_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]
-
-
-def gradient_inputs(params, rng):
-    """Configurations of every layout the gradient takes, with reactive
-    coordinates on both logistic branches and the special values."""
-    base = rng.normal(scale=4.0, size=(26, 6))
-    base[:, 0] -= params.x0
-    base[: len(GRAD_SPECIALS), 0] = GRAD_SPECIALS
-    base[len(GRAD_SPECIALS): 2 * len(GRAD_SPECIALS), 2] = GRAD_SPECIALS
-    base[20, 0] = -params.x0
-    base[21, 0] = -800.0 * params.a - params.x0
-    base[22, 0] = 800.0 * params.a - params.x0
-    q = base[:13, :3].copy()
-    s = (q[:, 0] + params.x0) / params.a
-    assert (s >= 0).sum() > 3 and (s < 0).sum() > 3
-    return {
-        "(3,)": q[0].copy(),
-        "(3,) special": q[2].copy(),
-        "(13, 3)": q,
-        "(13, 2)": base[:13, :2].copy(),
-        "(2, 5, 3)": q[:10].reshape(2, 5, 3),
-        "fortran": np.asfortranarray(q),
-        "strided": base[::2, ::2],
-        "column slice": base[:, 1:4][:, ::1],
-    }
-
-
-@pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
-def test_grad_potential_matches_scalar_oracle_bits(params):
-    rng = np.random.default_rng(23)
-    for name, q in gradient_inputs(params, rng).items():
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = sympb.grad_potential(params, q)
-            want = grad_potential_oracle(params, q)
-            assert g.shape == q.shape, name
-            assert g.flags.c_contiguous, name
-            assert g.tobytes() == want.tobytes(), name
-            for idx in np.ndindex(q.shape[:-1]):
-                row = sympb.grad_potential(params, q[idx])
-                assert row.tobytes() == g[idx].tobytes(), (name, idx)
 
 
 # ---------------------------------------------------------------------------

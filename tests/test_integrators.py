@@ -55,6 +55,19 @@ def test_config_validation():
     rec = integrate(PARAMS, np.array([-2.0, 0.3, 0.9, -0.2]),
                     IntegratorConfig(h=1e-2, t_final=0.1, monitor_stride=np.int64(3)))
     assert rec.times.size == 5
+    # before: h=True integrated with integer times [0 2], fd_epsilon=True was
+    # a displacement of 1, and strings died with a bare TypeError
+    for field in ("h", "t_final", "fd_epsilon"):
+        for value in (True, np.bool_(False), "0.1", None, 1j):
+            kw = dict(h=0.1, t_final=1.0)
+            kw[field] = value
+            with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+                IntegratorConfig(**kw)
+    cfg = IntegratorConfig(h=np.float32(0.5), t_final=np.int64(1), fd_epsilon=np.float64(1e-6))
+    assert cfg.nsteps == 2
+    rec = integrate(PARAMS, np.array([-2.0, 0.3, 0.9, -0.2]),
+                    IntegratorConfig(h=1, t_final=2, compute_jacobian=False))
+    assert rec.times.dtype == np.float64 and rec.times.tolist() == [0.0, 2.0]
 
 
 @pytest.mark.parametrize("fd_epsilon", [math.nan, math.inf])

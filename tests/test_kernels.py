@@ -1,31 +1,44 @@
-"""The batched Stormer-Verlet kernel against the one-trajectory oracle.
+"""The batched Stormer-Verlet kernel and the gradient it steps with, against
+the one-trajectory and one-element oracles.
 
 ``kernels.verlet_run`` steps a coordinate-major ``(d, k)`` batch; every row
 of a batch must give the bytes of ``oracle_run`` on that row alone, whatever
-the layout of the start arrays.
+the layout of the start arrays, and the batch must stop at the first record
+at which any row is non-finite.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import sympb
 from sympb import default_params, kernels, velocities
 
-from oracles import PARAM_SETS, oracle_run, random_states
+from oracles import PARAM_SETS, logistic_py, oracle_run, random_states
 
 PARAMS = default_params()
 
 
-def assert_rows_match_oracle(params, q0, p0, h, nsteps, stride):
+def run_against_oracle(params, q0, p0, h, nsteps, stride):
+    """Run the batch and compare every row with ``oracle_run`` on that row
+    alone, bit for bit, up to the first record at which any row is
+    non-finite; return that record's index, or -1."""
     qs, ps, bad = kernels.verlet_run(params, q0, p0, h, nsteps, stride)
-    assert bad == -1
-    assert qs.shape == ps.shape == (len(range(0, nsteps, stride)) + 1, len(q0), q0.shape[1])
-    for row in range(len(q0)):
-        qo, po, bado = oracle_run(params, q0[row], p0[row], h, nsteps, stride)
-        assert bado == -1
-        assert qs[:, row].tobytes() == qo.tobytes()
-        assert ps[:, row].tobytes() == po.tobytes()
+    want = [oracle_run(params, q0[row], p0[row], h, nsteps, stride) for row in range(len(q0))]
+    bads = [bado for _, _, bado in want if bado >= 0]
+    assert bad == min(bads, default=-1)
+    nrec = len(range(0, nsteps, stride)) + 1 if bad < 0 else bad + 1
+    assert qs.shape == ps.shape == (nrec, len(q0), q0.shape[1])
+    for row, (qo, po, _) in enumerate(want):
+        assert qs[:, row].tobytes() == qo[:nrec].tobytes(), row
+        assert ps[:, row].tobytes() == po[:nrec].tobytes(), row
+    return bad
+
+
+def assert_rows_match_oracle(params, q0, p0, h, nsteps, stride):
+    assert run_against_oracle(params, q0, p0, h, nsteps, stride) == -1
 
 
 def test_verlet_batch_matches_oracle_2dof_and_3dof():
@@ -55,6 +68,85 @@ def test_verlet_batch_reports_oracle_divergence_index():
         qo, po, _ = oracle_run(PARAMS, q0[row], p0[row], 0.01, 100, 10)
         assert qs[:, row].tobytes() == qo[: bad + 1].tobytes()
         assert ps[:, row].tobytes() == po[: bad + 1].tobytes()
+
+
+def count_gradients(monkeypatch):
+    """Wrap ``kernels._grad_fn`` so that every call of a bound gradient adds
+    one to the returned dict's ``"grad"``."""
+    calls = {"grad": 0}
+    real_grad_fn = kernels._grad_fn
+
+    def counting_grad_fn(*args):
+        grad = real_grad_fn(*args)
+
+        def counting_grad():
+            calls["grad"] += 1
+            grad()
+
+        return counting_grad
+
+    monkeypatch.setattr(kernels, "_grad_fn", counting_grad_fn)
+    return calls
+
+
+@pytest.mark.parametrize("stride, past", [(10, 63), (1000, 0)])
+def test_verlet_run_stops_within_one_block_of_divergence(monkeypatch, stride, past):
+    # the finiteness check runs inside the loop, once per block of records:
+    # a run of 10**5 steps that diverges at once stops at most `past`
+    # records later (64 records a block at stride 10, one at stride 1000),
+    # not after its last step
+    q0 = np.array([[-2.0, 0.3], [-50.0, -400.0], [0.5, -0.2]])
+    p0 = np.array([[0.9, -0.2], [0.0, 0.0], [0.1, 0.3]])
+    nsteps = 10**5
+    _, _, bad_oracle = oracle_run(PARAMS, q0[1], p0[1], 0.01, nsteps, stride)
+    assert bad_oracle >= 0
+    grads = count_gradients(monkeypatch)
+    qs, ps, bad = kernels.verlet_run(PARAMS, q0, p0, 0.01, nsteps, stride)
+    assert bad == bad_oracle
+    assert qs.shape[0] == ps.shape[0] == bad + 1
+    assert grads["grad"] <= (bad + past) * stride + 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("nrec", [1, 63, 64, 65, 66, 129])
+def test_verlet_batch_matches_oracle_at_block_edges(d, nrec):
+    # stride 3 does not divide nsteps, so the last record is a step of its
+    # own; one record is the start alone (nsteps 0)
+    stride = 3
+    nsteps = 3 * (nrec - 1) - 1 if nrec > 1 else 0
+    assert kernels.record_count(nsteps, stride) == nrec
+    q0, p0 = random_states(np.random.default_rng(nrec), 4, d)
+    assert_rows_match_oracle(PARAMS, q0, p0, 1e-2, nsteps, stride)
+
+
+# a free reactive coordinate far out on the barrier: no force acts, so x
+# moves by DX a step until it overflows to inf; the momentum coupling drives
+# the Morse coordinate outward too, where its force is 0.0, but more slowly
+XMAX = np.finfo(np.float64).max
+P_X, H = 1e305, 1e-2
+DX = P_X * H
+
+
+# at stride 3 a block holds 64 records: 1 to 64, 65 to 128, ...
+@pytest.mark.parametrize("bad, nsteps", [
+    (1, 599),     # the first record of the first block
+    (63, 599),
+    (64, 599),    # its 64th and last record
+    (65, 599),    # the first record of the second block
+    (128, 599),   # its last record
+    (129, 599),   # the first record of the third block
+    (99, 296),    # the last record of a run, in a part block
+    (64, 191),    # the last record of a run, ending a block
+])
+def test_verlet_batch_reports_oracle_divergence_at_block_edges(bad, nsteps):
+    stride = 3
+    # the record before `bad` is at step (bad - 1) * stride; x overflows half
+    # a step after it
+    before = (bad - 1) * stride
+    q0, p0 = random_states(np.random.default_rng(bad), 3, 2)
+    q0[1] = [XMAX - (before + 0.5) * DX, 0.0]
+    p0[1] = [P_X, 0.0]
+    assert run_against_oracle(PARAMS, q0, p0, H, nsteps, stride) == bad
 
 
 # momentum entries whose sums and differences differ only in the sign of a
@@ -145,3 +237,68 @@ def test_record_count_is_python_int_arithmetic():
             assert kernels.record_count(nsteps, stride) == len(range(0, nsteps, stride)) + 1
     # no ssize_t: a step count beyond 2**63 still has a record count
     assert kernels.record_count(2**80 + 1, 10) == 2**80 // 10 + 2
+
+
+# ---------------------------------------------------------------------------
+# The batched gradient against a per-element scalar oracle
+# ---------------------------------------------------------------------------
+
+
+def grad_potential_oracle(params, q):
+    """The gradient one element at a time: ``logistic_py`` on the reactive
+    coordinate, numpy's ``exp`` of one float on each Morse coordinate."""
+    q = np.asarray(q, dtype=float)
+    g = np.empty(q.shape)
+    big_a, big_b, a = params.A, params.B, params.a
+    for idx in np.ndindex(q.shape[:-1]):
+        u = logistic_py((float(q[idx + (0,)]) + params.x0) / a)
+        g[idx + (0,)] = u * (1.0 - u) * (big_a + big_b * (1.0 - 2.0 * u)) / a
+        for k in range(1, q.shape[-1]):
+            e = np.exp(-params.aM * q[idx + (k,)])
+            g[idx + (k,)] = 2.0 * params.De * params.aM * (e - e * e)
+    return g
+
+
+GRAD_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]
+
+
+def gradient_inputs(params, rng):
+    """Configurations of every layout the gradient takes, with reactive
+    coordinates on both logistic branches and the special values."""
+    base = rng.normal(scale=4.0, size=(26, 6))
+    base[:, 0] -= params.x0
+    base[: len(GRAD_SPECIALS), 0] = GRAD_SPECIALS
+    base[len(GRAD_SPECIALS): 2 * len(GRAD_SPECIALS), 2] = GRAD_SPECIALS
+    base[20, 0] = -params.x0
+    base[21, 0] = -800.0 * params.a - params.x0
+    base[22, 0] = 800.0 * params.a - params.x0
+    q = base[:13, :3].copy()
+    s = (q[:, 0] + params.x0) / params.a
+    assert (s >= 0).sum() > 3 and (s < 0).sum() > 3
+    return {
+        "(3,)": q[0].copy(),
+        "(3,) special": q[2].copy(),
+        "(13, 3)": q,
+        "(13, 2)": base[:13, :2].copy(),
+        "(2, 5, 3)": q[:10].reshape(2, 5, 3),
+        "fortran": np.asfortranarray(q),
+        "strided": base[::2, ::2],
+        "column slice": base[:, 1:4][:, ::1],
+    }
+
+
+@pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+def test_grad_potential_matches_scalar_oracle_bits(params):
+    rng = np.random.default_rng(23)
+    for name, q in gradient_inputs(params, rng).items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = sympb.grad_potential(params, q)
+            want = grad_potential_oracle(params, q)
+            assert g.shape == q.shape, name
+            assert g.flags.c_contiguous, name
+            assert g.tobytes() == want.tobytes(), name
+            for idx in np.ndindex(q.shape[:-1]):
+                row = sympb.grad_potential(params, q[idx])
+                assert row.tobytes() == g[idx].tobytes(), (name, idx)
+
+
