@@ -305,6 +305,8 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
 
     Raises PreconditionError when an I-free term of ``K(0, J)`` has a negative
     coefficient: the box may then cut off part of the admissible region.
+    Raises ValueError, before anything is drawn, when the box volume or
+    ``(2 pi)^(n-1)`` times it is not a finite number.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -314,7 +316,25 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     if e == model.e0:
         return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=int(samples),
                           std_error=0.0, seed=int(seed))
-    return _count_volume(model, e, candidate_width(model, e).j_max, samples, seed)
+    j_max = candidate_width(model, e).j_max
+    _check_box(e, j_max)
+    return _count_volume(model, e, j_max, samples, seed)
+
+
+def _check_box(e: float, j_max) -> None:
+    """Refuse, with a ValueError naming ``e``, a sampling box whose volume
+    ``prod_k J_k_max(e)`` or flux bound ``(2 pi)^nb`` times it is not a
+    finite number: its volume, flux and standard error would be inf or NaN."""
+    with np.errstate(over="ignore"):
+        box_volume = float(np.prod(j_max))
+    if not math.isfinite(box_volume):
+        raise ValueError(f"E = {e} gives a sampling box of volume {box_volume}, "
+                         f"not a finite number")
+    nb = len(j_max)
+    bound = (2.0 * math.pi) ** nb * box_volume
+    if not math.isfinite(bound):
+        raise ValueError(f"E = {e} gives a sampling box of volume {box_volume}, whose "
+                         f"(2 pi)^{nb} multiple {bound} is not a finite number")
 
 
 def _count_volume(model: CnfModel, e: float, j_max, samples: int, seed: int) -> FluxReport:
@@ -366,12 +386,13 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     checked first (``steps``, the energy range, ``samples``, then the model
     as :func:`action_volume_mc` checks it); then every root ``J_k_max(E)`` is
     solved once, all in one batch that raises the error of the lowest failed
-    root; then the rows' volumes are counted over the widths' roots as boxes
-    on a thread pool of one worker per usable CPU (``os.sched_getaffinity``),
-    up to the number of rows.  The pool takes the rows in order and returns
-    them in order, so when rows fail the lowest failed row's error is
-    raised, after every worker is joined.  The output does not depend on how
-    many CPUs there are.
+    root; then the lowest row whose box volume, or ``(2 pi)^(n-1)`` times it,
+    is not a finite number raises ValueError; then the rows' volumes are
+    counted over the widths' roots as boxes on a thread pool of one worker
+    per usable CPU (``os.sched_getaffinity``), up to the number of rows.
+    The pool takes the rows in order and returns them in order, so when rows
+    fail the lowest failed row's error is raised, after every worker is
+    joined.  The output does not depend on how many CPUs there are.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -388,8 +409,10 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
         + ["c_cand", "limiting_mode", "V", "phi", "std_error", "seed"]
     )
     widths = candidate_width(model, energies)
-    # imported here, as random_symplectic imports scipy.linalg: only widths
-    # needs the thread pool, so no other command loads concurrent.futures
+    for width in widths:
+        _check_box(width.e, width.j_max)
+    # imported here: only widths needs the thread pool, so no other command
+    # loads concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), steps)) as pool:

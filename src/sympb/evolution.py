@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -77,16 +78,29 @@ def write_curves(curves, prefix: str, meta: dict) -> None:
 
     Each distinct tau grid is formatted once: curves share a formatted grid
     when their grids have the same dtype and bytes (not when they compare
-    equal, since ``-0.0 == 0.0`` prints ``-0``)."""
+    equal, since ``-0.0 == 0.0`` prints ``-0``).  The float64 area columns of
+    all curves are formatted in one ``format_column`` pass over their
+    concatenation, so each distinct bit pattern is formatted once per call;
+    an area array of another dtype is formatted on its own."""
     grids = {}
+    areas = _area_cells([curve.areas for curve in curves])
     for i, curve in enumerate(curves):
         key = (curve.taus.dtype.str, curve.taus.tobytes())
         if key not in grids:
             grids[key] = format_column(curve.taus.tolist())
-        cells = [grids[key], format_column(curve.areas)]
         write_text(f"{prefix}_r{i}.csv",
                    csv_text({**_curve_meta(curve), **meta, "radius_index": i},
-                            CURVE_COLUMNS, cells))
+                            CURVE_COLUMNS, [grids[key], areas[i]]))
+
+
+def _area_cells(columns) -> list:
+    """``format_column`` of each area column, with every float64 column
+    formatted in one pass over their concatenation and split back by length
+    (mixing in another dtype would change its strings)."""
+    wide = [column for column in columns if column.dtype == np.float64]
+    strings = iter(format_column(np.concatenate(wide)) if wide else ())
+    return [list(islice(strings, len(column))) if column.dtype == np.float64
+            else format_column(column) for column in columns]
 
 
 def stm(model: CnfModel, t: float) -> np.ndarray:
@@ -151,13 +165,43 @@ def _check_radius(r: float) -> None:
         )
 
 
+def _cosh_sinh(lt: float) -> tuple:
+    try:
+        return math.cosh(lt), math.sinh(lt)
+    except OverflowError:
+        return math.inf, -math.inf
+
+
+def _saddle_blocks(lam: float, taus: np.ndarray) -> np.ndarray:
+    """The saddle blocks ``B(-tau)`` of ``stm`` over a tau grid, stacked
+    ``(T, 2, 2)``.
+
+    ``math.cosh`` and ``math.sinh`` are mapped over the whole grid of
+    ``lt = lam * -tau`` and written into the block array one entry slice at
+    a time.  A point whose ``cosh`` or ``sinh`` overflows gets
+    ``c, s = inf, -inf``: when either map raises, the grid is redone point
+    by point with that rule.
+    """
+    lts = (lam * -taus).tolist()
+    blocks = np.empty((len(lts), 2, 2))
+    try:
+        blocks[:, 0, 0] = list(map(math.cosh, lts))
+        blocks[:, 0, 1] = list(map(math.sinh, lts))
+    except OverflowError:
+        blocks[:, 0, 0], blocks[:, 0, 1] = zip(*map(_cosh_sinh, lts))
+    blocks[:, 1, 1] = blocks[:, 0, 0]
+    blocks[:, 1, 0] = blocks[:, 0, 1]
+    return blocks
+
+
 def _shadow_factors(model: CnfModel, s_mix, taus: np.ndarray) -> np.ndarray:
     """Area factors ``g(tau) = A(tau) / (pi r^2)`` over a whole tau grid.
 
-    The mixer is checked once.  ``B(-tau)`` is built per point with
-    ``math.cosh``/``math.sinh`` as in ``stm``, and ``g = B P S`` and its Gram
-    matrices are stacked ``(T, 2, 2n)`` and ``(T, 2, 2)`` products, so every
-    factor equals the per-point ``P Phi(-tau) S`` evaluation bit for bit.
+    The mixer is checked once.  The blocks ``B(-tau)`` come from
+    ``_saddle_blocks``, with the ``math.cosh``/``math.sinh`` values ``stm``
+    uses, and ``g = B P S`` and its Gram matrices are stacked ``(T, 2, 2n)``
+    and ``(T, 2, 2)`` products, so every factor equals the per-point
+    ``P Phi(-tau) S`` evaluation bit for bit.
     The Gram determinant ``c00*c11 - c01*c10`` sums terms of size
     ``cosh^4``; where ``c00*c11`` is more than ``CANCEL_LIMIT`` times it
     (more than five of its sixteen digits cancelled, or a negative or NaN
@@ -167,17 +211,10 @@ def _shadow_factors(model: CnfModel, s_mix, taus: np.ndarray) -> np.ndarray:
     """
     s_mix = _check_mixer(model, s_mix)
     n = model.n_dof
-    blocks = []
-    for lt in (model.lam * -taus).tolist():
-        try:
-            c, s = math.cosh(lt), math.sinh(lt)
-        except OverflowError:
-            c, s = math.inf, -math.inf
-        blocks.append(((c, s), (s, c)))
     rows = s_mix[[0, n], :]
     # Overflowed or NaN entries fail the CANCEL_LIMIT test and take det0.
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.array(blocks, dtype=float).reshape(-1, 2, 2) @ rows
+        g = _saddle_blocks(model.lam, taus) @ rows
         gram = g @ g.transpose(0, 2, 1)
         det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
         kept = det * CANCEL_LIMIT >= gram[:, 0, 0] * gram[:, 1, 1]

@@ -20,79 +20,6 @@ from sympb.bottleneck import BRACKET_CAP, MC_BLOCK, MC_CHUNK
 from oracles import linear_cnf
 
 
-# ---------------------------------------------------------------------------
-# Reference oracle: the term-table counter the kernel replaced, kept
-# verbatim.
-# ---------------------------------------------------------------------------
-
-
-def count_box_hits_oracle(j_samples, j_pows, coeffs, e):
-    j_samples = np.asarray(j_samples, dtype=np.float64)
-    m = j_samples.shape[0]
-    acc = np.zeros(m)
-    for t in range(len(coeffs)):
-        v = np.full(m, float(coeffs[t]))
-        for k in range(j_pows.shape[1]):
-            for _ in range(int(j_pows[t, k])):
-                v = v * j_samples[:, k]
-        acc = acc + v
-    return int(np.count_nonzero(acc <= float(e)))
-
-
-def zero_i_table(model):
-    keep = [(jp, c) for ip, jp, c in model.terms if ip == 0]
-    j_pows = np.array([jp for jp, _ in keep], dtype=np.int64).reshape(len(keep), model.n_bath)
-    coeffs = np.array([c for _, c in keep], dtype=np.float64)
-    return j_pows, coeffs
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo membership counting
-# ---------------------------------------------------------------------------
-
-
-def random_model(rng, nb):
-    """A valid CnfModel with random extra terms: negative coefficients and
-    I-powers up to 2 included."""
-    zero = (0,) * nb
-    terms = [(0, zero, -0.5), (1, zero, float(rng.uniform(0.1, 1.0)))]
-    for k in range(nb):
-        unit = tuple(1 if i == k else 0 for i in range(nb))
-        terms.append((0, unit, float(rng.uniform(0.1, 2.0))))
-    terms.append((0, (2,) * nb, float(rng.uniform(-1.0, -0.1))))
-    terms.append((1, (1,) * nb, float(rng.uniform(-1.0, 1.0))))
-    while len(terms) < nb + 8:
-        i_pow = int(rng.integers(0, 3))
-        j_pows = tuple(int(p) for p in rng.integers(0, 4, size=nb))
-        if i_pow + sum(j_pows) >= 2:
-            terms.append((i_pow, j_pows, float(rng.uniform(-1.0, 1.0))))
-    return CnfModel(e0=-0.5, terms=tuple(terms))
-
-
-def test_count_box_hits_matches_term_table_oracle():
-    rng = np.random.default_rng(100)
-    for nb in (1, 2, 3):
-        for _ in range(5):
-            model = random_model(rng, nb)
-            assert any(c < 0 for ip, jp, c in model.terms if ip == 0 and any(jp))
-            assert any(ip > 0 and any(jp) for ip, jp, _ in model.terms)
-            j_samples = rng.uniform(0.0, 2.0, size=(4096, nb))
-            j_pows, coeffs = zero_i_table(model)
-            for e in rng.uniform(-0.5, 1.5, size=3):
-                got = kernels.count_box_hits(model, j_samples, float(e))
-                assert got == count_box_hits_oracle(j_samples, j_pows, coeffs, float(e))
-
-
-def test_count_box_hits_trivial_cases():
-    # K(0, J) = J: the I term vanishes on the dividing surface
-    model = CnfModel(e0=0.0, terms=((0, (0,), 0.0), (1, (0,), 1.0), (0, (1,), 1.0)))
-    j_samples = np.array([[0.5], [1.5]])
-    # J <= 1.0 admits only the first row
-    assert kernels.count_box_hits(model, j_samples, 1.0) == 1
-    assert kernels.count_box_hits(model, j_samples, 2.0) == 2
-    assert kernels.count_box_hits(model, j_samples, 0.1) == 0
-
-
 SNIPPET = """
 import json
 from sympb import action_volume_mc, builtin_cnf

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -638,6 +639,41 @@ def test_energy_scan_validation():
         energy_scan(builtin_cnf(2), 1.0, 0.0, steps=2, samples=10, seed=0)
     with pytest.raises(BelowSaddleError):
         energy_scan(builtin_cnf(2), E0 - 1.0, 0.0, steps=2, samples=10, seed=0)
+
+
+def test_box_volume_that_is_not_finite_is_refused_before_drawing(monkeypatch):
+    # before: np.prod overflowed with a RuntimeWarning and V, phi and
+    # std_error came out inf (NaN when no sample hit)
+    flat = linear_cnf(0.5, (1.0, 1.0), -1.0)
+    # J_2 = J_3 = E + 1: at E = 2e153 the volume E^2 and (2 pi)^2 E^2 are finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = action_volume_mc(flat, 2e153, samples=100, seed=0)
+    assert math.isfinite(rep.flux) and rep.volume > 0.0
+    drawn = []
+    monkeypatch.setattr(bottleneck.kernels, "count_box_hits",
+                        lambda model, js, e: drawn.append(e) or 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            action_volume_mc(builtin_cnf(3), 1e300, samples=10, seed=0)
+        assert str(info.value) == "E = 1e+300 gives a sampling box of volume inf, not a finite number"
+        # at E = 5e153 the volume is finite and (2 pi)^2 times it is not
+        with pytest.raises(ValueError) as info:
+            action_volume_mc(flat, 5e153, samples=10, seed=0)
+        assert str(info.value) == ("E = 5e+153 gives a sampling box of volume 2.5e+307, whose "
+                                   "(2 pi)^2 multiple inf is not a finite number")
+        # rows at E = 0, 1e154, 2e154, 3e154: row 1's flux bound overflows,
+        # rows 2 and 3's volumes do; the lowest such row is refused
+        e1 = np.linspace(0.0, 3e154, 4).tolist()[1]
+        with pytest.raises(ValueError) as info:
+            energy_scan(flat, 0.0, 3e154, steps=4, samples=10, seed=0)
+        assert str(info.value) == (f"E = {e1} gives a sampling box of volume {e1 * e1}, whose "
+                                   f"(2 pi)^2 multiple inf is not a finite number")
+        with pytest.raises(ValueError) as info:
+            energy_scan(builtin_cnf(3), 0.0, 1e300, steps=2, samples=10, seed=0)
+        assert str(info.value) == "E = 1e+300 gives a sampling box of volume inf, not a finite number"
+    assert drawn == []
 
 
 ALPHA_MSG = ("term -0.01*J_2^2 makes K(0, J) decrease in a bath action, so the admissible "

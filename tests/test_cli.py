@@ -196,6 +196,20 @@ def test_widths_below_saddle_exit_one(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_widths_box_volume_overflow_exit_two(tmp_path):
+    # before: exit 0 with numpy's overflow warning and V, phi and std_error
+    # written as inf; run as a process, with warnings as errors, so that a
+    # numpy warning would show on stderr
+    argv = ["widths", "--builtin", "eckart-morse-morse-3dof", "--e-min", "0",
+            "--e-max", "1e300", "--steps", "2", "--samples", "10"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sympb", *argv],
+        capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: E = 1e+300 gives a sampling box of volume inf, not a finite number\n"
+
+
 def test_widths_config_merge_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"e-min": 0.0, "e-max": 0.5, "steps": 2, "samples": 500}))

@@ -400,6 +400,103 @@ def test_write_curves_writes_each_curve_as_its_report(tmp_path):
     assert (tmp_path / "curve_r3.csv").read_text().splitlines()[2].startswith("0,")
 
 
+def test_write_curves_writes_mixed_curves_as_their_reports(tmp_path):
+    # the float64 area columns of every curve are formatted in one pass;
+    # grids of other lengths, float32 and int64 area arrays (an int must
+    # print as an int, so it stays out of the float64 pass), and areas with
+    # -0.0 beside 0.0, NaN and infinities still give each curve's report
+    model = builtin_cnf(3)
+    grid = np.linspace(0.0, 3.0 / model.lam, 50)
+    curves = radius_scan_curves(model, [0.1, 0.3], s_mix_seed=6, tau_grid=grid)[1]
+    short = grid[:7]
+    curves += [
+        min_projection_area(model, 0.1, random_symplectic(3, 0.5, 6), grid[:20]),
+        evolution.ProjectionAreaCurve(r=0.2, taus=short, areas=(0.1 * curves[0].areas[:7])
+                                      .astype(np.float32), min_area=0.0, gromov_scale=1.0),
+        evolution.ProjectionAreaCurve(r=0.2, taus=short, areas=np.arange(-3, 4),
+                                      min_area=-3.0, gromov_scale=1.0),
+        evolution.ProjectionAreaCurve(r=0.2, taus=short, areas=np.array(
+            [-0.0, 0.0, np.nan, np.inf, -np.inf, -0.0, 0.0]), min_area=-np.inf, gromov_scale=1.0),
+        evolution.ProjectionAreaCurve(r=0.2, taus=grid[:1], areas=curves[1].areas[:1].copy(),
+                                      min_area=0.0, gromov_scale=1.0),
+    ]
+    meta = {"command": "exp1", "seed": 6}
+    evolution.write_curves(curves, str(tmp_path / "curve"), meta)
+    for i, curve in enumerate(curves):
+        rep = curve.to_report()
+        rep.meta.update(meta, radius_index=i)
+        rep.to_csv(str(tmp_path / "want.csv"))
+        got = (tmp_path / f"curve_r{i}.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+
+    def area_cells(i):
+        return [line.split(",")[1]
+                for line in (tmp_path / f"curve_r{i}.csv").read_text().splitlines()[2:]]
+
+    assert area_cells(4) == ["-3", "-2", "-1", "0", "1", "2", "3"]
+    assert area_cells(5) == ["-0", "0", "nan", "inf", "-inf", "-0", "0"]
+    assert len(area_cells(6)) == 1
+
+
+def oracle_shadow_factors(model, s_mix, taus):
+    """The area factors with the blocks built one point at a time, a point
+    whose cosh or sinh overflows taking ``(inf, -inf)``; returns the blocks
+    and the factors."""
+    s_mix = evolution._check_mixer(model, s_mix)
+    n = model.n_dof
+    blocks = []
+    for lt in (model.lam * -taus).tolist():
+        try:
+            c, s = math.cosh(lt), math.sinh(lt)
+        except OverflowError:
+            c, s = math.inf, -math.inf
+        blocks.append(((c, s), (s, c)))
+    blocks = np.array(blocks, dtype=float).reshape(-1, 2, 2)
+    rows = s_mix[[0, n], :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = blocks @ rows
+        gram = g @ g.transpose(0, 2, 1)
+        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        kept = det * evolution.CANCEL_LIMIT >= gram[:, 0, 0] * gram[:, 1, 1]
+    gram0 = rows @ rows.T
+    det0 = gram0[0, 0] * gram0[1, 1] - gram0[0, 1] * gram0[1, 0]
+    return blocks, np.sqrt(np.where(kept, det, det0))
+
+
+def edge_tau_grids(lam):
+    """Grids that cross the cosh overflow threshold (on either side of
+    tau = 0), start at -0.0, hold one point, or lie wholly beyond it."""
+    edge = 710.4758600739439 / lam
+    near = [edge]
+    for _ in range(3):
+        near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], np.inf)]
+    with pytest.raises(OverflowError):
+        math.cosh(lam * near[-1])
+    assert math.isfinite(math.cosh(lam * near[0]))
+    return {
+        "crossing": np.array([0.0, 1.0, 500.0, *near, 2000.0, 1e300]),
+        "crossing-negative": np.array([-1e300, -2000.0, -near[-1], -near[0], -0.0, 3.0]),
+        "linspace-crossing": np.linspace(0.0, 2.0 * edge, 301),
+        "signed-zero-start": np.array([-0.0, 0.0, 0.25, 1.0, 4.0]),
+        "one-point": np.array([-0.0]),
+        "one-point-beyond": np.array([2000.0]),
+        "wholly-beyond": np.array([near[-1], 1200.0, 2000.0, np.inf]),
+        "wholly-beyond-negative": np.array([-np.inf, -2000.0, -near[-1]]),
+    }
+
+
+@pytest.mark.parametrize("dof,seed", [(2, 3), (3, 11), (3, None)])
+def test_shadow_factors_match_the_per_point_block_rule(dof, seed):
+    model = builtin_cnf(dof)
+    s = np.eye(2 * dof) if seed is None else random_symplectic(dof, 0.5, seed)
+    for name, taus in edge_tau_grids(model.lam).items():
+        blocks, factors = oracle_shadow_factors(model, s, taus)
+        got = evolution._saddle_blocks(model.lam, taus)
+        assert got.shape == blocks.shape and got.flags.c_contiguous, name
+        assert got.tobytes() == blocks.tobytes(), name
+        assert evolution._shadow_factors(model, s, taus).tobytes() == factors.tobytes(), name
+
+
 def test_exp1_formats_its_tau_grid_once(tmp_path, monkeypatch):
     calls = []
     real = evolution.format_column
@@ -416,8 +513,42 @@ def test_exp1_formats_its_tau_grid_once(tmp_path, monkeypatch):
     grid = default_tau_grid(builtin_cnf(2)).tolist()
     assert len(grid) == 600
     assert sum(values == grid for values in calls) == 1
-    # the grid, three area columns and the scan table's four columns
-    assert len(calls) == 8
+    # the three curves' area columns, read back from their files, in one call
+    areas = np.array([float(line.split(",")[1])
+                      for i in range(3)
+                      for line in (tmp_path / f"curve_r{i}.csv").read_text().splitlines()[2:]])
+    assert len(areas) == 3 * 600
+    assert sum(np.array(values, dtype=float).tobytes() == areas.tobytes() for values in calls) == 1
+    # the grid, the three area columns at once and the scan table's four columns
+    assert len(calls) == 6
+
+
+def test_write_curves_formats_each_area_bit_pattern_once(tmp_path, monkeypatch):
+    class CountingFormat(str):
+        values = []
+
+        def __mod__(self, value):
+            CountingFormat.values.append(value)
+            return str.__mod__(self, value)
+
+    model = builtin_cnf(3)
+    grid = default_tau_grid(model)
+    curves = radius_scan_curves(model, [0.3, 0.5], s_mix_seed=5, tau_grid=grid)[1]
+    # a shorter grid, and the first curve's radius again on it: its areas are
+    # bit patterns the first curve already has
+    curves += [min_projection_area(model, 0.3, random_symplectic(3, 0.5, 5), grid[:250])]
+    assert set(curves[2].areas.tolist()) <= set(curves[0].areas.tolist())
+    monkeypatch.setattr(tables, "FLOAT_FMT", CountingFormat(tables.FLOAT_FMT))
+    evolution.write_curves(curves, str(tmp_path / "curve"), {})
+    areas = np.concatenate([curve.areas for curve in curves])
+    distinct = np.unique(areas.view(np.uint64))
+    # each value of the two grids once, and each distinct area bit pattern
+    # across the three curves once
+    want = np.concatenate([grid, grid[:250], distinct.view(np.float64)])
+    assert len(CountingFormat.values) == len(want)
+    assert sorted(np.array(CountingFormat.values).view(np.uint64).tolist()) == \
+        sorted(want.view(np.uint64).tolist())
+    assert len(distinct) < sum(np.unique(c.areas.view(np.uint64)).size for c in curves)
 
 
 def test_error_order_matches_per_tau_evaluation():
