@@ -641,6 +641,9 @@ def test_energy_scan_validation():
         energy_scan(builtin_cnf(2), E0 - 1.0, 0.0, steps=2, samples=10, seed=0)
 
 
+INF_BOX_MSG = "E = 1e+300 gives a sampling box of volume inf, not a finite number"
+
+
 def test_box_volume_that_is_not_finite_is_refused_before_drawing(monkeypatch):
     # before: np.prod overflowed with a RuntimeWarning and V, phi and
     # std_error came out inf (NaN when no sample hit)
@@ -657,7 +660,7 @@ def test_box_volume_that_is_not_finite_is_refused_before_drawing(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:
             action_volume_mc(builtin_cnf(3), 1e300, samples=10, seed=0)
-        assert str(info.value) == "E = 1e+300 gives a sampling box of volume inf, not a finite number"
+        assert str(info.value) == INF_BOX_MSG
         # at E = 5e153 the volume is finite and (2 pi)^2 times it is not
         with pytest.raises(ValueError) as info:
             action_volume_mc(flat, 5e153, samples=10, seed=0)
@@ -672,7 +675,7 @@ def test_box_volume_that_is_not_finite_is_refused_before_drawing(monkeypatch):
                                    f"(2 pi)^2 multiple inf is not a finite number")
         with pytest.raises(ValueError) as info:
             energy_scan(builtin_cnf(3), 0.0, 1e300, steps=2, samples=10, seed=0)
-        assert str(info.value) == "E = 1e+300 gives a sampling box of volume inf, not a finite number"
+        assert str(info.value) == INF_BOX_MSG
     assert drawn == []
 
 

@@ -207,7 +207,8 @@ def test_widths_box_volume_overflow_exit_two(tmp_path):
         capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: E = 1e+300 gives a sampling box of volume inf, not a finite number\n"
+    assert proc.stderr == (
+        "error: E = 1e+300 gives a sampling box of volume inf, not a finite number\n")
 
 
 def test_widths_config_merge_and_flag_override(tmp_path, capsys):
