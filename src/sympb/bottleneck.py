@@ -5,8 +5,10 @@ On the dividing surface the admissible bath actions form the region
 ``J_k_max(E)``, the candidate transverse width ``c_cand = 2 pi min_k J_k_max``,
 the action-space volume by seeded Monte Carlo, and the directional flux
 ``phi = (2 pi)^(n-1) V``.  ``energy_scan`` counts its rows' volumes on a
-thread pool of one worker per usable CPU; each row draws from its own seed,
-so the table does not depend on the number of CPUs.
+thread pool of one worker per usable CPU, in tasks of contiguous chunk
+ranges that each run on buffers made once per task; each row draws from its
+own seed and each chunk from its own child of that seed, so the table does
+not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ _OK, _BELOW, _NO_BRACKET, _SAME_SIGN, _NAN, _MAXITER = range(6)
 
 # Monte-Carlo chunk size: chunk i of a row's samples draws from substream i
 # of the row's seed, so MC_CHUNK and the seed fix the drawn bytes.  energy_scan
-# runs whole rows in parallel; each row draws its chunks in order.
+# splits each row's chunks into contiguous ranges and counts the ranges in
+# parallel; a range draws its chunks in order.
 MC_CHUNK = 1 << 16
-# Rows drawn and counted at once: half a chunk keeps each worker's buffers
-# small when energy_scan runs its rows in parallel.
+# Rows drawn and counted at once, in buffers made once per task: half a chunk
+# keeps each worker's buffers small (a block of a whole chunk was no faster
+# and raised the flux benchmark's peak memory by 3.4 MB).
 MC_BLOCK = MC_CHUNK // 2
 
 
@@ -340,28 +344,50 @@ def _check_box(e: float, j_max) -> None:
 def _count_volume(model: CnfModel, e: float, j_max, samples: int, seed: int) -> FluxReport:
     """The Monte-Carlo volume and flux at ``e`` over the box with edges
     ``j_max`` (one per bath mode, as in ``WidthReport.j_max``), unchecked:
-    the caller has checked ``samples``, the model and the energy."""
-    nb = model.n_bath
-    box = np.array(j_max)
-    box_volume = float(np.prod(box))
+    the caller has checked ``samples``, the model and the energy.  All of
+    the row's chunks are one :func:`_chunk_hits` task."""
+    hits = _chunk_hits(model, e, j_max, samples, seed, 0, _n_chunks(samples))
+    return _flux_report(e, j_max, samples, seed, hits)
 
-    children = np.random.SeedSequence(seed).spawn((samples + MC_CHUNK - 1) // MC_CHUNK)
-    # ``uniform(0.0, box)`` computes ``0.0 + box * u``, which is ``u * box``
-    # bit for bit.  Blocks of MC_BLOCK rows are drawn in turn from the
-    # generator of their chunk, opened at the chunk's first block; MC_BLOCK
-    # divides MC_CHUNK, so no block spans two chunks and each chunk's stream
-    # is the one it would give alone.  Each block is scaled one column at a
-    # time, because ``js *= box`` runs one short inner loop per row.
-    buf = np.empty((min(MC_BLOCK, samples), nb))
+
+def _n_chunks(samples: int) -> int:
+    return -(-samples // MC_CHUNK)
+
+
+def _chunk_hits(model: CnfModel, e: float, j_max, samples: int, seed: int,
+                first: int, stop: int) -> int:
+    """Box hits among chunks ``first`` to ``stop - 1`` of the ``samples``
+    draws of ``seed`` over the box with edges ``j_max``.
+
+    Chunk c draws from ``SeedSequence(seed, spawn_key=(c,))``, the child c
+    of ``SeedSequence(seed).spawn(n)``, so no list of children is made.
+    Blocks of MC_BLOCK rows are drawn in turn from the generator of their
+    chunk, opened at the chunk's first block; MC_BLOCK divides MC_CHUNK, so
+    no block spans two chunks and each chunk's stream is the one it would
+    give alone.  The draw buffer and the counter's buffers are made once per
+    task, and :func:`~sympb.kernels.count_box_hits` counts each block of
+    unit draws scaled by ``j_max``: ``uniform(0.0, box)`` computes ``0.0 +
+    box * u``, which is ``u * box`` bit for bit.
+    """
+    rows = min(MC_BLOCK, samples)
+    draws = np.empty((rows, model.n_bath))
+    counter = kernels._box_counter(model, j_max, rows)
     hits = 0
-    for start in range(0, samples, MC_BLOCK):
-        if start % MC_CHUNK == 0:
-            rng = np.random.default_rng(children[start // MC_CHUNK])
-        js = buf[:min(MC_BLOCK, samples - start)]
-        rng.random(out=js)
-        for k in range(nb):
-            js[:, k] *= box[k]
-        hits += kernels.count_box_hits(model, js, e)
+    for c in range(first, stop):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        end = min(samples, (c + 1) * MC_CHUNK)
+        for start in range(c * MC_CHUNK, end, MC_BLOCK):
+            js = draws if end - start >= rows else draws[:end - start]
+            rng.random(out=js)
+            hits += kernels.count_box_hits(model, js, e, counter)
+    return hits
+
+
+def _flux_report(e: float, j_max, samples: int, seed: int, hits: int) -> FluxReport:
+    """The FluxReport of ``hits`` box hits among ``samples`` draws over the
+    box with edges ``j_max``."""
+    nb = len(j_max)
+    box_volume = float(np.prod(np.array(j_max)))
     p_hat = hits / samples
     volume = box_volume * p_hat
     std_error = box_volume * math.sqrt(p_hat * (1.0 - p_hat) / samples)
@@ -389,10 +415,13 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     root; then the lowest row whose box volume, or ``(2 pi)^(n-1)`` times it,
     is not a finite number raises ValueError; then the rows' volumes are
     counted over the widths' roots as boxes on a thread pool of one worker
-    per usable CPU (``os.sched_getaffinity``), up to the number of rows.
-    The pool takes the rows in order and returns them in order, so when rows
-    fail the lowest failed row's error is raised, after every worker is
-    joined.  The output does not depend on how many CPUs there are.
+    per usable CPU (``os.sched_getaffinity``), up to the number of tasks.
+    Each row's chunks are split into ``min(cpus, chunks)`` contiguous ranges,
+    one :func:`_chunk_hits` task each, and a row's hits are the integer sum
+    of its tasks' hits.  The pool takes the tasks in row order and returns
+    them in order, so when rows fail the lowest failed row's error is raised,
+    after every worker is joined.  The output does not depend on how many
+    CPUs there are.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -415,13 +444,22 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     # loads concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), steps)) as pool:
-        fluxes = list(pool.map(
-            lambda i: _count_volume(model, widths[i].e, widths[i].j_max, samples, seed + i),
-            range(steps)))
-    rows = [(width.e, *width.j_max, width.c_cand, width.limiting_mode,
-             flux.volume, flux.flux, flux.std_error, seed + i)
-            for i, (width, flux) in enumerate(zip(widths, fluxes))]
+    cpus = _usable_cpus()
+    n_chunks = _n_chunks(samples)
+    parts = min(cpus, n_chunks)
+    tasks = [(i, n_chunks * w // parts, n_chunks * (w + 1) // parts)
+             for i in range(steps) for w in range(parts)]
+    with ThreadPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
+        hits = list(pool.map(
+            lambda task: _chunk_hits(model, widths[task[0]].e, widths[task[0]].j_max,
+                                     samples, seed + task[0], task[1], task[2]),
+            tasks))
+    rows = []
+    for i, width in enumerate(widths):
+        flux = _flux_report(width.e, width.j_max, samples, seed + i,
+                            sum(hits[i * parts:(i + 1) * parts]))
+        rows.append((width.e, *width.j_max, width.c_cand, width.limiting_mode,
+                     flux.volume, flux.flux, flux.std_error, seed + i))
     meta = {
         "e_min": float(e_min),
         "e_max": float(e_max),

@@ -78,6 +78,10 @@ class EnsembleSpec:
         if not math.isfinite(self.q1_range * self.q1_range):
             raise ValueError(f"q1_range {self.q1_range} gives q1_range^2 = "
                              f"{self.q1_range * self.q1_range}, not a finite number")
+        # the seed is the entropy of the substreams; a bool is refused too
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +277,7 @@ def sample_ensemble(model: CnfModel, spec: EnsembleSpec, xi=0.0) -> Ensemble:
             f"energy window [{e_lo}, {e_hi}] reaches the saddle energy e0 = {model.e0}"
         )
     nb = model.n_bath
-    u = substream_uniforms(np.random.SeedSequence(spec.seed).entropy, spec.n_traj, 3 + nb)
+    u = substream_uniforms(spec.seed, spec.n_traj, 3 + nb)
     energy = _uniform(e_lo, e_hi, u[:, 0])
     j2max = j_max_cnf(model, energy, 2)
     lo = xi[..., None] * j2max

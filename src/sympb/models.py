@@ -176,6 +176,47 @@ def _term_sum(model: CnfModel, terms, i, j):
     return total
 
 
+def _k0_fn(model: CnfModel, cols, total, scratch):
+    """``K(0, J)`` of the bath-action columns ``cols`` as a zero-argument
+    function that writes ``total`` from the values ``cols`` holds when it is
+    called.  ``cols`` has shape ``(n_bath, m)``, row k the values of
+    ``J_{k+2}``; ``total`` and ``scratch`` have shape ``(m,)``.
+
+    The table ``k0_terms`` is summed as :func:`_term_sum` sums it, with the
+    same operations and operands in the same order, so each entry has the
+    bits of :func:`eval_k0`: ``total`` starts at zero, and each term is
+    ``coeff * col`` times one more ``col`` per further power, built in
+    ``scratch`` and then added to ``total``.  The constant terms that lead
+    the table are added to the zero start once, here, as Python floats (the
+    same double additions), and ``total`` is filled with their sum.  The
+    factor rows and the 0-d coefficients are bound here too, and every
+    output is passed positionally, as in :func:`_grad_fn`: the Monte-Carlo
+    counter calls the function once per tile of draws and allocates nothing
+    per call.
+    """
+    terms = list(model.k0_terms)
+    start = 0.0
+    while terms and not any(terms[0][1]):
+        start += terms.pop(0)[2]
+    steps = [(np.array(coeff, dtype=np.float64),
+              [cols[k] for k, p in enumerate(j_pows) for _ in range(p)])
+             for _, j_pows, coeff in terms]
+    multiply, add = np.multiply, np.add
+
+    def k0() -> None:
+        total.fill(start)
+        for coeff, factors in steps:
+            if not factors:
+                add(total, coeff, total)
+                continue
+            multiply(coeff, factors[0], scratch)
+            for col in factors[1:]:
+                multiply(scratch, col, scratch)
+            add(total, scratch, total)
+
+    return k0
+
+
 def eval_cnf(model: CnfModel, i, j):
     """Evaluate ``K(I, J)`` for a CnfModel.
 

@@ -42,8 +42,9 @@ def test_reference_seed_digest(name, tmp_path, monkeypatch, capsys):
     assert worker._digest(out) == REFERENCE["digests"][name]
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_flux_digest_does_not_depend_on_usable_cpus(cpus, tmp_path, monkeypatch, capsys):
-    # widths spreads its rows over the usable CPUs; the bytes stay the same
+    # widths spreads its rows' chunk ranges over the usable CPUs; the bytes
+    # stay the same
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     test_reference_seed_digest("flux", tmp_path, monkeypatch, capsys)

@@ -1,17 +1,22 @@
 import concurrent.futures
+import json
 import math
 import os
 import re
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import sympb
 from sympb import (
     BelowSaddleError,
     CnfModel,
@@ -25,7 +30,7 @@ from sympb import (
     energy_scan,
     j_max_cnf,
 )
-from sympb import bottleneck
+from sympb import bottleneck, kernels
 from sympb.bottleneck import (
     _MAXITER,
     _NAN,
@@ -33,6 +38,7 @@ from sympb.bottleneck import (
     _SAME_SIGN,
     BRACKET_CAP,
     BRENT_MAXITER,
+    MC_BLOCK,
     MC_CHUNK,
     ROOT_RTOL,
     ROOT_XTOL,
@@ -741,7 +747,7 @@ def test_energy_scan_solves_each_root_once(monkeypatch):
         energy_scan(model, 0.1, 1.0, steps=2, samples=0, seed=0)
 
 
-REAL_MC = bottleneck._count_volume
+REAL_MC = bottleneck._chunk_hits
 
 
 def usable_cpus(monkeypatch, n):
@@ -749,28 +755,29 @@ def usable_cpus(monkeypatch, n):
 
 
 def record_mc_threads(monkeypatch, fail=(), slow=()):
-    """Wrap ``_count_volume`` to record (seed, thread name) per call and to
-    raise ``RuntimeError("row <seed>")`` for the seeds in ``fail``, after
-    sleeping 0.2 s for the seeds in ``slow``."""
+    """Wrap ``_chunk_hits`` to record (seed, first chunk, stop chunk, thread
+    name) per task and to raise ``RuntimeError("row <seed>")`` for the seeds
+    in ``fail``, after sleeping 0.2 s for the seeds in ``slow``."""
     calls = []
 
-    def wrapped(model, e, j_max, samples, seed):
-        calls.append((seed, threading.current_thread().name))
+    def wrapped(model, e, j_max, samples, seed, first, stop):
+        calls.append((seed, first, stop, threading.current_thread().name))
         if seed in slow:
             time.sleep(0.2)
         if seed in fail:
             raise RuntimeError(f"row {seed}")
-        return REAL_MC(model, e, j_max, samples, seed)
+        return REAL_MC(model, e, j_max, samples, seed, first, stop)
 
-    monkeypatch.setattr(bottleneck, "_count_volume", wrapped)
+    monkeypatch.setattr(bottleneck, "_chunk_hits", wrapped)
     return calls
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4, 16])
 def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
-    # each row equals candidate_width plus action_volume_mc bit for bit, on a
-    # pool of one worker per usable CPU up to the row count; the caller runs
-    # no row, and every worker thread is joined on return
+    # each row equals candidate_width plus action_volume_mc bit for bit; its
+    # 3 chunks are split into min(cpus, 3) contiguous ranges, one task each,
+    # on a pool of one worker per usable CPU up to the task count; the caller
+    # runs no task, and every worker thread is joined on return
     model = builtin_cnf(3)
     steps, samples, seed = 5, 2 * MC_CHUNK + 77, 11
     expected = rows_one_by_one(model, np.linspace(0.05, 1.0, steps), samples, seed)
@@ -794,10 +801,12 @@ def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
     assert report.rows == expected
-    assert sorted(s for s, _ in calls) == [seed + i for i in range(steps)]
-    workers = min(cpus, steps)
+    parts = min(cpus, 3)
+    ranges = [(3 * w // parts, 3 * (w + 1) // parts) for w in range(parts)]
+    assert sorted(c[:3] for c in calls) == [(seed + i, *r) for i in range(steps) for r in ranges]
+    workers = min(cpus, steps * parts)
     assert pools == [workers]
-    threads = {name for _, name in calls}
+    threads = {c[3] for c in calls}
     assert len(threads) <= workers
     assert threading.current_thread().name not in threads
 
@@ -837,7 +846,7 @@ def test_energy_scan_raises_the_lowest_failed_row(monkeypatch, cpus):
     calls = record_mc_threads(monkeypatch, fail={2})
     with pytest.raises(RuntimeError, match="^row 2$"):
         energy_scan(model, 0.1, 1.0, steps=4, samples=100, seed=0)
-    assert {0, 1, 2} <= {s for s, _ in calls}
+    assert {0, 1, 2} <= {c[0] for c in calls}
     assert threading.active_count() == before
     # K(0, J) = J - 0.01 J^2 is not monotone: it is refused before any root
     # is solved, so no row is drawn
@@ -863,3 +872,154 @@ def test_energy_scan_raises_the_lowest_failed_row(monkeypatch, cpus):
     assert type(info.value) is ConvergenceError
     assert str(info.value) == f"j_max at E = {e2!r}, mode k = 2: f is NaN at x = {hi!r}"
     assert calls == [] and threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo bits: frozen volumes, chunk draws, chunk-range tasks
+# ---------------------------------------------------------------------------
+
+
+SNIPPET = """
+import json
+from sympb import action_volume_mc, builtin_cnf
+rep = action_volume_mc(builtin_cnf(3), 0.5, samples=40000, seed=17)
+print(json.dumps({
+    "volume": rep.volume.hex(),
+    "std": rep.std_error.hex(),
+    "flux": rep.flux.hex(),
+}))
+"""
+
+
+def test_action_volume_mc_bits_frozen_across_processes():
+    # recorded with the former term-table kernel
+    frozen = {
+        "volume": "0x1.e85b62aab1d1ap-2",
+        "std": "0x1.39fd506ddd7f4p-9",
+        "flux": "0x1.2d3e3e06488b6p+4",
+    }
+    rep = action_volume_mc(builtin_cnf(3), 0.5, samples=40000, seed=17)
+    assert {"volume": rep.volume.hex(), "std": rep.std_error.hex(),
+            "flux": rep.flux.hex()} == frozen
+    # a fresh interpreter that imports the sympb under test
+    env = dict(os.environ)
+    src = str(Path(sympb.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SNIPPET], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == frozen
+
+
+# Recorded with per-chunk ``Generator.uniform(0.0, box)`` draws and a count
+# over every term of K(0, J).  2 * MC_CHUNK + 4097 samples: two full chunks
+# and a partial last one.  builtin_cnf(3) has one I*J term; I_MODEL has I,
+# I^2, I*J, I^2*J and I*J*J terms.
+I_MODEL = CnfModel(e0=-0.5, terms=(
+    (0, (0, 0), -0.5), (1, (0, 0), 0.7), (0, (1, 0), 1.3), (0, (0, 1), 0.9),
+    (0, (2, 0), 0.2), (0, (1, 1), 0.15), (1, (1, 0), -0.3), (2, (0, 1), 0.4),
+    (1, (1, 1), 0.25), (2, (0, 0), -0.1)))
+MULTI_CHUNK_FROZEN = [
+    (builtin_cnf(3), 0.5, 23, {
+        "volume": "0x1.ed8afc3a6ae2bp-2",
+        "std": "0x1.559cbc3f5167cp-10",
+        "flux": "0x1.30712c30890a8p+4",
+    }),
+    (I_MODEL, 0.8, 29, {
+        "volume": "0x1.4296912ff9ffcp-1",
+        "std": "0x1.c57e1135d828cp-10",
+        "flux": "0x1.8dfa28941fc94p+4",
+    }),
+]
+
+
+@pytest.mark.parametrize("model,e,seed,frozen", MULTI_CHUNK_FROZEN, ids=["builtin3", "i_terms"])
+def test_action_volume_mc_multi_chunk_bits_frozen(model, e, seed, frozen):
+    rep = action_volume_mc(model, e, samples=2 * MC_CHUNK + 4097, seed=seed)
+    assert {"volume": rep.volume.hex(), "std": rep.std_error.hex(),
+            "flux": rep.flux.hex()} == frozen
+
+
+def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
+    # every tile's scaled columns, as the counter sums them, in order against
+    # the chunks' Generator.uniform(0.0, box) draws; a block of MC_BLOCK rows
+    # is counted in tiles of kernels._COUNT_TILE rows
+    drawn = []
+    tile = kernels._COUNT_TILE
+    real = kernels._k0_fn
+
+    def capture(model, cols, total, scratch):
+        k0 = real(model, cols, total, scratch)
+
+        def recording():
+            drawn.append(np.array(cols.T))
+            k0()
+
+        return recording
+
+    monkeypatch.setattr(kernels, "_k0_fn", capture)
+    rng = np.random.default_rng(31)
+    for nb in (1, 2, 3):
+        model = linear_cnf(0.5, [1.0] * nb, -1.0)
+        boxes = [(1e-300,) * nb, (BRACKET_CAP,) * nb,
+                 tuple(10.0 ** rng.uniform(-300.0, 12.0, size=nb)),
+                 tuple(rng.uniform(0.1, 5.0, size=nb))]
+        for box in boxes:
+            # chunk layouts [1], [4097], [MC_BLOCK + 1], [MC_CHUNK],
+            # [MC_CHUNK, MC_CHUNK, 4097] and [MC_CHUNK, MC_CHUNK, MC_BLOCK + 4097];
+            # a chunk is drawn in blocks of at most MC_BLOCK rows, concatenated
+            # here per chunk
+            for samples in (1, 4097, MC_BLOCK + 1, MC_CHUNK, 2 * MC_CHUNK + 4097,
+                            2 * MC_CHUNK + MC_BLOCK + 4097):
+                drawn.clear()
+                bottleneck._count_volume(model, 0.0, box, samples, 5)
+                n_chunks = -(-samples // MC_CHUNK)
+                children = np.random.SeedSequence(5).spawn(n_chunks)
+                sizes = [min(MC_CHUNK, samples - MC_CHUNK * i) for i in range(n_chunks)]
+                blocks = [min(MC_BLOCK, m - start) for m in sizes for start in range(0, m, MC_BLOCK)]
+                assert [len(js) for js in drawn] == [
+                    min(tile, b - lo) for b in blocks for lo in range(0, b, tile)]
+                js = np.concatenate(drawn)
+                want = np.concatenate([
+                    np.random.default_rng(child).uniform(0.0, np.array(box), size=(m, nb))
+                    for child, m in zip(children, sizes)])
+                assert js.shape == want.shape
+                assert js.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, MC_BLOCK + 1, MC_CHUNK, 2 * MC_CHUNK + 4097])
+@pytest.mark.parametrize("model", [builtin_cnf(3), I_MODEL], ids=["builtin3", "i_terms"])
+def test_energy_scan_rows_do_not_depend_on_the_worker_count(monkeypatch, model, samples):
+    # 1 to 3 chunks per row, split over up to 5 workers, so some rows have
+    # fewer chunks than there are workers; every row equals action_volume_mc
+    # at its energy and seed, bit for bit
+    steps, seed = 3, 60
+    want = rows_one_by_one(model, np.linspace(0.1, 0.9, steps), samples, seed)
+    for cpus in (1, 2, 3, 5):
+        usable_cpus(monkeypatch, cpus)
+        report = energy_scan(model, 0.1, 0.9, steps=steps, samples=samples, seed=seed)
+        assert report.rows == want, cpus
+
+
+def test_chunk_count_allocates_only_its_task_buffers():
+    # a 10-chunk task makes its draw buffer and the counter's tile buffers
+    # once and runs all 20 blocks in them: the traced peak is the buffers,
+    # plus less than one tile's bool mask
+    model = builtin_cnf(3)
+    nb = model.n_bath
+    tile = kernels._COUNT_TILE
+    buffers = (MC_BLOCK * nb * 8     # draws
+               + nb * tile * 8       # scaled columns
+               + 2 * tile * 8        # sum and term scratch
+               + tile)               # bool mask
+    box = candidate_width(model, 0.5).j_max
+    bottleneck._chunk_hits(model, 0.5, box, 10 * MC_CHUNK, 3, 0, 10)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        hits = bottleneck._chunk_hits(model, 0.5, box, 10 * MC_CHUNK, 3, 0, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < hits < 10 * MC_CHUNK
+    assert buffers <= peak - before < buffers + tile // 2

@@ -1345,6 +1345,43 @@ def test_import_and_diagnostics_load_no_scipy(tmp_path):
     assert package(modules, "scipy") == [] and "concurrent.futures" in modules
 
 
+# One call of each subcommand in a fresh interpreter, with the packages it
+# must load and the packages it must not load.  Only exp1's random mixer
+# needs scipy.linalg, and only widths' thread pool concurrent.futures; the
+# exp2 and sample draws run on kernels.substream_uniforms, not numpy.random.
+NO_EXTRAS = ("numpy.random", "scipy", "concurrent.futures")
+SUBCOMMAND_MODULES = {
+    "capacity": ((), NO_EXTRAS),
+    "exp2": ((), NO_EXTRAS),
+    "sample": ((), NO_EXTRAS),
+    "integrate": ((), NO_EXTRAS),
+    "widths": (("concurrent.futures",), ("scipy",)),
+    "exp1": (("scipy.linalg",), ()),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_only_the_packages_it_needs(tmp_path, cmd):
+    argv = {
+        "capacity": ["capacity", write_matrix(tmp_path, "m.csv", np.eye(4))],
+        "exp2": ["exp2", "--n", "50", "--xis", "0,0.5"],
+        "sample": ["sample", "--n", "20", "--kind", "B", "--xi", "0.5"],
+        "integrate": ["integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "0.01",
+                      "--t-final", "0.5"],
+        "widths": ["widths", "--builtin", "eckart-morse-morse-3dof", "--e-min", "0",
+                   "--e-max", "1", "--steps", "3", "--samples", "500"],
+        "exp1": ["exp1", "--radii", "0.1", "--tau-points", "10"],
+    }[cmd]
+    modules = modules_after(tmp_path, [argv])
+    loads, avoids = SUBCOMMAND_MODULES[cmd]
+    for name in loads:
+        assert name in modules, (cmd, name)
+    for name in avoids:
+        assert package(modules, name) == [], (cmd, name)
+    if cmd != "exp1":
+        assert "scipy.linalg" not in modules, cmd
+
+
 def test_exp1_loads_scipy_linalg(tmp_path):
     calls = [["exp1", "--radii", "0.1", "--tau-points", "10"]]
     assert "scipy.linalg" in modules_after(tmp_path, calls)

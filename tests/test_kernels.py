@@ -13,9 +13,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sympb
-from sympb import CnfModel, default_params, kernels, velocities
+from sympb import CnfModel, DimensionError, default_params, kernels, velocities
+from sympb.models import _k0_fn
 
 from oracles import PARAM_SETS, logistic_py, oracle_run, random_states
 
@@ -369,3 +372,77 @@ def test_count_box_hits_trivial_cases():
     assert kernels.count_box_hits(model, j_samples, 1.0) == 1
     assert kernels.count_box_hits(model, j_samples, 2.0) == 2
     assert kernels.count_box_hits(model, j_samples, 0.1) == 0
+
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
+# a J entry: a signed zero, NaN, +/-inf, or a finite value of either sign
+J_VALUE = st.one_of(st.sampled_from(SPECIAL), st.floats(-4.0, 4.0))
+COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def term_tables(draw):
+    """A valid CnfModel, its terms in any order, whose extra terms carry I
+    powers up to 2 and J powers up to 3, with a J_2 J_3 product when there
+    are two bath modes or more, coefficients of either sign and signed
+    zeros, and up to two more signed-zero constants."""
+    nb = draw(st.integers(1, 3))
+    zero = (0,) * nb
+    # with e0 = 0 a sum can be a signed zero
+    e0 = draw(st.sampled_from([-0.5, 0.0]))
+    terms = [(0, zero, e0 or draw(st.sampled_from([0.0, -0.0]))), (1, zero, 0.7)]
+    for k in range(nb):
+        terms.append((0, tuple(int(i == k) for i in range(nb)), draw(st.floats(0.1, 2.0))))
+    if nb > 1:
+        terms.append((0, (1, 1) + zero[2:], draw(COEFF)))
+    for _ in range(draw(st.integers(0, 6))):
+        i_pow = draw(st.integers(0, 2))
+        j_pows = tuple(draw(st.lists(st.integers(0, 3), min_size=nb, max_size=nb)))
+        if i_pow + sum(j_pows) >= 2:
+            terms.append((i_pow, j_pows, draw(COEFF)))
+    # signed-zero constants, and the table in any order
+    for _ in range(draw(st.integers(0, 2))):
+        terms.append((0, zero, draw(st.sampled_from([0.0, -0.0]))))
+    return CnfModel(e0=e0, terms=tuple(draw(st.permutations(terms))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=term_tables(), data=st.data(),
+       e=st.one_of(st.floats(-3.0, 3.0), st.sampled_from(SPECIAL)))
+def test_count_box_hits_in_place_equals_eval_k0_count(model, data, e):
+    # the in-place count, on buffers made for the call and on a counter's
+    # buffers with rows to spare, against the count of eval_k0 on the points
+    nb = model.n_bath
+    m = data.draw(st.integers(0, 24))
+    j = np.array(data.draw(st.lists(J_VALUE, min_size=m * nb, max_size=m * nb)))
+    j = j.reshape(m, nb)
+    box = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=nb, max_size=nb)))
+    rows = max(1, m + data.draw(st.integers(0, 3)))
+    with np.errstate(all="ignore"):
+        want = sympb.eval_k0(model, j)
+        # the in-place sum itself has eval_k0's bits, signed zeros included
+        total, scratch = np.empty(m), np.empty(m)
+        _k0_fn(model, np.array(j.T), total, scratch)()
+        assert total.tobytes() == want.tobytes()
+        assert kernels.count_box_hits(model, j, e) == int(np.count_nonzero(want <= e))
+        unit = j / box
+        counter = kernels._box_counter(model, tuple(box), rows)
+        assert kernels.count_box_hits(model, unit, e, counter) == int(
+            np.count_nonzero(sympb.eval_k0(model, unit * box) <= e))
+
+
+def test_count_box_hits_refuses_samples_of_the_wrong_shape():
+    model = CnfModel(e0=0.0, terms=((0, (0, 0), 0.0), (1, (0, 0), 1.0), (0, (1, 0), 1.0),
+                                    (0, (0, 1), 1.0)))
+    for shape in [(2,), (3, 1), (3, 3), (2, 2, 2)]:
+        with pytest.raises(DimensionError, match=r"expected samples of shape \(m, 2\)"):
+            kernels.count_box_hits(model, np.zeros(shape), 1.0)
+
+
+def test_k0_fn_adds_its_leading_constants_to_a_zero_start():
+    # K(0, J) = (-0.0) + J: from a zero start, J = -0.0 sums to +0.0
+    model = CnfModel(e0=0.0, terms=((0, (0,), -0.0), (1, (0,), 1.0), (0, (1,), 1.0)))
+    j = np.array([[-0.0], [0.0], [1.0]])
+    total, scratch = np.empty(3), np.empty(3)
+    _k0_fn(model, np.array(j.T), total, scratch)()
+    assert total.tobytes() == sympb.eval_k0(model, j).tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()

@@ -64,10 +64,26 @@ def test_substream_uniforms_refuse_more_children_than_spawn_words_without_alloca
         substream_uniforms(-1, 3, 2)
 
 
-def test_negative_ensemble_seed_raises_seedsequence_error():
-    with pytest.raises(ValueError) as want:
-        np.random.SeedSequence(-3)
-    spec = EnsembleSpec(n_traj=5, e_center=0.0, delta_e=0.01, seed=-3)
-    with pytest.raises(ValueError) as got:
-        sample_ensemble(builtin_cnf(2), spec)
-    assert str(got.value) == str(want.value)
+@pytest.mark.parametrize("seed", [-3, -(2**70), True, False, np.bool_(True), 1.0, 3.5,
+                                  np.float64(2.0), "3", None])
+def test_ensemble_spec_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError) as info:
+        EnsembleSpec(n_traj=5, e_center=0.0, delta_e=0.01, seed=seed)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+
+def test_ensemble_seed_is_the_substream_entropy():
+    # a numpy integer seed passes and draws the substreams of its int value
+    model = builtin_cnf(2)
+    for seed in (0, 7, 2**64 + 5):
+        want = sample_ensemble(model, EnsembleSpec(n_traj=5, e_center=0.0, delta_e=0.01,
+                                                   seed=seed))
+        typed = np.uint64(seed) if seed < 2**64 else seed
+        got = sample_ensemble(model, EnsembleSpec(n_traj=5, e_center=0.0, delta_e=0.01,
+                                                  seed=typed))
+        for name in ("q1", "p1", "j", "phases", "energy"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        u = oracle(seed, 5, 3 + model.n_bath)
+        e_lo, e_hi = -0.01, 0.01
+        assert want.energy.tobytes() == (e_lo + (e_hi - e_lo) * u[:, 0]).tobytes()
