@@ -307,22 +307,33 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     standard error of the volume estimate, ``box_volume *
     sqrt(p(1-p)/samples)``.  Deterministic per seed, independent of chunking.
 
-    Raises PreconditionError when an I-free term of ``K(0, J)`` has a negative
-    coefficient: the box may then cut off part of the admissible region.
-    Raises ValueError, before anything is drawn, when the box volume or
-    ``(2 pi)^(n-1)`` times it is not a finite number.
+    Raises ValueError first unless ``samples`` is an integer >= 1 and
+    ``seed`` one >= 0 (a bool is neither), PreconditionError when an I-free
+    term of ``K(0, J)`` has a negative coefficient (the box may then cut off
+    part of the admissible region), and ValueError, before anything is
+    drawn, when the box volume or ``(2 pi)^(n-1)`` times it is not finite.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _integer(samples, "samples", 1)
+    seed = _integer(seed, "seed", 0)
     if e < model.e0:
         raise BelowSaddleError(f"E = {e} is below the saddle energy e0 = {model.e0}")
     model.check_monotone()
     if e == model.e0:
-        return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=int(samples),
-                          std_error=0.0, seed=int(seed))
+        return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=samples,
+                          std_error=0.0, seed=seed)
     j_max = candidate_width(model, e).j_max
     _check_box(e, j_max)
     return _count_volume(model, e, j_max, samples, seed)
+
+
+def _integer(value, what: str, minimum: int) -> int:
+    """``value`` as an int; a ValueError naming ``what`` for a bool, a
+    non-integer (a numpy integer is one) or an integer below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def _check_box(e: float, j_max) -> None:
@@ -392,8 +403,8 @@ def _flux_report(e: float, j_max, samples: int, seed: int, hits: int) -> FluxRep
     volume = box_volume * p_hat
     std_error = box_volume * math.sqrt(p_hat * (1.0 - p_hat) / samples)
     flux = (2.0 * math.pi) ** nb * volume
-    return FluxReport(e=float(e), volume=volume, flux=flux, mc_samples=int(samples),
-                      std_error=std_error, seed=int(seed))
+    return FluxReport(e=float(e), volume=volume, flux=flux, mc_samples=samples,
+                      std_error=std_error, seed=seed)
 
 
 def _usable_cpus() -> int:
@@ -409,26 +420,25 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
 
     Row i uses seed ``seed + i`` for its Monte-Carlo volume, recorded in the
     seed column, so any row can be reproduced in isolation.  The inputs are
-    checked first (``steps``, the energy range, ``samples``, then the model
-    as :func:`action_volume_mc` checks it); then every root ``J_k_max(E)`` is
-    solved once, all in one batch that raises the error of the lowest failed
-    root; then the lowest row whose box volume, or ``(2 pi)^(n-1)`` times it,
-    is not a finite number raises ValueError; then the rows' volumes are
-    counted over the widths' roots as boxes on a thread pool of one worker
-    per usable CPU (``os.sched_getaffinity``), up to the number of tasks.
-    Each row's chunks are split into ``min(cpus, chunks)`` contiguous ranges,
-    one :func:`_chunk_hits` task each, and a row's hits are the integer sum
-    of its tasks' hits.  The pool takes the tasks in row order and returns
-    them in order, so when rows fail the lowest failed row's error is raised,
-    after every worker is joined.  The output does not depend on how many
-    CPUs there are.
+    checked first (``steps``, the energy range, ``samples``, ``seed``, then
+    the model, as :func:`action_volume_mc` checks them); then every root
+    ``J_k_max(E)`` is solved once, all in one batch that raises the error of
+    the lowest failed root; then the lowest row whose box volume, or
+    ``(2 pi)^(n-1)`` times it, is not a finite number raises ValueError; then
+    the rows' volumes are counted over the widths' roots as boxes on a thread pool
+    of one worker per usable CPU (``os.sched_getaffinity``), up to the number
+    of tasks.  Each row's chunks are split into ``min(cpus, chunks)``
+    contiguous ranges, one :func:`_chunk_hits` task each, and a row's hits are
+    the integer sum of its tasks' hits.  The pool takes the tasks in row order
+    and returns them in order, so when rows fail the lowest failed row's error
+    is raised, after every worker is joined.  The output does not depend on
+    how many CPUs there are.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = _integer(steps, "steps", 1)
     if e_max < e_min:
         raise ValueError(f"e_max = {e_max} is below e_min = {e_min}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _integer(samples, "samples", 1)
+    seed = _integer(seed, "seed", 0)
     model.check_monotone()
     energies = np.linspace(e_min, e_max, steps) if steps > 1 else np.array([e_min])
     nb = model.n_bath
@@ -463,9 +473,9 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     meta = {
         "e_min": float(e_min),
         "e_max": float(e_max),
-        "steps": int(steps),
-        "samples": int(samples),
-        "seed": int(seed),
+        "steps": steps,
+        "samples": samples,
+        "seed": seed,
         "model_e0": model.e0,
         "model_terms": model.terms,
     }

@@ -60,8 +60,9 @@ class EnsembleSpec:
     q1_range: float = 1.0
 
     def __post_init__(self):
-        if self.n_traj < 1:
-            raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
+        n = self.n_traj  # the point count, and the fraction's denominator
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_traj must be a positive integer, got {n!r}")
         for name in ("e_center", "delta_e"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -82,6 +83,7 @@ class EnsembleSpec:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        self.__dict__.update(n_traj=int(n), seed=int(seed))  # frozen; the reports write ints
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from .models import (
     CnfModel,
     EckartMorseParams,
     _grad_fn,
-    _k0_fn,
+    _sum_fn,
     _velocity_fn,
 )
 
@@ -201,11 +201,11 @@ def _box_counter(model: CnfModel, box, rows: int):
     here, once, for one tile: the contiguous ``(n_bath, tile)`` scaled
     columns, the sum, one term scratch and a bool mask.  For each tile,
     column k times ``box[k]`` is written into row k of the columns,
-    ``K(0, J)`` is summed by :func:`~sympb.models._k0_fn` bound to these
-    buffers, and the entries ``<= e`` are counted.  ``u[:, k] * box[k]`` is
-    the product ``Generator.uniform(0.0, box)`` makes of its unit draws, bit
-    for bit.  A tile of fewer rows, such as the end of a row's last block,
-    runs on views bound for that tile.
+    ``K(0, J)`` is summed by eval_k0's :func:`~sympb.models._sum_fn` bound
+    to these buffers, and the entries ``<= e`` are counted.  ``u[:, k] *
+    box[k]`` is the product ``Generator.uniform(0.0, box)`` makes of its
+    unit draws, bit for bit.  A tile of fewer rows, such as the end of a
+    row's last block, runs on views bound for that tile.
     """
     nb = model.n_bath
     tile = max(1, min(rows, _COUNT_TILE))
@@ -214,7 +214,7 @@ def _box_counter(model: CnfModel, box, rows: int):
     total = np.empty(tile)
     scratch = np.empty(tile)
     mask = np.empty(tile, dtype=bool)
-    full = _k0_fn(model, cols, total, scratch)
+    full = _sum_fn(model.k0_terms, None, cols, total, scratch)
     multiply, less_equal, count_nonzero = np.multiply, np.less_equal, np.count_nonzero
 
     def count(u, e) -> int:
@@ -226,7 +226,7 @@ def _box_counter(model: CnfModel, box, rows: int):
                 k0, c, t, hit = full, cols, total, mask
             else:
                 c, t, hit = cols[:, :m], total[:m], mask[:m]
-                k0 = _k0_fn(model, c, t, scratch[:m])
+                k0 = _sum_fn(model.k0_terms, None, c, t, scratch[:m])
             for k in range(nb):
                 multiply(part[:, k], scales[k], c[k])
             k0()

@@ -148,73 +148,59 @@ class CnfModel:
 
 
 def _term_sum(model: CnfModel, terms, i, j):
-    """Sum of the table ``terms`` of ``model`` at ``(I, J)``, in table order.
-
-    ``j`` has shape ``(..., n_bath)`` and the sum has ``j.shape[:-1]``
-    broadcast against the reactive values ``i``.  Each term is built by
-    repeated multiplication, so a batch gives the same values, bit for bit,
-    as its points evaluated one at a time; one point gives a 0-d sum, which
-    :func:`_value` returns as a Python float with the same bits.  The terms
-    accumulate in place into one array per call: a fresh array per term made
-    the Monte-Carlo counter page-fault anew on every chunk.
+    """Sum of the table ``terms`` of ``model`` at ``(I, J)``: :func:`_sum_fn`
+    run once on the columns of ``j``, shape ``(..., n_bath)``, and the
+    reactive values ``i`` (None for an I-free table), into a sum of their
+    broadcast shape.  One point gives a 0-d sum, which :func:`_value`
+    returns as a Python float with the bits of its row in a batch.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim == 0 or j.shape[-1] != model.n_bath:
-        raise DimensionError(
-            f"expected {model.n_bath} bath actions, got shape {j.shape}"
-        )
-    cols = [j[..., k] for k in range(model.n_bath)]
-    total = np.zeros(np.broadcast_shapes(np.shape(i), j.shape[:-1]))
-    for i_pow, j_pows, coeff in terms:
-        v = coeff
-        for _ in range(i_pow):
-            v = v * i
-        for col, p in zip(cols, j_pows):
-            for _ in range(p):
-                v = v * col
-        total += v
+        raise DimensionError(f"expected {model.n_bath} bath actions, got shape {j.shape}")
+    shape = np.broadcast_shapes(np.shape(i), j.shape[:-1])
+    total = np.empty(shape)
+    _sum_fn(terms, i, [j[..., k] for k in range(model.n_bath)], total, np.empty(shape))()
     return total
 
 
-def _k0_fn(model: CnfModel, cols, total, scratch):
-    """``K(0, J)`` of the bath-action columns ``cols`` as a zero-argument
-    function that writes ``total`` from the values ``cols`` holds when it is
-    called.  ``cols`` has shape ``(n_bath, m)``, row k the values of
-    ``J_{k+2}``; ``total`` and ``scratch`` have shape ``(m,)``.
+def _sum_fn(terms, i, cols, total, scratch):
+    """The sum of the term table ``terms`` in table order, as a zero-argument
+    function that writes ``total`` from the values ``i`` (None when no term
+    carries I) and the bath columns ``cols[k]`` (``J_{k+2}``) hold when it
+    is called; they broadcast to the shape of ``total`` and ``scratch``.
 
-    The table ``k0_terms`` is summed as :func:`_term_sum` sums it, with the
-    same operations and operands in the same order, so each entry has the
-    bits of :func:`eval_k0`: ``total`` starts at zero, and each term is
-    ``coeff * col`` times one more ``col`` per further power, built in
-    ``scratch`` and then added to ``total``.  The constant terms that lead
-    the table are added to the zero start once, here, as Python floats (the
-    same double additions), and ``total`` is filled with their sum.  The
-    factor rows and the 0-d coefficients are bound here too, and every
-    output is passed positionally, as in :func:`_grad_fn`: the Monte-Carlo
-    counter calls the function once per tile of draws and allocates nothing
-    per call.
+    Each term is ``coeff`` times ``i`` once per unit of its I power, then
+    each column once per unit of its power, built in ``scratch`` and added
+    to ``total``, so a batch has the bits of its points taken one at a time.
+    The leading constant terms are added to the zero start here, as Python
+    floats (the same double additions).  Factors and 0-d coefficients are
+    bound here and outputs passed positionally, as in :func:`_grad_fn`: the
+    Monte-Carlo counter calls the function once per tile and allocates
+    nothing per call.
     """
-    terms = list(model.k0_terms)
-    start = 0.0
-    while terms and not any(terms[0][1]):
-        start += terms.pop(0)[2]
-    steps = [(np.array(coeff, dtype=np.float64),
-              [cols[k] for k, p in enumerate(j_pows) for _ in range(p)])
-             for _, j_pows, coeff in terms]
+    start, steps = 0.0, []
+    for i_pow, j_pows, coeff in terms:
+        factors = [i] * i_pow
+        for col, p in zip(cols, j_pows):
+            factors += [col] * p
+        if factors or steps:
+            steps.append((np.array(coeff, dtype=np.float64), factors))
+        else:
+            start += coeff
     multiply, add = np.multiply, np.add
 
-    def k0() -> None:
+    def term_sum() -> None:
         total.fill(start)
         for coeff, factors in steps:
             if not factors:
                 add(total, coeff, total)
                 continue
             multiply(coeff, factors[0], scratch)
-            for col in factors[1:]:
-                multiply(scratch, col, scratch)
+            for factor in factors[1:]:
+                multiply(scratch, factor, scratch)
             add(total, scratch, total)
 
-    return k0
+    return term_sum
 
 
 def eval_cnf(model: CnfModel, i, j):
@@ -240,7 +226,7 @@ def eval_k0(model: CnfModel, j):
     """``K(0, J)`` on the dividing surface from the I-free terms alone; shapes
     as in :func:`effective_lyapunov`.  For finite ``J`` it is ``eval_cnf(model,
     0.0, j)`` bit for bit: a term that carries I adds +/-0.0 there."""
-    return _value(_term_sum(model, model.k0_terms, 0.0, j))
+    return _value(_term_sum(model, model.k0_terms, None, j))
 
 
 def eval_dk_di(model: CnfModel, i, j):
@@ -260,7 +246,7 @@ def effective_lyapunov(model: CnfModel, j):
         If the rate is not positive at any of the given bath actions.
     """
     j = np.asarray(j, dtype=float)
-    rate = _term_sum(model, model.lam_terms, 0.0, j)
+    rate = _term_sum(model, model.lam_terms, None, j)
     flat = np.ravel(rate)
     bad = np.flatnonzero(flat <= 0.0)
     if bad.size:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import io
 import json
 import math
 import os
@@ -711,6 +712,60 @@ def test_energy_scan_checks_inputs_before_roots():
     assert type(info.value) is ValueError and str(info.value) == "samples must be >= 1, got 0"
 
 
+# a bool, a float (even a whole one) and a negative seed: each was a bare
+# TypeError, or SeedSequence's error, after every root was solved
+COUNT_CASES = [
+    ("steps", 2.0, "steps must be an integer, got 2.0"),
+    ("steps", True, "steps must be an integer, got True"),
+    ("samples", 1e5, "samples must be an integer, got 100000.0"),
+    ("samples", True, "samples must be an integer, got True"),
+    ("samples", np.float64(10.0), "samples must be an integer, got np.float64(10.0)"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", False, "seed must be an integer, got False"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("name,value,msg", COUNT_CASES)
+def test_energy_scan_refuses_counts_that_are_not_integers_before_roots(monkeypatch, name,
+                                                                       value, msg):
+    # no root at E = 30 on this model, and no root is solved before the check
+    monkeypatch.setattr(bottleneck, "_j_max_solve", None)
+    args = dict(steps=2, samples=10, seed=0)
+    args[name] = value
+    with pytest.raises(ValueError) as info:
+        energy_scan(alpha_model(omega2=1.0, alpha=0.01), 30.0, 40.0, **args)
+    assert type(info.value) is ValueError and str(info.value) == msg
+
+
+@pytest.mark.parametrize("name,value,msg", [c for c in COUNT_CASES if c[0] != "steps"])
+def test_action_volume_mc_refuses_counts_that_are_not_integers_first(monkeypatch, name,
+                                                                      value, msg):
+    # before the energy checks: below the saddle, at it (an empty report) and above
+    monkeypatch.setattr(bottleneck, "_j_max_solve", None)
+    args = dict(samples=10, seed=0)
+    args[name] = value
+    for e in (E0 - 1.0, E0, 0.5):
+        with pytest.raises(ValueError) as info:
+            action_volume_mc(builtin_cnf(2), e, **args)
+        assert type(info.value) is ValueError and str(info.value) == msg
+
+
+def test_numpy_integer_counts_pass_as_ints():
+    # a uint8 seed of 255 gives the row seeds 255, 256 and 257, as an int does
+    model = builtin_cnf(3)
+    texts = []
+    for steps, samples, seed in ((3, 500, 255), (np.int64(3), np.int32(500), np.uint8(255))):
+        out = io.StringIO()
+        energy_scan(model, 0.1, 1.0, steps=steps, samples=samples, seed=seed).to_csv(out)
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
+    assert [line.rsplit(",", 1)[1] for line in texts[1].splitlines()[2:]] == ["255", "256", "257"]
+    rep = action_volume_mc(model, 0.5, np.int64(500), np.int16(4))
+    assert rep == action_volume_mc(model, 0.5, 500, 4)
+    assert (type(rep.mc_samples), type(rep.seed)) == (int, int)
+
+
 def rows_one_by_one(model, energies, samples, seed):
     """energy_scan's rows from candidate_width and action_volume_mc, one
     energy at a time."""
@@ -946,10 +1001,10 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
     # is counted in tiles of kernels._COUNT_TILE rows
     drawn = []
     tile = kernels._COUNT_TILE
-    real = kernels._k0_fn
+    real = kernels._sum_fn
 
-    def capture(model, cols, total, scratch):
-        k0 = real(model, cols, total, scratch)
+    def capture(terms, i, cols, total, scratch):
+        k0 = real(terms, i, cols, total, scratch)
 
         def recording():
             drawn.append(np.array(cols.T))
@@ -957,7 +1012,7 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
 
         return recording
 
-    monkeypatch.setattr(kernels, "_k0_fn", capture)
+    monkeypatch.setattr(kernels, "_sum_fn", capture)
     rng = np.random.default_rng(31)
     for nb in (1, 2, 3):
         model = linear_cnf(0.5, [1.0] * nb, -1.0)

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 from unittest import mock
@@ -50,6 +51,30 @@ def bits(ens):
 # ---------------------------------------------------------------------------
 # spec and initial-condition validation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_traj", [5.5, 5.0, np.float64(5.0), True, np.bool_(True), 0, -3,
+                                    "5", None])
+def test_ensemble_spec_refuses_an_n_traj_that_is_not_a_positive_integer(n_traj):
+    # before: 5.5 drew 5 points and reported n_total 5.5 and fraction 5/5.5,
+    # and True reported n_total True
+    with pytest.raises(ValueError) as info:
+        make_spec(n_traj=n_traj)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"n_traj must be a positive integer, got {n_traj!r}"
+
+
+def test_ensemble_spec_takes_numpy_integers_as_ints():
+    # kept as ints, so the report writes them as it writes Python ints
+    spec = make_spec(n_traj=np.int64(50), seed=np.uint64(11))
+    assert (type(spec.n_traj), type(spec.seed)) == (int, int)
+    assert spec == make_spec(n_traj=50, seed=11)
+    texts = []
+    for spec in (make_spec(n_traj=50, seed=11), spec):
+        out = io.StringIO()
+        scan_report(MODEL2, spec, [0.0, 0.5]).to_csv(out)
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
 
 
 def test_spec_validation():

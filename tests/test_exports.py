@@ -1,10 +1,12 @@
-"""Every name that a sympb module lists in ``__all__`` exists in it, and the
+"""Every name that a sympb module lists in ``__all__`` exists in it, the
 package publishes exactly those names of its library modules, plus its
-submodules."""
+submodules, and every private module-level function has a caller."""
 
+import ast
 import importlib
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +61,22 @@ def test_package_names_are_listed_by_their_module():
         if not n.startswith("_") and n not in getattr(mod, "__all__", [n]):
             stale.append(n)
     assert stale == []
+
+
+def test_every_private_function_has_a_caller():
+    # a private module-level function that no code of the package names is
+    # dead; a name read inside the function's own body (recursion) or an
+    # import of it is no caller, and nested closures are not checked
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(sympb.__file__).parent.glob("*.py"))}
+    private, read = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and own.startswith("_") and not own.endswith("__")):
+                private.append((module, own))
+            read |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    assert private
+    assert [(module, name) for module, name in private if name not in read] == []

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import sympb
 from sympb import CnfModel, DimensionError, default_params, kernels, velocities
-from sympb.models import _k0_fn
+from sympb.models import _sum_fn
 
-from oracles import PARAM_SETS, logistic_py, oracle_run, random_states
+from oracles import PARAM_SETS, logistic_py, oracle_run, random_states, term_sum
 
 PARAMS = default_params()
 
@@ -422,7 +422,7 @@ def test_count_box_hits_in_place_equals_eval_k0_count(model, data, e):
         want = sympb.eval_k0(model, j)
         # the in-place sum itself has eval_k0's bits, signed zeros included
         total, scratch = np.empty(m), np.empty(m)
-        _k0_fn(model, np.array(j.T), total, scratch)()
+        _sum_fn(model.k0_terms, None, np.array(j.T), total, scratch)()
         assert total.tobytes() == want.tobytes()
         assert kernels.count_box_hits(model, j, e) == int(np.count_nonzero(want <= e))
         unit = j / box
@@ -439,10 +439,23 @@ def test_count_box_hits_refuses_samples_of_the_wrong_shape():
             kernels.count_box_hits(model, np.zeros(shape), 1.0)
 
 
-def test_k0_fn_adds_its_leading_constants_to_a_zero_start():
+def test_term_sum_adds_its_leading_constants_to_a_zero_start():
     # K(0, J) = (-0.0) + J: from a zero start, J = -0.0 sums to +0.0
     model = CnfModel(e0=0.0, terms=((0, (0,), -0.0), (1, (0,), 1.0), (0, (1,), 1.0)))
     j = np.array([[-0.0], [0.0], [1.0]])
+    want = np.array([0.0, 0.0, 1.0]).tobytes()
     total, scratch = np.empty(3), np.empty(3)
-    _k0_fn(model, np.array(j.T), total, scratch)()
-    assert total.tobytes() == sympb.eval_k0(model, j).tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
+    _sum_fn(model.k0_terms, None, np.array(j.T), total, scratch)()
+    assert total.tobytes() == sympb.eval_k0(model, j).tobytes() == want
+    # K = (-0.0) + I + J at I = -0.0: every term is -0.0 at J = -0.0, and the
+    # sum is +0.0 there, as for the I-free table
+    assert sympb.eval_cnf(model, -0.0, j).tobytes() == want
+    assert np.float64(sympb.eval_cnf(model, -0.0, [-0.0])).tobytes() == np.float64(0.0).tobytes()
+    # dK/dI = (-0.0) + 1 - I with a leading -0.0 constant: it carries the
+    # rate, so no point sums -0.0 terms alone, and its values and their
+    # signed zeros are the reference sum's
+    model = CnfModel(e0=0.0, terms=((0, (0,), -0.0), (1, (0,), -0.0), (1, (0,), 1.0),
+                                    (0, (1,), 1.0), (2, (0,), -0.5)))
+    i = np.array([1.0, -0.0, 1.0])
+    assert sympb.eval_dk_di(model, i, j).tobytes() == term_sum(model, i, j, 1).tobytes() \
+        == np.array([0.0, 1.0, 0.0]).tobytes()

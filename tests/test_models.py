@@ -34,7 +34,7 @@ from sympb import (
     potential,
     velocities,
 )
-from sympb.models import MAX_POWER, _term_sum
+from sympb.models import MAX_POWER, _term_sum, _value
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +206,46 @@ def cnf_models(draw):
     return CnfModel(e0=e0, terms=tuple(terms))
 
 
+def table_sums(model, i, j):
+    """K, dK/dI, K(0, J) and Lambda(J) at ``(i, j)``: the library's sums,
+    each a float for one point."""
+    return [eval_cnf(model, i, j), eval_dk_di(model, i, j), eval_k0(model, j),
+            _value(_term_sum(model, model.lam_terms, None, j))]
+
+
+def reference_sums(model, i, j):
+    """The same four from the reference ``term_sum``."""
+    return [term_sum(model, i, j, 0), term_sum(model, i, j, 1),
+            term_sum(model, None, j, 0), term_sum(model, None, j, 1)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(model=cnf_models(), seed=st.integers(0, 2**32 - 1))
 def test_term_tables_match_the_reference_bit_for_bit(model, seed):
     rng = np.random.default_rng(seed)
-    j = rng.uniform(-3.0, 3.0, size=(6, model.n_bath))
+    nb = model.n_bath
+    j = rng.uniform(-3.0, 3.0, size=(6, nb))
     i = rng.uniform(-2.0, 2.0, size=6)
-    for got, want in (
-        (eval_cnf(model, i, j), term_sum(model, i, j, 0)),
-        (eval_dk_di(model, i, j), term_sum(model, i, j, 1)),
-        (eval_k0(model, j), term_sum(model, None, j, 0)),
-        (_term_sum(model, model.lam_terms, 0.0, j), term_sum(model, None, j, 1)),
-    ):
-        assert got.tobytes() == want.tobytes()
-    assert eval_k0(model, j[0]) == float(term_sum(model, None, j[0], 0))
+    wide = np.zeros((12, 3 * nb))
+    wide[::2, ::3] = j
+    j4 = j[:4]
+    # the in-place sum writes into buffers of the broadcast shape: i as a
+    # column, a 3-d stack and a 0-d value against a batch, j in Fortran order
+    # and as a strided view, and an empty batch
+    for i_case, j_case in ((i, j), (i, np.asfortranarray(j)), (i, wide[::2, ::3]),
+                           (rng.uniform(-2.0, 2.0, size=(3, 1)), j4),
+                           (rng.uniform(-2.0, 2.0, size=(2, 1, 1)), j4),
+                           (np.array(rng.uniform(-2.0, 2.0)), j4), (i[:0], j[:0])):
+        for got, want in zip(table_sums(model, i_case, j_case),
+                             reference_sums(model, i_case, j_case)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    # one point gives a float with the bits of its row in the batch
+    batch = table_sums(model, i, j)
+    for k in range(len(j)):
+        for got, want in zip(table_sums(model, float(i[k]), j[k]), batch):
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want[k].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
