@@ -25,6 +25,8 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     RootBracketError,
+    _finite,
+    _integer,
 )
 from .models import CnfModel, eval_k0
 from .tables import ExperimentReport
@@ -307,14 +309,16 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     standard error of the volume estimate, ``box_volume *
     sqrt(p(1-p)/samples)``.  Deterministic per seed, independent of chunking.
 
-    Raises ValueError first unless ``samples`` is an integer >= 1 and
-    ``seed`` one >= 0 (a bool is neither), PreconditionError when an I-free
-    term of ``K(0, J)`` has a negative coefficient (the box may then cut off
-    part of the admissible region), and ValueError, before anything is
-    drawn, when the box volume or ``(2 pi)^(n-1)`` times it is not finite.
+    Raises ValueError first unless ``samples`` is an integer >= 1, ``seed``
+    one >= 0 (a bool is neither) and ``e`` a finite number, PreconditionError
+    when an I-free term of ``K(0, J)`` has a negative coefficient (the box
+    may then cut off part of the admissible region), and ValueError, before
+    anything is drawn, when the box volume or ``(2 pi)^(n-1)`` times it is
+    not finite.
     """
     samples = _integer(samples, "samples", 1)
     seed = _integer(seed, "seed", 0)
+    _finite(e, "e")
     if e < model.e0:
         raise BelowSaddleError(f"E = {e} is below the saddle energy e0 = {model.e0}")
     model.check_monotone()
@@ -324,16 +328,6 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     j_max = candidate_width(model, e).j_max
     _check_box(e, j_max)
     return _count_volume(model, e, j_max, samples, seed)
-
-
-def _integer(value, what: str, minimum: int) -> int:
-    """``value`` as an int; a ValueError naming ``what`` for a bool, a
-    non-integer (a numpy integer is one) or an integer below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{what} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _check_box(e: float, j_max) -> None:
@@ -420,7 +414,7 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
 
     Row i uses seed ``seed + i`` for its Monte-Carlo volume, recorded in the
     seed column, so any row can be reproduced in isolation.  The inputs are
-    checked first (``steps``, the energy range, ``samples``, ``seed``, then
+    checked first (``steps``, the finite energy range, ``samples``, ``seed``, then
     the model, as :func:`action_volume_mc` checks them); then every root
     ``J_k_max(E)`` is solved once, all in one batch that raises the error of
     the lowest failed root; then the lowest row whose box volume, or
@@ -435,7 +429,7 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     how many CPUs there are.
     """
     steps = _integer(steps, "steps", 1)
-    if e_max < e_min:
+    if _finite(e_min, "e_min") > _finite(e_max, "e_max"):
         raise ValueError(f"e_max = {e_max} is below e_min = {e_min}")
     samples = _integer(samples, "samples", 1)
     seed = _integer(seed, "seed", 0)

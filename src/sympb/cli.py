@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ensembles, evolution, integrators
 from .bottleneck import energy_scan
-from .errors import SympbError
+from .errors import SympbError, _finite
 from .linalg import ellipsoid_capacity, symplectic_spectrum
 from .matio import load_matrix
 from .models import (
@@ -156,8 +156,8 @@ def _flag(opt: Opt) -> str:
 def _checked(opt: Opt, name: str, value):
     """``value`` if it is finite and at least ``opt.minimum``; otherwise
     raises ValueError naming the option as ``name``."""
-    if opt.type is float and not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if opt.type is float:
+        _finite(value, name)
     if opt.minimum is not None and value < opt.minimum:
         raise ValueError(f"{name} must be >= {opt.minimum}, got {value!r}")
     return value

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bottleneck import j_max_cnf
-from .errors import BelowSaddleError, ConvergenceError, SamplingError
+from .errors import BelowSaddleError, ConvergenceError, SamplingError, _finite, _integer
 from .kernels import substream_uniforms
 from .models import CnfModel, effective_lyapunov, eval_cnf, eval_dk_di, eval_k0
 from .tables import ExperimentReport
@@ -60,13 +60,12 @@ class EnsembleSpec:
     q1_range: float = 1.0
 
     def __post_init__(self):
-        n = self.n_traj  # the point count, and the fraction's denominator
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n_traj must be a positive integer, got {n!r}")
-        for name in ("e_center", "delta_e"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        # n_traj is the point count and the fraction's denominator, seed the
+        # entropy of the substreams; frozen, and kept as ints for the reports
+        self.__dict__.update(n_traj=_integer(self.n_traj, "n_traj", 1),
+                             seed=_integer(self.seed, "seed", 0))
+        for name in ("e_center", "delta_e", "q1_range"):
+            _finite(getattr(self, name), name)
         if self.delta_e < 0:
             raise ValueError(f"delta_e must be >= 0, got {self.delta_e}")
         lo, hi = self.e_center - self.delta_e, self.e_center + self.delta_e
@@ -79,11 +78,6 @@ class EnsembleSpec:
         if not math.isfinite(self.q1_range * self.q1_range):
             raise ValueError(f"q1_range {self.q1_range} gives q1_range^2 = "
                              f"{self.q1_range * self.q1_range}, not a finite number")
-        # the seed is the entropy of the substreams; a bool is refused too
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        self.__dict__.update(n_traj=int(n), seed=int(seed))  # frozen; the reports write ints
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,14 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one check of scalar arguments.
 
 Everything numerical-domain related derives from :class:`SympbError` so the
 command line layer can map it to a single exit code, distinct from I/O and
-usage failures.
+usage failures.  A scalar argument that is not a number of the right kind
+raises ValueError from :func:`_finite` or :func:`_integer`, the package's
+one definition of what counts as a number.
 """
+
+import math
+import numbers
 
 __all__ = [
     "SympbError",
@@ -82,3 +87,27 @@ class DivergenceError(SympbError):
     def __init__(self, message, time):
         super().__init__(message)
         self.time = float(time)
+
+
+def _finite(value, what: str) -> float:
+    """``float(value)`` when ``value`` is a finite real number (a bool or a
+    str is not one); otherwise a ValueError naming ``what``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int; a ValueError naming ``what`` for a bool, a
+    non-integer (a numpy integer is one) or an integer below ``minimum``
+    when one is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)

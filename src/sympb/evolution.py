@@ -30,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from .bottleneck import candidate_width
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, PreconditionError, _finite, _integer
 from .linalg import is_symplectic, random_symplectic
 from .models import CnfModel
 from .tables import ExperimentReport, csv_text, format_column, write_text
@@ -108,15 +108,12 @@ def stm(model: CnfModel, t: float) -> np.ndarray:
 
     Saddle block ``[[cosh lt, sinh lt], [sinh lt, cosh lt]]`` on (Q_1, P_1),
     rotation ``[[cos wt, sin wt], [-sin wt, cos wt]]`` on each bath pair,
-    assembled in the global ``(q..., p...)`` ordering.
+    assembled in the global ``(q..., p...)`` ordering.  The saddle block is
+    ``_saddle_blocks`` at ``tau = -t``, infinite where cosh overflows.
     """
     n = model.n_dof
     phi = np.zeros((2 * n, 2 * n))
-    lt = model.lam * t
-    phi[0, 0] = math.cosh(lt)
-    phi[0, n] = math.sinh(lt)
-    phi[n, 0] = math.sinh(lt)
-    phi[n, n] = math.cosh(lt)
+    phi[np.ix_((0, n), (0, n))] = _saddle_blocks(model.lam, np.array([-t]))[0]
     for i, omega in enumerate(model.omegas, start=1):
         wt = omega * t
         c, s = math.cos(wt), math.sin(wt)
@@ -169,7 +166,7 @@ def _cosh_sinh(lt: float) -> tuple:
     try:
         return math.cosh(lt), math.sinh(lt)
     except OverflowError:
-        return math.inf, -math.inf
+        return math.inf, math.copysign(math.inf, lt)
 
 
 def _saddle_blocks(lam: float, taus: np.ndarray) -> np.ndarray:
@@ -179,8 +176,8 @@ def _saddle_blocks(lam: float, taus: np.ndarray) -> np.ndarray:
     ``math.cosh`` and ``math.sinh`` are mapped over the whole grid of
     ``lt = lam * -tau`` and written into the block array one entry slice at
     a time.  A point whose ``cosh`` or ``sinh`` overflows gets
-    ``c, s = inf, -inf``: when either map raises, the grid is redone point
-    by point with that rule.
+    ``c, s = inf, +/-inf`` with the sign of ``lt``: when either map raises,
+    the grid is redone point by point with that rule.
     """
     lts = (lam * -taus).tolist()
     blocks = np.empty((len(lts), 2, 2))
@@ -252,20 +249,22 @@ def evolved_shape_matrix(model: CnfModel, r: float, s_mix, tau: float) -> np.nda
 
     Returns the symmetric PD matrix M with the evolved set equal to
     ``{z : z^T M z <= 1}``; its capacity (``linalg.ellipsoid_capacity``)
-    stays ``pi r^2``.
+    stays ``pi r^2``.  A ``tau`` that is not a finite number, or whose
+    saddle block overflows, raises ValueError.
     """
     _check_radius(r)
     s_mix = _check_mixer(model, s_mix)
+    if not math.isfinite(_cosh_sinh(model.lam * _finite(tau, "tau"))[0]):
+        raise ValueError(f"tau = {tau} gives a saddle block cosh(lam tau) that is not finite")
     t = stm(model, -tau) @ s_mix
     m = np.linalg.inv(r * r * (t @ t.T))
     return 0.5 * (m + m.T)
 
 
 def default_tau_grid(model: CnfModel, points: int = DEFAULT_TAU_POINTS) -> np.ndarray:
-    """Uniform grid of ``points`` times on [0, 3/lambda] (a few e-foldings)."""
-    if points < 1:
-        raise ValueError(f"need at least one grid point, got {points}")
-    return np.linspace(0.0, 3.0 / model.lam, points)
+    """Uniform grid of ``points`` times on [0, 3/lambda] (a few e-foldings);
+    ``points`` is an integer >= 1."""
+    return np.linspace(0.0, 3.0 / model.lam, _integer(points, "points", 1))
 
 
 def radius_scan_curves(model: CnfModel, radii, s_mix_seed: int, tau_grid=None,

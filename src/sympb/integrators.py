@@ -10,13 +10,12 @@ finite-difference Jacobian M of the time-t map from symplecticity.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, _finite, _integer
 from .linalg import symplecticity_defect
 from .models import EckartMorseParams, full_hamiltonian
 
@@ -46,9 +45,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for field in ("h", "t_final", "fd_epsilon"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{field} must be a number, got {value!r}")
+            _finite(getattr(self, field), field)
+        _integer(self.monitor_stride, "monitor_stride", 1)
         if self.h <= 0:
             raise ValueError(f"step h must be > 0, got {self.h}")
         if self.t_final <= 0:
@@ -56,13 +54,6 @@ class IntegratorConfig:
         if not math.isfinite(self.t_final / self.h):
             raise ValueError(f"t_final / h must be a finite step count, got t_final = "
                              f"{self.t_final!r} and h = {self.h!r}")
-        if (isinstance(self.monitor_stride, bool)
-                or not isinstance(self.monitor_stride, numbers.Integral)):
-            raise ValueError(f"monitor_stride must be an integer, got {self.monitor_stride!r}")
-        if self.monitor_stride < 1:
-            raise ValueError(f"monitor_stride must be >= 1, got {self.monitor_stride}")
-        if not math.isfinite(self.fd_epsilon):
-            raise ValueError(f"fd_epsilon must be a finite number, got {self.fd_epsilon!r}")
         if self.fd_epsilon <= 0:
             raise ValueError(f"fd_epsilon must be > 0, got {self.fd_epsilon}")
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DefinitenessError, DimensionError, SpectrumError, SymmetryError
+from .errors import (DefinitenessError, DimensionError, SpectrumError, SymmetryError,
+                     _finite, _integer)
 
 # Relative eigenvalue floor below which a symmetric matrix is rejected as not
 # positive definite.
@@ -251,18 +252,17 @@ def random_symplectic(n: int, sigma: float, seed: int) -> np.ndarray:
     sigma : float
         Half-width of the uniform coefficient distribution, finite and >= 0.
     seed : int
-        Seed for ``numpy.random.default_rng``.
+        Seed for ``numpy.random.default_rng``, an integer >= 0.
 
     Returns
     -------
     ndarray, shape (2n, 2n)
     """
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise DimensionError(f"need n >= 1 degrees of freedom, got n = {n}")
-    if not np.isfinite(sigma):
-        raise ValueError(f"sigma must be a finite number, got {sigma!r}")
-    if sigma < 0:
+    if _finite(sigma, "sigma") < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     g = rng.uniform(-sigma, sigma, size=(2 * n, 2 * n))
     a = np.triu(g) + np.triu(g, 1).T

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, LyapunovSignError, PreconditionError
+from .errors import DimensionError, LyapunovSignError, PreconditionError, _finite, _integer
 
 __all__ = [
     "CnfModel",
@@ -150,14 +149,16 @@ class CnfModel:
 def _term_sum(model: CnfModel, terms, i, j):
     """Sum of the table ``terms`` of ``model`` at ``(I, J)``: :func:`_sum_fn`
     run once on the columns of ``j``, shape ``(..., n_bath)``, and the
-    reactive values ``i`` (None for an I-free table), into a sum of their
-    broadcast shape.  One point gives a 0-d sum, which :func:`_value`
+    reactive values ``i``, an array (None for an I-free table), into a sum of
+    their broadcast shape.  One point gives a 0-d sum, which :func:`_value`
     returns as a Python float with the bits of its row in a batch.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim == 0 or j.shape[-1] != model.n_bath:
         raise DimensionError(f"expected {model.n_bath} bath actions, got shape {j.shape}")
-    shape = np.broadcast_shapes(np.shape(i), j.shape[:-1])
+    shape = j.shape[:-1]
+    if i is not None and i.ndim:  # broadcast_shapes costs about 2 us a call
+        shape = np.broadcast_shapes(i.shape, shape)
     total = np.empty(shape)
     _sum_fn(terms, i, [j[..., k] for k in range(model.n_bath)], total, np.empty(shape))()
     return total
@@ -289,28 +290,15 @@ def _entry(obj, key: str, what: str):
     return obj[key]
 
 
-def _finite(value, what: str) -> float:
-    """``float(value)``, or a ValueError naming ``what`` unless that is a
-    finite number (a bool is not one)."""
-    try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return x
-
-
 def _power(value, what: str) -> int:
     """A term's power: ``value`` as an int when it is a whole number from 0
     to MAX_POWER (``2.0`` reads as 2); otherwise a ValueError naming ``what``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    value = _integer(value, what, 0)
     if value > MAX_POWER:
         raise ValueError(f"{what} must be at most {MAX_POWER}, got {value!r}")
-    return int(value)
+    return value
 
 
 def cnf_from_obj(obj) -> CnfModel:
@@ -391,6 +379,8 @@ class EckartMorseParams:
     aM: float = 1.0
 
     def __post_init__(self):
+        for field in fields(self):
+            _finite(getattr(self, field.name), field.name)
         if self.m <= 0 or self.a <= 0 or self.De <= 0 or self.aM <= 0:
             raise ValueError("m, a, De, aM must all be > 0")
         if self.B <= 0:

@@ -787,13 +787,13 @@ def test_model_list_second_e0_entry_exit_two(capsys, tmp_path):
 
 @pytest.mark.parametrize("terms, message", [
     ([{"i": 1.5, "j": [0], "c": 0.7}, {"i": 0, "j": [1], "c": 1.0}],
-     "model term 0 key 'i' must be a non-negative integer, got 1.5"),
+     "model term 0 key 'i' must be an integer, got 1.5"),
     ([{"i": 1, "j": [0], "c": 0.7}, {"i": 0, "j": [1.9], "c": 1.0}],
-     "model term 1 key 'j' must be a non-negative integer, got 1.9"),
+     "model term 1 key 'j' must be an integer, got 1.9"),
     ([{"i": math.inf, "j": [0], "c": 0.7}, {"i": 0, "j": [1], "c": 1.0}],
-     "model term 0 key 'i' must be a non-negative integer, got inf"),
+     "model term 0 key 'i' must be an integer, got inf"),
     ([{"i": 1, "j": [0], "c": 0.7}, {"i": 0, "j": [True], "c": 1.0}],
-     "model term 1 key 'j' must be a non-negative integer, got True"),
+     "model term 1 key 'j' must be an integer, got True"),
     # before: passed every check, then `widths` multiplied 1e9 times per term and hung
     ([{"i": 1, "j": [0], "c": 1}, {"i": 0, "j": [1], "c": 1},
       {"i": 0, "j": [1000000000], "c": 1e-9}],

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import mpmath
 import numpy as np
@@ -80,6 +81,23 @@ def test_stm_group_property():
     lhs = stm(MODEL, a + b)
     rhs = stm(MODEL, a) @ stm(MODEL, b)
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+
+def test_stm_saddle_block_has_the_bits_of_math_cosh_and_sinh():
+    model, n = builtin_cnf(2), 2
+    edge = 710.4758600739439 / model.lam
+    for t in (-0.0, 0.0, 0.37, -5.0, 3e-310, edge, -float(np.nextafter(edge, 0.0))):
+        lt = model.lam * t
+        want = np.array([[math.cosh(lt), math.sinh(lt)], [math.sinh(lt), math.cosh(lt)]])
+        assert stm(model, t)[np.ix_((0, n), (0, n))].tobytes() == want.tobytes(), t
+    # before: OverflowError from math.cosh beyond |lam t| ~ 710; now the block
+    # is infinite, sinh with the sign of t, and the shape matrix refuses tau
+    for t in (-1000.0, 1000.0, float(np.nextafter(edge, np.inf))):
+        s = math.copysign(math.inf, t)
+        assert stm(model, t)[np.ix_((0, n), (0, n))].tolist() == [[math.inf, s], [s, math.inf]]
+        with pytest.raises(ValueError, match=rf"^tau = {re.escape(repr(-t))} gives a saddle "
+                                             r"block cosh\(lam tau\) that is not finite$"):
+            evolved_shape_matrix(model, 0.1, np.eye(4), -t)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +458,8 @@ def test_write_curves_writes_mixed_curves_as_their_reports(tmp_path):
 
 def oracle_shadow_factors(model, s_mix, taus):
     """The area factors with the blocks built one point at a time, a point
-    whose cosh or sinh overflows taking ``(inf, -inf)``; returns the blocks
-    and the factors."""
+    whose cosh or sinh overflows taking ``(inf, +/-inf)`` with the sign of
+    ``lt``; returns the blocks and the factors."""
     s_mix = evolution._check_mixer(model, s_mix)
     n = model.n_dof
     blocks = []
@@ -449,7 +467,7 @@ def oracle_shadow_factors(model, s_mix, taus):
         try:
             c, s = math.cosh(lt), math.sinh(lt)
         except OverflowError:
-            c, s = math.inf, -math.inf
+            c, s = math.inf, math.copysign(math.inf, lt)
         blocks.append(((c, s), (s, c)))
     blocks = np.array(blocks, dtype=float).reshape(-1, 2, 2)
     rows = s_mix[[0, n], :]

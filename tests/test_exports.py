@@ -80,3 +80,24 @@ def test_every_private_function_has_a_caller():
                      if isinstance(n, (ast.Name, ast.Attribute))} - {own}
     assert private
     assert [(module, name) for module, name in private if name not in read] == []
+
+
+# the wordings of errors._finite and errors._integer, and the ones they replaced
+SCALAR_WORDINGS = ("must be a finite number", "must be a number", "must be an integer",
+                   "must be a positive integer", "must be a non-negative integer")
+
+
+def test_scalar_checks_are_worded_only_in_errors():
+    # errors.py is the one owner of what counts as a number; an inline check
+    # elsewhere would spell one of these.  cli._env_seed words the parse of
+    # the SYMPB_SEED text, which is not a number yet.
+    found = []
+    for path in sorted(Path(sympb.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            found += [(path.stem, getattr(node, "name", None), wording)
+                      for n in ast.walk(node)
+                      if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                      for wording in SCALAR_WORDINGS if wording in n.value]
+    assert found == [("cli", "_env_seed", "must be an integer")]
