@@ -4,11 +4,11 @@ On the dividing surface the admissible bath actions form the region
 ``{J >= 0 : K(0, J) <= E}``.  This module computes per-mode maximal actions
 ``J_k_max(E)``, the candidate transverse width ``c_cand = 2 pi min_k J_k_max``,
 the action-space volume by seeded Monte Carlo, and the directional flux
-``phi = (2 pi)^(n-1) V``.  ``energy_scan`` counts its rows' volumes on a
-thread pool of one worker per usable CPU, in tasks of contiguous chunk
-ranges that each run on buffers made once per task; each row draws from its
-own seed and each chunk from its own child of that seed, so the table does
-not depend on the number of CPUs.
+``phi = (2 pi)^(n-1) V``.  ``action_volume_mc`` and ``energy_scan`` count
+their volumes on one path, a thread pool of one worker per usable CPU, in
+tasks of contiguous chunk ranges that each run on buffers made once per
+task; each row draws from its own seed and each chunk from its own child of
+that seed, so a volume does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -49,14 +49,11 @@ BRENT_MAXITER = 100
 _OK, _BELOW, _NO_BRACKET, _SAME_SIGN, _NAN, _MAXITER = range(6)
 
 # Monte-Carlo chunk size: chunk i of a row's samples draws from substream i
-# of the row's seed, so MC_CHUNK and the seed fix the drawn bytes.  energy_scan
+# of the row's seed, so MC_CHUNK and the seed fix the drawn bytes.  _volumes
 # splits each row's chunks into contiguous ranges and counts the ranges in
-# parallel; a range draws its chunks in order.
+# parallel; a range draws its chunks in order, in blocks of one count tile
+# (kernels._COUNT_TILE rows, a divisor of MC_CHUNK).
 MC_CHUNK = 1 << 16
-# Rows drawn and counted at once, in buffers made once per task: half a chunk
-# keeps each worker's buffers small (a block of a whole chunk was no faster
-# and raised the flux benchmark's peak memory by 3.4 MB).
-MC_BLOCK = MC_CHUNK // 2
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,9 @@ def j_max_cnf(model: CnfModel, e, k):
     method refines the root to relative tolerance 1e-12.  Returns a float for
     one energy and an array for an array, each root with the bits it gets
     alone.  Raises DimensionError, naming the shape, for an energy array of 2
-    or more dimensions, and otherwise the error of the lowest-index failed
+    or more dimensions, ValueError, before any root is solved, naming ``e``
+    or its lowest element ``e[i]`` that is not a finite number (a str or a
+    bool is not one), and otherwise the error of the lowest-index failed
     root: BelowSaddleError for ``e <= e0``, RootBracketError when no bracket
     is found below the cap, and ConvergenceError, naming E, k and the last
     iterate, when K is NaN or the refinement does not converge in 100
@@ -115,20 +114,18 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
     """Smallest positive root ``J_k`` of ``K(0, J) = e[i]`` for every energy,
     with the other bath actions fixed at ``j[i]`` (zeros when None).
 
-    ``e`` is one energy or 1-d (DimensionError otherwise), ``k`` a mode or
-    one mode per energy, and ``j`` broadcasts
-    to ``(len(e), n_bath)``; its column k is ignored.  Each element's bracket
-    starts at ``[0, (e - e0) / omega_k]``, and its upper end doubles until
-    ``K - e`` changes sign (cap BRACKET_CAP); :func:`_brent` then refines it.
+    ``e`` is one finite energy or a 1-d array of them (DimensionError or
+    ValueError otherwise), ``k`` a mode or one mode per energy, and ``j``
+    broadcasts to ``(len(e), n_bath)``; its column k is ignored.  Each
+    element's bracket starts at ``[0, (e - e0) / omega_k]``, and its upper
+    end doubles until ``K - e`` changes sign (cap BRACKET_CAP);
+    :func:`_brent` then refines it.
     ``f`` is the batched ``eval_k0`` on the still-active rows only, so each
     element gets the bits it would get alone.  The whole batch runs to the
     end; then the lowest-index failed element raises its error, else the
     roots are returned.
     """
-    e = np.array(e, dtype=float)
-    if e.ndim > 1:
-        raise DimensionError(f"expected one energy or a 1-d array, got shape {e.shape}")
-    e = e.ravel()
+    e = _energies(e).ravel()
     n = e.size
     ks = np.broadcast_to(np.asarray(k, dtype=int), (n,))
     for mode in set(ks.tolist()):
@@ -173,6 +170,22 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
         raise _root_error(model, float(e[i]), int(ks[i]), status[i], float(root[i]),
                           float(lo[i]), float(hi[i]))
     return root
+
+
+def _energies(e) -> np.ndarray:
+    """``e``, one energy or a 1-d array of them, as a float array.  Raises
+    DimensionError, naming the shape, for 2 or more dimensions, and a
+    ValueError naming ``e``, or its lowest element ``e[i]``, that is not a
+    finite real number (a str or a bool is not one)."""
+    if np.ndim(e) == 0:
+        return np.array(_finite(e[()] if isinstance(e, np.ndarray) else e, "e"))
+    energies = np.asarray(e)
+    if energies.ndim > 1:
+        raise DimensionError(f"expected one energy or a 1-d array, got shape {energies.shape}")
+    if energies.dtype.kind not in "iuf" or not np.isfinite(energies).all():
+        for i, value in enumerate(e):
+            _finite(value, f"e[{i}]")
+    return np.array(energies, dtype=float)
 
 
 def _root_error(model, e: float, k: int, status: int, x: float, lo: float, hi: float):
@@ -282,14 +295,14 @@ def candidate_width(model: CnfModel, e):
     ``e`` is one energy, giving a WidthReport, or a 1-d array, giving one
     report per energy; every mode's root at every energy comes from one
     :func:`j_max_cnf` batch, which raises the lowest-index failure.  Raises
-    TypeError for a model that is not a CnfModel and DimensionError, naming
-    the shape, for an energy array of 2 or more dimensions.
+    TypeError for a model that is not a CnfModel, DimensionError, naming
+    the shape, for an energy array of 2 or more dimensions, and ValueError,
+    naming ``e`` or its lowest element ``e[i]``, for an energy that is not a
+    finite number.
     """
     if not isinstance(model, CnfModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    energies = np.array(e, dtype=float)
-    if energies.ndim > 1:
-        raise DimensionError(f"expected one energy or a 1-d array, got shape {energies.shape}")
+    energies = _energies(e)
     nb = model.n_bath
     modes = np.tile(np.arange(2, nb + 2), energies.size)
     roots = j_max_cnf(model, np.repeat(energies, nb), modes).reshape(-1, nb)
@@ -307,7 +320,9 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     Samples uniformly over the bounding box ``prod_k [0, J_k_max(e)]`` and
     counts points with ``K(0, J) <= e``.  ``std_error`` is the binomial
     standard error of the volume estimate, ``box_volume *
-    sqrt(p(1-p)/samples)``.  Deterministic per seed, independent of chunking.
+    sqrt(p(1-p)/samples)``.  Deterministic per seed: the volume is counted
+    as :func:`energy_scan` counts a row, on one worker per usable CPU, and
+    does not depend on the number of CPUs.
 
     Raises ValueError first unless ``samples`` is an integer >= 1, ``seed``
     one >= 0 (a bool is neither) and ``e`` a finite number, PreconditionError
@@ -325,14 +340,12 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     if e == model.e0:
         return FluxReport(e=float(e), volume=0.0, flux=0.0, mc_samples=samples,
                           std_error=0.0, seed=seed)
-    j_max = candidate_width(model, e).j_max
-    _check_box(e, j_max)
-    return _count_volume(model, e, j_max, samples, seed)
+    return _volumes(model, [candidate_width(model, e)], samples, seed)[0]
 
 
-def _check_box(e: float, j_max) -> None:
-    """Refuse, with a ValueError naming ``e``, a sampling box whose volume
-    ``prod_k J_k_max(e)`` or flux bound ``(2 pi)^nb`` times it is not a
+def _check_box(e: float, j_max) -> float:
+    """The volume ``prod_k J_k_max(e)`` of the sampling box; a ValueError
+    naming ``e`` when it, or the flux bound ``(2 pi)^nb`` times it, is not a
     finite number: its volume, flux and standard error would be inf or NaN."""
     with np.errstate(over="ignore"):
         box_volume = float(np.prod(j_max))
@@ -344,19 +357,47 @@ def _check_box(e: float, j_max) -> None:
     if not math.isfinite(bound):
         raise ValueError(f"E = {e} gives a sampling box of volume {box_volume}, whose "
                          f"(2 pi)^{nb} multiple {bound} is not a finite number")
+    return box_volume
 
 
-def _count_volume(model: CnfModel, e: float, j_max, samples: int, seed: int) -> FluxReport:
-    """The Monte-Carlo volume and flux at ``e`` over the box with edges
-    ``j_max`` (one per bath mode, as in ``WidthReport.j_max``), unchecked:
-    the caller has checked ``samples``, the model and the energy.  All of
-    the row's chunks are one :func:`_chunk_hits` task."""
-    hits = _chunk_hits(model, e, j_max, samples, seed, 0, _n_chunks(samples))
-    return _flux_report(e, j_max, samples, seed, hits)
+def _volumes(model: CnfModel, widths, samples: int, seed: int) -> list:
+    """One FluxReport per WidthReport of ``widths``: row i counts ``samples``
+    draws of seed ``seed + i`` over the box with edges ``widths[i].j_max``.
+    The caller has checked ``samples``, ``seed`` and the model.
 
+    Every box is checked first, so the lowest row whose box is not finite
+    raises.  Then each row's chunks are split into ``min(cpus, chunks)``
+    contiguous ranges, one :func:`_chunk_hits` task each, on a thread pool
+    of one worker per usable CPU up to the number of tasks; a row's hits are
+    the integer sum of its tasks' hits.  The pool returns the tasks in row
+    order, so the lowest failed row's error is raised, after every worker
+    is joined.
+    """
+    boxes = [_check_box(width.e, width.j_max) for width in widths]
+    # imported here: only the Monte-Carlo volume needs the thread pool, so no
+    # other command loads concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
 
-def _n_chunks(samples: int) -> int:
-    return -(-samples // MC_CHUNK)
+    # the CPUs this process may run on
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n_chunks = -(-samples // MC_CHUNK)
+    parts = min(cpus, n_chunks)
+    tasks = [(width, seed + i, n_chunks * w // parts, n_chunks * (w + 1) // parts)
+             for i, width in enumerate(widths) for w in range(parts)]
+    with ThreadPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
+        hits = list(pool.map(
+            lambda task: _chunk_hits(model, task[0].e, task[0].j_max, samples, *task[1:]),
+            tasks))
+    nb = model.n_bath
+    reports = []
+    for i, (width, box_volume) in enumerate(zip(widths, boxes)):
+        p_hat = sum(hits[i * parts:(i + 1) * parts]) / samples
+        volume = box_volume * p_hat
+        reports.append(FluxReport(
+            e=width.e, volume=volume, flux=(2.0 * math.pi) ** nb * volume, mc_samples=samples,
+            std_error=box_volume * math.sqrt(p_hat * (1.0 - p_hat) / samples), seed=seed + i))
+    return reports
 
 
 def _chunk_hits(model: CnfModel, e: float, j_max, samples: int, seed: int,
@@ -366,46 +407,27 @@ def _chunk_hits(model: CnfModel, e: float, j_max, samples: int, seed: int,
 
     Chunk c draws from ``SeedSequence(seed, spawn_key=(c,))``, the child c
     of ``SeedSequence(seed).spawn(n)``, so no list of children is made.
-    Blocks of MC_BLOCK rows are drawn in turn from the generator of their
-    chunk, opened at the chunk's first block; MC_BLOCK divides MC_CHUNK, so
-    no block spans two chunks and each chunk's stream is the one it would
-    give alone.  The draw buffer and the counter's buffers are made once per
-    task, and :func:`~sympb.kernels.count_box_hits` counts each block of
-    unit draws scaled by ``j_max``: ``uniform(0.0, box)`` computes ``0.0 +
-    box * u``, which is ``u * box`` bit for bit.
+    Blocks of one count tile, ``kernels._COUNT_TILE`` rows, are drawn in
+    turn from the generator of their chunk, opened at the chunk's first
+    block; the tile divides MC_CHUNK, so no block spans two chunks and each
+    chunk's stream is the one it would give alone.  The draw buffer and the
+    counter's buffers are made once per task, and
+    :func:`~sympb.kernels.count_box_hits` counts each block of unit draws
+    scaled by ``j_max``: ``uniform(0.0, box)`` computes ``0.0 + box * u``,
+    which is ``u * box`` bit for bit.
     """
-    rows = min(MC_BLOCK, samples)
+    rows = min(kernels._COUNT_TILE, samples)
     draws = np.empty((rows, model.n_bath))
     counter = kernels._box_counter(model, j_max, rows)
     hits = 0
     for c in range(first, stop):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
         end = min(samples, (c + 1) * MC_CHUNK)
-        for start in range(c * MC_CHUNK, end, MC_BLOCK):
+        for start in range(c * MC_CHUNK, end, rows):
             js = draws if end - start >= rows else draws[:end - start]
             rng.random(out=js)
             hits += kernels.count_box_hits(model, js, e, counter)
     return hits
-
-
-def _flux_report(e: float, j_max, samples: int, seed: int, hits: int) -> FluxReport:
-    """The FluxReport of ``hits`` box hits among ``samples`` draws over the
-    box with edges ``j_max``."""
-    nb = len(j_max)
-    box_volume = float(np.prod(np.array(j_max)))
-    p_hat = hits / samples
-    volume = box_volume * p_hat
-    std_error = box_volume * math.sqrt(p_hat * (1.0 - p_hat) / samples)
-    flux = (2.0 * math.pi) ** nb * volume
-    return FluxReport(e=float(e), volume=volume, flux=flux, mc_samples=samples,
-                      std_error=std_error, seed=seed)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
@@ -419,14 +441,9 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     ``J_k_max(E)`` is solved once, all in one batch that raises the error of
     the lowest failed root; then the lowest row whose box volume, or
     ``(2 pi)^(n-1)`` times it, is not a finite number raises ValueError; then
-    the rows' volumes are counted over the widths' roots as boxes on a thread pool
-    of one worker per usable CPU (``os.sched_getaffinity``), up to the number
-    of tasks.  Each row's chunks are split into ``min(cpus, chunks)``
-    contiguous ranges, one :func:`_chunk_hits` task each, and a row's hits are
-    the integer sum of its tasks' hits.  The pool takes the tasks in row order
-    and returns them in order, so when rows fail the lowest failed row's error
-    is raised, after every worker is joined.  The output does not depend on
-    how many CPUs there are.
+    :func:`_volumes` counts the rows' volumes over the widths' roots as boxes
+    on a thread pool of one worker per usable CPU (``os.sched_getaffinity``).
+    The output does not depend on how many CPUs there are.
     """
     steps = _integer(steps, "steps", 1)
     if _finite(e_min, "e_min") > _finite(e_max, "e_max"):
@@ -442,28 +459,9 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
         + ["c_cand", "limiting_mode", "V", "phi", "std_error", "seed"]
     )
     widths = candidate_width(model, energies)
-    for width in widths:
-        _check_box(width.e, width.j_max)
-    # imported here: only widths needs the thread pool, so no other command
-    # loads concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
-
-    cpus = _usable_cpus()
-    n_chunks = _n_chunks(samples)
-    parts = min(cpus, n_chunks)
-    tasks = [(i, n_chunks * w // parts, n_chunks * (w + 1) // parts)
-             for i in range(steps) for w in range(parts)]
-    with ThreadPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
-        hits = list(pool.map(
-            lambda task: _chunk_hits(model, widths[task[0]].e, widths[task[0]].j_max,
-                                     samples, seed + task[0], task[1], task[2]),
-            tasks))
-    rows = []
-    for i, width in enumerate(widths):
-        flux = _flux_report(width.e, width.j_max, samples, seed + i,
-                            sum(hits[i * parts:(i + 1) * parts]))
-        rows.append((width.e, *width.j_max, width.c_cand, width.limiting_mode,
-                     flux.volume, flux.flux, flux.std_error, seed + i))
+    rows = [(width.e, *width.j_max, width.c_cand, width.limiting_mode,
+             flux.volume, flux.flux, flux.std_error, flux.seed)
+            for width, flux in zip(widths, _volumes(model, widths, samples, seed))]
     meta = {
         "e_min": float(e_min),
         "e_max": float(e_max),

@@ -287,7 +287,7 @@ def sample_ensemble(model: CnfModel, spec: EnsembleSpec, xi=0.0) -> Ensemble:
 
 
 def _check_horizon(t_max) -> None:
-    if not t_max > 0.0:
+    if not _finite(t_max, "t_max") > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
 
 
@@ -304,7 +304,8 @@ def transmit(model: CnfModel, ens: Ensemble, t_max: float) -> np.ndarray:
     ``_EDGE_RTOL (|a| + |b|) + _EDGE_ATOL``; the knife-edge points inside it,
     and any point where a product overflows or gives NaN, are recomputed
     with the scalar math expression.  Beyond ``L t_max = 350`` the sign of
-    ``P_1 + Q_1`` decides.  Raises ValueError unless ``t_max > 0``.
+    ``P_1 + Q_1`` decides.  Raises ValueError unless ``t_max`` is a finite
+    number > 0.
     """
     _check_horizon(t_max)
     lt = effective_lyapunov(model, ens.j) * t_max
@@ -332,8 +333,8 @@ def transmission_scan(model: CnfModel, spec_base: EnsembleSpec, xis,
     call with bands ``[0.0] + xis``, so they share their random draws
     (common random numbers): each point is drawn once and mapped into every
     band.  Returns the baseline first (kind "A", xi = nan), then one result
-    per xi in the given order.  A horizon that is not positive raises
-    ValueError before any ensemble is sampled.
+    per xi in the given order.  A horizon that is not a finite number > 0
+    raises ValueError before any ensemble is sampled.
     """
     xis = [float(x) for x in xis]
     if t_max is None:

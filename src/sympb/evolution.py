@@ -109,13 +109,18 @@ def stm(model: CnfModel, t: float) -> np.ndarray:
     Saddle block ``[[cosh lt, sinh lt], [sinh lt, cosh lt]]`` on (Q_1, P_1),
     rotation ``[[cos wt, sin wt], [-sin wt, cos wt]]`` on each bath pair,
     assembled in the global ``(q..., p...)`` ordering.  The saddle block is
-    ``_saddle_blocks`` at ``tau = -t``, infinite where cosh overflows.
+    ``_saddle_blocks`` at ``tau = -t``, infinite where cosh overflows.  A
+    ``t`` that is not a finite number, or whose bath angle ``omega t``
+    overflows, raises ValueError.
     """
+    t = _finite(t, "t")
     n = model.n_dof
     phi = np.zeros((2 * n, 2 * n))
     phi[np.ix_((0, n), (0, n))] = _saddle_blocks(model.lam, np.array([-t]))[0]
     for i, omega in enumerate(model.omegas, start=1):
         wt = omega * t
+        if not math.isfinite(wt):
+            raise ValueError(f"t = {t} gives a bath angle omega t = {wt}, not a finite number")
         c, s = math.cos(wt), math.sin(wt)
         phi[i, i] = c
         phi[i, n + i] = s
@@ -147,10 +152,12 @@ def _check_grid(tau_grid) -> np.ndarray:
     return taus
 
 
-def _check_radius(r: float) -> None:
-    """Refuse a radius that is not positive, whose ``pi r^2`` is not finite,
-    or whose ``r^2`` is below the smallest normal float (there the areas
-    round to 0 and the shape matrix ``1 / r^2`` is inf or singular)."""
+def _check_radius(r) -> float:
+    """``float(r)``; refuse a radius that is not a finite number, not
+    positive, whose ``pi r^2`` is not finite, or whose ``r^2`` is below the
+    smallest normal float (there the areas round to 0 and the shape matrix
+    ``1 / r^2`` is inf or singular)."""
+    r = _finite(r, "r")
     if r <= 0:
         raise ValueError(f"radius must be > 0, got {r}")
     if not math.isfinite(math.pi * r * r):
@@ -160,6 +167,7 @@ def _check_radius(r: float) -> None:
             f"radius {r} gives r^2 = {r * r}, below the smallest normal float "
             f"{sys.float_info.min}"
         )
+    return r
 
 
 def _cosh_sinh(lt: float) -> tuple:
@@ -223,7 +231,7 @@ def _shadow_factors(model: CnfModel, s_mix, taus: np.ndarray) -> np.ndarray:
 def _curve(r: float, taus: np.ndarray, factors: np.ndarray) -> ProjectionAreaCurve:
     areas = math.pi * r * r * factors
     return ProjectionAreaCurve(
-        r=float(r),
+        r=r,
         taus=taus,
         areas=areas,
         min_area=float(areas.min()),
@@ -240,7 +248,7 @@ def min_projection_area(model: CnfModel, r: float, s_mix, tau_grid) -> Projectio
     selects the (Q_1, P_1) rows; a grid of one point gives one area.
     """
     taus = _check_grid(tau_grid)
-    _check_radius(r)
+    r = _check_radius(r)
     return _curve(r, taus, _shadow_factors(model, s_mix, taus))
 
 
@@ -252,7 +260,7 @@ def evolved_shape_matrix(model: CnfModel, r: float, s_mix, tau: float) -> np.nda
     stays ``pi r^2``.  A ``tau`` that is not a finite number, or whose
     saddle block overflows, raises ValueError.
     """
-    _check_radius(r)
+    r = _check_radius(r)
     s_mix = _check_mixer(model, s_mix)
     if not math.isfinite(_cosh_sinh(model.lam * _finite(tau, "tau"))[0]):
         raise ValueError(f"tau = {tau} gives a saddle block cosh(lam tau) that is not finite")
@@ -279,11 +287,9 @@ def radius_scan_curves(model: CnfModel, radii, s_mix_seed: int, tau_grid=None,
     energy ``e_ref``, the dashed comparison level of the infimum-scaling
     figure.
     """
-    radii = [float(r) for r in radii]
+    radii = [_check_radius(r) for r in radii]
     if not radii:
         raise ValueError("need at least one radius")
-    for r in radii:
-        _check_radius(r)
     if tau_grid is None:
         tau_grid = default_tau_grid(model)
     s_mix = random_symplectic(model.n_dof, sigma, s_mix_seed)

@@ -38,10 +38,14 @@ XSHIFT = 16
 MASK32 = 0xFFFFFFFF
 PCG_MULT_HI = 2549297995355413924
 PCG_MULT_LO = 4865540595714422341
-# Rows of a Monte-Carlo block summed and counted at once.  On the flux
-# benchmark (2 vCPU), 32 768-row tiles ran about 3% slower and raised peak
-# memory by about 1 MB, and 8 192- or 4 096-row tiles ran 10-30% slower, their
-# per-call dispatch outweighing the smaller working set.
+# Rows of a Monte-Carlo tile summed and counted at once, and the rows of a
+# block that bottleneck._chunk_hits draws into one buffer: a block is one
+# tile.  On the flux benchmark (2 vCPU), 32 768-row tiles ran about 3% slower
+# and raised peak memory by about 1 MB, and 8 192- or 4 096-row tiles ran
+# 10-30% slower, their per-call dispatch outweighing the smaller working set.
+# Drawing 16 384-row blocks instead of 32 768-row ones counted the same rows
+# in about the same time (energy_scan, 3 dof, 11 energies, 1e6 samples:
+# medians 51.8 and 53.5 ms over 12 alternating pairs).
 _COUNT_TILE = 1 << 14
 # The Verlet loop checks its records for finiteness once per block of at most
 # _CHECK_BLOCK records and _CHECK_STEPS steps (and at least one record): a
@@ -204,8 +208,8 @@ def _box_counter(model: CnfModel, box, rows: int):
     ``K(0, J)`` is summed by eval_k0's :func:`~sympb.models._sum_fn` bound
     to these buffers, and the entries ``<= e`` are counted.  ``u[:, k] *
     box[k]`` is the product ``Generator.uniform(0.0, box)`` makes of its
-    unit draws, bit for bit.  A tile of fewer rows, such as the end of a
-    row's last block, runs on views bound for that tile.
+    unit draws, bit for bit.  A tile of fewer rows, such as a row's last
+    block, runs on views bound for that tile.
     """
     nb = model.n_bath
     tile = max(1, min(rows, _COUNT_TILE))

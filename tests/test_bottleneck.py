@@ -39,7 +39,6 @@ from sympb.bottleneck import (
     _SAME_SIGN,
     BRACKET_CAP,
     BRENT_MAXITER,
-    MC_BLOCK,
     MC_CHUNK,
     ROOT_RTOL,
     ROOT_XTOL,
@@ -329,19 +328,18 @@ def test_j_max_cnf_no_convergence_names_energy_mode_and_iterate(monkeypatch):
     assert 0.0 < float(msg[len(head):]) < (e - model.e0) / model.omegas[0]
 
 
-def test_j_max_cnf_raises_the_lowest_index_failure():
-    # K(0, J) = J - 0.01 J^2 tops out at 25: E = 30 has no bracket, and
-    # E = nan makes f NaN at the first bracket end.  The whole batch runs,
-    # then the first failing element raises its scalar message.
+def test_j_max_cnf_raises_the_lowest_index_failure(monkeypatch):
+    # K(0, J) = J - 0.01 J^2 tops out at 25: E = 30 has no bracket.  The
+    # whole batch runs, then the first failing element raises its scalar
+    # message.  (A NaN in K is covered by the eval_k0 patches above.)
     model = alpha_model(omega2=1.0, alpha=-0.01)
-    nan_msg = "j_max at E = nan, mode k = 2: f is NaN at x = 0.0"
     bracket_msg = "no positive root of K(0, J_2) = 30.0 below 1e+12"
     below_msg = "E = -1.0 is not above the saddle energy e0 = 0.0"
     for es, exc, msg in (
-        ([16.0, math.nan, 30.0], ConvergenceError, nan_msg),
-        ([16.0, 30.0, math.nan], RootBracketError, bracket_msg),
-        ([30.0, -1.0, math.nan], RootBracketError, bracket_msg),
-        ([-1.0, 30.0, math.nan], BelowSaddleError, below_msg),
+        ([16.0, 30.0, -1.0], RootBracketError, bracket_msg),
+        ([30.0, -1.0, 16.0], RootBracketError, bracket_msg),
+        ([16.0, -1.0, 30.0], BelowSaddleError, below_msg),
+        ([-1.0, 30.0, 16.0], BelowSaddleError, below_msg),
     ):
         with pytest.raises(exc) as info:
             j_max_cnf(model, es, 2)
@@ -353,6 +351,18 @@ def test_j_max_cnf_raises_the_lowest_index_failure():
     one = j_max_cnf(model, 16.0, 2)
     assert type(one) is float
     assert j_max_cnf(model, [16.0, 16.0], 2).tolist() == [one] * 2
+    # an energy that is not a finite number is refused before any root is
+    # solved, above elements whose roots fail; before: E = nan raised
+    # ConvergenceError "f is NaN at x = 0.0"
+    evals = []
+    monkeypatch.setattr(bottleneck, "eval_k0", lambda model, j: evals.append(j))
+    for es, msg in (([30.0, -1.0, math.nan], "e[2] must be a finite number, got nan"),
+                    ([-1.0, math.inf, "1"], "e[1] must be a finite number, got inf"),
+                    (math.nan, "e must be a finite number, got nan")):
+        with pytest.raises(ValueError) as info:
+            j_max_cnf(model, es, 2)
+        assert type(info.value) is ValueError and str(info.value) == msg
+    assert evals == []
 
 
 def test_j_max_refuses_energy_arrays_of_two_or_more_dimensions():
@@ -996,12 +1006,12 @@ def test_action_volume_mc_multi_chunk_bits_frozen(model, e, seed, frozen):
 
 
 def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
-    # every tile's scaled columns, as the counter sums them, in order against
-    # the chunks' Generator.uniform(0.0, box) draws; a block of MC_BLOCK rows
-    # is counted in tiles of kernels._COUNT_TILE rows
-    drawn = []
+    # every block's scaled columns, as the counter sums them, in order against
+    # the chunks' Generator.uniform(0.0, box) draws; a block of
+    # kernels._COUNT_TILE rows is one count_box_hits call and one tile
+    drawn, counted = [], []
     tile = kernels._COUNT_TILE
-    real = kernels._sum_fn
+    real, real_count = kernels._sum_fn, kernels.count_box_hits
 
     def capture(terms, i, cols, total, scratch):
         k0 = real(terms, i, cols, total, scratch)
@@ -1012,7 +1022,12 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
 
         return recording
 
+    def count(model, js, e, counter):
+        counted.append(len(js))
+        return real_count(model, js, e, counter)
+
     monkeypatch.setattr(kernels, "_sum_fn", capture)
+    monkeypatch.setattr(kernels, "count_box_hits", count)
     rng = np.random.default_rng(31)
     for nb in (1, 2, 3):
         model = linear_cnf(0.5, [1.0] * nb, -1.0)
@@ -1020,50 +1035,59 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
                  tuple(10.0 ** rng.uniform(-300.0, 12.0, size=nb)),
                  tuple(rng.uniform(0.1, 5.0, size=nb))]
         for box in boxes:
-            # chunk layouts [1], [4097], [MC_BLOCK + 1], [MC_CHUNK],
-            # [MC_CHUNK, MC_CHUNK, 4097] and [MC_CHUNK, MC_CHUNK, MC_BLOCK + 4097];
-            # a chunk is drawn in blocks of at most MC_BLOCK rows, concatenated
-            # here per chunk
-            for samples in (1, 4097, MC_BLOCK + 1, MC_CHUNK, 2 * MC_CHUNK + 4097,
-                            2 * MC_CHUNK + MC_BLOCK + 4097):
-                drawn.clear()
-                bottleneck._count_volume(model, 0.0, box, samples, 5)
+            # chunk layouts [1], [4097], [tile + 1], [MC_CHUNK],
+            # [MC_CHUNK, MC_CHUNK, 4097] and [MC_CHUNK, MC_CHUNK, tile + 4097];
+            # a chunk is drawn in blocks of at most one tile, concatenated
+            # here per chunk; the chunks are counted as one task and as two
+            # tasks of contiguous chunk ranges, with the same draws
+            for samples in (1, 4097, tile + 1, MC_CHUNK, 2 * MC_CHUNK + 4097,
+                            2 * MC_CHUNK + tile + 4097):
                 n_chunks = -(-samples // MC_CHUNK)
                 children = np.random.SeedSequence(5).spawn(n_chunks)
                 sizes = [min(MC_CHUNK, samples - MC_CHUNK * i) for i in range(n_chunks)]
-                blocks = [min(MC_BLOCK, m - start) for m in sizes for start in range(0, m, MC_BLOCK)]
-                assert [len(js) for js in drawn] == [
-                    min(tile, b - lo) for b in blocks for lo in range(0, b, tile)]
-                js = np.concatenate(drawn)
+                blocks = [min(tile, m - start) for m in sizes for start in range(0, m, tile)]
                 want = np.concatenate([
                     np.random.default_rng(child).uniform(0.0, np.array(box), size=(m, nb))
                     for child, m in zip(children, sizes)])
-                assert js.shape == want.shape
-                assert js.tobytes() == want.tobytes()
+                for ranges in ([(0, n_chunks)], [(0, n_chunks // 2), (n_chunks // 2, n_chunks)]):
+                    drawn.clear()
+                    counted.clear()
+                    for first, stop in ranges:
+                        bottleneck._chunk_hits(model, 0.0, box, samples, 5, first, stop)
+                    assert counted == blocks
+                    assert [len(js) for js in drawn] == blocks
+                    js = np.concatenate(drawn)
+                    assert js.shape == want.shape
+                    assert js.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("samples", [1, MC_BLOCK + 1, MC_CHUNK, 2 * MC_CHUNK + 4097])
+@pytest.mark.parametrize("samples", [1, kernels._COUNT_TILE + 1, MC_CHUNK // 2 + 1, MC_CHUNK,
+                                     2 * MC_CHUNK + 4097])
 @pytest.mark.parametrize("model", [builtin_cnf(3), I_MODEL], ids=["builtin3", "i_terms"])
 def test_energy_scan_rows_do_not_depend_on_the_worker_count(monkeypatch, model, samples):
     # 1 to 3 chunks per row, split over up to 5 workers, so some rows have
-    # fewer chunks than there are workers; every row equals action_volume_mc
-    # at its energy and seed, bit for bit
+    # fewer chunks than there are workers; at every worker count each row
+    # equals action_volume_mc at its energy and seed, and both equal the
+    # rows of one worker, bit for bit
     steps, seed = 3, 60
-    want = rows_one_by_one(model, np.linspace(0.1, 0.9, steps), samples, seed)
+    energies = np.linspace(0.1, 0.9, steps)
+    usable_cpus(monkeypatch, 1)
+    want = rows_one_by_one(model, energies, samples, seed)
     for cpus in (1, 2, 3, 5):
         usable_cpus(monkeypatch, cpus)
+        assert rows_one_by_one(model, energies, samples, seed) == want, cpus
         report = energy_scan(model, 0.1, 0.9, steps=steps, samples=samples, seed=seed)
         assert report.rows == want, cpus
 
 
 def test_chunk_count_allocates_only_its_task_buffers():
-    # a 10-chunk task makes its draw buffer and the counter's tile buffers
-    # once and runs all 20 blocks in them: the traced peak is the buffers,
-    # plus less than one tile's bool mask
+    # a 10-chunk task makes its one-tile draw buffer and the counter's tile
+    # buffers once and runs all 40 blocks in them: the traced peak is the
+    # buffers, plus less than one tile's bool mask
     model = builtin_cnf(3)
     nb = model.n_bath
     tile = kernels._COUNT_TILE
-    buffers = (MC_BLOCK * nb * 8     # draws
+    buffers = (tile * nb * 8         # draws
                + nb * tile * 8       # scaled columns
                + 2 * tile * 8        # sum and term scratch
                + tile)               # bool mask

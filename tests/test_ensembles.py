@@ -359,11 +359,13 @@ def test_transmit_overflow_guard():
     assert transmit(MODEL2, mixed, t_max=1000.0).tolist() == [True, False, True]
 
 
-@pytest.mark.parametrize("t_max", [0.0, -0.0, -1.0, -math.inf, math.nan])
+@pytest.mark.parametrize("t_max", [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan])
 def test_transmit_refuses_a_horizon_that_is_not_positive(t_max):
-    # an empty or backward horizon would count every point as reflected
+    # an empty or backward horizon would count every point as reflected, and
+    # an infinite one as transmitted
     ens = points([-0.1], [0.5], [(0.5,)])
-    msg = f"^t_max must be > 0, got {re.escape(repr(t_max))}$"
+    rule = "a finite number" if not math.isfinite(t_max) else "> 0"
+    msg = f"^t_max must be {rule}, got {re.escape(repr(t_max))}$"
     with pytest.raises(ValueError, match=msg):
         transmit(MODEL2, ens, t_max)
     with pytest.raises(ValueError, match=msg):

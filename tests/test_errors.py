@@ -1,17 +1,20 @@
 """Every scalar argument check of the package is ``errors._finite`` or
 ``errors._integer``: one table of entry points, each refusing the same bad
-values with the same ValueError, for Python and numpy scalars alike."""
+values with the same ValueError, for Python and numpy scalars alike; an
+array of energies names its lowest bad element."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sympb.bottleneck import action_volume_mc, energy_scan
+from sympb.bottleneck import action_volume_mc, candidate_width, energy_scan, j_max_cnf
 from sympb.cli import Opt, _checked
-from sympb.ensembles import EnsembleSpec
+from sympb.ensembles import (EnsembleSpec, sample_ensemble, scan_report, transmission_scan,
+                             transmit)
 from sympb.errors import _finite, _integer
-from sympb.evolution import default_tau_grid, evolved_shape_matrix
+from sympb.evolution import (default_tau_grid, evolved_shape_matrix, min_projection_area,
+                             radius_scan_curves, stm)
 from sympb.integrators import IntegratorConfig
 from sympb.linalg import random_symplectic
 from sympb.models import CnfModel, EckartMorseParams, builtin_cnf
@@ -48,12 +51,44 @@ def volume(**kw):
     return action_volume_mc(MODEL, **{"e": 0.0, "samples": 100, "seed": 0, **kw})
 
 
+def roots(e):
+    return j_max_cnf(MODEL, e, 2)
+
+
+def width(e):
+    return candidate_width(MODEL, e)
+
+
+def transmitted(t_max):
+    return transmit(MODEL, sample_ensemble(MODEL, spec()), t_max)
+
+
+def fractions(t_max):
+    return transmission_scan(MODEL, spec(), [0.5], t_max)
+
+
+def scan_table(t_max):
+    return scan_report(MODEL, spec(), [0.5], t_max)
+
+
 def tau_grid(points):
     return default_tau_grid(MODEL, points)
 
 
-def shape_matrix(tau):
-    return evolved_shape_matrix(MODEL, 0.1, np.eye(4), tau)
+def shape_matrix(**kw):
+    return evolved_shape_matrix(MODEL, **{"r": 0.1, "s_mix": np.eye(4), "tau": 0.0, **kw})
+
+
+def projection(r):
+    return min_projection_area(MODEL, r, np.eye(4), [0.0])
+
+
+def radius_scan(r):
+    return radius_scan_curves(MODEL, [0.1, r], 0)
+
+
+def transition(t):
+    return stm(MODEL, t)
 
 
 FINITE = "finite"
@@ -80,9 +115,16 @@ TABLE = [
     (volume, "e", "e", FINITE),
     (volume, "samples", "samples", 1),
     (volume, "seed", "seed", 0),
+    (roots, "e", "e", FINITE),
+    (width, "e", "e", FINITE),
+    *[(call, "t_max", "t_max", FINITE) for call in (transmitted, fractions, scan_table)],
     (tau_grid, "points", "points", 1),
     (shape_matrix, "tau", "tau", FINITE),
+    *[(call, "r", "r", FINITE) for call in (projection, shape_matrix, radius_scan)],
+    (transition, "t", "t", FINITE),
 ]
+# None asks these for their default horizon
+NONE_IS_DEFAULT = {(fractions, "t_max"), (scan_table, "t_max")}
 
 
 def twin(value):
@@ -106,8 +148,13 @@ def message(what, minimum, value):
 def test_scalar_arguments_are_checked_by_the_one_owner(call, arg, what, minimum):
     # before: EnsembleSpec raised a bare TypeError for a str e_center or
     # q1_range and kept e_center=True; EckartMorseParams kept nan, inf and
-    # True; action_volume_mc(model, nan, ...) raised ConvergenceError
-    values = [True, "1", None, math.nan, math.inf]
+    # True; action_volume_mc(model, nan, ...) raised ConvergenceError;
+    # j_max_cnf and candidate_width parsed "1", transmission_scan counted
+    # every point of an infinite horizon as transmitted, a radius of True was
+    # 1 and stm(model, inf) raised "math domain error"
+    values = [True, "1", math.nan, math.inf]
+    if (call, arg) not in NONE_IS_DEFAULT:
+        values.insert(2, None)
     if minimum != FINITE:
         values += [2.5] if minimum is None else [2.5, -1]
     for value in values + [twin(v) for v in values]:
@@ -126,3 +173,28 @@ def test_the_owner_returns_floats_and_ints():
     for value in (np.int64(3), np.uint8(255), 2**70):
         assert type(_integer(value, "k", 0)) is int and _integer(value, "k", 0) == value
     assert _integer(-5, "k") == -5
+
+
+def test_energy_arrays_name_their_lowest_bad_element():
+    # before: "1" was parsed and a NaN energy failed its root with a
+    # ConvergenceError
+    for call in (roots, width):
+        for e, i, bad in (([0.1, "1", math.nan], 1, "'1'"),
+                          ([0.1, 0.2, math.inf], 2, "inf"),
+                          (np.array([0.1, np.nan]), 1, "np.float64(nan)"),
+                          (np.array([True, False]), 0, "np.True_"),
+                          ([0.1, 10**400], 1, str(10**400))):
+            with pytest.raises(ValueError) as info:
+                call(e)
+            assert str(info.value) == f"e[{i}] must be a finite number, got {bad}"
+
+
+def test_stm_refuses_a_bath_angle_that_overflows():
+    # before: ValueError "math domain error" from math.cos; the saddle block
+    # of a finite angle may still overflow to inf
+    with pytest.raises(ValueError) as info:
+        stm(MODEL, 1e308)
+    wt = MODEL.omegas[0] * 1e308
+    assert str(info.value) == f"t = 1e+308 gives a bath angle omega t = {wt}, not a finite number"
+    phi = stm(MODEL, 1e300)
+    assert math.isinf(phi[0, 0]) and np.isfinite(phi[np.ix_((1, 3), (1, 3))]).all()

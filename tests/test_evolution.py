@@ -258,11 +258,13 @@ def test_radius_scan_validation():
 
 
 def test_radius_with_infinite_area_is_refused():
-    # pi r^2 overflows for r above about 7.6e153
+    # pi r^2 overflows for r above about 7.6e153; an infinite or NaN radius
+    # is no finite number
     for r in (1e200, 1e154, math.inf, math.nan):
-        with pytest.raises(ValueError, match="pi r\\^2"):
+        msg = "pi r\\^2" if math.isfinite(r) else f"^r must be a finite number, got {r!r}$"
+        with pytest.raises(ValueError, match=msg):
             radius_scan_curves(MODEL, [0.1, r], s_mix_seed=0)
-        with pytest.raises(ValueError, match="pi r\\^2"):
+        with pytest.raises(ValueError, match=msg):
             min_projection_area(MODEL, r, np.eye(6), [0.0])
     assert min_projection_area(MODEL, 1e153, np.eye(6), [0.0]).gromov_scale < math.inf
 

@@ -1,6 +1,7 @@
 """Every name that a sympb module lists in ``__all__`` exists in it, the
 package publishes exactly those names of its library modules, plus its
-submodules, and every private module-level function has a caller."""
+submodules, every private module-level function has a caller, and the
+Monte-Carlo volume has one counting path."""
 
 import ast
 import importlib
@@ -101,3 +102,15 @@ def test_scalar_checks_are_worded_only_in_errors():
                       if isinstance(n, ast.Constant) and isinstance(n.value, str)
                       for wording in SCALAR_WORDINGS if wording in n.value]
     assert found == [("cli", "_env_seed", "must be an integer")]
+
+
+def test_the_monte_carlo_volume_has_one_counting_path():
+    # action_volume_mc and energy_scan count on one thread pool: the chunk
+    # counter has one call site and the package builds one pool
+    calls = []
+    for path in sorted(Path(sympb.__file__).parent.glob("*.py")):
+        calls += [n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                  for n in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))]
+    assert calls.count("_chunk_hits") == 1
+    assert calls.count("ThreadPoolExecutor") == 1
