@@ -5,10 +5,11 @@ On the dividing surface the admissible bath actions form the region
 ``J_k_max(E)``, the candidate transverse width ``c_cand = 2 pi min_k J_k_max``,
 the action-space volume by seeded Monte Carlo, and the directional flux
 ``phi = (2 pi)^(n-1) V``.  ``action_volume_mc`` and ``energy_scan`` count
-their volumes on one path, a thread pool of one worker per usable CPU, in
-tasks of contiguous chunk ranges that each run on buffers made once per
-task; each row draws from its own seed and each chunk from its own child of
-that seed, so a volume does not depend on the number of CPUs.
+their volumes on one path, in tasks of contiguous chunk ranges that draw
+blocks of MC_TILE rows into buffers made once per task, on a thread pool of
+one worker per usable CPU or, for one worker, in the calling thread; each
+row draws from its own seed and each chunk from its own child of that seed,
+so a volume does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -51,9 +52,17 @@ _OK, _BELOW, _NO_BRACKET, _SAME_SIGN, _NAN, _MAXITER = range(6)
 # Monte-Carlo chunk size: chunk i of a row's samples draws from substream i
 # of the row's seed, so MC_CHUNK and the seed fix the drawn bytes.  _volumes
 # splits each row's chunks into contiguous ranges and counts the ranges in
-# parallel; a range draws its chunks in order, in blocks of one count tile
-# (kernels._COUNT_TILE rows, a divisor of MC_CHUNK).
+# parallel; a range draws its chunks in order, in blocks of MC_TILE rows.
 MC_CHUNK = 1 << 16
+# Rows of a Monte-Carlo block: _chunk_hits draws a block into one buffer and
+# counts it in one count_box_hits call.  MC_TILE divides MC_CHUNK, so no
+# block spans two chunks.  On the flux benchmark (2 vCPU), 32 768-row blocks
+# ran about 3% slower and raised peak memory by about 1 MB, and 8 192- or
+# 4 096-row blocks ran 10-30% slower, their per-call dispatch outweighing the
+# smaller working set.  Drawing 16 384-row blocks instead of 32 768-row ones
+# counted the same rows in about the same time (energy_scan, 3 dof, 11
+# energies, 1e6 samples: medians 51.8 and 53.5 ms over 12 alternating pairs).
+MC_TILE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,8 @@ def j_max_cnf(model: CnfModel, e, k):
     alone.  Raises DimensionError, naming the shape, for an energy array of 2
     or more dimensions, ValueError, before any root is solved, naming ``e``
     or its lowest element ``e[i]`` that is not a finite number (a str or a
-    bool is not one), and otherwise the error of the lowest-index failed
+    bool is not one), or ``k`` or its lowest element ``k[i]`` that is not an
+    integer, and otherwise the error of the lowest-index failed
     root: BelowSaddleError for ``e <= e0``, RootBracketError when no bracket
     is found below the cap, and ConvergenceError, naming E, k and the last
     iterate, when K is NaN or the refinement does not converge in 100
@@ -115,7 +125,9 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
     with the other bath actions fixed at ``j[i]`` (zeros when None).
 
     ``e`` is one finite energy or a 1-d array of them (DimensionError or
-    ValueError otherwise), ``k`` a mode or one mode per energy, and ``j``
+    ValueError otherwise), ``k`` a mode or one mode per energy (a ValueError
+    names ``k`` or its lowest element ``k[i]`` that is not an integer, and a
+    DimensionError an integer that is no bath mode), and ``j``
     broadcasts to ``(len(e), n_bath)``; its column k is ignored.  Each
     element's bracket starts at ``[0, (e - e0) / omega_k]``, and its upper
     end doubles until ``K - e`` changes sign (cap BRACKET_CAP);
@@ -127,9 +139,15 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
     """
     e = _energies(e).ravel()
     n = e.size
-    ks = np.broadcast_to(np.asarray(k, dtype=int), (n,))
-    for mode in set(ks.tolist()):
+    ks = np.asarray(k)
+    if ks.ndim == 0:
+        _integer(k[()] if isinstance(k, np.ndarray) else k, "k")
+    elif ks.dtype.kind not in "iu":
+        for i, value in enumerate(k):
+            _integer(value, f"k[{i}]")
+    for mode in set(ks.ravel().tolist()):
         _check_mode(model, mode)
+    ks = np.broadcast_to(ks.astype(int), (n,))
     cols = ks - 2
     fixed = np.zeros((n, model.n_bath))
     if j is not None:
@@ -321,8 +339,8 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
     counts points with ``K(0, J) <= e``.  ``std_error`` is the binomial
     standard error of the volume estimate, ``box_volume *
     sqrt(p(1-p)/samples)``.  Deterministic per seed: the volume is counted
-    as :func:`energy_scan` counts a row, on one worker per usable CPU, and
-    does not depend on the number of CPUs.
+    as :func:`energy_scan` counts a row (on a pool only for two or more
+    workers), and does not depend on the number of CPUs.
 
     Raises ValueError first unless ``samples`` is an integer >= 1, ``seed``
     one >= 0 (a bool is neither) and ``e`` a finite number, PreconditionError
@@ -368,16 +386,12 @@ def _volumes(model: CnfModel, widths, samples: int, seed: int) -> list:
     Every box is checked first, so the lowest row whose box is not finite
     raises.  Then each row's chunks are split into ``min(cpus, chunks)``
     contiguous ranges, one :func:`_chunk_hits` task each, on a thread pool
-    of one worker per usable CPU up to the number of tasks; a row's hits are
-    the integer sum of its tasks' hits.  The pool returns the tasks in row
-    order, so the lowest failed row's error is raised, after every worker
-    is joined.
+    of one worker per usable CPU up to the number of tasks, or in the
+    calling thread when that is one worker; a row's hits are the integer sum
+    of its tasks' hits.  The tasks come back in row order, so the lowest
+    failed row's error is raised, after every worker is joined.
     """
     boxes = [_check_box(width.e, width.j_max) for width in widths]
-    # imported here: only the Monte-Carlo volume needs the thread pool, so no
-    # other command loads concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
-
     # the CPUs this process may run on
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -385,10 +399,14 @@ def _volumes(model: CnfModel, widths, samples: int, seed: int) -> list:
     parts = min(cpus, n_chunks)
     tasks = [(width, seed + i, n_chunks * w // parts, n_chunks * (w + 1) // parts)
              for i, width in enumerate(widths) for w in range(parts)]
-    with ThreadPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
-        hits = list(pool.map(
-            lambda task: _chunk_hits(model, task[0].e, task[0].j_max, samples, *task[1:]),
-            tasks))
+    count = lambda task: _chunk_hits(model, task[0].e, task[0].j_max, samples, *task[1:])
+    if min(cpus, len(tasks)) == 1:
+        hits = list(map(count, tasks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pooled volume loads it
+
+        with ThreadPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
+            hits = list(pool.map(count, tasks))
     nb = model.n_bath
     reports = []
     for i, (width, box_volume) in enumerate(zip(widths, boxes)):
@@ -407,16 +425,15 @@ def _chunk_hits(model: CnfModel, e: float, j_max, samples: int, seed: int,
 
     Chunk c draws from ``SeedSequence(seed, spawn_key=(c,))``, the child c
     of ``SeedSequence(seed).spawn(n)``, so no list of children is made.
-    Blocks of one count tile, ``kernels._COUNT_TILE`` rows, are drawn in
-    turn from the generator of their chunk, opened at the chunk's first
-    block; the tile divides MC_CHUNK, so no block spans two chunks and each
-    chunk's stream is the one it would give alone.  The draw buffer and the
-    counter's buffers are made once per task, and
-    :func:`~sympb.kernels.count_box_hits` counts each block of unit draws
-    scaled by ``j_max``: ``uniform(0.0, box)`` computes ``0.0 + box * u``,
-    which is ``u * box`` bit for bit.
+    Blocks of MC_TILE rows are drawn in turn from the generator of their
+    chunk, opened at the chunk's first block; MC_TILE divides MC_CHUNK, so
+    no block spans two chunks and each chunk's stream is the one it would
+    give alone.  The draw buffer and the counter's buffers are made once per
+    task, for one block, and one :func:`~sympb.kernels.count_box_hits` call
+    counts each block of unit draws scaled by ``j_max``: ``uniform(0.0,
+    box)`` computes ``0.0 + box * u``, which is ``u * box`` bit for bit.
     """
-    rows = min(kernels._COUNT_TILE, samples)
+    rows = min(MC_TILE, samples)
     draws = np.empty((rows, model.n_bath))
     counter = kernels._box_counter(model, j_max, rows)
     hits = 0
@@ -442,8 +459,8 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     the lowest failed root; then the lowest row whose box volume, or
     ``(2 pi)^(n-1)`` times it, is not a finite number raises ValueError; then
     :func:`_volumes` counts the rows' volumes over the widths' roots as boxes
-    on a thread pool of one worker per usable CPU (``os.sched_getaffinity``).
-    The output does not depend on how many CPUs there are.
+    on one worker per usable CPU (``os.sched_getaffinity``), a thread pool
+    only for two or more; the output does not depend on how many CPUs.
     """
     steps = _integer(steps, "steps", 1)
     if _finite(e_min, "e_min") > _finite(e_max, "e_max"):

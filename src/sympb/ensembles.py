@@ -130,8 +130,9 @@ def default_t_max(model: CnfModel) -> float:
 
 
 def default_delta_e(model: CnfModel, e_center: float) -> float:
-    """Default half-width of the energy window: 1% of the excess energy."""
-    return 0.01 * (e_center - model.e0)
+    """Default half-width of the energy window: 1% of the excess energy;
+    ``e_center`` is a finite number."""
+    return 0.01 * (_finite(e_center, "e_center") - model.e0)
 
 
 def _solve_reactive_integral(model: CnfModel, e_target, j):

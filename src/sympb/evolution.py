@@ -144,9 +144,15 @@ def _check_mixer(model: CnfModel, s_mix) -> np.ndarray:
 
 
 def _check_grid(tau_grid) -> np.ndarray:
+    """``tau_grid`` as a float array.  Raises ValueError when it is empty,
+    naming its lowest element ``tau_grid[i]`` that is not a finite number,
+    and when it is not sorted ascending."""
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
+    if not np.isfinite(taus).all():
+        for i, tau in enumerate(taus.ravel().tolist()):
+            _finite(tau, f"tau_grid[{i}]")
     if np.any(np.diff(taus) < 0):
         raise ValueError("tau grid must be sorted ascending")
     return taus
@@ -241,8 +247,8 @@ def _curve(r: float, taus: np.ndarray, factors: np.ndarray) -> ProjectionAreaCur
 
 def min_projection_area(model: CnfModel, r: float, s_mix, tau_grid) -> ProjectionAreaCurve:
     """Evaluate the saddle-plane shadow area of the mixed ball evolved
-    backward to each time of a sorted grid, and record the curve and its
-    minimum.
+    backward to each time of a sorted grid of finite times, and record the
+    curve and its minimum.
 
     ``A(tau) = pi r^2 sqrt(det(P Phi(-tau) S S^T Phi(-tau)^T P^T))`` where P
     selects the (Q_1, P_1) rows; a grid of one point gives one area.

@@ -84,8 +84,9 @@ def _split_state(state) -> tuple:
 
 
 def verlet_step(p: EckartMorseParams, state, h: float) -> np.ndarray:
-    """One kick-drift-kick step of size h (may be negative, which exactly
-    reverses a forward step)."""
+    """One kick-drift-kick step of size h, a finite number (it may be
+    negative, which exactly reverses a forward step)."""
+    h = _finite(h, "h")
     q, mom = _split_state(state)
     qs, ps, _ = kernels.verlet_run(p, q[None], mom[None], h, 1, 1)
     return np.concatenate([qs[-1, 0], ps[-1, 0]])
@@ -163,8 +164,9 @@ def ds_crossing_times(record: TrajectoryRecord, x_star: float = 0.0) -> list:
 
     Returns ``(time, "forward")`` for crossings with p_x > 0 and
     ``(time, "backward")`` for p_x < 0 (interpolated momentum; exact zeros
-    are skipped).
+    are skipped).  ``x_star`` is a finite number.
     """
+    x_star = _finite(x_star, "x_star")
     if record.states.shape[0] < 1:
         raise ValueError("record is empty")
     d = record.states.shape[1] // 2

@@ -1,6 +1,7 @@
 """Hot numeric kernels.
 
-Monte-Carlo membership counting for action-space volumes, the
+Monte-Carlo membership counting for action-space volumes (one call counts
+the rows it is given; :mod:`~sympb.bottleneck` sizes the blocks), the
 Stormer-Verlet integration loop, and the per-point seed substreams of the
 transmission ensembles.  The Verlet loop steps a batch of trajectories
 together and evaluates the potential gradient once per step; each row gives
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, _integer
 from .models import (
     CnfModel,
     EckartMorseParams,
@@ -38,15 +39,6 @@ XSHIFT = 16
 MASK32 = 0xFFFFFFFF
 PCG_MULT_HI = 2549297995355413924
 PCG_MULT_LO = 4865540595714422341
-# Rows of a Monte-Carlo tile summed and counted at once, and the rows of a
-# block that bottleneck._chunk_hits draws into one buffer: a block is one
-# tile.  On the flux benchmark (2 vCPU), 32 768-row tiles ran about 3% slower
-# and raised peak memory by about 1 MB, and 8 192- or 4 096-row tiles ran
-# 10-30% slower, their per-call dispatch outweighing the smaller working set.
-# Drawing 16 384-row blocks instead of 32 768-row ones counted the same rows
-# in about the same time (energy_scan, 3 dof, 11 energies, 1e6 samples:
-# medians 51.8 and 53.5 ms over 12 alternating pairs).
-_COUNT_TILE = 1 << 14
 # The Verlet loop checks its records for finiteness once per block of at most
 # _CHECK_BLOCK records and _CHECK_STEPS steps (and at least one record): a
 # check costs about as much as one step of a 13-row batch, and a diverging run
@@ -149,16 +141,18 @@ def substream_uniforms(entropy, n: int, k: int) -> np.ndarray:
     bit for bit, computed for all ``n`` children at once.
 
     ``entropy`` is a non-negative integer or a (nested) sequence of them, as
-    ``SeedSequence`` takes it; a negative integer raises ValueError.  A
-    child index needs one spawn word, so ``n`` may be at most 2**32.
+    ``SeedSequence`` takes it; a negative integer raises ValueError.  ``n``
+    and ``k`` are integers >= 0, and a child index needs one spawn word, so
+    ``n`` may be at most 2**32.
 
     Each child's PCG64 is seeded as ``pcg_setseq_128_srandom_r`` does with
     ``initstate`` the first and ``initseq`` the second uint64 pair of its
     seed state; each draw steps the LCG, takes the XSL-RR output and keeps
     its top 53 bits, ``(next64 >> 11) * 2**-53``.
     """
-    n = int(n)
-    if not 0 <= n <= 2**32:
+    n = _integer(n, "n", 0)
+    k = _integer(k, "k", 0)
+    if n > 2**32:
         raise ValueError(f"n must lie in [0, 2**32], got {n}")
     seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(entropy, n)
     inc_hi = (seq_hi << 1) | (seq_lo >> 63)
@@ -180,11 +174,11 @@ def count_box_hits(model: CnfModel, j_samples, e: float, counter=None) -> int:
 
     ``K(0, J)`` is :func:`~sympb.models.eval_k0`, the I-free terms alone,
     and the count has its bits.  ``counter`` is a :func:`_box_counter` for
-    ``model``, whose buffers the count then runs in; row ``u`` stands for
-    the point ``J = u * box`` of the counter's box.  Without a counter the
-    rows are the points, counted on buffers made for this call.  Raises
-    DimensionError, when no counter is given, unless ``j_samples`` has shape
-    ``(m, n_bath)``.
+    ``model`` and at least ``m`` rows, whose buffers the count then runs in;
+    row ``u`` stands for the point ``J = u * box`` of the counter's box.
+    Without a counter the rows are the points, counted as one block on
+    buffers made for this call.  Raises DimensionError, when no counter is
+    given, unless ``j_samples`` has shape ``(m, n_bath)``.
     """
     if counter is None:
         j_samples = np.asarray(j_samples, dtype=float)
@@ -197,46 +191,40 @@ def count_box_hits(model: CnfModel, j_samples, e: float, counter=None) -> int:
 
 def _box_counter(model: CnfModel, box, rows: int):
     """A function ``count(u, e)`` that returns the number of rows of ``u``,
-    a float64 array of shape ``(m, n_bath)``, whose point ``J = u * box``
-    has ``K(0, J) <= e``.
+    a float64 array of shape ``(m, n_bath)`` with ``m <= rows``, whose point
+    ``J = u * box`` has ``K(0, J) <= e``.
 
-    ``u`` is counted in tiles of ``min(rows, _COUNT_TILE)`` rows, where
-    ``rows`` is the most rows a call is expected to get, on buffers made
-    here, once, for one tile: the contiguous ``(n_bath, tile)`` scaled
-    columns, the sum, one term scratch and a bool mask.  For each tile,
-    column k times ``box[k]`` is written into row k of the columns,
-    ``K(0, J)`` is summed by eval_k0's :func:`~sympb.models._sum_fn` bound
-    to these buffers, and the entries ``<= e`` are counted.  ``u[:, k] *
-    box[k]`` is the product ``Generator.uniform(0.0, box)`` makes of its
-    unit draws, bit for bit.  A tile of fewer rows, such as a row's last
-    block, runs on views bound for that tile.
+    The buffers are made here, once, for ``rows`` rows: the contiguous
+    ``(n_bath, rows)`` scaled columns, the sum, one term scratch and a bool
+    mask.  A call writes column k of ``u`` times ``box[k]`` into row k of
+    the columns, sums ``K(0, J)`` with eval_k0's
+    :func:`~sympb.models._sum_fn` bound to these buffers, and counts the
+    entries ``<= e``.  ``u[:, k] * box[k]`` is the product
+    ``Generator.uniform(0.0, box)`` makes of its unit draws, bit for bit.
+    A call of fewer rows, such as a row's last block, runs on views bound
+    for that call.
     """
     nb = model.n_bath
-    tile = max(1, min(rows, _COUNT_TILE))
     scales = [np.array(b, dtype=np.float64) for b in box]
-    cols = np.empty((nb, tile))
-    total = np.empty(tile)
-    scratch = np.empty(tile)
-    mask = np.empty(tile, dtype=bool)
+    cols = np.empty((nb, rows))
+    total = np.empty(rows)
+    scratch = np.empty(rows)
+    mask = np.empty(rows, dtype=bool)
     full = _sum_fn(model.k0_terms, None, cols, total, scratch)
     multiply, less_equal, count_nonzero = np.multiply, np.less_equal, np.count_nonzero
 
     def count(u, e) -> int:
-        hits = 0
-        for lo in range(0, len(u), tile):
-            part = u[lo:lo + tile]
-            m = len(part)
-            if m == tile:
-                k0, c, t, hit = full, cols, total, mask
-            else:
-                c, t, hit = cols[:, :m], total[:m], mask[:m]
-                k0 = _sum_fn(model.k0_terms, None, c, t, scratch[:m])
-            for k in range(nb):
-                multiply(part[:, k], scales[k], c[k])
-            k0()
-            less_equal(t, e, hit)
-            hits += int(count_nonzero(hit))
-        return hits
+        m = len(u)
+        if m == rows:
+            k0, c, t, hit = full, cols, total, mask
+        else:
+            c, t, hit = cols[:, :m], total[:m], mask[:m]
+            k0 = _sum_fn(model.k0_terms, None, c, t, scratch[:m])
+        for k in range(nb):
+            multiply(u[:, k], scales[k], c[k])
+        k0()
+        less_equal(t, e, hit)
+        return int(count_nonzero(hit))
 
     return count
 

@@ -95,7 +95,10 @@ def symplecticity_defect(s) -> float:
 
 def is_symplectic(s, tol: float = 1e-10) -> bool:
     """Test ``S^T J S = J`` entrywise within ``tol``: whether
-    :func:`symplecticity_defect` is at most ``tol``."""
+    :func:`symplecticity_defect` is at most ``tol``, a finite number or
+    ``inf`` (which passes every matrix whose defect is not NaN)."""
+    if tol != np.inf:
+        _finite(tol, "tol")
     return bool(symplecticity_defect(s) <= tol)
 
 

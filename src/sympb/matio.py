@@ -15,16 +15,23 @@ def load_matrix(path: str) -> np.ndarray:
     """Read a real matrix from a ``.csv`` or ``.json`` file (by extension).
 
     Raises ValueError, naming the path, when the file does not hold a 2-D
-    matrix or when an entry is NaN or infinite (the first such ``[row, col]``,
-    counted from 0)."""
+    matrix, when a JSON entry is not a JSON number (a bool, a string or
+    null), or when an entry is NaN or infinite (the first such
+    ``[row, col]``, counted from 0)."""
     if path.endswith(".json"):
         with open(path) as fh:
-            data = json.load(fh)
-        m = np.asarray(data, dtype=float)
+            # an integer beyond the float range reads as inf, not OverflowError
+            m = np.asarray(json.load(fh, parse_int=float), dtype=object)
     else:
         m = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
     if m.ndim != 2:
         raise ValueError(f"{path} does not contain a 2-D matrix")
+    if m.dtype == object:
+        for (i, j), x in np.ndenumerate(m):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"{path}: entry [{i}, {j}] is {json.dumps(x)}, "
+                                 f"not a JSON number")
+        m = m.astype(float)
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         i, j = bad[0]

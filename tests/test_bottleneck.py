@@ -837,17 +837,8 @@ def record_mc_threads(monkeypatch, fail=(), slow=()):
     return calls
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 4, 16])
-def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
-    # each row equals candidate_width plus action_volume_mc bit for bit; its
-    # 3 chunks are split into min(cpus, 3) contiguous ranges, one task each,
-    # on a pool of one worker per usable CPU up to the task count; the caller
-    # runs no task, and every worker thread is joined on return
-    model = builtin_cnf(3)
-    steps, samples, seed = 5, 2 * MC_CHUNK + 77, 11
-    expected = rows_one_by_one(model, np.linspace(0.05, 1.0, steps), samples, seed)
-    usable_cpus(monkeypatch, cpus)
-    calls = record_mc_threads(monkeypatch)
+def spy_pools(monkeypatch):
+    """Record the ``max_workers`` of every thread pool built from now on."""
     pools = []
 
     class SpyPool(concurrent.futures.ThreadPoolExecutor):
@@ -856,6 +847,22 @@ def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    return pools
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4, 16])
+def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
+    # each row equals candidate_width plus action_volume_mc bit for bit; its
+    # 3 chunks are split into min(cpus, 3) contiguous ranges, one task each,
+    # on a pool of one worker per usable CPU up to the task count, where the
+    # caller runs no task and every worker thread is joined on return; one
+    # usable CPU builds no pool, and the caller runs every task in row order
+    model = builtin_cnf(3)
+    steps, samples, seed = 5, 2 * MC_CHUNK + 77, 11
+    expected = rows_one_by_one(model, np.linspace(0.05, 1.0, steps), samples, seed)
+    usable_cpus(monkeypatch, cpus)
+    calls = record_mc_threads(monkeypatch)
+    pools = spy_pools(monkeypatch)
     before = threading.active_count()
     # switch threads often, so the workers interleave finely
     interval = sys.getswitchinterval()
@@ -868,12 +875,50 @@ def test_energy_scan_rows_do_not_depend_on_usable_cpus(monkeypatch, cpus):
     assert report.rows == expected
     parts = min(cpus, 3)
     ranges = [(3 * w // parts, 3 * (w + 1) // parts) for w in range(parts)]
-    assert sorted(c[:3] for c in calls) == [(seed + i, *r) for i in range(steps) for r in ranges]
-    workers = min(cpus, steps * parts)
-    assert pools == [workers]
+    tasks = [(seed + i, *r) for i in range(steps) for r in ranges]
     threads = {c[3] for c in calls}
-    assert len(threads) <= workers
-    assert threading.current_thread().name not in threads
+    if cpus == 1:
+        assert pools == []
+        assert [c[:3] for c in calls] == tasks
+        assert threads == {threading.current_thread().name}
+    else:
+        assert sorted(c[:3] for c in calls) == tasks
+        workers = min(cpus, steps * parts)
+        assert pools == [workers]
+        assert len(threads) <= workers
+        assert threading.current_thread().name not in threads
+
+
+def test_a_one_worker_volume_starts_no_pool(monkeypatch):
+    # a volume of one task, or on one usable CPU, runs its _chunk_hits tasks
+    # in the calling thread, in row order, and builds no thread pool; its
+    # rows are those of a pooled run, bit for bit
+    model = builtin_cnf(3)
+    caller = threading.current_thread().name
+    pools = spy_pools(monkeypatch)
+    before = threading.active_count()
+    # 100 samples are one chunk: two rows on 2 usable CPUs are pooled, one
+    # volume is one task
+    usable_cpus(monkeypatch, 2)
+    pooled = energy_scan(model, 0.5, 0.9, steps=2, samples=100, seed=0).rows
+    assert pools == [2]
+    calls = record_mc_threads(monkeypatch)
+    rep = action_volume_mc(model, 0.5, samples=100, seed=0)
+    assert pools == [2]
+    assert calls == [(0, 0, 1, caller)]
+    assert (rep.volume, rep.flux, rep.std_error, rep.seed) == pooled[0][-4:]
+    # 3 chunks a row: 4 usable CPUs pool 3 tasks a row on 4 workers, 1 usable
+    # CPU runs one task a row in the caller
+    samples = 2 * MC_CHUNK + 77
+    usable_cpus(monkeypatch, 4)
+    pooled = energy_scan(model, 0.05, 1.0, steps=3, samples=samples, seed=11).rows
+    assert pools == [2, 4]
+    usable_cpus(monkeypatch, 1)
+    calls.clear()
+    assert energy_scan(model, 0.05, 1.0, steps=3, samples=samples, seed=11).rows == pooled
+    assert pools == [2, 4]
+    assert calls == [(11 + i, 0, 3, caller) for i in range(3)]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1008,9 +1053,9 @@ def test_action_volume_mc_multi_chunk_bits_frozen(model, e, seed, frozen):
 def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
     # every block's scaled columns, as the counter sums them, in order against
     # the chunks' Generator.uniform(0.0, box) draws; a block of
-    # kernels._COUNT_TILE rows is one count_box_hits call and one tile
+    # bottleneck.MC_TILE rows is one count_box_hits call
     drawn, counted = [], []
-    tile = kernels._COUNT_TILE
+    tile = bottleneck.MC_TILE
     real, real_count = kernels._sum_fn, kernels.count_box_hits
 
     def capture(terms, i, cols, total, scratch):
@@ -1061,7 +1106,7 @@ def test_mc_chunk_draws_equal_generator_uniform(monkeypatch):
                     assert js.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("samples", [1, kernels._COUNT_TILE + 1, MC_CHUNK // 2 + 1, MC_CHUNK,
+@pytest.mark.parametrize("samples", [1, bottleneck.MC_TILE + 1, MC_CHUNK // 2 + 1, MC_CHUNK,
                                      2 * MC_CHUNK + 4097])
 @pytest.mark.parametrize("model", [builtin_cnf(3), I_MODEL], ids=["builtin3", "i_terms"])
 def test_energy_scan_rows_do_not_depend_on_the_worker_count(monkeypatch, model, samples):
@@ -1081,12 +1126,12 @@ def test_energy_scan_rows_do_not_depend_on_the_worker_count(monkeypatch, model, 
 
 
 def test_chunk_count_allocates_only_its_task_buffers():
-    # a 10-chunk task makes its one-tile draw buffer and the counter's tile
+    # a 10-chunk task makes its one-block draw buffer and the counter's block
     # buffers once and runs all 40 blocks in them: the traced peak is the
     # buffers, plus less than one tile's bool mask
     model = builtin_cnf(3)
     nb = model.n_bath
-    tile = kernels._COUNT_TILE
+    tile = bottleneck.MC_TILE
     buffers = (tile * nb * 8         # draws
                + nb * tile * 8       # scaled columns
                + 2 * tile * 8        # sum and term scratch

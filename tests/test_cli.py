@@ -98,6 +98,8 @@ def test_capacity_io_errors_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("name,text", [
     ("nan.csv", "1,0\n0,nan\n"), ("inf.csv", "1,0\n-inf,1\n"),
     ("nan.json", "[[1, NaN], [0, 1]]"), ("inf.json", "[[1, 0], [0, Infinity]]"),
+    # before: an integer beyond the float range died with a traceback, exit 1
+    pytest.param("big.json", "[[1" + "0" * 400 + ", 0], [0, 1]]", id="big.json"),
 ])
 def test_capacity_non_finite_matrix_exit_two(tmp_path, capsys, name, text):
     # before: numpy's "Array must not contain infs or NaNs", after a
@@ -109,6 +111,21 @@ def test_capacity_non_finite_matrix_exit_two(tmp_path, capsys, name, text):
         code, out, err = run_cli(capsys, "capacity", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: entry [") and err.endswith("not a finite number\n")
+
+
+@pytest.mark.parametrize("text,entry", [
+    ("[[true, false], [false, true]]", "[0, 0] is true"),
+    ('[["2", "0"], ["0", "2"]]', '[0, 0] is "2"'),
+    ("[[1, 0], [0, null]]", "[1, 1] is null"),
+], ids=["bool", "string", "null"])
+def test_capacity_json_entry_that_is_not_a_number_exits_two(tmp_path, capsys, text, entry):
+    # before: exit 0 for the bools, read as the identity (capacity pi), and
+    # for the strings, read as 2 I; a null was named as a nan entry
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "capacity", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: entry {entry}, not a JSON number\n"
 
 
 def test_no_subcommand_exits_two(capsys):

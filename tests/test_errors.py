@@ -10,14 +10,15 @@ import pytest
 
 from sympb.bottleneck import action_volume_mc, candidate_width, energy_scan, j_max_cnf
 from sympb.cli import Opt, _checked
-from sympb.ensembles import (EnsembleSpec, sample_ensemble, scan_report, transmission_scan,
-                             transmit)
-from sympb.errors import _finite, _integer
+from sympb.ensembles import (EnsembleSpec, default_delta_e, sample_ensemble, scan_report,
+                             transmission_scan, transmit)
+from sympb.errors import DimensionError, _finite, _integer
 from sympb.evolution import (default_tau_grid, evolved_shape_matrix, min_projection_area,
                              radius_scan_curves, stm)
-from sympb.integrators import IntegratorConfig
-from sympb.linalg import random_symplectic
-from sympb.models import CnfModel, EckartMorseParams, builtin_cnf
+from sympb.integrators import IntegratorConfig, ds_crossing_times, integrate, verlet_step
+from sympb.kernels import substream_uniforms
+from sympb.linalg import is_symplectic, random_symplectic
+from sympb.models import CnfModel, EckartMorseParams, builtin_cnf, default_params
 
 MODEL = builtin_cnf(2)
 
@@ -53,6 +54,10 @@ def volume(**kw):
 
 def roots(e):
     return j_max_cnf(MODEL, e, 2)
+
+
+def mode_root(k):
+    return j_max_cnf(MODEL, 0.5, k)
 
 
 def width(e):
@@ -91,9 +96,34 @@ def transition(t):
     return stm(MODEL, t)
 
 
+STATE = np.array([0.1, 0.0, 0.2, 0.0])
+
+
+def step(h):
+    return verlet_step(default_params(), STATE, h)
+
+
+def crossings(x_star):
+    record = integrate(default_params(), STATE, IntegratorConfig(h=0.1, t_final=1.0))
+    return ds_crossing_times(record, x_star)
+
+
+def symplectic(tol):
+    return is_symplectic(np.eye(4), tol)
+
+
+def delta_e(e_center):
+    return default_delta_e(MODEL, e_center)
+
+
+def uniforms(**kw):
+    return substream_uniforms(**{"entropy": 0, "n": 2, "k": 2, **kw})
+
+
 FINITE = "finite"
 # (entry point, argument, the name its message gives, FINITE or the integer
-# minimum); n of random_symplectic has none, since n < 1 is a DimensionError
+# minimum); n of random_symplectic and the mode k of j_max_cnf have none,
+# since an integer out of their range is a DimensionError
 TABLE = [
     (spec, "n_traj", "n_traj", 1),
     (spec, "seed", "seed", 0),
@@ -116,15 +146,24 @@ TABLE = [
     (volume, "samples", "samples", 1),
     (volume, "seed", "seed", 0),
     (roots, "e", "e", FINITE),
+    (mode_root, "k", "k", None),
     (width, "e", "e", FINITE),
     *[(call, "t_max", "t_max", FINITE) for call in (transmitted, fractions, scan_table)],
     (tau_grid, "points", "points", 1),
     (shape_matrix, "tau", "tau", FINITE),
     *[(call, "r", "r", FINITE) for call in (projection, shape_matrix, radius_scan)],
     (transition, "t", "t", FINITE),
+    (step, "h", "h", FINITE),
+    (crossings, "x_star", "x_star", FINITE),
+    (symplectic, "tol", "tol", FINITE),
+    (delta_e, "e_center", "e_center", FINITE),
+    (uniforms, "n", "n", 0),
+    (uniforms, "k", "k", 0),
 ]
 # None asks these for their default horizon
 NONE_IS_DEFAULT = {(fractions, "t_max"), (scan_table, "t_max")}
+# an infinite tolerance passes every defect that is not NaN
+INF_IS_ALLOWED = {(symplectic, "tol")}
 
 
 def twin(value):
@@ -151,10 +190,16 @@ def test_scalar_arguments_are_checked_by_the_one_owner(call, arg, what, minimum)
     # True; action_volume_mc(model, nan, ...) raised ConvergenceError;
     # j_max_cnf and candidate_width parsed "1", transmission_scan counted
     # every point of an infinite horizon as transmitted, a radius of True was
-    # 1 and stm(model, inf) raised "math domain error"
-    values = [True, "1", math.nan, math.inf]
+    # 1 and stm(model, inf) raised "math domain error"; j_max_cnf solved mode
+    # 2 for k = 2.5 or "2", verlet_step stepped to NaN for h = nan and by 1
+    # for h = True, is_symplectic(m, nan) was False, default_delta_e(model,
+    # nan) nan, ds_crossing_times(record, nan) [], and substream_uniforms
+    # took n = 2.5 as 2 and n = True as 1
+    values = [True, "1", math.nan]
     if (call, arg) not in NONE_IS_DEFAULT:
         values.insert(2, None)
+    if (call, arg) not in INF_IS_ALLOWED:
+        values.append(math.inf)
     if minimum != FINITE:
         values += [2.5] if minimum is None else [2.5, -1]
     for value in values + [twin(v) for v in values]:
@@ -187,6 +232,22 @@ def test_energy_arrays_name_their_lowest_bad_element():
             with pytest.raises(ValueError) as info:
                 call(e)
             assert str(info.value) == f"e[{i}] must be a finite number, got {bad}"
+
+
+def test_mode_arrays_name_their_lowest_bad_element():
+    # before: np.asarray(k, dtype=int) truncated 2.5 to 2 and took "3" and
+    # True as modes; an integer that is no bath mode stays a DimensionError
+    model = builtin_cnf(3)
+    for k, i, bad in (([2, 2.5], 1, "2.5"), (["2", 3], 0, "'2'"),
+                      (np.array([2.0, 3.0]), 0, "np.float64(2.0)"),
+                      (np.array([True, False]), 0, "np.True_"), ([2, None], 1, "None")):
+        with pytest.raises(ValueError) as info:
+            j_max_cnf(model, [0.5, 0.6], k)
+        assert str(info.value) == f"k[{i}] must be an integer, got {bad}"
+    with pytest.raises(DimensionError, match="mode index k must be in"):
+        j_max_cnf(model, [0.5, 0.6], [2, 4])
+    assert j_max_cnf(model, [0.5, 0.6], np.array([3, 2], dtype=np.uint8)).tolist() == [
+        j_max_cnf(model, 0.5, 3), j_max_cnf(model, 0.6, 2)]
 
 
 def test_stm_refuses_a_bath_angle_that_overflows():

@@ -591,6 +591,21 @@ def test_error_order_matches_per_tau_evaluation():
         radius_scan_curves(MODEL, [0.1], s_mix_seed=1, tau_grid=[])[0]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tau_grids_refuse_non_finite_times(bad):
+    # before: a NaN tau passed the sort check and gave a NaN curve point, and
+    # an infinite tau at either end was accepted; the lowest bad point is
+    # named, before the radius is checked
+    for grid, i in (([0.0, bad, 1.0], 1), ([bad, bad], 0), (np.array([0.0, 0.5, bad]), 2)):
+        want = f"tau_grid[{i}] must be a finite number, got {bad}"
+        with pytest.raises(ValueError) as info:
+            min_projection_area(MODEL, -1.0, np.eye(4), grid)
+        assert str(info.value) == want
+        with pytest.raises(ValueError) as info:
+            radius_scan_curves(MODEL, [0.1], s_mix_seed=1, tau_grid=grid)
+        assert str(info.value) == want
+
+
 def exact_shadow_factor(model, s_mix, tau):
     """``sqrt(det(P Phi(-tau) S S^T Phi(-tau)^T P^T))`` in mpmath, with digits
     enough that the ``cosh^4`` terms cancel exactly."""

@@ -1,11 +1,13 @@
 """Every name that a sympb module lists in ``__all__`` exists in it, the
 package publishes exactly those names of its library modules, plus its
-submodules, every private module-level function has a caller, and the
+submodules, every private module-level function has a caller, every
+private module-level constant is read only in its own module, and the
 Monte-Carlo volume has one counting path."""
 
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -81,6 +83,30 @@ def test_every_private_function_has_a_caller():
                      if isinstance(n, (ast.Name, ast.Attribute))} - {own}
     assert private
     assert [(module, name) for module, name in private if name not in read] == []
+
+
+def test_private_constants_are_read_only_in_their_module():
+    # a private module-level constant (an _UPPER name) is its module's own
+    # decision; another module that reads it, as an attribute or by import,
+    # splits that decision between two owners
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(sympb.__file__).parent.glob("*.py"))}
+    owner = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            owner.update({n.id: module for target in targets for n in ast.walk(target)
+                          if isinstance(n, ast.Name) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", n.id)})
+    assert owner
+    foreign = []
+    for module, tree in trees.items():
+        for n in ast.walk(tree):
+            names = ([n.attr] if isinstance(n, ast.Attribute)
+                     else [a.name for a in n.names] if isinstance(n, ast.ImportFrom) else [])
+            foreign += [(module, name) for name in names
+                        if name in owner and owner[name] != module]
+    assert foreign == []
 
 
 # the wordings of errors._finite and errors._integer, and the ones they replaced

@@ -239,6 +239,9 @@ def test_matrix_json_rejects_ragged(tmp_path):
     ("inf.csv", "1,inf\n-inf,4\n", "[0, 1] is inf"),
     ("nan.json", "[[NaN, 2], [3, 4]]", "[0, 0] is nan"),
     ("inf.json", "[[1, 2], [-Infinity, 4]]", "[1, 0] is -inf"),
+    # before: an uncaught OverflowError from the float conversion
+    pytest.param("big.json", "[[1, 2], [3, -1" + "0" * 400 + "]]", "[1, 1] is -inf",
+                 id="big.json"),
 ])
 def test_matrix_rejects_non_finite_entries(tmp_path, name, text, entry):
     path = tmp_path / name
@@ -246,3 +249,18 @@ def test_matrix_rejects_non_finite_entries(tmp_path, name, text, entry):
     with pytest.raises(ValueError) as info:
         load_matrix(str(path))
     assert str(info.value) == f"{path}: entry {entry}, not a finite number"
+
+
+@pytest.mark.parametrize("text,entry", [
+    ("[[true, false], [false, true]]", "[0, 0] is true"),
+    ('[[2, 0], [0, "2"]]', '[1, 1] is "2"'),
+    ("[[1, 0], [null, 1]]", "[1, 0] is null"),
+], ids=["bool", "string", "null"])
+def test_matrix_json_rejects_entries_that_are_not_json_numbers(tmp_path, text, entry):
+    # before: a bool read as 0 or 1 and a numeric string as its number; a
+    # null read as NaN and was named as a nan entry
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_matrix(str(path))
+    assert str(info.value) == f"{path}: entry {entry}, not a JSON number"

@@ -362,6 +362,13 @@ def test_count_box_hits_matches_term_table_oracle():
             for e in rng.uniform(-0.5, 1.5, size=3):
                 got = kernels.count_box_hits(model, j_samples, float(e))
                 assert got == count_box_hits_oracle(j_samples, j_pows, coeffs, float(e))
+    # more rows than one Monte-Carlo block (16 384), counted in one call
+    model = random_model(rng, 3)
+    j_samples = rng.uniform(0.0, 2.0, size=((1 << 14) + 4097, 3))
+    j_pows, coeffs = zero_i_table(model)
+    for e in rng.uniform(-0.5, 1.5, size=3):
+        got = kernels.count_box_hits(model, j_samples, float(e))
+        assert got == count_box_hits_oracle(j_samples, j_pows, coeffs, float(e))
 
 
 def test_count_box_hits_trivial_cases():
