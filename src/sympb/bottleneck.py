@@ -26,6 +26,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     RootBracketError,
+    _elements,
     _finite,
     _integer,
 )
@@ -106,15 +107,13 @@ def j_max_cnf(model: CnfModel, e, k):
     doubles the upper bound until the sign changes (cap 1e12), then Brent's
     method refines the root to relative tolerance 1e-12.  Returns a float for
     one energy and an array for an array, each root with the bits it gets
-    alone.  Raises DimensionError, naming the shape, for an energy array of 2
-    or more dimensions, ValueError, before any root is solved, naming ``e``
-    or its lowest element ``e[i]`` that is not a finite number (a str or a
-    bool is not one), or ``k`` or its lowest element ``k[i]`` that is not an
-    integer, and otherwise the error of the lowest-index failed
-    root: BelowSaddleError for ``e <= e0``, RootBracketError when no bracket
-    is found below the cap, and ConvergenceError, naming E, k and the last
-    iterate, when K is NaN or the refinement does not converge in 100
-    iterations.
+    alone.  Before any root is solved, :func:`~sympb.errors._elements` reads
+    ``e`` and ``k``, and a DimensionError names both shapes unless there is
+    one mode or one per energy, or names a mode that is no bath mode.  Then
+    the lowest-index failed root raises its error: BelowSaddleError for
+    ``e <= e0``, RootBracketError when no bracket is found below the cap,
+    and ConvergenceError, naming E, k and the last iterate, when K is NaN or
+    the refinement does not converge in 100 iterations.
     """
     roots = _j_max_solve(model, e, k)
     return float(roots[0]) if np.ndim(e) == 0 else roots
@@ -124,30 +123,25 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
     """Smallest positive root ``J_k`` of ``K(0, J) = e[i]`` for every energy,
     with the other bath actions fixed at ``j[i]`` (zeros when None).
 
-    ``e`` is one finite energy or a 1-d array of them (DimensionError or
-    ValueError otherwise), ``k`` a mode or one mode per energy (a ValueError
-    names ``k`` or its lowest element ``k[i]`` that is not an integer, and a
-    DimensionError an integer that is no bath mode), and ``j``
+    ``e`` and ``k`` are checked as :func:`j_max_cnf` checks them, and ``j``
     broadcasts to ``(len(e), n_bath)``; its column k is ignored.  Each
     element's bracket starts at ``[0, (e - e0) / omega_k]``, and its upper
-    end doubles until ``K - e`` changes sign (cap BRACKET_CAP);
-    :func:`_brent` then refines it.
+    end doubles until ``K - e`` changes sign (cap BRACKET_CAP); :func:`_brent`
+    then refines every bracketed element, a zero end included.
     ``f`` is the batched ``eval_k0`` on the still-active rows only, so each
     element gets the bits it would get alone.  The whole batch runs to the
     end; then the lowest-index failed element raises its error, else the
     roots are returned.
     """
-    e = _energies(e).ravel()
+    e = _elements(e, "e")
     n = e.size
-    ks = np.asarray(k)
-    if ks.ndim == 0:
-        _integer(k[()] if isinstance(k, np.ndarray) else k, "k")
-    elif ks.dtype.kind not in "iu":
-        for i, value in enumerate(k):
-            _integer(value, f"k[{i}]")
+    ks = _elements(k, "k", _integer)
+    if ks.size not in (1, n):
+        raise DimensionError(f"modes k of shape {ks.shape} do not match energies e of shape "
+                             f"{e.shape}: give one mode or one per energy")
     for mode in set(ks.ravel().tolist()):
         _check_mode(model, mode)
-    ks = np.broadcast_to(ks.astype(int), (n,))
+    e, ks = e.ravel(), np.broadcast_to(ks.ravel(), (n,))
     cols = ks - 2
     fixed = np.zeros((n, model.n_bath))
     if j is not None:
@@ -178,32 +172,15 @@ def _j_max_solve(model: CnfModel, e, k, j=None):
             fhi[grow] = f(hi[grow], grow)
             grow = grow[fhi[grow] < 0.0]
         rows = np.flatnonzero(status == _OK)
-        root = np.where(fhi == 0.0, hi, lo)
-        open_ = rows[(fhi[rows] != 0.0) & (flo[rows] != 0.0)]
-        root[open_], status[open_] = _brent(lambda x, act: f(x, open_[act]), lo[open_],
-                                            hi[open_], flo[open_], fhi[open_])
+        root = np.zeros(n)
+        root[rows], status[rows] = _brent(lambda x, act: f(x, rows[act]), lo[rows], hi[rows],
+                                          flo[rows], fhi[rows])
     bad = np.flatnonzero(status != _OK)
     if bad.size:
         i = int(bad[0])
         raise _root_error(model, float(e[i]), int(ks[i]), status[i], float(root[i]),
                           float(lo[i]), float(hi[i]))
     return root
-
-
-def _energies(e) -> np.ndarray:
-    """``e``, one energy or a 1-d array of them, as a float array.  Raises
-    DimensionError, naming the shape, for 2 or more dimensions, and a
-    ValueError naming ``e``, or its lowest element ``e[i]``, that is not a
-    finite real number (a str or a bool is not one)."""
-    if np.ndim(e) == 0:
-        return np.array(_finite(e[()] if isinstance(e, np.ndarray) else e, "e"))
-    energies = np.asarray(e)
-    if energies.ndim > 1:
-        raise DimensionError(f"expected one energy or a 1-d array, got shape {energies.shape}")
-    if energies.dtype.kind not in "iuf" or not np.isfinite(energies).all():
-        for i, value in enumerate(e):
-            _finite(value, f"e[{i}]")
-    return np.array(energies, dtype=float)
 
 
 def _root_error(model, e: float, k: int, status: int, x: float, lo: float, hi: float):
@@ -313,14 +290,12 @@ def candidate_width(model: CnfModel, e):
     ``e`` is one energy, giving a WidthReport, or a 1-d array, giving one
     report per energy; every mode's root at every energy comes from one
     :func:`j_max_cnf` batch, which raises the lowest-index failure.  Raises
-    TypeError for a model that is not a CnfModel, DimensionError, naming
-    the shape, for an energy array of 2 or more dimensions, and ValueError,
-    naming ``e`` or its lowest element ``e[i]``, for an energy that is not a
-    finite number.
+    TypeError for a model that is not a CnfModel, and the error of
+    :func:`~sympb.errors._elements` for any other ``e``.
     """
     if not isinstance(model, CnfModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    energies = _energies(e)
+    energies = _elements(e, "e")
     nb = model.n_bath
     modes = np.tile(np.arange(2, nb + 2), energies.size)
     roots = j_max_cnf(model, np.repeat(energies, nb), modes).reshape(-1, nb)

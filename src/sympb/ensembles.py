@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bottleneck import j_max_cnf
-from .errors import BelowSaddleError, ConvergenceError, SamplingError, _finite, _integer
+from .errors import BelowSaddleError, ConvergenceError, SamplingError, _elements, _finite, _integer
 from .kernels import substream_uniforms
 from .models import CnfModel, effective_lyapunov, eval_cnf, eval_dk_di, eval_k0
 from .tables import ExperimentReport
@@ -254,15 +254,13 @@ def sample_ensemble(model: CnfModel, spec: EnsembleSpec, xi=0.0) -> Ensemble:
     alone; if some fail, the first failing point's error is raised.
 
     Returns an ensemble of shape ``(n_traj,)`` for one ``xi`` and
-    ``(len(xi), n_traj)`` for a list.  An ``xi`` outside [0, 1] or of two or
-    more dimensions raises ValueError before anything is drawn.  Like the
-    Monte-Carlo volume, the draws assume that the axis-root box holds the
-    admissible region, so a model whose ``K(0, J)`` decreases in a bath
-    action raises PreconditionError.
+    ``(len(xi), n_traj)`` for a list.  ``xi`` is read by ``errors._elements``
+    and a band outside [0, 1] is a ValueError, before anything is drawn.
+    Like the Monte-Carlo volume, the draws assume that the axis-root box
+    holds the admissible region, so a model whose ``K(0, J)`` decreases in a
+    bath action raises PreconditionError.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim > 1:
-        raise ValueError(f"xi must be one value or a 1-d list, got shape {xi.shape}")
+    xi = _elements(xi, "xi")
     outside = xi[~((0.0 <= xi) & (xi <= 1.0))]
     if outside.size:
         raise ValueError(f"xi must lie in [0, 1], got {float(outside[0])!r}")
@@ -334,10 +332,11 @@ def transmission_scan(model: CnfModel, spec_base: EnsembleSpec, xis,
     call with bands ``[0.0] + xis``, so they share their random draws
     (common random numbers): each point is drawn once and mapped into every
     band.  Returns the baseline first (kind "A", xi = nan), then one result
-    per xi in the given order.  A horizon that is not a finite number > 0
-    raises ValueError before any ensemble is sampled.
+    per xi in the given order.  ``xis`` is read by ``errors._elements`` (one
+    number is a list of one), and a horizon that is not a finite number > 0
+    is a ValueError, before any ensemble is sampled.
     """
-    xis = [float(x) for x in xis]
+    xis = _elements(xis, "xis").reshape(-1).tolist()
     if t_max is None:
         t_max = default_t_max(model)
     _check_horizon(t_max)
@@ -365,7 +364,7 @@ def scan_report(model: CnfModel, spec_base: EnsembleSpec, xis,
         "q1_range": spec_base.q1_range,
         "seed": spec_base.seed,
         "t_max": results[0].t_max,
-        "xis": [float(x) for x in xis],
+        "xis": [res.xi for res in results[1:]],
         "model_e0": model.e0,
         "model_terms": model.terms,
     }

@@ -1,14 +1,17 @@
-"""Exception hierarchy, and the one check of scalar arguments.
+"""Exception hierarchy, and the one check of scalar and list arguments.
 
 Everything numerical-domain related derives from :class:`SympbError` so the
 command line layer can map it to a single exit code, distinct from I/O and
 usage failures.  A scalar argument that is not a number of the right kind
 raises ValueError from :func:`_finite` or :func:`_integer`, the package's
-one definition of what counts as a number.
+one definition of what counts as a number, and :func:`_elements` applies
+them to an argument that is one number or a 1-d list of numbers.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "SympbError",
@@ -111,3 +114,26 @@ def _integer(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _elements(values, what: str, check=_finite) -> np.ndarray:
+    """``values``, one number or a 1-d sequence of them, as an array of the
+    same dimension, of floats (of ints when ``check`` is :func:`_integer`).
+    A DimensionError names a shape of 2 or more dimensions; else ``check``'s
+    ValueError names ``what``, or ``what[i]`` for the lowest refused element
+    of a list as it is given (numpy reads ``[0.5, True]`` as floats)."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged list, whose first list element is refused
+        array = np.asarray(values, dtype=object)
+    if array.ndim > 1:
+        raise DimensionError(f"{what} must be one value or a 1-d list, got shape {array.shape}")
+    # unsigned ints go one by one: as int64 the top half of uint64 would wrap
+    numeric = array.dtype.kind in ("i" if check is _integer else "iuf")
+    if not array.size or (numeric and np.isfinite(array).all() and (
+            array.ndim == 0 or isinstance(values, np.ndarray)
+            or not any(isinstance(value, (bool, np.bool_)) for value in values))):
+        return array.astype(int if check is _integer else float, copy=False)
+    if array.ndim == 0:
+        return np.array(check(values[()] if isinstance(values, np.ndarray) else values, what))
+    return np.array([check(value, f"{what}[{i}]") for i, value in enumerate(values)])

@@ -30,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from .bottleneck import candidate_width
-from .errors import DimensionError, PreconditionError, _finite, _integer
+from .errors import DimensionError, PreconditionError, _elements, _finite, _integer
 from .linalg import is_symplectic, random_symplectic
 from .models import CnfModel
 from .tables import ExperimentReport, csv_text, format_column, write_text
@@ -144,15 +144,11 @@ def _check_mixer(model: CnfModel, s_mix) -> np.ndarray:
 
 
 def _check_grid(tau_grid) -> np.ndarray:
-    """``tau_grid`` as a float array.  Raises ValueError when it is empty,
-    naming its lowest element ``tau_grid[i]`` that is not a finite number,
-    and when it is not sorted ascending."""
-    taus = np.asarray(tau_grid, dtype=float)
+    """``tau_grid`` as :func:`~sympb.errors._elements` reads it, 1-d (one
+    time is a grid of one); a ValueError when it is empty or unsorted."""
+    taus = _elements(tau_grid, "tau_grid").reshape(-1)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
-    if not np.isfinite(taus).all():
-        for i, tau in enumerate(taus.ravel().tolist()):
-            _finite(tau, f"tau_grid[{i}]")
     if np.any(np.diff(taus) < 0):
         raise ValueError("tau grid must be sorted ascending")
     return taus
@@ -251,7 +247,8 @@ def min_projection_area(model: CnfModel, r: float, s_mix, tau_grid) -> Projectio
     curve and its minimum.
 
     ``A(tau) = pi r^2 sqrt(det(P Phi(-tau) S S^T Phi(-tau)^T P^T))`` where P
-    selects the (Q_1, P_1) rows; a grid of one point gives one area.
+    selects the (Q_1, P_1) rows; a grid of one point gives one area.  The
+    grid, one time or a 1-d list, is read first, by ``errors._elements``.
     """
     taus = _check_grid(tau_grid)
     r = _check_radius(r)
@@ -291,9 +288,10 @@ def radius_scan_curves(model: CnfModel, radii, s_mix_seed: int, tau_grid=None,
     Returns ``(report, curves)`` with one ``ProjectionAreaCurve`` per radius.
     The report's reference column is the candidate width at the central
     energy ``e_ref``, the dashed comparison level of the infimum-scaling
-    figure.
+    figure.  ``radii`` is read by ``errors._elements`` (one number is a list
+    of one), and ``tau_grid`` as :func:`min_projection_area` reads it.
     """
-    radii = [_check_radius(r) for r in radii]
+    radii = [_check_radius(r) for r in _elements(radii, "radii").reshape(-1).tolist()]
     if not radii:
         raise ValueError("need at least one radius")
     if tau_grid is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, _integer
+from .errors import DimensionError, _finite, _integer
 from .models import (
     CnfModel,
     EckartMorseParams,
@@ -177,9 +177,11 @@ def count_box_hits(model: CnfModel, j_samples, e: float, counter=None) -> int:
     ``model`` and at least ``m`` rows, whose buffers the count then runs in;
     row ``u`` stands for the point ``J = u * box`` of the counter's box.
     Without a counter the rows are the points, counted as one block on
-    buffers made for this call.  Raises DimensionError, when no counter is
-    given, unless ``j_samples`` has shape ``(m, n_bath)``.
+    buffers made for this call.  Raises ValueError, naming ``e``, unless
+    :func:`~sympb.errors._finite` takes it, and DimensionError, when no
+    counter is given, unless ``j_samples`` has shape ``(m, n_bath)``.
     """
+    e = _finite(e, "e")
     if counter is None:
         j_samples = np.asarray(j_samples, dtype=float)
         if j_samples.ndim != 2 or j_samples.shape[1] != model.n_bath:

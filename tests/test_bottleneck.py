@@ -439,6 +439,19 @@ def test_j_max_solve_with_fixed_bath_actions_matches_scalar_loop(extra, b, mode,
     assert [x.hex() for x in got] == [w.hex() for w in want]
 
 
+def test_j_max_solve_hands_zero_ends_to_brent():
+    # with a fixed j, K(0, J) = e can hold at J_k = 0 (f zero at the lower
+    # end), and at the first upper end for a linear K; Brent's method returns
+    # the end, as brentq does
+    model = linear_cnf(1.0, (2.0, 0.5), -1.0)
+    fixed = [[0.0, 3.0], [0.0, 0.0], [0.0, 2.0]]
+    es = [k_at_zero(model, [0.0, 3.0]), 0.0, 0.5]
+    got = _j_max_solve(model, es, 2, fixed)
+    want = [scalar_j_max(model, e, 2, row) for e, row in zip(es, fixed)]
+    assert got.tolist() == want == [0.0, 0.5, want[2]]
+    assert [x.hex() for x in got] == [w.hex() for w in want]
+
+
 # ---------------------------------------------------------------------------
 # candidate_width
 # ---------------------------------------------------------------------------

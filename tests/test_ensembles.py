@@ -12,6 +12,7 @@ import sympb.ensembles
 from sympb import (
     BelowSaddleError,
     CnfModel,
+    DimensionError,
     Ensemble,
     EnsembleSpec,
     SamplingError,
@@ -150,26 +151,33 @@ def test_spec_refuses_an_energy_window_that_overflows(e_center, window):
     assert make_spec(e_center=e_center, delta_e=1e307).delta_e == 1e307
 
 
-@pytest.mark.parametrize("xi, msg", [
-    (-0.2, "xi must lie in [0, 1], got -0.2"),
-    (1.5, "xi must lie in [0, 1], got 1.5"),
-    (math.nan, "xi must lie in [0, 1], got nan"),
-    ([0.5, 1.5, -1.0], "xi must lie in [0, 1], got 1.5"),
-    ([[0.5]], "xi must be one value or a 1-d list, got shape (1, 1)"),
-    ([[0.0, 1.0]], "xi must be one value or a 1-d list, got shape (1, 2)"),
+@pytest.mark.parametrize("xi, msg, exc, scan_msg", [
+    (-0.2, "xi must lie in [0, 1], got -0.2", ValueError, None),
+    (1.5, "xi must lie in [0, 1], got 1.5", ValueError, None),
+    (math.nan, "xi must be a finite number, got nan", ValueError,
+     "xis[0] must be a finite number, got np.float64(nan)"),
+    ([0.5, 1.5, -1.0], "xi must lie in [0, 1], got 1.5", ValueError, None),
+    ([[0.5]], "xi must be one value or a 1-d list, got shape (1, 1)", DimensionError,
+     "xis must be one value or a 1-d list, got shape (1, 1)"),
+    ([[0.0, 1.0]], "xi must be one value or a 1-d list, got shape (1, 2)", DimensionError,
+     "xis must be one value or a 1-d list, got shape (1, 2)"),
 ])
-def test_sample_ensemble_refuses_bands_outside_the_unit_interval(monkeypatch, xi, msg):
-    # the one check of every band, made before anything is drawn
+def test_sample_ensemble_refuses_bands_outside_the_unit_interval(monkeypatch, xi, msg, exc,
+                                                                 scan_msg):
+    # the one check of every band, made before anything is drawn; before: a
+    # NaN band was "outside [0, 1]", and a 2-d list a ValueError that
+    # errors._elements did not word.  The scan's bands [0.0] + xis meet the
+    # same checks; its own list names xis, and a band outside [0, 1] xi.
     def no_draws(*args):
         raise AssertionError("uniforms were drawn for a refused band")
 
     monkeypatch.setattr(sympb.ensembles, "substream_uniforms", no_draws)
-    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+    with pytest.raises(exc) as info:
         sample_ensemble(MODEL2, make_spec(), xi)
-    if np.ndim(xi) < 2:
-        # the scan's bands [0.0] + xis meet the same check and message
-        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            transmission_scan(MODEL2, make_spec(), np.atleast_1d(xi))
+    assert type(info.value) is exc and str(info.value) == msg
+    with pytest.raises(exc) as info:
+        transmission_scan(MODEL2, make_spec(), np.atleast_1d(xi))
+    assert type(info.value) is exc and str(info.value) == (scan_msg or msg)
 
 
 def test_sample_ensemble_below_saddle():

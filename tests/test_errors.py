@@ -1,12 +1,15 @@
 """Every scalar argument check of the package is ``errors._finite`` or
 ``errors._integer``: one table of entry points, each refusing the same bad
-values with the same ValueError, for Python and numpy scalars alike; an
-array of energies names its lowest bad element."""
+values with the same ValueError, for Python and numpy scalars alike.  Every
+argument that is one number or a 1-d list is read by ``errors._elements``:
+a second table, whose lists name their lowest bad element."""
 
 import math
 
 import numpy as np
 import pytest
+
+import sympb.bottleneck
 
 from sympb.bottleneck import action_volume_mc, candidate_width, energy_scan, j_max_cnf
 from sympb.cli import Opt, _checked
@@ -16,7 +19,7 @@ from sympb.errors import DimensionError, _finite, _integer
 from sympb.evolution import (default_tau_grid, evolved_shape_matrix, min_projection_area,
                              radius_scan_curves, stm)
 from sympb.integrators import IntegratorConfig, ds_crossing_times, integrate, verlet_step
-from sympb.kernels import substream_uniforms
+from sympb.kernels import count_box_hits, substream_uniforms
 from sympb.linalg import is_symplectic, random_symplectic
 from sympb.models import CnfModel, EckartMorseParams, builtin_cnf, default_params
 
@@ -92,6 +95,10 @@ def radius_scan(r):
     return radius_scan_curves(MODEL, [0.1, r], 0)
 
 
+def box_hits(e):
+    return count_box_hits(MODEL, np.zeros((2, 1)), e)
+
+
 def transition(t):
     return stm(MODEL, t)
 
@@ -151,7 +158,8 @@ TABLE = [
     *[(call, "t_max", "t_max", FINITE) for call in (transmitted, fractions, scan_table)],
     (tau_grid, "points", "points", 1),
     (shape_matrix, "tau", "tau", FINITE),
-    *[(call, "r", "r", FINITE) for call in (projection, shape_matrix, radius_scan)],
+    *[(call, "r", "r", FINITE) for call in (projection, shape_matrix)],
+    (radius_scan, "r", "radii[1]", FINITE),
     (transition, "t", "t", FINITE),
     (step, "h", "h", FINITE),
     (crossings, "x_star", "x_star", FINITE),
@@ -159,6 +167,7 @@ TABLE = [
     (delta_e, "e_center", "e_center", FINITE),
     (uniforms, "n", "n", 0),
     (uniforms, "k", "k", 0),
+    (box_hits, "e", "e", FINITE),
 ]
 # None asks these for their default horizon
 NONE_IS_DEFAULT = {(fractions, "t_max"), (scan_table, "t_max")}
@@ -193,8 +202,9 @@ def test_scalar_arguments_are_checked_by_the_one_owner(call, arg, what, minimum)
     # 1 and stm(model, inf) raised "math domain error"; j_max_cnf solved mode
     # 2 for k = 2.5 or "2", verlet_step stepped to NaN for h = nan and by 1
     # for h = True, is_symplectic(m, nan) was False, default_delta_e(model,
-    # nan) nan, ds_crossing_times(record, nan) [], and substream_uniforms
-    # took n = 2.5 as 2 and n = True as 1
+    # nan) nan, ds_crossing_times(record, nan) [], substream_uniforms
+    # took n = 2.5 as 2 and n = True as 1, count_box_hits counted 0 hits for
+    # e = nan and K(0, J) <= 1 for e = True, and radius_scan_curves named r
     values = [True, "1", math.nan]
     if (call, arg) not in NONE_IS_DEFAULT:
         values.insert(2, None)
@@ -220,34 +230,108 @@ def test_the_owner_returns_floats_and_ints():
     assert _integer(-5, "k") == -5
 
 
-def test_energy_arrays_name_their_lowest_bad_element():
-    # before: "1" was parsed and a NaN energy failed its root with a
-    # ConvergenceError
-    for call in (roots, width):
-        for e, i, bad in (([0.1, "1", math.nan], 1, "'1'"),
-                          ([0.1, 0.2, math.inf], 2, "inf"),
-                          (np.array([0.1, np.nan]), 1, "np.float64(nan)"),
-                          (np.array([True, False]), 0, "np.True_"),
-                          ([0.1, 10**400], 1, str(10**400))):
+def bands(xi):
+    return sample_ensemble(MODEL, spec(), xi)
+
+
+def band_scan(xis):
+    return transmission_scan(MODEL, spec(), xis)
+
+
+def band_table(xis):
+    return scan_report(MODEL, spec(), xis)
+
+
+def grid_area(tau_grid):
+    return min_projection_area(MODEL, 0.1, np.eye(4), tau_grid)
+
+
+def grid_scan(tau_grid):
+    return radius_scan_curves(MODEL, [0.1], 0, tau_grid)
+
+
+def radii_scan(radii):
+    return radius_scan_curves(MODEL, radii, 0)
+
+
+# (entry point, the name its messages give, a good element, FINITE or None
+# for an integer as in TABLE); each entry point takes the list as its one
+# argument
+ARRAY_TABLE = [
+    (roots, "e", 0.5, FINITE),
+    (width, "e", 0.5, FINITE),
+    (mode_root, "k", 2, None),
+    (bands, "xi", 0.5, FINITE),
+    (band_scan, "xis", 0.5, FINITE),
+    (band_table, "xis", 0.5, FINITE),
+    (grid_area, "tau_grid", 0.0, FINITE),
+    (grid_scan, "tau_grid", 0.0, FINITE),
+    (radii_scan, "radii", 0.1, FINITE),
+]
+
+
+@pytest.mark.parametrize("call, what, good, check", ARRAY_TABLE,
+                         ids=[f"{call.__name__}-{what}" for call, what, _, _ in ARRAY_TABLE])
+def test_list_arguments_are_checked_by_the_one_owner(call, what, good, check):
+    # before: bottleneck._energies, the mode loop of _j_max_solve and
+    # evolution._check_grid each had their own loop; min_projection_area
+    # took ['0', '1'] and [False, True] as tau grids and died on [[0.0],
+    # [1.0]] with a bare TypeError, sample_ensemble drew bands for '0.5' and
+    # True, transmission_scan counted bands 0.5 and 1.0 for ['0.5'] and
+    # [True], and radius_scan_curves iterated the string '0.1'
+    values = ["1", True, None, math.nan, math.inf]
+    values += [twin(v) for v in values] + [10**400 if check == FINITE else 2.5]
+    for bad in values:
+        cases = [([good, bad], 1), ([good, bad, "x"], 1), ([bad, good], 0), (bad, None)]
+        if bad is None and call is grid_scan:
+            cases.pop()  # None asks for the default grid
+        for value, i in cases:
             with pytest.raises(ValueError) as info:
-                call(e)
-            assert str(info.value) == f"e[{i}] must be a finite number, got {bad}"
-
-
-def test_mode_arrays_name_their_lowest_bad_element():
-    # before: np.asarray(k, dtype=int) truncated 2.5 to 2 and took "3" and
-    # True as modes; an integer that is no bath mode stays a DimensionError
-    model = builtin_cnf(3)
-    for k, i, bad in (([2, 2.5], 1, "2.5"), (["2", 3], 0, "'2'"),
-                      (np.array([2.0, 3.0]), 0, "np.float64(2.0)"),
-                      (np.array([True, False]), 0, "np.True_"), ([2, None], 1, "None")):
+                call(value)
+            named = what if i is None else f"{what}[{i}]"
+            assert type(info.value) is ValueError, (value, str(info.value))
+            assert str(info.value) == message(named, check, bad), value
+    # an ndarray names its elements as numpy scalars (a float array of modes
+    # is refused at its first element), and a ragged list its first list
+    for value, i in ((np.array([good, math.nan]), 1 if check == FINITE else 0),
+                     (np.array([True, False]), 0), ([good, [good]], 1)):
         with pytest.raises(ValueError) as info:
-            j_max_cnf(model, [0.5, 0.6], k)
-        assert str(info.value) == f"k[{i}] must be an integer, got {bad}"
+            call(value)
+        assert str(info.value) == message(f"{what}[{i}]", check, value[i])
+    for value in ([[good], [good]], np.full((1, 2, 1), good)):
+        with pytest.raises(DimensionError) as info:
+            call(value)
+        shape = np.shape(value)
+        assert str(info.value) == f"{what} must be one value or a 1-d list, got shape {shape}"
+
+
+def test_mode_arrays_match_their_energies(monkeypatch):
+    # before: numpy broadcast errors ("operands could not be broadcast
+    # together ...", "input operand has more dimensions than allowed ...");
+    # an integer that is no bath mode stays a DimensionError, and every
+    # refusal comes before any root is solved
+    model = builtin_cnf(3)
+    evals = []
+    monkeypatch.setattr(sympb.bottleneck, "eval_k0", lambda model, j: evals.append(j))
+    for e, k in ((0.5, [2, 3]), ([0.5, 0.6], [2, 3, 2]), ([0.5], [3, 2]), ([], [2, 3])):
+        with pytest.raises(DimensionError) as info:
+            j_max_cnf(model, e, k)
+        assert str(info.value) == (f"modes k of shape {np.shape(k)} do not match energies e of "
+                                   f"shape {np.shape(e)}: give one mode or one per energy")
+    with pytest.raises(DimensionError) as info:
+        j_max_cnf(model, [0.5, 0.6], [[2], [3]])
+    assert str(info.value) == "k must be one value or a 1-d list, got shape (2, 1)"
     with pytest.raises(DimensionError, match="mode index k must be in"):
         j_max_cnf(model, [0.5, 0.6], [2, 4])
+    with pytest.raises(DimensionError, match=f"got {2**63 + 2}$"):
+        j_max_cnf(model, 0.5, np.array([2**63 + 2], dtype=np.uint64))
+    assert evals == []
+    monkeypatch.undo()
     assert j_max_cnf(model, [0.5, 0.6], np.array([3, 2], dtype=np.uint8)).tolist() == [
         j_max_cnf(model, 0.5, 3), j_max_cnf(model, 0.6, 2)]
+    assert j_max_cnf(model, [0.5, 0.6], [3]).tolist() == [
+        j_max_cnf(model, 0.5, 3), j_max_cnf(model, 0.6, 3)]
+    assert j_max_cnf(model, 0.5, [3]) == j_max_cnf(model, 0.5, 3)
 
 
 def test_stm_refuses_a_bath_angle_that_overflows():

@@ -259,10 +259,11 @@ def test_radius_scan_validation():
 
 def test_radius_with_infinite_area_is_refused():
     # pi r^2 overflows for r above about 7.6e153; an infinite or NaN radius
-    # is no finite number
+    # is no finite number, and the scan names it as an element of its list
     for r in (1e200, 1e154, math.inf, math.nan):
         msg = "pi r\\^2" if math.isfinite(r) else f"^r must be a finite number, got {r!r}$"
-        with pytest.raises(ValueError, match=msg):
+        scan_msg = msg if math.isfinite(r) else "^radii\\[1\\]" + msg[2:]
+        with pytest.raises(ValueError, match=scan_msg):
             radius_scan_curves(MODEL, [0.1, r], s_mix_seed=0)
         with pytest.raises(ValueError, match=msg):
             min_projection_area(MODEL, r, np.eye(6), [0.0])
@@ -595,9 +596,10 @@ def test_error_order_matches_per_tau_evaluation():
 def test_tau_grids_refuse_non_finite_times(bad):
     # before: a NaN tau passed the sort check and gave a NaN curve point, and
     # an infinite tau at either end was accepted; the lowest bad point is
-    # named, before the radius is checked
+    # named as it is given (an ndarray's as a numpy scalar), before the
+    # radius is checked
     for grid, i in (([0.0, bad, 1.0], 1), ([bad, bad], 0), (np.array([0.0, 0.5, bad]), 2)):
-        want = f"tau_grid[{i}] must be a finite number, got {bad}"
+        want = f"tau_grid[{i}] must be a finite number, got {grid[i]!r}"
         with pytest.raises(ValueError) as info:
             min_projection_area(MODEL, -1.0, np.eye(4), grid)
         assert str(info.value) == want

@@ -112,6 +112,8 @@ def test_private_constants_are_read_only_in_their_module():
 # the wordings of errors._finite and errors._integer, and the ones they replaced
 SCALAR_WORDINGS = ("must be a finite number", "must be a number", "must be an integer",
                    "must be a positive integer", "must be a non-negative integer")
+# the wording of errors._elements, and the one of bottleneck's energy check
+LIST_WORDINGS = ("must be one value or a 1-d list", "expected one energy or a 1-d array")
 
 
 def test_scalar_checks_are_worded_only_in_errors():
@@ -126,8 +128,28 @@ def test_scalar_checks_are_worded_only_in_errors():
             found += [(path.stem, getattr(node, "name", None), wording)
                       for n in ast.walk(node)
                       if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                      for wording in SCALAR_WORDINGS if wording in n.value]
+                      for wording in SCALAR_WORDINGS + LIST_WORDINGS if wording in n.value]
     assert found == [("cli", "_env_seed", "must be an integer")]
+
+
+def test_only_the_owner_names_list_elements():
+    # errors._elements names the lowest refused element of a list as
+    # what[i]; a _finite or _integer call elsewhere whose name is an
+    # f-string with a bracket is a list loop of its own
+    found = []
+    for path in sorted(Path(sympb.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id in ("_finite", "_integer")):
+                continue
+            what = n.args[1] if len(n.args) > 1 else next(
+                (kw.value for kw in n.keywords if kw.arg == "what"), None)
+            if isinstance(what, ast.JoinedStr) and any(
+                    isinstance(part, ast.Constant) and "[" in part.value for part in what.values):
+                found.append((path.stem, n.lineno))
+    assert found == []
 
 
 def test_the_monte_carlo_volume_has_one_counting_path():

@@ -418,7 +418,8 @@ def term_tables(draw):
        e=st.one_of(st.floats(-3.0, 3.0), st.sampled_from(SPECIAL)))
 def test_count_box_hits_in_place_equals_eval_k0_count(model, data, e):
     # the in-place count, on buffers made for the call and on a counter's
-    # buffers with rows to spare, against the count of eval_k0 on the points
+    # buffers with rows to spare, against the count of eval_k0 on the points;
+    # an energy that is no finite number is refused on both
     nb = model.n_bath
     m = data.draw(st.integers(0, 24))
     j = np.array(data.draw(st.lists(J_VALUE, min_size=m * nb, max_size=m * nb)))
@@ -431,9 +432,14 @@ def test_count_box_hits_in_place_equals_eval_k0_count(model, data, e):
         total, scratch = np.empty(m), np.empty(m)
         _sum_fn(model.k0_terms, None, np.array(j.T), total, scratch)()
         assert total.tobytes() == want.tobytes()
-        assert kernels.count_box_hits(model, j, e) == int(np.count_nonzero(want <= e))
         unit = j / box
         counter = kernels._box_counter(model, tuple(box), rows)
+        if not math.isfinite(e):
+            for args in ((j, e), (unit, e, counter)):
+                with pytest.raises(ValueError, match=f"^e must be a finite number, got {e}$"):
+                    kernels.count_box_hits(model, *args)
+            return
+        assert kernels.count_box_hits(model, j, e) == int(np.count_nonzero(want <= e))
         assert kernels.count_box_hits(model, unit, e, counter) == int(
             np.count_nonzero(sympb.eval_k0(model, unit * box) <= e))
 
