@@ -337,19 +337,13 @@ def action_volume_mc(model: CnfModel, e: float, samples: int, seed: int) -> Flux
 
 
 def _check_box(e: float, j_max) -> float:
-    """The volume ``prod_k J_k_max(e)`` of the sampling box; a ValueError
-    naming ``e`` when it, or the flux bound ``(2 pi)^nb`` times it, is not a
-    finite number: its volume, flux and standard error would be inf or NaN."""
+    """The volume ``prod_k J_k_max(e)`` of the sampling box; ``errors._finite``
+    refuses it, or its flux bound ``(2 pi)^nb`` times it, when not finite:
+    the volume, flux and standard error would be inf or NaN."""
     with np.errstate(over="ignore"):
-        box_volume = float(np.prod(j_max))
-    if not math.isfinite(box_volume):
-        raise ValueError(f"E = {e} gives a sampling box of volume {box_volume}, "
-                         f"not a finite number")
+        box_volume = _finite(float(np.prod(j_max)), f"sampling box volume V at E = {e}")
     nb = len(j_max)
-    bound = (2.0 * math.pi) ** nb * box_volume
-    if not math.isfinite(bound):
-        raise ValueError(f"E = {e} gives a sampling box of volume {box_volume}, whose "
-                         f"(2 pi)^{nb} multiple {bound} is not a finite number")
+    _finite((2.0 * math.pi) ** nb * box_volume, f"flux bound (2 pi)^{nb} V at E = {e}")
     return box_volume
 
 
@@ -428,8 +422,9 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
 
     Row i uses seed ``seed + i`` for its Monte-Carlo volume, recorded in the
     seed column, so any row can be reproduced in isolation.  The inputs are
-    checked first (``steps``, the finite energy range, ``samples``, ``seed``, then
-    the model, as :func:`action_volume_mc` checks them); then every root
+    checked first (``steps``, ``e_min <= e_max`` and their finite difference,
+    ``samples``, ``seed``, then the model, as :func:`action_volume_mc` checks
+    them); then every root
     ``J_k_max(E)`` is solved once, all in one batch that raises the error of
     the lowest failed root; then the lowest row whose box volume, or
     ``(2 pi)^(n-1)`` times it, is not a finite number raises ValueError; then
@@ -438,8 +433,10 @@ def energy_scan(model: CnfModel, e_min: float, e_max: float, steps: int,
     only for two or more; the output does not depend on how many CPUs.
     """
     steps = _integer(steps, "steps", 1)
-    if _finite(e_min, "e_min") > _finite(e_max, "e_max"):
+    lo, hi = _finite(e_min, "e_min"), _finite(e_max, "e_max")
+    if lo > hi:
         raise ValueError(f"e_max = {e_max} is below e_min = {e_min}")
+    _finite(hi - lo, "energy range e_max - e_min")
     samples = _integer(samples, "samples", 1)
     seed = _integer(seed, "seed", 0)
     model.check_monotone()

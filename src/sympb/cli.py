@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -230,7 +229,7 @@ def _meta(command: str, cfg: dict, **extra) -> dict:
 
 
 def _parse_floats(text: str, what: str) -> list:
-    items = [s for s in text.split(",") if s.strip() != ""]
+    items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise ValueError(f"{what} list is empty")
     values = []
@@ -238,10 +237,8 @@ def _parse_floats(text: str, what: str) -> list:
         try:
             value = float(s)
         except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"{what} must hold finite numbers, got {s.strip()!r}")
-        values.append(value)
+            value = s  # refused, and shown, as the text given
+        values.append(_finite(value, f"{what} entry"))
     return values
 
 

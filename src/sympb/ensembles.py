@@ -51,7 +51,8 @@ _EDGE_ATOL = 2.0**-1022
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Sampling parameters for one ensemble."""
+    """Sampling parameters for one ensemble; ``errors._finite`` also refuses
+    window ends ``e_center -/+ delta_e`` or a ``q1_range^2`` that overflow."""
 
     n_traj: int
     e_center: float
@@ -64,20 +65,16 @@ class EnsembleSpec:
         # entropy of the substreams; frozen, and kept as ints for the reports
         self.__dict__.update(n_traj=_integer(self.n_traj, "n_traj", 1),
                              seed=_integer(self.seed, "seed", 0))
-        for name in ("e_center", "delta_e", "q1_range"):
-            _finite(getattr(self, name), name)
-        if self.delta_e < 0:
+        e_center, delta_e, q1_range = (_finite(getattr(self, name), name)
+                                       for name in ("e_center", "delta_e", "q1_range"))
+        if delta_e < 0:
             raise ValueError(f"delta_e must be >= 0, got {self.delta_e}")
-        lo, hi = self.e_center - self.delta_e, self.e_center + self.delta_e
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"energy window [e_center - delta_e, e_center + delta_e] = "
-                             f"[{lo!r}, {hi!r}] is not finite")
-        if not self.q1_range > Q1_DELTA:
+        _finite(e_center - delta_e, "energy window end e_center - delta_e")
+        _finite(e_center + delta_e, "energy window end e_center + delta_e")
+        if not q1_range > Q1_DELTA:
             raise ValueError(f"q1_range must be > {Q1_DELTA}, got {self.q1_range}")
         # P_1 = sqrt(Q_1^2 + 2 I') needs a finite Q_1^2
-        if not math.isfinite(self.q1_range * self.q1_range):
-            raise ValueError(f"q1_range {self.q1_range} gives q1_range^2 = "
-                             f"{self.q1_range * self.q1_range}, not a finite number")
+        _finite(q1_range * q1_range, "q1_range^2")
 
 
 @dataclass(frozen=True, eq=False)

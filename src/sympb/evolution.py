@@ -109,18 +109,16 @@ def stm(model: CnfModel, t: float) -> np.ndarray:
     Saddle block ``[[cosh lt, sinh lt], [sinh lt, cosh lt]]`` on (Q_1, P_1),
     rotation ``[[cos wt, sin wt], [-sin wt, cos wt]]`` on each bath pair,
     assembled in the global ``(q..., p...)`` ordering.  The saddle block is
-    ``_saddle_blocks`` at ``tau = -t``, infinite where cosh overflows.  A
-    ``t`` that is not a finite number, or whose bath angle ``omega t``
-    overflows, raises ValueError.
+    ``_saddle_blocks`` at ``tau = -t``, infinite where cosh overflows.
+    ``errors._finite`` refuses a ``t`` that is not a finite number, and a
+    bath angle ``omega t`` that overflows, with a ValueError naming it.
     """
     t = _finite(t, "t")
     n = model.n_dof
     phi = np.zeros((2 * n, 2 * n))
     phi[np.ix_((0, n), (0, n))] = _saddle_blocks(model.lam, np.array([-t]))[0]
     for i, omega in enumerate(model.omegas, start=1):
-        wt = omega * t
-        if not math.isfinite(wt):
-            raise ValueError(f"t = {t} gives a bath angle omega t = {wt}, not a finite number")
+        wt = _finite(omega * t, f"bath angle omega t at t = {t}")
         c, s = math.cos(wt), math.sin(wt)
         phi[i, i] = c
         phi[i, n + i] = s
@@ -156,14 +154,13 @@ def _check_grid(tau_grid) -> np.ndarray:
 
 def _check_radius(r) -> float:
     """``float(r)``; refuse a radius that is not a finite number, not
-    positive, whose ``pi r^2`` is not finite, or whose ``r^2`` is below the
-    smallest normal float (there the areas round to 0 and the shape matrix
-    ``1 / r^2`` is inf or singular)."""
+    positive, whose ball capacity ``pi r^2`` overflows (``errors._finite``), or
+    whose ``r^2`` is below the smallest normal float (there the areas round
+    to 0 and the shape matrix ``1 / r^2`` is inf or singular)."""
     r = _finite(r, "r")
     if r <= 0:
         raise ValueError(f"radius must be > 0, got {r}")
-    if not math.isfinite(math.pi * r * r):
-        raise ValueError(f"radius {r} gives pi r^2 = {math.pi * r * r}, not a finite number")
+    _finite(math.pi * r * r, f"ball capacity pi r^2 at r = {r}")
     if r * r < sys.float_info.min:
         raise ValueError(
             f"radius {r} gives r^2 = {r * r}, below the smallest normal float "
@@ -260,13 +257,13 @@ def evolved_shape_matrix(model: CnfModel, r: float, s_mix, tau: float) -> np.nda
 
     Returns the symmetric PD matrix M with the evolved set equal to
     ``{z : z^T M z <= 1}``; its capacity (``linalg.ellipsoid_capacity``)
-    stays ``pi r^2``.  A ``tau`` that is not a finite number, or whose
-    saddle block overflows, raises ValueError.
+    stays ``pi r^2``.  ``errors._finite`` refuses a ``tau``, or a saddle
+    block ``cosh(lam tau)``, that is not a finite number.
     """
     r = _check_radius(r)
     s_mix = _check_mixer(model, s_mix)
-    if not math.isfinite(_cosh_sinh(model.lam * _finite(tau, "tau"))[0]):
-        raise ValueError(f"tau = {tau} gives a saddle block cosh(lam tau) that is not finite")
+    _finite(_cosh_sinh(model.lam * _finite(tau, "tau"))[0],
+            f"saddle block cosh(lam tau) at tau = {tau}")
     t = stm(model, -tau) @ s_mix
     m = np.linalg.inv(r * r * (t @ t.T))
     return 0.5 * (m + m.T)

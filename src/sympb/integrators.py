@@ -9,7 +9,6 @@ finite-difference Jacobian M of the time-t map from symplecticity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,9 @@ MAX_STEPS = 10**8
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Verlet settings; ``errors._finite`` also refuses a step count
+    ``t_final / h`` that overflows."""
+
     h: float
     t_final: float
     monitor_stride: int = 10
@@ -44,17 +46,15 @@ class IntegratorConfig:
     compute_jacobian: bool = True
 
     def __post_init__(self):
-        for field in ("h", "t_final", "fd_epsilon"):
-            _finite(getattr(self, field), field)
+        h, t_final, fd_epsilon = (_finite(getattr(self, field), field)
+                                  for field in ("h", "t_final", "fd_epsilon"))
         _integer(self.monitor_stride, "monitor_stride", 1)
-        if self.h <= 0:
+        if h <= 0:
             raise ValueError(f"step h must be > 0, got {self.h}")
-        if self.t_final <= 0:
+        if t_final <= 0:
             raise ValueError(f"t_final must be > 0, got {self.t_final}")
-        if not math.isfinite(self.t_final / self.h):
-            raise ValueError(f"t_final / h must be a finite step count, got t_final = "
-                             f"{self.t_final!r} and h = {self.h!r}")
-        if self.fd_epsilon <= 0:
+        _finite(t_final / h, f"step count t_final / h at t_final = {t_final!r} and h = {h!r}")
+        if fd_epsilon <= 0:
             raise ValueError(f"fd_epsilon must be > 0, got {self.fd_epsilon}")
 
     @property

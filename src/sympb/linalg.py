@@ -37,12 +37,14 @@ def _as_square(m, name="matrix"):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
+    if not m.size:
+        raise DimensionError(f"{name} must not be empty, got shape {m.shape}")
     return m
 
 
 def _check_symmetric(m, name="matrix", rtol=1e-12):
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    asym = np.max(np.abs(m - m.T)) if m.size else 0.0
+    scale = np.max(np.abs(m))
+    asym = np.max(np.abs(m - m.T))
     if asym > rtol * max(scale, 1e-300):
         raise SymmetryError(
             f"{name} is not symmetric: max |M - M^T| = {asym:.3e} "
@@ -67,14 +69,15 @@ def standard_j(n: int) -> np.ndarray:
     Parameters
     ----------
     n : int
-        Number of degrees of freedom, n >= 1.
+        Number of degrees of freedom, an integer >= 1: ValueError for a
+        value that is no integer, DimensionError for one below 1.
 
     Returns
     -------
     ndarray, shape (2n, 2n)
         Block matrix ``[[0, I_n], [-I_n, 0]]``.
     """
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise DimensionError(f"need n >= 1 degrees of freedom, got n = {n}")
     j = np.zeros((2 * n, 2 * n))
     eye = np.eye(n)

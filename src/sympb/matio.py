@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
@@ -15,16 +16,23 @@ def load_matrix(path: str) -> np.ndarray:
     """Read a real matrix from a ``.csv`` or ``.json`` file (by extension).
 
     Raises ValueError, naming the path, when the file does not hold a 2-D
-    matrix, when a JSON entry is not a JSON number (a bool, a string or
-    null), or when an entry is NaN or infinite (the first such
+    matrix (an empty one holds none), when a CSV line does not parse (with
+    numpy's reason), when a JSON entry is not a JSON number (a bool, a
+    string or null), or when an entry is NaN or infinite (the first such
     ``[row, col]``, counted from 0)."""
     if path.endswith(".json"):
         with open(path) as fh:
             # an integer beyond the float range reads as inf, not OverflowError
             m = np.asarray(json.load(fh, parse_int=float), dtype=object)
     else:
-        m = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
-    if m.ndim != 2:
+        try:
+            with warnings.catch_warnings():
+                # an empty file is refused below, without numpy's warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                m = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if m.ndim != 2 or not m.size:
         raise ValueError(f"{path} does not contain a 2-D matrix")
     if m.dtype == object:
         for (i, j), x in np.ndenumerate(m):

@@ -671,7 +671,7 @@ def test_energy_scan_validation():
         energy_scan(builtin_cnf(2), E0 - 1.0, 0.0, steps=2, samples=10, seed=0)
 
 
-INF_BOX_MSG = "E = 1e+300 gives a sampling box of volume inf, not a finite number"
+INF_BOX_MSG = "sampling box volume V at E = 1e+300 must be a finite number, got inf"
 
 
 def test_box_volume_that_is_not_finite_is_refused_before_drawing(monkeypatch):
@@ -694,19 +694,35 @@ def test_box_volume_that_is_not_finite_is_refused_before_drawing(monkeypatch):
         # at E = 5e153 the volume is finite and (2 pi)^2 times it is not
         with pytest.raises(ValueError) as info:
             action_volume_mc(flat, 5e153, samples=10, seed=0)
-        assert str(info.value) == ("E = 5e+153 gives a sampling box of volume 2.5e+307, whose "
-                                   "(2 pi)^2 multiple inf is not a finite number")
+        assert str(info.value) == ("flux bound (2 pi)^2 V at E = 5e+153 must be a finite "
+                                   "number, got inf")
         # rows at E = 0, 1e154, 2e154, 3e154: row 1's flux bound overflows,
         # rows 2 and 3's volumes do; the lowest such row is refused
         e1 = np.linspace(0.0, 3e154, 4).tolist()[1]
         with pytest.raises(ValueError) as info:
             energy_scan(flat, 0.0, 3e154, steps=4, samples=10, seed=0)
-        assert str(info.value) == (f"E = {e1} gives a sampling box of volume {e1 * e1}, whose "
-                                   f"(2 pi)^2 multiple inf is not a finite number")
+        assert str(info.value) == (f"flux bound (2 pi)^2 V at E = {e1} must be a finite "
+                                   f"number, got inf")
         with pytest.raises(ValueError) as info:
             energy_scan(builtin_cnf(3), 0.0, 1e300, steps=2, samples=10, seed=0)
         assert str(info.value) == INF_BOX_MSG
     assert drawn == []
+
+
+def test_energy_range_that_overflows_is_refused_before_the_grid():
+    # before: np.linspace(-1e308, 1e308, 3) overflowed with two numpy
+    # RuntimeWarnings to a grid with a NaN point, refused as "e[0] must be a
+    # finite number, got np.float64(nan)"; the range is checked before samples
+    msg = "energy range e_max - e_min must be a finite number, got inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for steps, samples in ((3, 10), (1, 10), (3, 0)):
+            with pytest.raises(ValueError) as info:
+                energy_scan(builtin_cnf(3), -1e308, 1e308, steps, samples, seed=0)
+            assert str(info.value) == msg
+        with pytest.raises(ValueError) as info:
+            energy_scan(builtin_cnf(3), -1e308, 1e308, 0, 10, seed=0)
+        assert str(info.value) == "steps must be >= 1, got 0"
 
 
 ALPHA_MSG = ("term -0.01*J_2^2 makes K(0, J) decrease in a bath action, so the admissible "

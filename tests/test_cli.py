@@ -113,6 +113,27 @@ def test_capacity_non_finite_matrix_exit_two(tmp_path, capsys, name, text):
     assert err.startswith(f"error: {path}: entry [") and err.endswith("not a finite number\n")
 
 
+@pytest.mark.parametrize("name,text,parse", [
+    ("empty.csv", "", False), ("comment.csv", "# no rows\n", False),
+    ("ragged.csv", "1,0\n0\n", True), ("text.csv", "a,b\n1,2\n", True),
+], ids=["empty", "comment", "ragged", "text"])
+def test_capacity_csv_that_holds_no_matrix_exit_two(tmp_path, capsys, name, text, parse):
+    # before: an empty or comment-only CSV warned "loadtxt: input contained
+    # no data" and exited 1 with "M must be square, got shape (0, 1)"; a
+    # ragged or non-numeric one exited 2 with numpy's text and no path
+    path = tmp_path / name
+    path.write_text(text)
+    want = f"{path} does not contain a 2-D matrix"
+    if parse:
+        with pytest.raises(ValueError) as numpy_refusal:
+            np.loadtxt(path, delimiter=",")
+        want = f"{path}: {numpy_refusal.value}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "capacity", str(path))
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
 @pytest.mark.parametrize("text,entry", [
     ("[[true, false], [false, true]]", "[0, 0] is true"),
     ('[["2", "0"], ["0", "2"]]', '[0, 0] is "2"'),
@@ -225,7 +246,32 @@ def test_widths_box_volume_overflow_exit_two(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "error: E = 1e+300 gives a sampling box of volume inf, not a finite number\n")
+        "error: sampling box volume V at E = 1e+300 must be a finite number, got inf\n")
+
+
+def test_widths_energy_range_that_overflows_exit_two(tmp_path):
+    # before: two numpy RuntimeWarnings on stderr, then "error: e[0] must be
+    # a finite number, got np.float64(nan)", naming a grid point never given
+    argv = ["widths", "--e-min", "-1e308", "--e-max", "1e308", "--steps", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympb", *argv],
+        capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: energy range e_max - e_min must be a finite number, got inf\n"
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (("exp1", "--radii", "0.1,abc"), "radii entry must be a finite number, got 'abc'"),
+    (("exp1", "--radii", "0.1, abc ,0.2"), "radii entry must be a finite number, got 'abc'"),
+    (("exp2", "--n", "20", "--xis", "0.5,inf"), "xis entry must be a finite number, got inf"),
+    (("integrate", "--state0=-5,nan,0.1,0"), "state0 entry must be a finite number, got nan"),
+    (("exp2", "--n", "20", "--xis", ","), "xis list is empty"),
+], ids=["radii-text", "radii-spaced", "xis-inf", "state0-nan", "xis-empty"])
+def test_float_lists_refuse_entries_that_are_not_finite_numbers(capsys, argv, entry):
+    # before: "radii must hold finite numbers, got 'abc'" (likewise 'inf', 'nan')
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {entry}\n")
 
 
 def test_widths_config_merge_and_flag_override(tmp_path, capsys):
@@ -332,17 +378,18 @@ def test_q1_range_with_overflowing_square_exit_two(capsys, cmd):
     # before: exit 0 with an overflow warning, p1 = inf and every point transmitted
     code, out, err = run_cli(capsys, cmd, *BASE_ARGV[cmd], "--q1-range", "1e300")
     assert (code, out) == (2, "")
-    assert err == "error: q1_range 1e+300 gives q1_range^2 = inf, not a finite number\n"
+    assert err == "error: q1_range^2 must be a finite number, got inf\n"
 
 
-@pytest.mark.parametrize("e_center, window", [
-    ("1e308", "[0.0, inf]"), ("-1e308", "[-inf, 0.0]"),
-])
-def test_energy_window_that_overflows_exit_two(tmp_path, capsys, e_center, window):
+# each id names the window [e_center - delta_e, e_center + delta_e]
+@pytest.mark.parametrize("e_center, end", [
+    ("1e308", "e_center + delta_e must be a finite number, got inf"),
+    ("-1e308", "e_center - delta_e must be a finite number, got -inf"),
+], ids=["1e308-[0.0, inf]", "-1e308-[-inf, 0.0]"])
+def test_energy_window_that_overflows_exit_two(tmp_path, capsys, e_center, end):
     # before: the window's end overflowed to inf and the run exited 1 with
     # "error: j_max at E = inf, mode k = 2: f is NaN at x = inf"
-    want = ("error: energy window [e_center - delta_e, e_center + delta_e] = "
-            f"{window} is not finite\n")
+    want = f"error: energy window end {end}\n"
     code, out, err = run_cli(capsys, "sample", f"--e-center={e_center}", "--delta-e", "1e308",
                              "--n", "3")
     assert (code, out, err) == (2, "", want)
@@ -495,7 +542,7 @@ def test_exp1_radius_with_infinite_area_exit_two(capsys):
     # before: exit 0 with min_area and pi_r2 written as inf
     code, out, err = run_cli(capsys, "exp1", "--radii", "0.1,1e200", "--tau-points", "5")
     assert (code, out) == (2, "")
-    assert err == "error: radius 1e+200 gives pi r^2 = inf, not a finite number\n"
+    assert err == "error: ball capacity pi r^2 at r = 1e+200 must be a finite number, got inf\n"
 
 
 def test_exp1_radius_with_underflowing_square_exit_two(capsys):
@@ -836,8 +883,8 @@ def test_integrate_step_count_overflow_exit_two(capsys):
     code, out, err = run_cli(capsys, "integrate", "--state0=-2,0.3,0.9,-0.2", "--h", "1e-320",
                              "--t-final", "10")
     assert (code, out) == (2, "")
-    assert err == ("error: t_final / h must be a finite step count, got t_final = 10.0 "
-                   "and h = 1e-320\n")
+    assert err == ("error: step count t_final / h at t_final = 10.0 and h = 1e-320 must be a "
+                   "finite number, got inf\n")
 
 
 def test_integrate_huge_step_count_exit_two(capsys):

@@ -95,7 +95,7 @@ def test_spec_validation():
             make_spec(q1_range=q1_range)
     # P_1 = sqrt(Q_1^2 + 2 I') would be inf, and every point would transmit
     for q1_range in (1e160,):
-        with pytest.raises(ValueError, match=re.escape(f"q1_range {q1_range} gives q1_range^2 = inf,")):
+        with pytest.raises(ValueError, match=r"^q1_range\^2 must be a finite number, got inf$"):
             make_spec(q1_range=q1_range)
     assert make_spec(q1_range=1e150).q1_range == 1e150
 
@@ -142,10 +142,13 @@ def test_spec_refuses_a_window_that_is_not_finite(field, value):
         make_spec(**{field: value})
 
 
-@pytest.mark.parametrize("e_center, window", [(1e308, "[0.0, inf]"), (-1e308, "[-inf, 0.0]")])
-def test_spec_refuses_an_energy_window_that_overflows(e_center, window):
-    msg = re.escape(f"energy window [e_center - delta_e, e_center + delta_e] = {window} "
-                    "is not finite")
+# each id names the window [e_center - delta_e, e_center + delta_e]
+@pytest.mark.parametrize("e_center, end", [(1e308, "e_center + delta_e"),
+                                           (-1e308, "e_center - delta_e")],
+                         ids=["1e+308-[0.0, inf]", "-1e+308-[-inf, 0.0]"])
+def test_spec_refuses_an_energy_window_that_overflows(e_center, end):
+    msg = re.escape(f"energy window end {end} must be a finite number, got "
+                    f"{math.copysign(math.inf, e_center)}")
     with pytest.raises(ValueError, match=f"^{msg}$"):
         make_spec(e_center=e_center, delta_e=1e308)
     assert make_spec(e_center=e_center, delta_e=1e307).delta_e == 1e307

@@ -2,7 +2,8 @@
 ``errors._integer``: one table of entry points, each refusing the same bad
 values with the same ValueError, for Python and numpy scalars alike.  Every
 argument that is one number or a 1-d list is read by ``errors._elements``:
-a second table, whose lists name their lowest bad element."""
+a second table, whose lists name their lowest bad element.  A third table
+refuses an empty matrix with a DimensionError naming it."""
 
 import math
 
@@ -20,7 +21,9 @@ from sympb.evolution import (default_tau_grid, evolved_shape_matrix, min_project
                              radius_scan_curves, stm)
 from sympb.integrators import IntegratorConfig, ds_crossing_times, integrate, verlet_step
 from sympb.kernels import count_box_hits, substream_uniforms
-from sympb.linalg import is_symplectic, random_symplectic
+from sympb.linalg import (ellipsoid_capacity, is_symplectic, random_symplectic, standard_j,
+                          symmetric_sqrt, symplectic_spectrum, symplectic_spectrum_blockdiag,
+                          symplecticity_defect)
 from sympb.models import CnfModel, EckartMorseParams, builtin_cnf, default_params
 
 MODEL = builtin_cnf(2)
@@ -129,8 +132,8 @@ def uniforms(**kw):
 
 FINITE = "finite"
 # (entry point, argument, the name its message gives, FINITE or the integer
-# minimum); n of random_symplectic and the mode k of j_max_cnf have none,
-# since an integer out of their range is a DimensionError
+# minimum); n of random_symplectic and standard_j and the mode k of
+# j_max_cnf have none, since an integer out of their range is a DimensionError
 TABLE = [
     (spec, "n_traj", "n_traj", 1),
     (spec, "seed", "seed", 0),
@@ -140,6 +143,7 @@ TABLE = [
     (power, "i_power", "term 1 I power", 0),
     (flag, "value", "--e-center", FINITE),
     (mixer, "n", "n", None),
+    (standard_j, "n", "n", None),
     (mixer, "sigma", "sigma", FINITE),
     (mixer, "seed", "seed", 0),
     *[(EckartMorseParams, arg, arg, FINITE)
@@ -339,7 +343,25 @@ def test_stm_refuses_a_bath_angle_that_overflows():
     # of a finite angle may still overflow to inf
     with pytest.raises(ValueError) as info:
         stm(MODEL, 1e308)
-    wt = MODEL.omegas[0] * 1e308
-    assert str(info.value) == f"t = 1e+308 gives a bath angle omega t = {wt}, not a finite number"
+    assert str(info.value) == "bath angle omega t at t = 1e+308 must be a finite number, got inf"
     phi = stm(MODEL, 1e300)
     assert math.isinf(phi[0, 0]) and np.isfinite(phi[np.ix_((1, 3), (1, 3))]).all()
+
+
+def blockdiag(a):
+    return symplectic_spectrum_blockdiag(a, a)
+
+
+# every entry point that takes a square matrix, and the name it gives it
+MATRIX_TABLE = [(symmetric_sqrt, "M"), (symplectic_spectrum, "M"), (ellipsoid_capacity, "M"),
+                (blockdiag, "A"), (symplecticity_defect, "S"), (is_symplectic, "S")]
+
+
+@pytest.mark.parametrize("call, what", MATRIX_TABLE,
+                         ids=[f"{call.__name__}-{what}" for call, what in MATRIX_TABLE])
+def test_empty_matrices_are_refused_by_their_size(call, what):
+    # before: IndexError "index -1 is out of bounds" from the eigenvalue
+    # check, and for the symplectic checks "need n >= 1 degrees of freedom"
+    with pytest.raises(DimensionError) as info:
+        call(np.zeros((0, 0)))
+    assert str(info.value) == f"{what} must not be empty, got shape (0, 0)"

@@ -95,8 +95,9 @@ def test_stm_saddle_block_has_the_bits_of_math_cosh_and_sinh():
     for t in (-1000.0, 1000.0, float(np.nextafter(edge, np.inf))):
         s = math.copysign(math.inf, t)
         assert stm(model, t)[np.ix_((0, n), (0, n))].tolist() == [[math.inf, s], [s, math.inf]]
-        with pytest.raises(ValueError, match=rf"^tau = {re.escape(repr(-t))} gives a saddle "
-                                             r"block cosh\(lam tau\) that is not finite$"):
+        with pytest.raises(ValueError, match=rf"^saddle block cosh\(lam tau\) at tau = "
+                                             rf"{re.escape(repr(-t))} must be a finite "
+                                             r"number, got inf$"):
             evolved_shape_matrix(model, 0.1, np.eye(4), -t)
 
 

@@ -1,8 +1,9 @@
 """Every name that a sympb module lists in ``__all__`` exists in it, the
 package publishes exactly those names of its library modules, plus its
 submodules, every private module-level function has a caller, every
-private module-level constant is read only in its own module, and the
-Monte-Carlo volume has one counting path."""
+private module-level constant is read only in its own module, the
+Monte-Carlo volume has one counting path, and every finiteness check of a
+number is ``errors._finite``."""
 
 import ast
 import importlib
@@ -149,6 +150,23 @@ def test_only_the_owner_names_list_elements():
             if isinstance(what, ast.JoinedStr) and any(
                     isinstance(part, ast.Constant) and "[" in part.value for part in what.values):
                 found.append((path.stem, n.lineno))
+    assert found == []
+
+
+def test_derived_numbers_are_checked_by_the_owner():
+    # a number derived from the arguments (a box volume, an energy window,
+    # pi r^2, a step count) goes to errors._finite with a name saying what it
+    # is; a math.isfinite elsewhere is a check worded of its own.  Array
+    # scans with np.isfinite are not numbers and stay where they are.
+    found = []
+    for path in sorted(Path(sympb.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        found += [(path.stem, n.lineno) for n in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(n, ast.Attribute) and n.attr == "isfinite"
+                  and isinstance(n.value, ast.Name) and n.value.id == "math"
+                  or isinstance(n, ast.ImportFrom) and n.module == "math"
+                  and any(alias.name == "isfinite" for alias in n.names)]
     assert found == []
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ def test_config_step_count():
     # before: OverflowError from int(round(inf)) when the run started
     with pytest.raises(ValueError, match=r"t_final = 10.0 and h = 1e-320"):
         IntegratorConfig(h=1e-320, t_final=10.0)
+    # before: numpy scalars overflowed with a RuntimeWarning and the message
+    # showed np.float64 reprs; the step count is divided as Python floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            IntegratorConfig(h=np.float64(1e-320), t_final=np.int64(10))
+    assert str(info.value) == ("step count t_final / h at t_final = 10.0 and h = 1e-320 must "
+                               "be a finite number, got inf")
     with pytest.raises(ValueError, match="^t_final must be a finite number, got inf$"):
         IntegratorConfig(h=0.1, t_final=math.inf)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,35 @@ def test_matrix_json_rejects_ragged(tmp_path):
     path.write_text("[[1.0, 2.0], [3.0]]\n")
     with pytest.raises(ValueError):
         load_matrix(str(path))
+
+
+# (file name, text, numpy's loadtxt refuses it); a CSV that parses to no
+# entries is refused as no matrix, as an empty JSON one is
+NO_MATRIX = [("empty.csv", "", False), ("comment.csv", "# no rows\n", False),
+             ("ragged.csv", "1,0\n0\n", True), ("text.csv", "a,b\n1,2\n", True),
+             ("empty.json", "[]", False), ("empty_row.json", "[[]]", False)]
+
+
+def numpy_refusal(path):
+    with pytest.raises(ValueError) as info:
+        np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name,text,parse", NO_MATRIX, ids=[c[0] for c in NO_MATRIX])
+def test_matrix_that_is_no_matrix_is_refused_with_its_path(tmp_path, name, text, parse):
+    # before: an empty or comment-only CSV gave numpy's "loadtxt: input
+    # contained no data" UserWarning and a (0, 1) array, [[]] a (1, 0) one,
+    # and a ragged or non-numeric CSV numpy's ValueError without the path
+    path = tmp_path / name
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            load_matrix(str(path))
+    want = (f"{path}: {numpy_refusal(path)}" if parse
+            else f"{path} does not contain a 2-D matrix")
+    assert str(info.value) == want
 
 
 @pytest.mark.parametrize("name,text,entry", [
