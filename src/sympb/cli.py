@@ -6,6 +6,10 @@ the flag's type and choices for both (flags win); SYMPB_SEED supplies the
 seed when neither gives one.  Exit codes: 0 success, 1 numerical-domain error,
 2 I/O or usage error.  Every CSV starts with a comment line carrying the
 resolved configuration, so outputs are reproducible byte for byte.
+
+The module loads only the standard library and ``errors`` (with numpy):
+each handler imports the library modules it runs when it runs, so ``--help``
+and a usage error load none, and a subcommand loads only its own.
 """
 
 from __future__ import annotations
@@ -20,18 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import ensembles, evolution, integrators
-from .bottleneck import energy_scan
 from .errors import SympbError, _finite
-from .linalg import ellipsoid_capacity, symplectic_spectrum
-from .matio import load_matrix
-from .models import (
-    builtin_cnf,
-    default_params,
-    load_cnf_model,
-    load_params,
-)
-from .tables import ExperimentReport, write_text
 
 # built-in normal forms by name: degrees of freedom for builtin_cnf
 BUILTIN_CNF = {
@@ -71,6 +64,15 @@ def _env_seed() -> int:
     return _checked(SEED, "SYMPB_SEED", seed)
 
 
+def _evolution_default(name: str) -> Callable:
+    """A default that ``evolution`` owns, read only when a command uses it,
+    so that building the parser loads no library module."""
+    def default():
+        from . import evolution
+        return getattr(evolution, name)
+    return default
+
+
 SEED = Opt("seed", int, _env_seed, minimum=0)
 MODEL = (
     Opt("builtin", choices=tuple(sorted(BUILTIN_CNF)), exclusive=True,
@@ -106,8 +108,8 @@ OPTIONS = {
     "exp1": (
         Opt("radii", default=DEFAULT_RADII, help=f"comma-separated radii (default {DEFAULT_RADII})"),
         SEED._replace(help="mixer seed"),
-        Opt("sigma", float, evolution.DEFAULT_SIGMA, help="mixer strength"),
-        Opt("tau_points", int, evolution.DEFAULT_TAU_POINTS, minimum=1),
+        Opt("sigma", float, _evolution_default("DEFAULT_SIGMA"), help="mixer strength"),
+        Opt("tau_points", int, _evolution_default("DEFAULT_TAU_POINTS"), minimum=1),
         Opt("tau_max", float, minimum=0.0, help="default 3/lambda"),
         Opt("e_ref", float, 0.0, help="energy of the reference width level"),
         Opt("dof", int, 2, choices=(2, 3)),
@@ -243,12 +245,14 @@ def _parse_floats(text: str, what: str) -> list:
 
 
 def _load_cnf(cfg):
+    from .models import builtin_cnf, load_cnf_model
+
     if cfg["model"]:
         return load_cnf_model(cfg["model"])
     return builtin_cnf(BUILTIN_CNF[cfg["builtin"] or "eckart-morse-2dof"])
 
 
-def _emit(report: ExperimentReport, cfg) -> None:
+def _emit(report, cfg) -> None:
     target = cfg["output"] or sys.stdout
     if cfg["format"] == "json":
         report.to_json(target)
@@ -257,11 +261,16 @@ def _emit(report: ExperimentReport, cfg) -> None:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each takes the parsed flags and the resolved configuration
+# handlers: each takes the parsed flags and the resolved configuration, and
+# imports the library modules it runs after its own checks of the flags
 # ---------------------------------------------------------------------------
 
 
 def cmd_capacity(args, cfg) -> int:
+    from .linalg import ellipsoid_capacity, symplectic_spectrum
+    from .matio import load_matrix
+    from .tables import write_text
+
     m = load_matrix(args.matrix_file)
     spectrum = symplectic_spectrum(m)
     doc = {
@@ -276,6 +285,8 @@ def cmd_capacity(args, cfg) -> int:
 def cmd_widths(args, cfg) -> int:
     if cfg["e_min"] is None or cfg["e_max"] is None:
         raise ValueError("--e-min and --e-max are required")
+    from .bottleneck import energy_scan
+
     report = energy_scan(_load_cnf(cfg), cfg["e_min"], cfg["e_max"], cfg["steps"],
                          cfg["samples"], cfg["seed"])
     report.meta.update(_meta("widths", cfg))
@@ -284,6 +295,9 @@ def cmd_widths(args, cfg) -> int:
 
 
 def cmd_exp1(args, cfg) -> int:
+    from . import evolution
+    from .models import builtin_cnf
+
     model = builtin_cnf(cfg["dof"])
     radii = _parse_floats(cfg["radii"], "radii")
     tau_max = cfg["tau_max"]
@@ -303,6 +317,8 @@ def cmd_exp1(args, cfg) -> int:
 
 def _ensemble(cfg):
     """The model and ensemble spec shared by exp2 and sample."""
+    from . import ensembles
+
     model = _load_cnf(cfg)
     delta_e = cfg["delta_e"]
     if delta_e is None:
@@ -314,6 +330,8 @@ def _ensemble(cfg):
 
 
 def cmd_exp2(args, cfg) -> int:
+    from . import ensembles
+
     model, spec = _ensemble(cfg)
     xis = _parse_floats(cfg["xis"], "xis")
     t_max = cfg["t_max"]
@@ -329,6 +347,9 @@ def cmd_exp2(args, cfg) -> int:
 def cmd_sample(args, cfg) -> int:
     if cfg["kind"] == "A" and cfg["xi"] != 0:
         raise ValueError(f"xi = {cfg['xi']!r} needs kind B: kind A draws with xi = 0")
+    from . import ensembles
+    from .tables import ExperimentReport
+
     model, spec = _ensemble(cfg)
     ens = ensembles.sample_ensemble(model, spec, cfg["xi"] if cfg["kind"] == "B" else 0.0)
     nb = model.n_bath
@@ -347,6 +368,10 @@ def cmd_sample(args, cfg) -> int:
 def cmd_integrate(args, cfg) -> int:
     if cfg["state0"] is None:
         raise ValueError("--state0 is required (comma-separated q..., p...)")
+    from . import integrators
+    from .models import default_params, load_params
+    from .tables import ExperimentReport, write_text
+
     max_drift = cfg["max_drift"]
     params = load_params(cfg["params"]) if cfg["params"] else default_params()
     state0 = _parse_floats(cfg["state0"], "state0")

@@ -254,7 +254,8 @@ def random_symplectic(n: int, sigma: float, seed: int) -> np.ndarray:
     Parameters
     ----------
     n : int
-        Degrees of freedom; the result is ``2n x 2n``.
+        Degrees of freedom, checked first, as :func:`standard_j` checks
+        them; the result is ``2n x 2n``.
     sigma : float
         Half-width of the uniform coefficient distribution, finite and >= 0.
     seed : int
@@ -264,8 +265,7 @@ def random_symplectic(n: int, sigma: float, seed: int) -> np.ndarray:
     -------
     ndarray, shape (2n, 2n)
     """
-    if _integer(n, "n") < 1:
-        raise DimensionError(f"need n >= 1 degrees of freedom, got n = {n}")
+    j = standard_j(n)
     if _finite(sigma, "sigma") < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     _integer(seed, "seed", 0)
@@ -274,4 +274,4 @@ def random_symplectic(n: int, sigma: float, seed: int) -> np.ndarray:
     a = np.triu(g) + np.triu(g, 1).T
     import scipy.linalg
 
-    return scipy.linalg.expm(standard_j(n) @ a)
+    return scipy.linalg.expm(j @ a)

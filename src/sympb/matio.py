@@ -11,6 +11,9 @@ from .tables import FLOAT_FMT
 
 __all__ = ["load_matrix", "save_matrix"]
 
+# the end of numpy's refusal of a ragged CSV
+_USECOLS_ADVICE = "; use `usecols` to select a subset and avoid this error"
+
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a real matrix from a ``.csv`` or ``.json`` file (by extension).
@@ -31,7 +34,9 @@ def load_matrix(path: str) -> np.ndarray:
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 m = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            # numpy's reason without its advice, which names a loadtxt parameter
+            reason = str(exc).removesuffix(_USECOLS_ADVICE)
+            raise ValueError(f"{path}: {reason}") from None
     if m.ndim != 2 or not m.size:
         raise ValueError(f"{path} does not contain a 2-D matrix")
     if m.dtype == object:

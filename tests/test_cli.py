@@ -113,21 +113,29 @@ def test_capacity_non_finite_matrix_exit_two(tmp_path, capsys, name, text):
     assert err.startswith(f"error: {path}: entry [") and err.endswith("not a finite number\n")
 
 
-@pytest.mark.parametrize("name,text,parse", [
-    ("empty.csv", "", False), ("comment.csv", "# no rows\n", False),
-    ("ragged.csv", "1,0\n0\n", True), ("text.csv", "a,b\n1,2\n", True),
+# a CSV refusal shown as numpy's loadtxt words it
+NUMPY_REASON = object()
+
+
+@pytest.mark.parametrize("name,text,reason", [
+    ("empty.csv", "", None), ("comment.csv", "# no rows\n", None),
+    ("ragged.csv", "1,0\n0\n", "the number of columns changed from 2 to 1 at row 2"),
+    ("text.csv", "a,b\n1,2\n", NUMPY_REASON),
 ], ids=["empty", "comment", "ragged", "text"])
-def test_capacity_csv_that_holds_no_matrix_exit_two(tmp_path, capsys, name, text, parse):
+def test_capacity_csv_that_holds_no_matrix_exit_two(tmp_path, capsys, name, text, reason):
     # before: an empty or comment-only CSV warned "loadtxt: input contained
     # no data" and exited 1 with "M must be square, got shape (0, 1)"; a
-    # ragged or non-numeric one exited 2 with numpy's text and no path
+    # ragged or non-numeric one exited 2 with numpy's text and no path, and
+    # later a ragged one with numpy's advice to use loadtxt's `usecols`
     path = tmp_path / name
     path.write_text(text)
     want = f"{path} does not contain a 2-D matrix"
-    if parse:
+    if reason is NUMPY_REASON:
         with pytest.raises(ValueError) as numpy_refusal:
             np.loadtxt(path, delimiter=",")
         want = f"{path}: {numpy_refusal.value}"
+    elif reason is not None:
+        want = f"{path}: {reason}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "capacity", str(path))
@@ -1366,22 +1374,26 @@ def assert_capacity_pi(out):
 
 
 
-# Runs in a fresh interpreter: import sympb and its CLI, make calls, then
-# print the names of all modules loaded so far.
+# Runs in a fresh interpreter: import sympb and its CLI, make calls that
+# each exit with the given code, then print the names of all modules loaded
+# so far.
 MODULE_PROBE = """
 import contextlib, io, json, sys
 import sympb, sympb.cli
-for argv in json.loads(sys.argv[1]):
+for argv, want in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = sympb.cli.main(argv)
-    assert code == 0, argv
+        try:
+            code = sympb.cli.main(argv)
+        except SystemExit as exc:  # --help, and argparse's usage errors
+            code = exc.code
+    assert code == want, (argv, code)
 print(json.dumps(sorted(sys.modules)))
 """
 
 
-def modules_after(tmp_path, calls):
+def modules_after(tmp_path, calls, code=0):
     proc = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE, json.dumps(calls)],
+        [sys.executable, "-c", MODULE_PROBE, json.dumps([[argv, code] for argv in calls])],
         capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1390,6 +1402,71 @@ def modules_after(tmp_path, calls):
 
 def package(modules, name):
     return [m for m in modules if m == name or m.startswith(name + ".")]
+
+
+# what importing the CLI loads of sympb: the parser needs only errors
+CLI_ONLY = ["sympb", "sympb.cli", "sympb.errors"]
+
+
+def test_import_help_and_usage_errors_load_no_library_module(tmp_path):
+    # before: importing sympb.cli imported all nine library modules
+    assert package(modules_after(tmp_path, []), "sympb") == CLI_ONLY
+    helps = [["--help"], ["widths", "--help"], ["exp1", "--help"]]
+    assert package(modules_after(tmp_path, helps), "sympb") == CLI_ONLY
+    usage = [[], ["nope"], ["widths", "--steps", "x"], ["exp1", "--dof", "4"],
+             ["widths"], ["sample", "--xi", "0.5"], ["integrate"]]
+    assert package(modules_after(tmp_path, usage, code=2), "sympb") == CLI_ONLY
+
+
+# Runs in a fresh interpreter: import sympb, note which sympb modules that
+# loaded, use the namespace as argv[1] says, and print the namespace beside
+# the one of the nine star imports in the order the package once made them.
+NAMESPACE_PROBE = """
+import json, sys
+import sympb
+before = sorted(m for m in sys.modules if m.startswith("sympb"))
+use = sys.argv[1]
+if use == "attribute":
+    sympb.energy_scan
+elif use == "from":
+    from sympb import energy_scan
+elif use == "star":
+    exec("from sympb import *", {})
+else:
+    dir(sympb)
+eager, star = {}, {}
+for name in ("errors", "linalg", "models", "bottleneck", "evolution", "ensembles",
+             "integrators", "matio", "tables"):
+    exec(f"from sympb.{name} import *", eager)
+exec("from sympb import *", star)
+del eager["__builtins__"], star["__builtins__"]
+print(json.dumps({
+    "before": before,
+    "eager": sorted(eager),
+    "star": sorted(star),
+    "modules": sorted(n for n, obj in star.items() if type(obj) is type(sys)),
+    "dir": sorted(n for n in dir(sympb) if not n.startswith("_")),
+    "differ": [n for n, obj in eager.items() if star.get(n) is not obj],
+}))
+"""
+
+
+@pytest.mark.parametrize("use", ["attribute", "from", "star", "dir"])
+def test_package_namespace_is_loaded_on_first_use(tmp_path, use):
+    proc = subprocess.run(
+        [sys.executable, "-c", NAMESPACE_PROBE, use],
+        capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["before"] == ["sympb"]
+    # the names and objects of the eager package: each module's __all__,
+    # and the submodules those imports loaded
+    submodules = ["bottleneck", "ensembles", "errors", "evolution", "integrators", "kernels",
+                  "linalg", "matio", "models", "tables"]
+    assert got["modules"] == submodules
+    assert got["star"] == got["dir"] == sorted(got["eager"] + submodules)
+    assert got["differ"] == []
 
 
 def test_import_and_diagnostics_load_no_scipy(tmp_path):
@@ -1414,14 +1491,28 @@ def test_import_and_diagnostics_load_no_scipy(tmp_path):
 # must load and the packages it must not load.  Only exp1's random mixer
 # needs scipy.linalg, and only widths' thread pool concurrent.futures; the
 # exp2 and sample draws run on kernels.substream_uniforms, not numpy.random.
+# Of the sympb modules, each loads those it runs and no other.
 NO_EXTRAS = ("numpy.random", "scipy", "concurrent.futures")
+ENSEMBLE_MODULES = (("sympb.ensembles", "sympb.bottleneck", "sympb.kernels", "sympb.models",
+                     "sympb.tables"),
+                    ("sympb.evolution", "sympb.integrators", "sympb.linalg", "sympb.matio"))
 SUBCOMMAND_MODULES = {
-    "capacity": ((), NO_EXTRAS),
-    "exp2": ((), NO_EXTRAS),
-    "sample": ((), NO_EXTRAS),
-    "integrate": ((), NO_EXTRAS),
-    "widths": (("concurrent.futures",), ("scipy",)),
-    "exp1": (("scipy.linalg",), ()),
+    "capacity": (("sympb.linalg", "sympb.matio", "sympb.tables"),
+                 NO_EXTRAS + ("sympb.bottleneck", "sympb.ensembles", "sympb.evolution",
+                              "sympb.integrators", "sympb.kernels", "sympb.models")),
+    "exp2": (ENSEMBLE_MODULES[0], NO_EXTRAS + ENSEMBLE_MODULES[1]),
+    "sample": (ENSEMBLE_MODULES[0], NO_EXTRAS + ENSEMBLE_MODULES[1]),
+    "integrate": (("sympb.integrators", "sympb.kernels", "sympb.linalg", "sympb.models",
+                   "sympb.tables"),
+                  NO_EXTRAS + ("sympb.bottleneck", "sympb.ensembles", "sympb.evolution",
+                               "sympb.matio")),
+    "widths": (("concurrent.futures", "sympb.bottleneck", "sympb.kernels", "sympb.models",
+                "sympb.tables"),
+               ("scipy", "sympb.ensembles", "sympb.evolution", "sympb.integrators",
+                "sympb.linalg", "sympb.matio")),
+    "exp1": (("scipy.linalg", "sympb.evolution", "sympb.bottleneck", "sympb.kernels",
+              "sympb.linalg", "sympb.models", "sympb.tables"),
+             ("sympb.ensembles", "sympb.integrators", "sympb.matio")),
 }
 
 

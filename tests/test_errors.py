@@ -348,6 +348,26 @@ def test_stm_refuses_a_bath_angle_that_overflows():
     assert math.isinf(phi[0, 0]) and np.isfinite(phi[np.ix_((1, 3), (1, 3))]).all()
 
 
+# (n, the exception and the message of standard_j); random_symplectic
+# checks n through standard_j before its sigma and seed
+DOF_ROWS = [
+    (0, DimensionError, "need n >= 1 degrees of freedom, got n = 0"),
+    (-3, DimensionError, "need n >= 1 degrees of freedom, got n = -3"),
+    (np.int64(0), DimensionError, "need n >= 1 degrees of freedom, got n = 0"),
+    (2.5, ValueError, "n must be an integer, got 2.5"),
+    (True, ValueError, "n must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("n, kind, text", DOF_ROWS, ids=[repr(row[0]) for row in DOF_ROWS])
+def test_degrees_of_freedom_are_checked_by_standard_j(n, kind, text):
+    # before: random_symplectic repeated standard_j's check word for word
+    for call in (lambda: standard_j(n), lambda: mixer(n=n, sigma=math.nan, seed=-1)):
+        with pytest.raises(kind) as info:
+            call()
+        assert type(info.value) is kind and str(info.value) == text
+
+
 def blockdiag(a):
     return symplectic_spectrum_blockdiag(a, a)
 

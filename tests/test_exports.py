@@ -1,9 +1,9 @@
 """Every name that a sympb module lists in ``__all__`` exists in it, the
 package publishes exactly those names of its library modules, plus its
-submodules, every private module-level function has a caller, every
-private module-level constant is read only in its own module, the
-Monte-Carlo volume has one counting path, and every finiteness check of a
-number is ``errors._finite``."""
+submodules, its lazy namespace names every library module, every private
+module-level function has a caller, every private module-level constant is
+read only in its own module, the Monte-Carlo volume has one counting path,
+and every finiteness check of a number is ``errors._finite``."""
 
 import ast
 import importlib
@@ -45,7 +45,8 @@ def test_package_publishes_exactly_its_modules_all():
             assert n not in listed, f"{n} is listed by two modules"
             listed[n] = getattr(mod, n)
     submodules = {m.name for m in pkgutil.iter_modules(sympb.__path__)}
-    public = {n for n in vars(sympb) if not n.startswith("_")} - submodules
+    # dir() fills the lazy namespace, which vars() would read half empty
+    public = {n for n in dir(sympb) if not n.startswith("_")} - submodules
     assert sorted(public) == sorted(listed)
     assert [n for n, obj in listed.items() if getattr(sympb, n) is not obj] == []
 
@@ -60,11 +61,17 @@ def test_module_names_are_reexported(name):
 def test_package_names_are_listed_by_their_module():
     # the reverse: a re-exported name stays in its module's __all__, where it has one
     stale = []
-    for n, obj in vars(sympb).items():
+    for n in dir(sympb):
+        obj = getattr(sympb, n)
         mod = sys.modules.get(getattr(obj, "__module__", None))
         if not n.startswith("_") and n not in getattr(mod, "__all__", [n]):
             stale.append(n)
     assert stale == []
+
+
+def test_the_lazy_namespace_names_every_library_module():
+    # a library module left out of the tuple would drop out of the namespace
+    assert sorted(f"sympb.{name}" for name in sympb._LIBRARY) == sorted(REEXPORTED)
 
 
 def test_every_private_function_has_a_caller():

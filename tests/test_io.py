@@ -235,11 +235,16 @@ def test_matrix_json_rejects_ragged(tmp_path):
         load_matrix(str(path))
 
 
-# (file name, text, numpy's loadtxt refuses it); a CSV that parses to no
-# entries is refused as no matrix, as an empty JSON one is
-NO_MATRIX = [("empty.csv", "", False), ("comment.csv", "# no rows\n", False),
-             ("ragged.csv", "1,0\n0\n", True), ("text.csv", "a,b\n1,2\n", True),
-             ("empty.json", "[]", False), ("empty_row.json", "[[]]", False)]
+# a CSV refusal shown as numpy's loadtxt words it
+NUMPY_REASON = object()
+# (file name, text, the reason given after the path: NUMPY_REASON, or None
+# for no matrix); a CSV that parses to no entries is refused as no matrix,
+# as an empty JSON one is, and a ragged CSV without numpy's advice to use
+# loadtxt's `usecols`
+NO_MATRIX = [("empty.csv", "", None), ("comment.csv", "# no rows\n", None),
+             ("ragged.csv", "1,0\n0\n", "the number of columns changed from 2 to 1 at row 2"),
+             ("text.csv", "a,b\n1,2\n", NUMPY_REASON),
+             ("empty.json", "[]", None), ("empty_row.json", "[[]]", None)]
 
 
 def numpy_refusal(path):
@@ -248,8 +253,8 @@ def numpy_refusal(path):
     return str(info.value)
 
 
-@pytest.mark.parametrize("name,text,parse", NO_MATRIX, ids=[c[0] for c in NO_MATRIX])
-def test_matrix_that_is_no_matrix_is_refused_with_its_path(tmp_path, name, text, parse):
+@pytest.mark.parametrize("name,text,reason", NO_MATRIX, ids=[c[0] for c in NO_MATRIX])
+def test_matrix_that_is_no_matrix_is_refused_with_its_path(tmp_path, name, text, reason):
     # before: an empty or comment-only CSV gave numpy's "loadtxt: input
     # contained no data" UserWarning and a (0, 1) array, [[]] a (1, 0) one,
     # and a ragged or non-numeric CSV numpy's ValueError without the path
@@ -259,8 +264,10 @@ def test_matrix_that_is_no_matrix_is_refused_with_its_path(tmp_path, name, text,
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:
             load_matrix(str(path))
-    want = (f"{path}: {numpy_refusal(path)}" if parse
-            else f"{path} does not contain a 2-D matrix")
+    if reason is None:
+        want = f"{path} does not contain a 2-D matrix"
+    else:
+        want = f"{path}: {numpy_refusal(path) if reason is NUMPY_REASON else reason}"
     assert str(info.value) == want
 
 
